@@ -1,10 +1,10 @@
 """Scenario configuration loading and validation.
 
-A scenario is a YAML file naming the input fixtures (bathymetry grid,
-mission polygon, beacon chart, planning domain), the fleet roster with
-one plan problem per vehicle, the world constants, and the seed.  All
-relative paths are resolved against the YAML file's own directory so a
-scenario can be run from anywhere.
+A scenario is a YAML file naming the beacon chart and the planning
+domain, the fleet roster with one plan problem per vehicle, the world
+constants, and the seed.  All relative paths are resolved against the
+YAML file's own directory so a scenario can be run from anywhere.
+Top-level keys that the simulator does not read are ignored.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ from .sim.world import BeaconState, WorldParams
 
 
 @dataclass(frozen=True)
-class DeployParams:
-    n_beacons: int = 5
-    max_iterations: int = 100
-    volume_tolerance: float = 0.05
-
-
-@dataclass(frozen=True)
 class UuvSpec:
     id: str
     start: Point2D
@@ -39,11 +32,8 @@ class UuvSpec:
 class ScenarioConfig:
     seed: int
     output_dir: Path
-    bathymetry: Path
-    mission_area: Path
     beacons: Path
     domain: Path
-    deployment: DeployParams
     world: WorldParams
     uuvs: tuple[UuvSpec, ...]
     inactive_beacons: tuple[str, ...] = ()
@@ -103,23 +93,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     paths = _require(raw, "paths", str(path))
     if not isinstance(paths, dict):
         raise InputError(f"{path}: paths must be a mapping")
-    bathymetry = _resolve(base, _require(paths, "bathymetry", "paths"), "paths.bathymetry")
-    mission_area = _resolve(base, _require(paths, "mission_area", "paths"), "paths.mission_area")
     beacons = _resolve(base, _require(paths, "beacons", "paths"), "paths.beacons")
     domain = _resolve(base, _require(paths, "domain", "paths"), "paths.domain")
-
-    deployment = DeployParams()
-    if "deployment" in raw:
-        dep = raw["deployment"]
-        if not isinstance(dep, dict):
-            raise InputError(f"{path}: deployment must be a mapping")
-        deployment = DeployParams(
-            n_beacons=int(dep.get("n_beacons", deployment.n_beacons)),
-            max_iterations=int(dep.get("max_iterations", deployment.max_iterations)),
-            volume_tolerance=float(dep.get("volume_tolerance", deployment.volume_tolerance)),
-        )
-        if deployment.n_beacons < 1:
-            raise InputError(f"{path}: deployment.n_beacons must be at least 1")
 
     world_raw = raw.get("world", {})
     if not isinstance(world_raw, dict):
@@ -167,11 +142,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return ScenarioConfig(
         seed=seed,
         output_dir=output_dir,
-        bathymetry=bathymetry,
-        mission_area=mission_area,
         beacons=beacons,
         domain=domain,
-        deployment=deployment,
         world=world,
         uuvs=tuple(uuvs),
         inactive_beacons=tuple(inactive),
@@ -196,6 +168,8 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
     beacons: list[BeaconState] = []
     seen: set[str] = set()
     for i, feature in enumerate(data.get("features", [])):
+        if not isinstance(feature, dict):
+            raise GeoJsonError(f"{path}: feature {i} is not a JSON object")
         geom = feature.get("geometry") or {}
         if geom.get("type") != "Point":
             raise GeoJsonError(f"{path}: feature {i} is not a Point")
@@ -209,11 +183,14 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
         if beacon_id in seen:
             raise GeoJsonError(f"{path}: duplicate beacon id {beacon_id!r}")
         seen.add(beacon_id)
+        active = props.get("active", True)
+        if not isinstance(active, bool):
+            raise GeoJsonError(f"{path}: feature {i} 'active' must be true or false")
         beacons.append(
             BeaconState(
                 id=beacon_id,
                 position=Point2D(float(coords[0]), float(coords[1])),
-                active=bool(props.get("active", True)),
+                active=active,
                 acoustic_range=float(props.get("acoustic_range", params.acoustic_range)),
                 pulse_period=float(props.get("pulse_period", params.pulse_period)),
             )

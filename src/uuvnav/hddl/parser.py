@@ -155,24 +155,6 @@ def _parse_subtask_network(
     return refs, start + 2
 
 
-class _SectionReader:
-    """Walks keyword-introduced sections of a definition body."""
-
-    def __init__(self, form: SList, start: int):
-        self.items = form.items
-        self.i = start
-        self.form = form
-
-    def done(self) -> bool:
-        return self.i >= len(self.items)
-
-    def peek_key(self) -> Symbol:
-        node = self.items[self.i]
-        if isinstance(node, SList):
-            return _want_symbol(node.items[0] if node.items else node, "a section keyword")
-        return _want_symbol(node, "a section keyword")
-
-
 # ---------------------------------------------------------------------------
 # Domain
 # ---------------------------------------------------------------------------

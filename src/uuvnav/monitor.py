@@ -2,9 +2,10 @@
 
 Every leg of a plan that approaches a beacon carries an expectation:
 a time window in which a detection of that beacon should appear in the
-event stream.  The window is projected from leg distance, vehicle speed,
-and a margin that widens with dead-reckoning uncertainty, plus one pulse
-period of slack at the tail.  A window that closes without a matching
+event stream.  The action table in ``sim.world`` defines each action's
+projection beside its executor step; the monitor chains a plan's steps
+through those projections and stops at the first action whose duration
+cannot be projected.  A window that closes without a matching
 detection is a divergence: the affected vehicle marks the beacon
 unreachable, shares that fact with every fleet mate in comm range, and
 each of them replans from its current belief against its original task
@@ -13,21 +14,22 @@ network.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PlanNotFound, SimulationError
-from .geo import Point2D
 from .hddl.ast import Literal, TaskNetwork
 from .hddl.ground import GroundAction, GroundTables
 from .htn.planner import plan
-from .sim.world import Event, UUVState, WorldParams, WorldState
-
-# Actions whose projected duration cannot be known ahead of time.
-# Expectation projection stops at the first one.
-_UNPREDICTABLE = ("await-broadcast", "navigate-to-broadcast")
-_MOVE_ACTIONS = ("navigate-to-beacon", "transit-leg")
+from .sim.world import (
+    BeaconState,
+    Event,
+    Projection,
+    UUVState,
+    WorldParams,
+    WorldState,
+    action_behaviour,
+)
 
 
 @dataclass
@@ -67,79 +69,27 @@ def derive_expectations(
     uuv: UUVState,
     params: WorldParams,
     start_time: float,
-    beacon_positions: Mapping[str, Point2D],
+    beacons: Mapping[str, BeaconState],
 ) -> list[Expectation]:
     """Project detection windows for every beacon-approach leg.
 
     Position, uncertainty, and elapsed time are chained through the
-    plan: each leg starts where the previous one nominally ends.  Legs
+    plan: each step starts where the previous one nominally ends.  Steps
     after an action of unknown duration get no expectation.
     """
     expectations: list[Expectation] = []
-    cursor = uuv.estimated_position
-    uncertainty = uuv.position_uncertainty
-    anchor = start_time
-    circle_ticks = max(
-        1,
-        math.ceil(
-            2.0 * math.pi * params.standoff_radius
-            / max(uuv.speed * params.tick, 1e-12)
-        ),
+    projection = Projection(
+        uuv, params, beacons, start_time, uuv.estimated_position, uuv.position_uncertainty
     )
     for index, action in enumerate(steps):
-        if action.name in _UNPREDICTABLE:
+        project = action_behaviour(action.name).project
+        if project is None:
             break
-        if action.name in _MOVE_ACTIONS:
-            target = beacon_positions.get(action.args[1])
-            if target is None:
-                raise SimulationError(f"no position known for beacon {action.args[1]!r}")
-            distance = cursor.distance_to(target)
-            if distance > 0 and uuv.speed <= 0:
-                raise SimulationError(
-                    f"{uuv.id}: leg of {distance:.1f} m is inexecutable at zero speed"
-                )
-            nominal = distance / uuv.speed if distance > 0 else 0.0
-            if action.name == "navigate-to-beacon":
-                if distance > 0:
-                    margin = params.margin_base * (1.0 + uncertainty / distance)
-                    earliest = anchor + nominal * (1.0 - margin)
-                    latest = anchor + nominal * (1.0 + margin) + params.pulse_period
-                else:
-                    # Already on top of the beacon: a pulse is due within
-                    # one period.
-                    earliest = anchor
-                    latest = anchor + params.pulse_period
-                expectations.append(
-                    Expectation(
-                        uuv_id=uuv.id,
-                        beacon_id=action.args[1],
-                        step_index=index,
-                        earliest=earliest,
-                        latest=latest,
-                    )
-                )
-            anchor += nominal
-            uncertainty += params.drift_rate * distance
-            cursor = target
-        elif action.name == "sense-beacon":
-            anchor += params.pulse_period
-        elif action.name == "circle-localize":
-            anchor += circle_ticks * params.tick
-            uncertainty = params.localization_floor
-        else:
-            anchor += params.tick
+        window = project(projection, action)
+        if window is not None:
+            earliest, latest = window
+            expectations.append(Expectation(uuv.id, action.args[1], index, earliest, latest))
     return expectations
-
-
-def derive_expectations_for_world(
-    steps: Sequence[GroundAction],
-    uuv: UUVState,
-    world: WorldState,
-    start_time: float,
-) -> list[Expectation]:
-    """derive_expectations with beacon positions taken from the world."""
-    positions = {b.id: b.position for b in world.beacons}
-    return derive_expectations(steps, uuv, world.params, start_time, positions)
 
 
 def note_detection(
@@ -216,6 +166,7 @@ def replan_episode(
         if uuv.true_position.distance_to(divergent.true_position) <= world.params.comm_range:
             affected.append(uuv)
     affected.sort(key=lambda u: u.id)
+    beacons = {b.id: b for b in world.beacons}
 
     for uuv in affected:
         uuv.belief.add(unreachable)
@@ -256,7 +207,7 @@ def replan_episode(
                 },
             )
         )
-        new_expectations[uuv.id] = derive_expectations_for_world(
-            new_plan.steps, uuv, world, world.sim_time
+        new_expectations[uuv.id] = derive_expectations(
+            new_plan.steps, uuv, world.params, world.sim_time, beacons
         )
     return events, new_expectations

@@ -7,7 +7,6 @@ from .world import (
     WorldParams,
     WorldState,
     broadcast,
-    circle_localize,
     sense_beacon,
     step,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "WorldParams",
     "WorldState",
     "broadcast",
-    "circle_localize",
     "sense_beacon",
     "step",
 ]

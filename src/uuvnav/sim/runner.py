@@ -72,11 +72,11 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         uuvs=uuvs,
         beacons=beacons,
         params=config.world,
-        rng_seed=config.seed,
     )
 
+    beacons_by_id = {b.id: b for b in beacons}
     expectations: dict[str, list[monitor.Expectation]] = {
-        uuv.id: monitor.derive_expectations_for_world(uuv.queue, uuv, world, 0.0)
+        uuv.id: monitor.derive_expectations(uuv.queue, uuv, world.params, 0.0, beacons_by_id)
         for uuv in world.uuvs
     }
 

@@ -1,4 +1,4 @@
-"""World state and tick dynamics for the fleet simulator.
+"""World state, tick dynamics and the action table for the fleet simulator.
 
 The world advances in fixed time steps.  Each step moves every vehicle
 along its current plan action, scans for acoustic detections at pulse
@@ -10,26 +10,22 @@ commanded velocity plus the ambient current; the estimated position
 integrates the commanded velocity only, so a nonzero current opens a gap
 between the two.  Position uncertainty grows with distance travelled and
 collapses to a small floor when a beacon fix completes.
+
+``ACTIONS`` defines each plan action once: what the executor does on
+each tick, side by side with the monitor's projection of it, so the two
+sides of the control loop agree.  A name missing from the table is an
+instant action: it completes on its first tick and is projected as one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from ..errors import SimulationError
 from ..geo import Point2D
 from ..hddl.ground import GroundAction
-
-# Action names with dedicated executor behaviour.  Anything else in a
-# plan is treated as an instant action: it completes on its first tick.
-_MOVE_TO_BEACON = ("navigate-to-beacon", "transit-leg")
-_NAV_BROADCAST = "navigate-to-broadcast"
-_SENSE = "sense-beacon"
-_CIRCLE = "circle-localize"
-_BROADCAST = "broadcast"
-_AWAIT = "await-broadcast"
 
 
 @dataclass
@@ -82,11 +78,10 @@ class UUVState:
     belief: set[tuple[str, ...]] = field(default_factory=set)
     status: str = "active"
     action_started: bool = False
-    action_start_time: float = 0.0
     broadcast_target: Optional[Point2D] = None
     replan_count: int = 0
-    # Circle fix in progress: (beacon_id, theta0, ticks_done, ticks_total).
-    circle: Optional[tuple[str, float, int, int]] = None
+    # Circle fix in progress: (theta0, ticks_done, ticks_total).
+    circle: Optional[tuple[float, int, int]] = None
     last_detection: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -113,7 +108,6 @@ class WorldState:
     uuvs: list[UUVState]
     beacons: list[BeaconState]
     params: WorldParams
-    rng_seed: int = 0
     ticks_run: int = 0
 
     def uuv(self, uuv_id: str) -> UUVState:
@@ -144,30 +138,6 @@ def sense_beacon(uuv: UUVState, beacon: BeaconState, sim_time: float) -> bool:
     if abs(sim_time - k * period) > 1e-9:
         return False
     return uuv.true_position.distance_to(beacon.position) <= beacon.acoustic_range
-
-
-def circle_localize(uuv: UUVState, beacon: BeaconState, params: WorldParams) -> UUVState:
-    """Apply the state update for a completed standoff circle.
-
-    The vehicle holds the standoff radius around the beacon under
-    continuous acoustic feedback, so on completion its estimate is pinned
-    to the exit point of the circle and the uncertainty collapses to the
-    localization floor.
-    """
-    if uuv.circle is None:
-        raise SimulationError(f"{uuv.id}: no circle fix in progress")
-    _, theta0, ticks_done, ticks_total = uuv.circle
-    omega = uuv.speed / params.standoff_radius
-    theta = theta0 + omega * ticks_total * params.tick
-    exit_point = Point2D(
-        beacon.position.x + params.standoff_radius * math.cos(theta),
-        beacon.position.y + params.standoff_radius * math.sin(theta),
-    )
-    uuv.true_position = exit_point
-    uuv.estimated_position = exit_point
-    uuv.position_uncertainty = params.localization_floor
-    uuv.circle = None
-    return uuv
 
 
 def broadcast(sender: UUVState, world: WorldState) -> list[Event]:
@@ -213,7 +183,6 @@ def _start_action(uuv: UUVState, world: WorldState, events: list[Event]) -> Grou
     action = uuv.queue[0]
     if not uuv.action_started:
         uuv.action_started = True
-        uuv.action_start_time = world.sim_time
         events.append(
             Event(
                 time=world.sim_time,
@@ -318,66 +287,187 @@ def _move_towards(uuv: UUVState, target: Point2D, world: WorldState, events: lis
         _complete_action(uuv, world, events)
 
 
-def _tick_uuv(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+def _circle_ticks(uuv: UUVState, params: WorldParams) -> int:
+    """Whole ticks the vehicle takes to fly once round the standoff circle."""
+    if uuv.speed <= 0:
+        raise SimulationError(f"{uuv.id}: cannot circle with zero speed")
+    circumference = 2.0 * math.pi * params.standoff_radius
+    return max(1, math.ceil(circumference / (uuv.speed * params.tick)))
+
+
+def _tick_to_beacon(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+    _move_towards(uuv, world.beacon(uuv.queue[0].args[1]).position, world, events)
+
+
+def _tick_to_broadcast(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+    if uuv.broadcast_target is None:
+        _fail_mission(uuv, world, events, "no broadcast position known")
+        return
+    _move_towards(uuv, uuv.broadcast_target, world, events)
+
+
+def _tick_sense(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+    if uuv.last_detection.get(uuv.queue[0].args[1]) == world.sim_time:
+        _complete_action(uuv, world, events)
+
+
+def _tick_circle(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
     params = world.params
+    beacon = world.beacon(uuv.queue[0].args[1])
+    if not beacon.active:
+        _fail_mission(uuv, world, events, f"beacon {beacon.id} went silent during fix")
+        return
+    if uuv.circle is None:
+        est = uuv.estimated_position
+        off_x = est.x - beacon.position.x
+        off_y = est.y - beacon.position.y
+        if math.hypot(off_x, off_y) > 1e-9:
+            theta0 = math.atan2(off_y, off_x)
+        else:
+            theta0 = uuv.heading + math.pi
+        uuv.circle = (theta0, 0, _circle_ticks(uuv, params))
+    theta0, ticks_done, ticks_total = uuv.circle
+    ticks_done += 1
+    omega = uuv.speed / params.standoff_radius
+    theta = theta0 + omega * ticks_done * params.tick
+    on_circle = Point2D(
+        beacon.position.x + params.standoff_radius * math.cos(theta),
+        beacon.position.y + params.standoff_radius * math.sin(theta),
+    )
+    uuv.true_position = on_circle
+    uuv.estimated_position = on_circle
+    uuv.heading = theta + math.pi / 2.0
+    if ticks_done < ticks_total:
+        uuv.circle = (theta0, ticks_done, ticks_total)
+        return
+    # The vehicle held the standoff radius under continuous acoustic
+    # feedback, so the fix pins its estimate to the exit point and
+    # collapses the uncertainty to the localization floor.
+    uuv.position_uncertainty = params.localization_floor
+    uuv.circle = None
+    _complete_action(uuv, world, events)
+
+
+def _tick_broadcast(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+    events.extend(broadcast(uuv, world))
+    _complete_action(uuv, world, events)
+
+
+def _tick_await(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+    if ("heard-broadcast", uuv.id) in uuv.belief:
+        _complete_action(uuv, world, events)
+
+
+@dataclass
+class Projection:
+    """The monitor's running projection of one vehicle through its plan.
+
+    ``time``, ``position`` and ``uncertainty`` are where the next step is
+    projected to start.  Each step method from ``transit`` on advances them
+    past one action and returns the (earliest, latest) window in which the
+    action expects to hear the beacon named by its second argument, or None.
+    """
+
+    uuv: UUVState
+    params: WorldParams
+    beacons: Mapping[str, BeaconState]
+    time: float
+    position: Point2D
+    uncertainty: float
+
+    def beacon(self, beacon_id: str) -> BeaconState:
+        if beacon_id not in self.beacons:
+            raise SimulationError(f"no position known for beacon {beacon_id!r}")
+        return self.beacons[beacon_id]
+
+    def _move(self, beacon: BeaconState) -> tuple[float, float]:
+        """Advance to the beacon at cruise speed; return the leg's distance
+        and nominal duration."""
+        distance = self.position.distance_to(beacon.position)
+        if distance > 0 and self.uuv.speed <= 0:
+            raise SimulationError(
+                f"{self.uuv.id}: leg of {distance:.1f} m is inexecutable at zero speed"
+            )
+        nominal = distance / self.uuv.speed if distance > 0 else 0.0
+        self.time += nominal
+        self.position = beacon.position
+        self.uncertainty += self.params.drift_rate * distance
+        return distance, nominal
+
+    def transit(self, action: GroundAction) -> Optional[tuple[float, float]]:
+        self._move(self.beacon(action.args[1]))
+        return None
+
+    def approach(self, action: GroundAction) -> Optional[tuple[float, float]]:
+        """A leg that expects to hear its beacon within the nominal leg time,
+        widened by a margin that grows with dead-reckoning uncertainty, plus
+        one of the beacon's own pulse periods of slack at the tail."""
+        beacon = self.beacon(action.args[1])
+        start, uncertainty = self.time, self.uncertainty
+        distance, nominal = self._move(beacon)
+        if distance == 0:
+            # Already on top of the beacon: a pulse is due within one period.
+            return start, start + beacon.pulse_period
+        margin = self.params.margin_base * (1.0 + uncertainty / distance)
+        return (
+            start + nominal * (1.0 - margin),
+            start + nominal * (1.0 + margin) + beacon.pulse_period,
+        )
+
+    def sense(self, action: GroundAction) -> Optional[tuple[float, float]]:
+        # The beacon's next pulse is at most one of its periods away.
+        self.time += self.beacon(action.args[1]).pulse_period
+        return None
+
+    def circle(self, action: GroundAction) -> Optional[tuple[float, float]]:
+        self.time += _circle_ticks(self.uuv, self.params) * self.params.tick
+        self.uncertainty = self.params.localization_floor
+        return None
+
+    def instant(self, action: GroundAction) -> Optional[tuple[float, float]]:
+        self.time += self.params.tick
+        return None
+
+
+@dataclass(frozen=True)
+class ActionBehaviour:
+    """One plan action, as the executor runs it and the monitor projects it.
+
+    ``tick`` runs on every tick the action is current, after that tick's
+    detection scan if ``after_detection`` is set, and completes the
+    action when it is done.  ``project`` is the action's Projection step,
+    or None when the action waits on another vehicle, so its duration
+    cannot be projected.
+    """
+
+    tick: Callable[[UUVState, WorldState, list[Event]], None]
+    project: Optional[Callable[[Projection, GroundAction], Optional[tuple[float, float]]]]
+    after_detection: bool = False
+
+
+ACTIONS: dict[str, ActionBehaviour] = {
+    "navigate-to-beacon": ActionBehaviour(_tick_to_beacon, Projection.approach),
+    "transit-leg": ActionBehaviour(_tick_to_beacon, Projection.transit),
+    "navigate-to-broadcast": ActionBehaviour(_tick_to_broadcast, None),
+    "sense-beacon": ActionBehaviour(_tick_sense, Projection.sense, after_detection=True),
+    "circle-localize": ActionBehaviour(_tick_circle, Projection.circle),
+    "broadcast": ActionBehaviour(_tick_broadcast, Projection.instant),
+    "await-broadcast": ActionBehaviour(_tick_await, None),
+}
+_INSTANT = ActionBehaviour(_complete_action, Projection.instant)
+
+
+def action_behaviour(name: str) -> ActionBehaviour:
+    """The table entry for an action; a name not in the table is instant."""
+    return ACTIONS.get(name, _INSTANT)
+
+
+def _tick_uuv(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
     if uuv.status != "active" or not uuv.queue:
         return
-    action = _start_action(uuv, world, events)
-    name = action.name
-
-    if name in _MOVE_TO_BEACON:
-        beacon = world.beacon(action.args[1])
-        _move_towards(uuv, beacon.position, world, events)
-    elif name == _NAV_BROADCAST:
-        if uuv.broadcast_target is None:
-            _fail_mission(uuv, world, events, "no broadcast position known")
-            return
-        _move_towards(uuv, uuv.broadcast_target, world, events)
-    elif name == _SENSE:
-        # Completion is handled in the detection phase of this tick.
-        pass
-    elif name == _CIRCLE:
-        beacon = world.beacon(action.args[1])
-        if not beacon.active:
-            _fail_mission(uuv, world, events, f"beacon {beacon.id} went silent during fix")
-            return
-        if uuv.circle is None:
-            est = uuv.estimated_position
-            off_x = est.x - beacon.position.x
-            off_y = est.y - beacon.position.y
-            if math.hypot(off_x, off_y) > 1e-9:
-                theta0 = math.atan2(off_y, off_x)
-            else:
-                theta0 = uuv.heading + math.pi
-            if uuv.speed <= 0:
-                raise SimulationError(f"{uuv.id}: cannot circle with zero speed")
-            circumference = 2.0 * math.pi * params.standoff_radius
-            ticks_total = max(1, math.ceil(circumference / (uuv.speed * params.tick)))
-            uuv.circle = (beacon.id, theta0, 0, ticks_total)
-        beacon_id, theta0, ticks_done, ticks_total = uuv.circle
-        ticks_done += 1
-        omega = uuv.speed / params.standoff_radius
-        theta = theta0 + omega * ticks_done * params.tick
-        on_circle = Point2D(
-            beacon.position.x + params.standoff_radius * math.cos(theta),
-            beacon.position.y + params.standoff_radius * math.sin(theta),
-        )
-        uuv.true_position = on_circle
-        uuv.estimated_position = on_circle
-        uuv.heading = theta + math.pi / 2.0
-        uuv.circle = (beacon_id, theta0, ticks_done, ticks_total)
-        if ticks_done >= ticks_total:
-            circle_localize(uuv, beacon, params)
-            _complete_action(uuv, world, events)
-    elif name == _BROADCAST:
-        events.extend(broadcast(uuv, world))
-        _complete_action(uuv, world, events)
-    elif name == _AWAIT:
-        if ("heard-broadcast", uuv.id) in uuv.belief:
-            _complete_action(uuv, world, events)
-    else:
-        # Unknown actions are instantaneous bookkeeping steps.
-        _complete_action(uuv, world, events)
+    behaviour = action_behaviour(_start_action(uuv, world, events).name)
+    if not behaviour.after_detection:
+        behaviour.tick(uuv, world, events)
 
 
 def _detection_phase(world: WorldState, events: list[Event]) -> None:
@@ -400,16 +490,14 @@ def _detection_phase(world: WorldState, events: list[Event]) -> None:
                 )
 
 
-def _sense_completion_phase(world: WorldState, events: list[Event]) -> None:
+def _after_detection_phase(world: WorldState, events: list[Event]) -> None:
     for uuv in world.uuvs:
         action = uuv.current_action
-        if uuv.status != "active" or action is None or action.name != _SENSE:
+        if uuv.status != "active" or action is None or not uuv.action_started:
             continue
-        if not uuv.action_started:
-            continue
-        beacon_id = action.args[1]
-        if uuv.last_detection.get(beacon_id) == world.sim_time:
-            _complete_action(uuv, world, events)
+        behaviour = action_behaviour(action.name)
+        if behaviour.after_detection:
+            behaviour.tick(uuv, world, events)
 
 
 def step(world: WorldState) -> tuple[WorldState, list[Event]]:
@@ -417,7 +505,7 @@ def step(world: WorldState) -> tuple[WorldState, list[Event]]:
 
     Phases within a tick: vehicles execute their current actions in id
     order, then the acoustic detection scan runs at the new positions,
-    then pending sense actions that just heard their beacon complete.
+    then actions that wait to hear a beacon in this tick take their turn.
     Events are stably ordered by (time, subject) so each vehicle's
     events keep their causal order.
     """
@@ -427,6 +515,6 @@ def step(world: WorldState) -> tuple[WorldState, list[Event]]:
     for uuv in world.uuvs:
         _tick_uuv(uuv, world, events)
     _detection_phase(world, events)
-    _sense_completion_phase(world, events)
+    _after_detection_phase(world, events)
     events.sort(key=Event.sort_key)
     return world, events

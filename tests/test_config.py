@@ -38,10 +38,8 @@ class TestLoadScenario:
         assert cfg.seed == 12345
         assert cfg.world.uuv_speed == 2.0
         assert cfg.world.current == (0.0, 0.0)
-        assert cfg.deployment.n_beacons == 5
         assert [u.id for u in cfg.uuvs] == ["uuv1", "uuv2", "uuv3", "uuv4", "uuv5"]
         assert cfg.uuvs[0].start == Point2D(2500.0, 2500.0)
-        assert cfg.bathymetry.exists()
         assert cfg.domain.exists()
         assert cfg.inactive_beacons == ()
 
@@ -70,10 +68,18 @@ class TestLoadScenario:
 
     def test_missing_input_path_rejected(self, tmp_path):
         def mutate(doc):
-            doc["paths"]["bathymetry"] = str(tmp_path / "gone.asc")
+            doc["paths"]["beacons"] = str(tmp_path / "gone.geojson")
 
         with pytest.raises(InputError, match="does not exist"):
             load_scenario(write_scenario(tmp_path, mutate=mutate))
+
+    def test_deploy_inputs_are_not_required(self, tmp_path):
+        def mutate(doc):
+            doc.pop("deployment", None)
+            del doc["paths"]["bathymetry"], doc["paths"]["mission_area"]
+
+        cfg = load_scenario(write_scenario(tmp_path, mutate=mutate))
+        assert cfg.beacons == (NOMINAL.parent / "beacons.geojson").resolve()
 
     def test_unknown_world_parameter_rejected(self, tmp_path):
         def mutate(doc):
@@ -182,6 +188,32 @@ class TestLoadBeacons:
         path.write_text(json.dumps(doc))
         with pytest.raises(GeoJsonError, match="Point"):
             load_beacons(path)
+
+    @pytest.mark.parametrize(
+        "bad_feature, message",
+        [
+            ("bx", "feature 1 is not a JSON object"),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "active": "false"},
+                    "geometry": {"type": "Point", "coordinates": [1.0, 2.0]},
+                },
+                "feature 1 'active' must be true or false",
+            ),
+        ],
+    )
+    def test_malformed_feature_names_file_and_index(self, tmp_path, bad_feature, message):
+        good = {
+            "type": "Feature",
+            "properties": {"id": "ba"},
+            "geometry": {"type": "Point", "coordinates": [0.0, 0.0]},
+        }
+        path = tmp_path / "chart.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [good, bad_feature]}))
+        with pytest.raises(GeoJsonError, match=message) as excinfo:
+            load_beacons(path)
+        assert str(path) in str(excinfo.value)
 
     def test_not_a_collection_rejected(self, tmp_path):
         path = tmp_path / "chart.geojson"

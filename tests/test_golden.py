@@ -1,0 +1,43 @@
+"""Golden outputs: ``simulate`` on the bundled scenarios is pinned byte for byte.
+
+A change that is meant to keep behaviour, such as a refactor, must leave
+these digests alone.  A change that alters the outputs on purpose updates
+them and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from uuvnav.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+GOLDEN = {
+    "nominal": {
+        "events.jsonl": "7a15d49a2f72b47562574ab5c728826d4e839936b7e781d3b899345a0be03117",
+        "tracks.geojson": "d5ae2217c9d4e41b219c17976da59932c35d185f8e4df75fce1ef1f65dd483df",
+        "summary.json": "8fdc80d7e8609f0ae38a012bdca6a9578fd2d2d69eec87a23a6afe2f928151db",
+    },
+    "b6-silenced": {
+        "events.jsonl": "ef10eed6c20ec673cd4fcd5bf454bb5408b074b7de5770670eccf27269b7dbc5",
+        "tracks.geojson": "f7088236a41d41309be116d00fa71bb968e4a00eca798253a20c588fad37a335",
+        "summary.json": "bf0c6565e1c73c588ff12efbdbae408677cc61ccbb3f48ba2a7209244087ad29",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_simulate_outputs_match_golden_digests(scenario, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code = main(
+        ["simulate", "--scenario", str(SCENARIOS / f"{scenario}.yaml"), "--out-dir", str(out_dir)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in GOLDEN[scenario]
+    }
+    assert digests == GOLDEN[scenario]

@@ -40,14 +40,14 @@ def uuv(uuv_id, x, y, queue=None, speed=2.0, uncertainty=100.0, belief=None):
 
 
 BEACONS = {
-    "b1": Point2D(1000.0, 0.0),
-    "b2": Point2D(1000.0, 1000.0),
+    "b1": BeaconState(id="b1", position=Point2D(1000.0, 0.0)),
+    "b2": BeaconState(id="b2", position=Point2D(1000.0, 1000.0)),
 }
 
 
-def derive(steps, vehicle, params=None, start=0.0, positions=None):
+def derive(steps, vehicle, params=None, start=0.0, beacons=None):
     return monitor.derive_expectations(
-        steps, vehicle, params or WorldParams(), start, positions or BEACONS
+        steps, vehicle, params or WorldParams(), start, beacons or BEACONS
     )
 
 
@@ -110,6 +110,20 @@ class TestDeriveExpectations:
         without = derive([steps[0], steps[2]], uuv("u1", 0.0, 0.0))
         assert with_sense[1].earliest == pytest.approx(without[1].earliest + 10.0)
 
+    def test_slack_and_sense_use_the_beacons_own_pulse_period(self):
+        slow_b1 = BeaconState(id="b1", position=Point2D(1000.0, 0.0), pulse_period=30.0)
+        slow = {**BEACONS, "b1": slow_b1}
+        steps = [
+            act("navigate-to-beacon", "u1", "b1"),
+            act("sense-beacon", "u1", "b1"),
+            act("navigate-to-beacon", "u1", "b2"),
+        ]
+        params = WorldParams(pulse_period=10.0)
+        exps = derive(steps, uuv("u1", 0.0, 0.0), params=params, beacons=slow)
+        assert exps[0].latest == pytest.approx(500.0 * (1.0 + 0.55) + 30.0)
+        without_sense = derive([steps[0], steps[2]], uuv("u1", 0.0, 0.0), beacons=slow)
+        assert exps[1].earliest == pytest.approx(without_sense[1].earliest + 30.0)
+
     def test_transit_leg_advances_but_gets_no_window(self):
         steps = [
             act("transit-leg", "u1", "b1"),
@@ -132,6 +146,11 @@ class TestDeriveExpectations:
         vehicle = uuv("u1", 0.0, 0.0, speed=0.0)
         with pytest.raises(SimulationError, match="zero speed"):
             derive([act("navigate-to-beacon", "u1", "b1")], vehicle)
+
+    def test_zero_speed_circle_is_error(self):
+        vehicle = uuv("u1", 1000.0, 0.0, speed=0.0)
+        with pytest.raises(SimulationError, match="zero speed"):
+            derive([act("circle-localize", "u1", "b1")], vehicle)
 
     def test_unknown_beacon_is_error(self):
         with pytest.raises(SimulationError, match="no position known"):

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from uuvnav.errors import SimulationError
 from uuvnav.geo import Point2D
 from uuvnav.hddl.ground import GroundAction
+from uuvnav.hddl.parser import parse_domain
 from uuvnav.sim import (
     BeaconState,
     UUVState,
@@ -13,6 +15,9 @@ from uuvnav.sim import (
     sense_beacon,
     step,
 )
+from uuvnav.sim.world import ACTIONS, Projection, action_behaviour
+
+DOMAIN_PATH = Path(__file__).resolve().parent.parent / "domains" / "uuv-nav.hddl"
 
 
 def act(name, *args, pre=(), add=(), delete=()):
@@ -190,6 +195,49 @@ class TestCircleLocalize:
         u = w.uuv("u1")
         assert u.status == "failed"
         assert not u.queue
+
+
+def projected_duration(action, vehicle, w):
+    """How long the monitor projects the action to take, from the table."""
+    projection = Projection(
+        vehicle, w.params, {b.id: b for b in w.beacons}, 0.0,
+        vehicle.estimated_position, vehicle.position_uncertainty,
+    )
+    action_behaviour(action.name).project(projection, action)
+    return projection.time
+
+
+class TestActionTable:
+    @pytest.mark.parametrize(
+        "speed, tick, radius",
+        [
+            (2.0, 1.0, 50.0),
+            (1.5, 0.7, 30.0),
+            (3.0, 0.25, 12.5),
+            (0.5, 2.0, 80.0),
+            (2.0, 1.0, 10.0 / math.pi),
+            (40.0, 1.0, 5.0),
+        ],
+    )
+    def test_circle_completes_on_the_projected_tick(self, speed, tick, radius):
+        circle = act("circle-localize", "u1", "b1")
+        vehicle = uuv("u1", 10.0, 0.0, queue=[circle], speed=speed)
+        w = world([vehicle], [beacon("b1", 0.0, 0.0)], tick=tick, standoff_radius=radius)
+        projected = projected_duration(circle, vehicle, w)
+        w, _ = run_until(w, lambda ww, _: ww.uuv("u1").status == "completed")
+        assert w.ticks_run * tick == projected
+
+    def test_unlisted_action_is_one_instant_tick_on_both_sides(self):
+        hold = act("hold", "u1")
+        vehicle = uuv("u1", 0.0, 0.0, queue=[hold])
+        w = world([vehicle], [], tick=0.5)
+        assert projected_duration(hold, vehicle, w) == 0.5
+        w, _ = step(w)
+        assert w.uuv("u1").status == "completed"
+
+    def test_every_domain_action_has_an_entry(self):
+        domain = parse_domain(DOMAIN_PATH.read_text())
+        assert {a.name for a in domain.actions} == set(ACTIONS)
 
 
 class TestBroadcast:
