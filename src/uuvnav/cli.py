@@ -35,7 +35,7 @@ from .errors import InputError, PlanNotFound, UuvnavError
 from .geo import load_ascii_grid, polygon_from_geojson
 from .hddl.ground import ground
 from .hddl.parser import parse_domain, parse_problem
-from .htn.planner import Plan, PlanStats, format_plan_text, plan, plan_to_dict
+from .htn.planner import format_plan_text, plan, plan_to_dict
 from .htn.validate import validate
 from .sim.runner import event_to_json_line, run_scenario, tracks_to_geojson
 
@@ -149,34 +149,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not isinstance(plan_doc, dict) or not isinstance(plan_doc.get("steps"), list):
         raise InputError(f"{args.plan}: expected an object with a 'steps' list")
     steps = []
-    verdict = None
     for i, entry in enumerate(plan_doc["steps"]):
         if not isinstance(entry, dict) or "name" not in entry:
             raise InputError(f"{args.plan}: steps[{i}] is missing a 'name'")
-        task = (str(entry["name"]),) + tuple(str(a) for a in entry.get("args", []))
-        action = tables.actions.get(task)
-        if action is None:
-            verdict = {
-                "valid": False,
-                "reason": f"step {i} ({' '.join(task)}) is not a ground action",
-                "step_index": i,
-            }
-            break
-        steps.append(action)
-    if verdict is None:
-        result = validate(
-            tables,
-            frozenset(problem.init),
-            problem.htn,
-            Plan(steps=tuple(steps), tree=(), roots=(), stats=PlanStats(0, 0)),
-            problem.goal,
-        )
-        verdict = {
-            "valid": result.valid,
-            "reason": result.reason,
-            "step_index": result.step_index,
-        }
-    print(json.dumps(verdict, sort_keys=True))
+        step_args = entry.get("args", [])
+        if not isinstance(step_args, list) or not all(isinstance(a, str) for a in step_args):
+            raise InputError(f"{args.plan}: steps[{i}] 'args' must be a list of strings")
+        steps.append((str(entry["name"]),) + tuple(step_args))
+    verdict = validate(tables, frozenset(problem.init), problem.htn, steps, problem.goal)
+    print(json.dumps(dataclasses.asdict(verdict), sort_keys=True))
     return 0
 
 

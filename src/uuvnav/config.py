@@ -10,6 +10,7 @@ Top-level keys that the simulator does not read are ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -45,11 +46,19 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _is_finite_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _as_point(value: Any, context: str) -> Point2D:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(c, (int, float)) for c in value)
+        or not all(_is_finite_number(c) for c in value)
     ):
         raise InputError(f"{context}: expected [x, y], got {value!r}")
     return Point2D(float(value[0]), float(value[1]))
@@ -108,14 +117,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         )
     current = world_raw.get("current", list(defaults.current))
     current_pt = _as_point(current, f"{path}: world.current")
-    world = WorldParams(
-        **{
-            name: type(getattr(defaults, name))(world_raw[name])
-            for name in known - {"current"}
-            if name in world_raw
-        },
-        current=(current_pt.x, current_pt.y),
-    )
+    values = {}
+    for name in sorted(set(world_raw) - {"current"}):
+        value = world_raw[name]
+        if isinstance(getattr(defaults, name), int):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{path}: world.{name} must be an integer, got {value!r}")
+        elif not _is_finite_number(value):
+            raise InputError(f"{path}: world.{name} must be a finite number, got {value!r}")
+        values[name] = type(getattr(defaults, name))(value)
+    world = WorldParams(**values, current=(current_pt.x, current_pt.y))
 
     uuvs_raw = _require(raw, "uuvs", str(path))
     if not isinstance(uuvs_raw, list) or not uuvs_raw:
@@ -167,16 +178,25 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
         raise GeoJsonError(f"{path}: expected a FeatureCollection")
     beacons: list[BeaconState] = []
     seen: set[str] = set()
-    for i, feature in enumerate(data.get("features", [])):
+    features = data.get("features", [])
+    if not isinstance(features, list):
+        raise GeoJsonError(f"{path}: 'features' must be a list")
+    for i, feature in enumerate(features):
         if not isinstance(feature, dict):
             raise GeoJsonError(f"{path}: feature {i} is not a JSON object")
-        geom = feature.get("geometry") or {}
-        if geom.get("type") != "Point":
+        geom = feature.get("geometry")
+        if not isinstance(geom, dict) or geom.get("type") != "Point":
             raise GeoJsonError(f"{path}: feature {i} is not a Point")
         coords = geom.get("coordinates")
-        if not isinstance(coords, list) or len(coords) < 2:
+        if (
+            not isinstance(coords, list)
+            or len(coords) < 2
+            or not all(_is_finite_number(c) for c in coords[:2])
+        ):
             raise GeoJsonError(f"{path}: feature {i} has malformed coordinates")
         props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise GeoJsonError(f"{path}: feature {i} 'properties' is not a JSON object")
         beacon_id = props.get("id")
         if not isinstance(beacon_id, str) or not beacon_id:
             raise GeoJsonError(f"{path}: feature {i} is missing an 'id' property")
@@ -186,13 +206,20 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
         active = props.get("active", True)
         if not isinstance(active, bool):
             raise GeoJsonError(f"{path}: feature {i} 'active' must be true or false")
+        overrides = {}
+        for key in ("acoustic_range", "pulse_period"):
+            value = props.get(key, getattr(params, key))
+            if not _is_finite_number(value):
+                raise GeoJsonError(
+                    f"{path}: feature {i} {key!r} must be a finite number, got {value!r}"
+                )
+            overrides[key] = float(value)
         beacons.append(
             BeaconState(
                 id=beacon_id,
                 position=Point2D(float(coords[0]), float(coords[1])),
                 active=active,
-                acoustic_range=float(props.get("acoustic_range", params.acoustic_range)),
-                pulse_period=float(props.get("pulse_period", params.pulse_period)),
+                **overrides,
             )
         )
     if not beacons:

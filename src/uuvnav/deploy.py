@@ -85,9 +85,10 @@ class BeaconGraph:
     adjacency: tuple[tuple[tuple[int, float], ...], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.coverage_link_distance <= 0:
+        if not 0 < self.coverage_link_distance < math.inf:
             raise ValueError(
-                f"coverage_link_distance must be > 0, got {self.coverage_link_distance}"
+                "coverage_link_distance must be finite and > 0,"
+                f" got {self.coverage_link_distance}"
             )
         adj: list[list[tuple[int, float]]] = [[] for _ in self.positions]
         for i in range(len(self.positions)):

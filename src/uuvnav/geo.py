@@ -279,25 +279,26 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GeoJsonError(f"not valid JSON: {exc}") from None
-    geom = obj
+    geom = obj if isinstance(obj, dict) else {}
     if geom.get("type") == "FeatureCollection":
-        feats = geom.get("features", [])
-        if len(feats) != 1:
-            raise GeoJsonError(f"expected exactly one feature, got {len(feats)}")
-        geom = feats[0]
+        feats = geom.get("features")
+        if not isinstance(feats, list) or len(feats) != 1:
+            raise GeoJsonError("expected a features list with exactly one feature")
+        geom = feats[0] if isinstance(feats[0], dict) else {}
     if geom.get("type") == "Feature":
-        geom = geom.get("geometry") or {}
+        geom = geom.get("geometry")
+        geom = geom if isinstance(geom, dict) else {}
     if geom.get("type") != "Polygon":
         raise GeoJsonError(f"expected a Polygon geometry, got {geom.get('type')!r}")
-    rings = geom.get("coordinates", [])
-    if not rings:
+    rings = geom.get("coordinates")
+    if not isinstance(rings, list) or not rings:
         raise GeoJsonError("polygon has no rings")
     if len(rings) > 1:
         raise GeoJsonError(f"polygon has {len(rings) - 1} hole(s); holes are not supported")
     ring = rings[0]
-    if ring and ring[0] == ring[-1]:
-        ring = ring[:-1]
     try:
+        if ring and ring[0] == ring[-1]:
+            ring = ring[:-1]
         verts = tuple(Point2D(float(x), float(y)) for x, y in ring)
     except (TypeError, ValueError) as exc:
         raise GeoJsonError(f"bad ring coordinates: {exc}") from None

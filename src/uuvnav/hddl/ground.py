@@ -124,7 +124,7 @@ def ground(
                 continue
             args = tuple(binding[v] for v, _ in schema.parameters)
             pos_pre, neg_pre = _split_literals(schema.precondition, binding)
-            adds, dels = _split_effects(schema.effect, binding)
+            adds, dels = _split_literals(schema.effect, binding)
             ga = GroundAction(schema.name, args, pos_pre, neg_pre, adds, dels)
             actions[ga.task] = ga
 
@@ -151,10 +151,3 @@ def ground(
         instance_count=cap_state["count"],
     )
 
-
-def _split_effects(effect: tuple[Literal, ...], binding: dict[str, str]):
-    adds, dels = [], []
-    for lit in effect:
-        atom = (lit.predicate,) + tuple(binding[a] for a in lit.args)
-        (dels if lit.negated else adds).append(atom)
-    return frozenset(adds), frozenset(dels)

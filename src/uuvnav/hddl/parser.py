@@ -3,10 +3,14 @@
 Accepted requirements: :typing, :hierarchy, :method-preconditions,
 :negative-preconditions. Partial-order and temporal constructs are
 recognized only to be rejected with an explanation; every error carries
-the line:column of the offending form.
+the line:column of the offending form. The keyed sections (:task,
+:action, :method, :htn) are all read by _section_map, so each rejects a
+repeated, unknown, temporal or partial-order key in the same way.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from ..errors import HddlError
 from .ast import (
@@ -30,6 +34,7 @@ KNOWN_REQUIREMENTS = (
 )
 _TEMPORAL = {":duration", ":durative-action", ":durative-actions", ":duration-constraints"}
 _QUANTIFIERS = {"forall", "exists", "when"}
+_PARTIAL_ORDER = {":subtasks", ":tasks", ":ordering", ":order"}
 
 
 def _pos(node: Node) -> tuple[int, int]:
@@ -109,57 +114,39 @@ def _parse_literal(node: Node, allow_negation: bool) -> Literal:
     return Literal(head.text, args)
 
 
-def _parse_conjunction(node: Node, what: str, allow_negation: bool) -> tuple[Literal, ...]:
-    """A formula that is (), a single literal, or (and literal ...)."""
+def _conjuncts(node: Node, what: str) -> tuple[Node, ...]:
+    """The items of a formula that is (), a single item, or (and item ...)."""
     form = _want_list(node, what)
     if not form.items:
         return ()
     head = form.items[0]
     if isinstance(head, Symbol) and head.text == "and":
-        return tuple(_parse_literal(n, allow_negation) for n in form.items[1:])
-    return (_parse_literal(form, allow_negation),)
+        return form.items[1:]
+    return (form,)
 
 
-def _parse_task_atom(node: Node) -> tuple[TaskRef, SList]:
+def _parse_conjunction(node: Node, what: str) -> tuple[Literal, ...]:
+    return tuple(_parse_literal(n, allow_negation=True) for n in _conjuncts(node, what))
+
+
+def _parse_task_atom(node: Node) -> TaskRef:
     form = _want_list(node, "a task atom")
     if not form.items:
         raise _err("empty task atom", form)
     head = _want_symbol(form.items[0], "task name")
-    args = tuple(_want_symbol(a, "task argument").text for a in form.items[1:])
-    return (head.text, args), form
+    return head.text, tuple(_want_symbol(a, "task argument").text for a in form.items[1:])
 
 
-def _parse_subtask_network(
-    items: tuple, start: int, owner: str, node_for_errors: Node
-) -> tuple[tuple[TaskRef, ...], int]:
-    """Parse the :ordered-subtasks section (rejecting partial-order syntax)."""
-    key = _want_symbol(items[start], "a section keyword")
-    if key.text in (":subtasks", ":tasks", ":ordering", ":order"):
-        raise _err(
-            f"{key.text} expresses a partially ordered network; only totally"
-            " ordered networks (:ordered-subtasks) are supported",
-            key,
-        )
-    if key.text != ":ordered-subtasks":
-        raise _err(f"unexpected keyword {key.text} in {owner}", key)
-    if start + 1 >= len(items):
-        raise _err(":ordered-subtasks needs a task list", key)
-    body = _want_list(items[start + 1], "a subtask list")
-    if not body.items:
-        return (), start + 2
-    head = body.items[0]
-    if isinstance(head, Symbol) and head.text == "and":
-        refs = tuple(_parse_task_atom(n)[0] for n in body.items[1:])
-    else:
-        refs = (_parse_task_atom(body)[0],)
-    return refs, start + 2
+def _parse_ordered_subtasks(node: Node) -> tuple[TaskRef, ...]:
+    return tuple(_parse_task_atom(n) for n in _conjuncts(node, "a subtask list"))
 
 
-# ---------------------------------------------------------------------------
-# Domain
-# ---------------------------------------------------------------------------
+def _parse_parameters(node: Node) -> tuple[tuple[str, str], ...]:
+    return _parse_typed_items(_want_list(node, "parameter list").items, "parameter")
 
-def parse_domain(text: str) -> DomainAst:
+
+def _parse_define(text: str, kind: str) -> tuple[SList, str]:
+    """Read the single (define (KIND NAME) section ...) form of a file."""
     forms = read_all(text)
     if len(forms) != 1:
         raise HddlError(f"expected one (define ...) form, found {len(forms)}", 1, 1)
@@ -167,12 +154,19 @@ def parse_domain(text: str) -> DomainAst:
     if _head(form) != "define":
         raise _err(f"expected 'define', got {_head(form)!r}", form)
     if len(form.items) < 2:
-        raise _err("define is missing the (domain NAME) header", form)
-    header = _want_list(form.items[1], "(domain NAME)")
-    if len(header.items) != 2 or _head(header) != "domain":
-        raise _err("expected (domain NAME)", header)
-    name = _want_symbol(header.items[1], "domain name").text
+        raise _err(f"define is missing the ({kind} NAME) header", form)
+    header = _want_list(form.items[1], f"({kind} NAME)")
+    if len(header.items) != 2 or _head(header) != kind:
+        raise _err(f"expected ({kind} NAME)", header)
+    return form, _want_symbol(header.items[1], f"{kind} name").text
 
+
+# ---------------------------------------------------------------------------
+# Domain
+# ---------------------------------------------------------------------------
+
+def parse_domain(text: str) -> DomainAst:
+    form, name = _parse_define(text, "domain")
     requirements: tuple[str, ...] = ()
     types: tuple[tuple[str, str], ...] = ()
     predicates: list[PredicateDecl] = []
@@ -215,8 +209,7 @@ def parse_domain(text: str) -> DomainAst:
         elif key == ":method":
             methods.append(_parse_method(section))
         else:
-            if isinstance(section.items[0], Symbol):
-                _check_temporal(section.items[0])
+            _check_temporal(section.items[0])
             raise _err(f"unknown domain section {key}", section)
 
     domain = DomainAst(
@@ -233,12 +226,14 @@ def parse_domain(text: str) -> DomainAst:
     return domain
 
 
-def _section_map(section: SList, owner: str, start: int = 1) -> dict[str, tuple[Node, Symbol]]:
-    """Collect ':key value' pairs from a section body."""
-    out: dict[str, tuple[Node, Symbol]] = {}
+def _section_map(
+    section: SList, owner: str, readers: dict[str, Callable[[Node], Any]], start: int = 1
+) -> dict[str, Any]:
+    """Read ':key value' pairs from a section body in source order, each
+    value through the reader for its key; a key with no reader is an error."""
+    out: dict[str, Any] = {}
     items = section.items
-    i = start
-    while i < len(items):
+    for i in range(start, len(items), 2):
         key = _want_symbol(items[i], f"a keyword in {owner}")
         _check_temporal(key)
         if not key.text.startswith(":"):
@@ -247,82 +242,67 @@ def _section_map(section: SList, owner: str, start: int = 1) -> dict[str, tuple[
             raise _err(f"{key.text} is missing its value", key)
         if key.text in out:
             raise _err(f"duplicate {key.text} in {owner}", key)
-        out[key.text] = (items[i + 1], key)
-        i += 2
+        if key.text in _PARTIAL_ORDER:
+            raise _err(
+                f"{key.text} expresses a partially ordered network; only totally"
+                " ordered networks (:ordered-subtasks) are supported",
+                key,
+            )
+        if key.text not in readers:
+            raise _err(f"unexpected {key.text} in {owner}", key)
+        out[key.text] = readers[key.text](items[i + 1])
     return out
 
 
-def _parse_task_decl(section: SList) -> TaskDecl:
+def _section_name(section: SList, kind: str) -> str:
     if len(section.items) < 2:
-        raise _err(":task needs a name", section)
-    name = _want_symbol(section.items[1], "task name")
-    fields = _section_map(section, f"task {name.text}", start=2)
-    params: tuple[tuple[str, str], ...] = ()
-    for key, (value, key_sym) in fields.items():
-        if key == ":parameters":
-            params = _parse_typed_items(_want_list(value, "parameter list").items, "parameter")
-        else:
-            raise _err(f"unexpected {key} in task declaration", key_sym)
-    return TaskDecl(name.text, params, _pos(section))
+        raise _err(f":{kind} needs a name", section)
+    return _want_symbol(section.items[1], f"{kind} name").text
+
+
+def _parse_task_decl(section: SList) -> TaskDecl:
+    name = _section_name(section, "task")
+    fields = _section_map(section, f"task {name}", {":parameters": _parse_parameters}, start=2)
+    return TaskDecl(name, fields.get(":parameters", ()), _pos(section))
 
 
 def _parse_action(section: SList) -> ActionAst:
-    if len(section.items) < 2:
-        raise _err(":action needs a name", section)
-    name = _want_symbol(section.items[1], "action name")
-    fields = _section_map(section, f"action {name.text}", start=2)
-    params: tuple[tuple[str, str], ...] = ()
-    precondition: tuple[Literal, ...] = ()
-    effect: tuple[Literal, ...] = ()
-    for key, (value, key_sym) in fields.items():
-        if key == ":parameters":
-            params = _parse_typed_items(_want_list(value, "parameter list").items, "parameter")
-        elif key == ":precondition":
-            precondition = _parse_conjunction(value, "precondition", allow_negation=True)
-        elif key == ":effect":
-            effect = _parse_conjunction(value, "effect", allow_negation=True)
-        else:
-            raise _err(f"unexpected {key} in action {name.text}", key_sym)
-    return ActionAst(name.text, params, precondition, effect, _pos(section))
+    name = _section_name(section, "action")
+    readers = {
+        ":parameters": _parse_parameters,
+        ":precondition": lambda n: _parse_conjunction(n, "precondition"),
+        ":effect": lambda n: _parse_conjunction(n, "effect"),
+    }
+    fields = _section_map(section, f"action {name}", readers, start=2)
+    return ActionAst(
+        name,
+        fields.get(":parameters", ()),
+        fields.get(":precondition", ()),
+        fields.get(":effect", ()),
+        _pos(section),
+    )
 
 
 def _parse_method(section: SList) -> MethodAst:
-    if len(section.items) < 2:
-        raise _err(":method needs a name", section)
-    name = _want_symbol(section.items[1], "method name")
-    items = section.items
-    params: tuple[tuple[str, str], ...] = ()
-    task: TaskRef | None = None
-    precondition: tuple[Literal, ...] = ()
-    subtasks: tuple[TaskRef, ...] | None = None
-    i = 2
-    while i < len(items):
-        key = _want_symbol(items[i], f"a keyword in method {name.text}")
-        _check_temporal(key)
-        if key.text not in (":ordered-subtasks",) and i + 1 >= len(items):
-            raise _err(f"{key.text} is missing its value", key)
-        if key.text == ":parameters":
-            params = _parse_typed_items(
-                _want_list(items[i + 1], "parameter list").items, "parameter"
-            )
-            i += 2
-        elif key.text == ":task":
-            task, _ = _parse_task_atom(items[i + 1])
-            i += 2
-        elif key.text == ":precondition":
-            precondition = _parse_conjunction(
-                items[i + 1], "method precondition", allow_negation=True
-            )
-            i += 2
-        elif key.text in (":ordered-subtasks", ":subtasks", ":tasks", ":ordering", ":order"):
-            subtasks, i = _parse_subtask_network(items, i, f"method {name.text}", section)
-        else:
-            raise _err(f"unexpected {key.text} in method {name.text}", key)
-    if task is None:
-        raise _err(f"method {name.text} has no :task", section)
-    if subtasks is None:
-        raise _err(f"method {name.text} has no :ordered-subtasks", section)
-    return MethodAst(name.text, params, task, precondition, subtasks, _pos(section))
+    name = _section_name(section, "method")
+    readers = {
+        ":parameters": _parse_parameters,
+        ":task": _parse_task_atom,
+        ":precondition": lambda n: _parse_conjunction(n, "method precondition"),
+        ":ordered-subtasks": _parse_ordered_subtasks,
+    }
+    fields = _section_map(section, f"method {name}", readers, start=2)
+    for key in (":task", ":ordered-subtasks"):
+        if key not in fields:
+            raise _err(f"method {name} has no {key}", section)
+    return MethodAst(
+        name,
+        fields.get(":parameters", ()),
+        fields[":task"],
+        fields.get(":precondition", ()),
+        fields[":ordered-subtasks"],
+        _pos(section),
+    )
 
 
 def _validate_domain(domain: DomainAst):
@@ -359,27 +339,25 @@ def _validate_domain(domain: DomainAst):
         for lit in a.precondition + a.effect:
             _check_literal(seen_preds, scope, lit, f"action {a.name}", a.pos)
 
+    decls: dict[str, TaskDecl | ActionAst] = {**task_names, **action_names}
     method_names: set[str] = set()
     for m in domain.methods:
+        owner = f"method {m.name}"
         if m.name in method_names:
             raise HddlError(f"duplicate method {m.name}", *m.pos)
         method_names.add(m.name)
-        _check_params(domain, m.parameters, f"method {m.name}", m.pos, type_names)
+        _check_params(domain, m.parameters, owner, m.pos, type_names)
         scope = dict(m.parameters)
         tname, targs = m.task
         if tname not in task_names:
-            raise HddlError(
-                f"method {m.name} decomposes undeclared task {tname}", *m.pos
-            )
-        _check_task_ref(task_names, action_names, scope, m.task, f"method {m.name}", m.pos)
+            raise HddlError(f"{owner} decomposes undeclared task {tname}", *m.pos)
+        _check_args("task", tname, targs, len(decls[tname].parameters), scope, owner, m.pos)
         for lit in m.precondition:
-            _check_literal(seen_preds, scope, lit, f"method {m.name}", m.pos)
-        for ref in m.subtasks:
-            if ref[0] not in task_names and ref[0] not in action_names:
-                raise HddlError(
-                    f"method {m.name} references unknown task {ref[0]}", *m.pos
-                )
-            _check_task_ref(task_names, action_names, scope, ref, f"method {m.name}", m.pos)
+            _check_literal(seen_preds, scope, lit, owner, m.pos)
+        for name, args in m.subtasks:
+            if name not in decls:
+                raise HddlError(f"{owner} references unknown task {name}", *m.pos)
+            _check_args("task", name, args, len(decls[name].parameters), scope, owner, m.pos)
 
 
 def _check_params(domain, params, owner, pos, type_names):
@@ -397,37 +375,22 @@ def _check_params(domain, params, owner, pos, type_names):
 def _check_literal(predicates, scope, lit: Literal, owner: str, pos):
     if lit.predicate not in predicates:
         raise HddlError(f"{owner}: undeclared predicate {lit.predicate}", *pos)
-    decl = predicates[lit.predicate]
-    if len(lit.args) != len(decl.param_types):
-        raise HddlError(
-            f"{owner}: predicate {lit.predicate} takes {len(decl.param_types)}"
-            f" arguments, got {len(lit.args)}",
-            *pos,
-        )
-    for arg in lit.args:
-        if arg.startswith("?"):
-            if arg not in scope:
-                raise HddlError(f"{owner}: unbound variable {arg}", *pos)
-        else:
-            raise HddlError(f"{owner}: constants are not supported, got {arg}", *pos)
+    arity = len(predicates[lit.predicate].param_types)
+    _check_args("predicate", lit.predicate, lit.args, arity, scope, owner, pos)
 
 
-def _check_task_ref(task_names, action_names, scope, ref: TaskRef, owner: str, pos):
-    name, args = ref
-    if name in task_names:
-        arity = len(task_names[name].parameters)
-    else:
-        arity = len(action_names[name].parameters)
+def _check_args(kind: str, name: str, args, arity: int, scope, owner: str, pos):
+    """A schema's use of a predicate or task: the argument count matches
+    and every argument is a variable the schema binds."""
     if len(args) != arity:
         raise HddlError(
-            f"{owner}: task {name} takes {arity} arguments, got {len(args)}", *pos
+            f"{owner}: {kind} {name} takes {arity} arguments, got {len(args)}", *pos
         )
     for arg in args:
-        if arg.startswith("?"):
-            if arg not in scope:
-                raise HddlError(f"{owner}: unbound variable {arg}", *pos)
-        else:
+        if not arg.startswith("?"):
             raise HddlError(f"{owner}: constants are not supported, got {arg}", *pos)
+        if arg not in scope:
+            raise HddlError(f"{owner}: unbound variable {arg}", *pos)
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +398,7 @@ def _check_task_ref(task_names, action_names, scope, ref: TaskRef, owner: str, p
 # ---------------------------------------------------------------------------
 
 def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
-    forms = read_all(text)
-    if len(forms) != 1:
-        raise HddlError(f"expected one (define ...) form, found {len(forms)}", 1, 1)
-    form = _want_list(forms[0], "(define ...)")
-    if _head(form) != "define":
-        raise _err(f"expected 'define', got {_head(form)!r}", form)
-    if len(form.items) < 2:
-        raise _err("define is missing the (problem NAME) header", form)
-    header = _want_list(form.items[1], "(problem NAME)")
-    if len(header.items) != 2 or _head(header) != "problem":
-        raise _err("expected (problem NAME)", header)
-    name = _want_symbol(header.items[1], "problem name").text
-
+    form, name = _parse_define(text, "problem")
     domain_name: str | None = None
     objects: tuple[tuple[str, str], ...] = ()
     init: list[tuple[str, ...]] = []
@@ -473,16 +424,15 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
                 if t not in domain.type_names():
                     raise _err(f"object {obj} has undeclared type {t}", section)
         elif key == ":htn":
-            htn = _parse_htn(section, name)
+            htn = _parse_htn(section)
         elif key == ":init":
             for atom_node in section.items[1:]:
                 lit = _parse_literal(atom_node, allow_negation=False)
                 init.append((lit.predicate,) + lit.args)
         elif key == ":goal":
-            goal = _parse_conjunction(section.items[1], "goal", allow_negation=True)
+            goal = _parse_conjunction(section.items[1], "goal")
         else:
-            if isinstance(section.items[0], Symbol):
-                _check_temporal(section.items[0])
+            _check_temporal(section.items[0])
             raise _err(f"unknown problem section {key}", section)
 
     if domain_name is None:
@@ -503,76 +453,50 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
     return problem
 
 
-def _parse_htn(section: SList, problem_name: str) -> TaskNetwork:
-    items = section.items
-    i = 1
-    refs: tuple[TaskRef, ...] | None = None
-    while i < len(items):
-        key = _want_symbol(items[i], "a keyword in :htn")
-        if key.text == ":parameters":
-            if i + 1 >= len(items):
-                raise _err(":parameters is missing its value", key)
-            plist = _want_list(items[i + 1], "parameter list")
-            if plist.items:
-                raise _err("nonempty :htn parameters are not supported", plist)
-            i += 2
-        elif key.text in (":ordered-subtasks", ":subtasks", ":tasks", ":ordering", ":order"):
-            refs, i = _parse_subtask_network(items, i, ":htn", section)
-        else:
-            raise _err(f"unexpected {key.text} in :htn", key)
-    if refs is None:
+def _no_parameters(node: Node) -> None:
+    if _want_list(node, "parameter list").items:
+        raise _err("nonempty :htn parameters are not supported", node)
+
+
+def _parse_htn(section: SList) -> TaskNetwork:
+    readers = {":parameters": _no_parameters, ":ordered-subtasks": _parse_ordered_subtasks}
+    fields = _section_map(section, ":htn", readers)
+    if ":ordered-subtasks" not in fields:
         raise _err(":htn has no :ordered-subtasks", section)
-    idents = tuple(f"t{k + 1}" for k in range(len(refs)))
-    return TaskNetwork(idents, refs)
+    refs = fields[":ordered-subtasks"]
+    return TaskNetwork(tuple(f"t{k + 1}" for k in range(len(refs))), refs)
 
 
 def _validate_problem(domain: DomainAst, problem: ProblemAst, form: SList):
     obj_types = dict(problem.objects)
     if len(obj_types) != len(problem.objects):
         raise _err("duplicate object name", form)
-    preds = {p.name: p for p in domain.predicates}
-    for atom in problem.init:
-        pred, args = atom[0], atom[1:]
+
+    def check_args(what: str, name: str, args, arity: int):
+        if len(args) != arity:
+            raise _err(f"{what} {name} takes {arity} arguments, got {len(args)}", form)
+        for arg in args:
+            if arg not in obj_types:
+                raise _err(f"{what} {name} references unknown object {arg}", form)
+
+    preds = {p.name: p.param_types for p in domain.predicates}
+    for pred, *args in problem.init:
         if pred not in preds:
             raise _err(f"init uses undeclared predicate {pred}", form)
-        decl = preds[pred]
-        if len(args) != len(decl.param_types):
-            raise _err(
-                f"init atom {pred} takes {len(decl.param_types)} arguments,"
-                f" got {len(args)}",
-                form,
-            )
-        for arg, want in zip(args, decl.param_types):
-            if arg not in obj_types:
-                raise _err(f"init atom {pred} references unknown object {arg}", form)
+        check_args("init atom", pred, args, len(preds[pred]))
+        for arg, want in zip(args, preds[pred]):
             if not domain.is_subtype(obj_types[arg], want):
                 raise _err(
                     f"init atom {pred}: object {arg} has type {obj_types[arg]},"
                     f" expected {want}",
                     form,
                 )
-    task_decls = {t.name: len(t.parameters) for t in domain.tasks}
-    action_decls = {a.name: len(a.parameters) for a in domain.actions}
+    arities = {d.name: len(d.parameters) for d in domain.tasks + domain.actions}
     for tname, targs in problem.htn.tasks:
-        if tname in task_decls:
-            arity = task_decls[tname]
-        elif tname in action_decls:
-            arity = action_decls[tname]
-        else:
+        if tname not in arities:
             raise _err(f":htn references unknown task {tname}", form)
-        if len(targs) != arity:
-            raise _err(
-                f":htn task {tname} takes {arity} arguments, got {len(targs)}", form
-            )
-        for arg in targs:
-            if arg not in obj_types:
-                raise _err(f":htn task {tname} references unknown object {arg}", form)
-    if problem.goal:
-        for lit in problem.goal:
-            if lit.predicate not in preds:
-                raise _err(f"goal uses undeclared predicate {lit.predicate}", form)
-            if len(lit.args) != len(preds[lit.predicate].param_types):
-                raise _err(f"goal atom {lit.predicate} has wrong arity", form)
-            for arg in lit.args:
-                if arg not in obj_types:
-                    raise _err(f"goal references unknown object {arg}", form)
+        check_args(":htn task", tname, targs, arities[tname])
+    for lit in problem.goal or ():
+        if lit.predicate not in preds:
+            raise _err(f"goal uses undeclared predicate {lit.predicate}", form)
+        check_args("goal atom", lit.predicate, lit.args, len(preds[lit.predicate]))

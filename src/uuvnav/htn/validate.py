@@ -1,9 +1,9 @@
 """Independent plan checker.
 
-Re-executes the step sequence against the ground tables (never trusting
-the plan's own action records) and re-derives the decomposition from the
-initial task network by matching search, so a planner bug cannot vouch
-for itself.
+Takes the plan as its sequence of ground task tuples, looks up each step
+in the ground tables and re-executes it, then re-derives the
+decomposition from the initial task network by matching search, so a
+planner bug cannot vouch for itself.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..hddl.ast import Atom, Literal, TaskNetwork
 from ..hddl.ground import GroundTables, GroundTask
-from .planner import DEFAULT_DECOMPOSITION_BUDGET, Plan, goal_satisfied
+from .planner import DEFAULT_DECOMPOSITION_BUDGET, goal_satisfied
 
 
 @dataclass(frozen=True)
@@ -27,36 +27,26 @@ def validate(
     tables: GroundTables,
     s0: frozenset[Atom],
     w0: TaskNetwork,
-    plan: Plan,
+    steps: Sequence[GroundTask],
     goal: Sequence[Literal] | None = None,
     max_decompositions: int = DEFAULT_DECOMPOSITION_BUDGET,
 ) -> Verdict:
     state = frozenset(s0)
-    for i, step in enumerate(plan.steps):
-        table_action = tables.actions.get(step.task)
-        if table_action is None:
-            return Verdict(False, f"step {i} ({' '.join(step.task)}) is not a ground action", i)
-        if table_action != step:
+    for i, task in enumerate(steps):
+        action = tables.actions.get(task)
+        if action is None:
+            return Verdict(False, f"step {i} ({' '.join(task)}) is not a ground action", i)
+        if not action.applicable(state):
             return Verdict(
-                False,
-                f"step {i} ({' '.join(step.task)}) differs from the domain's action",
-                i,
+                False, f"precondition of step {i} ({' '.join(task)}) not satisfied", i
             )
-        if not table_action.applicable(state):
-            return Verdict(
-                False,
-                f"precondition of step {i} ({' '.join(step.task)}) not satisfied",
-                i,
-            )
-        state = table_action.apply(state)
+        state = action.apply(state)
     if not goal_satisfied(goal, state):
         return Verdict(False, "goal not satisfied in the final state")
 
-    derived, reached = _derive(
-        tables, s0, w0, [s.task for s in plan.steps], max_decompositions
-    )
+    derived, reached = _derive(tables, s0, w0, list(steps), max_decompositions)
     if not derived:
-        idx = min(reached, max(len(plan.steps) - 1, 0))
+        idx = min(reached, max(len(steps) - 1, 0))
         return Verdict(
             False,
             f"orphan step {idx}: sequence is not derivable from the initial"

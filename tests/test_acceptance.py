@@ -175,14 +175,15 @@ def test_c4_bundled_mission_plans_to_exact_sequence():
     mission_plan = plan(tables, frozenset(problem.init), problem.htn, problem.goal)
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"planning took {elapsed:.3f}s"
-    assert [s.task for s in mission_plan.steps] == [
+    steps = [s.task for s in mission_plan.steps]
+    assert steps == [
         ("navigate-to-beacon", "uuv1", "b6"),
         ("sense-beacon", "uuv1", "b6"),
         ("circle-localize", "uuv1", "b6"),
         ("broadcast", "uuv1"),
         ("navigate-to-beacon", "uuv1", "b8"),
     ]
-    verdict = validate(tables, frozenset(problem.init), problem.htn, mission_plan, problem.goal)
+    verdict = validate(tables, frozenset(problem.init), problem.htn, steps, problem.goal)
     assert verdict.valid, verdict.reason
 
 

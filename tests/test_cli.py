@@ -128,6 +128,36 @@ class TestValidateCommand:
         assert verdict["valid"] is False
         assert "not a ground action" in verdict["reason"]
 
+    def test_first_fault_in_step_order_is_reported(self, capsys, tmp_path):
+        plan_path = self.make_plan(capsys, tmp_path)
+        doc = json.loads(plan_path.read_text())
+        doc["steps"][0], doc["steps"][1] = doc["steps"][1], doc["steps"][0]
+        doc["steps"][-1]["name"] = "teleport"
+        plan_path.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys,
+            "validate", "--domain", DOMAIN, "--problem", PROBLEM,
+            "--plan", str(plan_path),
+        )
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["step_index"] == 0
+        assert "precondition" in verdict["reason"]
+
+    @pytest.mark.parametrize("bad_args", [5, "b6"])
+    def test_step_args_must_be_a_list_of_strings(self, capsys, tmp_path, bad_args):
+        plan_path = self.make_plan(capsys, tmp_path)
+        doc = json.loads(plan_path.read_text())
+        doc["steps"][1]["args"] = bad_args
+        plan_path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys,
+            "validate", "--domain", DOMAIN, "--problem", PROBLEM,
+            "--plan", str(plan_path),
+        )
+        assert code == 1
+        assert str(plan_path) in err and "steps[1]" in err
+
     def test_garbage_plan_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "plan.json"
         bad.write_text("{not json")
@@ -167,6 +197,16 @@ class TestRouteCommand:
         assert code == 2
         assert "no route" in err
 
+    @pytest.mark.parametrize("link", ["nan", "inf"])
+    def test_non_finite_link_distance_exits_1(self, capsys, link):
+        code, _, err = run(
+            capsys,
+            "route", "--beacons", BEACONS, "--start", "b4", "--goal", "b8",
+            "--link-distance", link,
+        )
+        assert code == 1
+        assert "coverage_link_distance" in err
+
     def test_unknown_beacon_exits_1(self, capsys):
         code, _, err = run(
             capsys, "route", "--beacons", BEACONS, "--start", "b99", "--goal", "b8"
@@ -202,6 +242,19 @@ class TestDeployCommand:
         assert run(capsys, *args, "--out", str(out1))[0] == 0
         assert run(capsys, *args, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("link", ["nan", "inf"])
+    def test_non_finite_link_distance_exits_1(self, capsys, tmp_path, link):
+        out_path = tmp_path / "constellation.geojson"
+        code, _, err = run(
+            capsys,
+            "deploy", "--bathymetry", BATHY, "--area", AREA,
+            "--n-beacons", "3", "--max-iterations", "2",
+            "--link-distance", link, "--out", str(out_path),
+        )
+        assert code == 1
+        assert "coverage_link_distance" in err
+        assert not out_path.exists()
 
     def test_bad_beacon_count_exits_1(self, capsys, tmp_path):
         code, _, err = run(

@@ -10,6 +10,7 @@ from uuvnav.geo import Point2D
 
 REPO = Path(__file__).resolve().parent.parent
 NOMINAL = REPO / "scenarios" / "nominal.yaml"
+POINT = {"type": "Point", "coordinates": [1.0, 2.0]}
 
 
 def write_scenario(tmp_path, mutate=None, drop=None):
@@ -87,6 +88,25 @@ class TestLoadScenario:
 
         with pytest.raises(InputError, match="warp_factor"):
             load_scenario(write_scenario(tmp_path, mutate=mutate))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tick", [1]),
+            ("tick", True),
+            ("step_cap", 1.5),
+            ("uuv_speed", float("nan")),
+            ("current", [float("nan"), 0.0]),
+        ],
+    )
+    def test_world_value_must_be_a_finite_number(self, tmp_path, key, value):
+        def mutate(doc):
+            doc["world"][key] = value
+
+        path = write_scenario(tmp_path, mutate=mutate)
+        with pytest.raises(InputError, match=f"world.{key}") as excinfo:
+            load_scenario(path)
+        assert str(path) in str(excinfo.value)
 
     def test_duplicate_vehicle_id_rejected(self, tmp_path):
         def mutate(doc):
@@ -201,6 +221,46 @@ class TestLoadBeacons:
                 },
                 "feature 1 'active' must be true or false",
             ),
+            (
+                {"type": "Feature", "properties": "x", "geometry": POINT},
+                "feature 1 'properties' is not a JSON object",
+            ),
+            (
+                {"type": "Feature", "properties": {"id": "bx"}, "geometry": "x"},
+                "feature 1 is not a Point",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx"},
+                    "geometry": {"type": "Point", "coordinates": ["a", 2.0]},
+                },
+                "feature 1 has malformed coordinates",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx"},
+                    "geometry": {"type": "Point", "coordinates": [float("nan"), 2.0]},
+                },
+                "feature 1 has malformed coordinates",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "acoustic_range": "a"},
+                    "geometry": POINT,
+                },
+                "feature 1 'acoustic_range' must be a finite number",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "pulse_period": float("inf")},
+                    "geometry": POINT,
+                },
+                "feature 1 'pulse_period' must be a finite number",
+            ),
         ],
     )
     def test_malformed_feature_names_file_and_index(self, tmp_path, bad_feature, message):
@@ -212,6 +272,13 @@ class TestLoadBeacons:
         path = tmp_path / "chart.geojson"
         path.write_text(json.dumps({"type": "FeatureCollection", "features": [good, bad_feature]}))
         with pytest.raises(GeoJsonError, match=message) as excinfo:
+            load_beacons(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_features_must_be_a_list(self, tmp_path):
+        path = tmp_path / "chart.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": 5}))
+        with pytest.raises(GeoJsonError, match="'features' must be a list") as excinfo:
             load_beacons(path)
         assert str(path) in str(excinfo.value)
 

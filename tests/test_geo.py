@@ -287,3 +287,17 @@ def test_geojson_wrong_geometry_type():
 def test_geojson_bad_json():
     with pytest.raises(GeoJsonError):
         polygon_from_geojson("{not json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"type": "FeatureCollection", "features": [5]}',
+        '{"type": "FeatureCollection", "features": 5}',
+        '{"type": "Feature", "geometry": 5}',
+    ],
+)
+def test_geojson_non_object_parts_rejected(text):
+    with pytest.raises(GeoJsonError):
+        polygon_from_geojson(text)

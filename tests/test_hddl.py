@@ -142,6 +142,27 @@ def test_duplicate_action_rejected():
     assert "duplicate" in str(exc.value) or "goto" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "(define (domain d) (:predicates (p)) (:task t)"
+            " (:method m :task (t) :precondition (p) :precondition () :ordered-subtasks ()))",
+            "1:87: duplicate :precondition in method m",
+        ),
+        (
+            "(define (domain d) (:task t) (:method m :task (t) :ordered-subtasks))",
+            "1:51: :ordered-subtasks is missing its value",
+        ),
+    ],
+    ids=["repeated-key", "missing-value"],
+)
+def test_method_keys_read_like_every_section(text, message):
+    with pytest.raises(HddlError) as exc:
+        parse_domain(text)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Problem parsing
 # ---------------------------------------------------------------------------
@@ -196,6 +217,41 @@ def test_parse_problem_goal():
     p = parse_problem(text, d)
     assert p.goal is not None
     assert p.goal[0].predicate == "visited"
+
+
+SMALL_DOMAIN = (
+    "(define (domain d) (:predicates (p ?x)) (:task t) (:method m :task (t) :ordered-subtasks ()))"
+)
+
+
+def small_problem(htn, goal=""):
+    return f"(define (problem q) (:domain d) (:objects o) (:htn {htn}) (:init) {goal})"
+
+
+@pytest.mark.parametrize(
+    "htn, goal, message",
+    [
+        (
+            ":ordered-subtasks (t) :ordered-subtasks ()",
+            "",
+            "1:74: duplicate :ordered-subtasks in :htn",
+        ),
+        (":ordered-subtasks", "", "1:52: :ordered-subtasks is missing its value"),
+        (":duration 5 :ordered-subtasks (t)", "", "1:52: :duration is temporal HDDL"),
+        ("ordered-subtasks (t)", "", "1:52: expected a :keyword in :htn, got 'ordered-subtasks'"),
+        (":ordered-subtasks (t)", "(:goal (p o o))", "1:1: goal atom p takes 1 arguments, got 2"),
+        (
+            ":ordered-subtasks (t)",
+            "(:goal (not (p z)))",
+            "1:1: goal atom p references unknown object z",
+        ),
+    ],
+    ids=["repeated-key", "missing-value", "temporal-key", "bare-key", "goal-arity", "goal-object"],
+)
+def test_problem_sections_checked_like_domain_sections(htn, goal, message):
+    with pytest.raises(HddlError) as exc:
+        parse_problem(small_problem(htn, goal), parse_domain(SMALL_DOMAIN))
+    assert str(exc.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------

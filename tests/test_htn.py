@@ -2,7 +2,7 @@ import pytest
 
 from uuvnav.errors import PlanNotFound
 from uuvnav.hddl import ground, parse_domain, parse_problem
-from uuvnav.htn import Plan, format_plan_text, plan, plan_to_dict, validate
+from uuvnav.htn import format_plan_text, plan, plan_to_dict, validate
 
 
 def setup(domain_text, problem_text):
@@ -244,48 +244,38 @@ def test_planner_agrees_with_brute_force(htn, init, goal):
 # Validation
 # ---------------------------------------------------------------------------
 
+def tasks_of(result):
+    return [step.task for step in result.steps]
+
+
 def test_planner_output_validates():
     tables, s0, w0, goal = setup(
         BASE_DOMAIN, problem_text("(and (acquire widget) (acquire gadget))")
     )
     result = plan(tables, s0, w0, goal)
-    verdict = validate(tables, s0, w0, result, goal)
+    verdict = validate(tables, s0, w0, tasks_of(result), goal)
     assert verdict.valid, verdict.reason
 
 
 def test_swapped_steps_invalid_at_break_index():
     tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (acquire widget))"))
-    result = plan(tables, s0, w0, goal)
-    swapped = Plan(
-        steps=(result.steps[1], result.steps[0]),
-        tree=result.tree,
-        roots=result.roots,
-        stats=result.stats,
-    )
-    verdict = validate(tables, s0, w0, swapped, goal)
+    first, second = tasks_of(plan(tables, s0, w0, goal))
+    verdict = validate(tables, s0, w0, [second, first], goal)
     assert not verdict.valid
     assert verdict.step_index == 0
 
 
 def test_orphan_step_detected():
     tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (pick widget))"))
-    orphan = tables.actions[("pick", "gadget")]
     result = plan(tables, s0, w0, goal)
-    padded = Plan(
-        steps=result.steps + (orphan,),
-        tree=result.tree,
-        roots=result.roots,
-        stats=result.stats,
-    )
-    verdict = validate(tables, s0, w0, padded, goal)
+    verdict = validate(tables, s0, w0, tasks_of(result) + [("pick", "gadget")], goal)
     assert not verdict.valid
     assert "orphan" in verdict.reason
 
 
 def test_empty_plan_against_demanding_network_is_orphan():
     tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (acquire widget))"))
-    empty = Plan(steps=(), tree=(), roots=(), stats=plan(tables, s0, w0).stats)
-    verdict = validate(tables, s0, w0, empty, goal)
+    verdict = validate(tables, s0, w0, [], goal)
     assert not verdict.valid
 
 
@@ -294,7 +284,7 @@ def test_goal_violation_detected_by_validator():
     result = plan(tables, s0, w0, None)
     from uuvnav.hddl.ast import Literal
 
-    verdict = validate(tables, s0, w0, result, (Literal("packed", ("widget",)),))
+    verdict = validate(tables, s0, w0, tasks_of(result), (Literal("packed", ("widget",)),))
     assert not verdict.valid
     assert "goal" in verdict.reason
 
