@@ -47,6 +47,15 @@ def _read_text(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
+def _parse_file(path: str, what: str, parse):
+    """Read a file and parse its text, naming the file in any input error."""
+    text = _read_text(path, what)
+    try:
+        return parse(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -58,8 +67,8 @@ def _write_output(path: str, text: str) -> None:
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
-    grid = load_ascii_grid(_read_text(args.bathymetry, "bathymetry grid"))
-    poly = polygon_from_geojson(_read_text(args.area, "mission area"))
+    grid = _parse_file(args.bathymetry, "bathymetry grid", load_ascii_grid)
+    poly = _parse_file(args.area, "mission area", polygon_from_geojson)
     problem = DeploymentProblem(
         grid=grid,
         poly=poly,

@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .errors import GeoJsonError, InputError
+from .errors import GeoJsonError, InputError, SimulationError
 from .geo import Point2D
 from .sim.world import BeaconState, WorldParams
 
@@ -126,7 +126,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         elif not _is_finite_number(value):
             raise InputError(f"{path}: world.{name} must be a finite number, got {value!r}")
         values[name] = type(getattr(defaults, name))(value)
-    world = WorldParams(**values, current=(current_pt.x, current_pt.y))
+    try:
+        world = WorldParams(**values, current=(current_pt.x, current_pt.y))
+    except SimulationError as exc:
+        raise InputError(f"{path}: world.{exc}") from exc
 
     uuvs_raw = _require(raw, "uuvs", str(path))
     if not isinstance(uuvs_raw, list) or not uuvs_raw:
@@ -165,8 +168,9 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
     """Read a beacon chart from a GeoJSON FeatureCollection of points.
 
     Each feature needs an ``id`` property; ``active``, ``acoustic_range``
-    and ``pulse_period`` are optional overrides, defaulting to the world
-    parameters.
+    (>= 0) and ``pulse_period`` (> 0) are optional overrides, defaulting to
+    the world parameters.  The ``beacon-links`` feature that ``deploy``
+    writes is skipped, so a constellation can be read as a chart.
     """
     params = params or WorldParams()
     path = Path(path)
@@ -184,6 +188,11 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
     for i, feature in enumerate(features):
         if not isinstance(feature, dict):
             raise GeoJsonError(f"{path}: feature {i} is not a JSON object")
+        props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise GeoJsonError(f"{path}: feature {i} 'properties' is not a JSON object")
+        if props.get("role") == "beacon-links":
+            continue  # the link lines that deploy appends to its constellation
         geom = feature.get("geometry")
         if not isinstance(geom, dict) or geom.get("type") != "Point":
             raise GeoJsonError(f"{path}: feature {i} is not a Point")
@@ -194,9 +203,6 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
             or not all(_is_finite_number(c) for c in coords[:2])
         ):
             raise GeoJsonError(f"{path}: feature {i} has malformed coordinates")
-        props = feature.get("properties") or {}
-        if not isinstance(props, dict):
-            raise GeoJsonError(f"{path}: feature {i} 'properties' is not a JSON object")
         beacon_id = props.get("id")
         if not isinstance(beacon_id, str) or not beacon_id:
             raise GeoJsonError(f"{path}: feature {i} is missing an 'id' property")
@@ -214,6 +220,10 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
                     f"{path}: feature {i} {key!r} must be a finite number, got {value!r}"
                 )
             overrides[key] = float(value)
+        if overrides["pulse_period"] <= 0:
+            raise GeoJsonError(f"{path}: feature {i} 'pulse_period' must be positive")
+        if overrides["acoustic_range"] < 0:
+            raise GeoJsonError(f"{path}: feature {i} 'acoustic_range' must be non-negative")
         beacons.append(
             BeaconState(
                 id=beacon_id,

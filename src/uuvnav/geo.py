@@ -217,22 +217,28 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
             if len(tokens) != 2:
                 raise GridFormatError(f"header line needs exactly one value, got {tokens[1:]}", line_no)
             try:
-                header[key] = float(tokens[1])
+                value = float(tokens[1])
             except ValueError:
                 raise GridFormatError(f"non-numeric header value {tokens[1]!r}", line_no) from None
+            if not math.isfinite(value):
+                raise GridFormatError(f"non-finite header value {tokens[1]!r}", line_no)
+            if key in ("ncols", "nrows") and not (value > 0 and value.is_integer()):
+                raise GridFormatError(f"{key} must be a positive integer, got {tokens[1]!r}", line_no)
+            header[key] = value
         else:
             for tok in tokens:
                 try:
-                    values.append(float(tok))
+                    value = float(tok)
                 except ValueError:
                     raise GridFormatError(f"non-numeric grid value {tok!r}", line_no) from None
+                if not math.isfinite(value):
+                    raise GridFormatError(f"non-finite grid value {tok!r}", line_no)
+                values.append(value)
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise GridFormatError(f"missing header keys: {', '.join(missing)}", line_no or 1)
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
-    if n_cols <= 0 or n_rows <= 0:
-        raise GridFormatError(f"ncols/nrows must be positive, got {n_cols}x{n_rows}", 1)
     expected = n_rows * n_cols
     if len(values) != expected:
         raise GridFormatError(

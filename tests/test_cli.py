@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,52 @@ class TestDeployCommand:
         assert "coverage_link_distance" in err
         assert not out_path.exists()
 
+    def test_route_reads_the_constellation(self, capsys, tmp_path):
+        out_path = tmp_path / "constellation.geojson"
+        code, out, _ = run(
+            capsys,
+            "deploy", "--bathymetry", BATHY, "--area", AREA,
+            "--n-beacons", "5", "--seed", "3", "--tolerance", "0.01",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        positions = json.loads(out)["positions"]
+        code, out, err = run(
+            capsys, "route", "--beacons", str(out_path), "--start", "b1", "--goal", "b2"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["route"][0] == "b1" and doc["route"][-1] == "b2"
+        hops = zip(doc["route"], doc["route"][1:])
+        idx = {f"b{i + 1}": p for i, p in enumerate(positions)}
+        assert doc["length"] == pytest.approx(
+            sum(math.dist(idx[a], idx[b]) for a, b in hops)
+        )
+
+    @pytest.mark.parametrize(
+        "which, old, new, message",
+        [
+            ("bathymetry", "ncols 100", "ncols 2.5", "line 1: ncols must be a positive integer"),
+            ("bathymetry", "nrows 100", "nrows nan", "line 2: non-finite header value 'nan'"),
+            ("area", '"Polygon"', '"Point"', "expected a Polygon geometry"),
+        ],
+        ids=["fractional-ncols", "nan-nrows", "point-area"],
+    )
+    def test_bad_input_file_is_named(self, capsys, tmp_path, which, old, new, message):
+        src = {"bathymetry": BATHY, "area": AREA}
+        bad = tmp_path / Path(src[which]).name
+        text = Path(src[which]).read_text()
+        assert old in text
+        bad.write_text(text.replace(old, new, 1))
+        files = {**src, which: str(bad)}
+        code, _, err = run(
+            capsys,
+            "deploy", "--bathymetry", files["bathymetry"], "--area", files["area"],
+            "--n-beacons", "3", "--out", str(tmp_path / "x.geojson"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}: {message}")
+
     def test_bad_beacon_count_exits_1(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -306,6 +353,25 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
         assert code == 4
         assert "inexecutable" in err
+
+    def test_zero_tick_exits_1_naming_file_and_field(self, capsys, tmp_path):
+        import yaml
+
+        doc = yaml.safe_load((REPO / "scenarios" / "nominal.yaml").read_text())
+        base = REPO / "scenarios"
+        doc["paths"] = {
+            "beacons": str(base / "beacons.geojson"),
+            "domain": str(REPO / "domains" / "uuv-nav.hddl"),
+        }
+        for u in doc["uuvs"]:
+            u["problem"] = str(base / u["problem"])
+        doc["world"]["tick"] = 0
+        doc["output_dir"] = str(tmp_path / "out")
+        scenario = tmp_path / "zero-tick.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
+        assert code == 1
+        assert err == f"error: {scenario}: world.tick must be positive\n"
 
     def test_unknown_inactive_beacon_exits_1(self, capsys, tmp_path):
         import yaml

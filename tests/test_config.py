@@ -108,6 +108,24 @@ class TestLoadScenario:
             load_scenario(path)
         assert str(path) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tick", 0, "world.tick must be positive"),
+            ("pulse_period", 0, "world.pulse_period must be positive"),
+            ("standoff_radius", 0, "world.standoff_radius must be positive"),
+            ("uuv_speed", -1, "world.uuv_speed must be non-negative"),
+        ],
+    )
+    def test_world_value_out_of_range_names_file_and_field(self, tmp_path, key, value, message):
+        def mutate(doc):
+            doc["world"][key] = value
+
+        path = write_scenario(tmp_path, mutate=mutate)
+        with pytest.raises(InputError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     def test_duplicate_vehicle_id_rejected(self, tmp_path):
         def mutate(doc):
             doc["uuvs"][1]["id"] = "uuv1"
@@ -209,6 +227,21 @@ class TestLoadBeacons:
         with pytest.raises(GeoJsonError, match="Point"):
             load_beacons(path)
 
+    def test_beacon_links_feature_is_skipped(self, tmp_path):
+        links = {
+            "type": "Feature",
+            "properties": {"role": "beacon-links", "coverage_link_distance_m": 4000.0},
+            "geometry": {"type": "MultiLineString", "coordinates": [[[0.0, 0.0], [1.0, 2.0]]]},
+        }
+        features = [
+            {"type": "Feature", "properties": {"id": "ba"}, "geometry": POINT},
+            links,
+            {"type": "Feature", "properties": {"id": "bb"}, "geometry": POINT},
+        ]
+        path = tmp_path / "chart.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        assert [b.id for b in load_beacons(path)] == ["ba", "bb"]
+
     @pytest.mark.parametrize(
         "bad_feature, message",
         [
@@ -260,6 +293,38 @@ class TestLoadBeacons:
                     "geometry": POINT,
                 },
                 "feature 1 'pulse_period' must be a finite number",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "pulse_period": 0},
+                    "geometry": POINT,
+                },
+                "feature 1 'pulse_period' must be positive",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "pulse_period": -10},
+                    "geometry": POINT,
+                },
+                "feature 1 'pulse_period' must be positive",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "acoustic_range": -1},
+                    "geometry": POINT,
+                },
+                "feature 1 'acoustic_range' must be non-negative",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"role": "links"},
+                    "geometry": {"type": "MultiLineString", "coordinates": []},
+                },
+                "feature 1 is not a Point",
             ),
         ],
     )

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from uuvnav.deploy import (
+    ETA,
     BeaconGraph,
     DeploymentProblem,
     DeploymentResult,
+    _farthest_point_seed,
     assign_cells,
     astar_route,
     build_beacon_graph,
@@ -18,7 +20,7 @@ from uuvnav.deploy import (
     route_length,
 )
 from uuvnav.errors import InputError
-from uuvnav.geo import BathymetryGrid, MissionPolygon, Point2D
+from uuvnav.geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon
 
 
 def flat_grid(n, depth=30.0, cell=100.0):
@@ -172,6 +174,76 @@ def test_lloyd_objective_recomputable():
     assert result.objective == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
 
 
+def reference_lloyd(problem):
+    """The per-site loop that lloyd_deploy replaced: float site coordinates,
+    one masked centroid and one full snap scan per site. Returns positions,
+    volumes, weights, iterations and convergence."""
+    grid, n = problem.grid, problem.n_beacons
+    rows, cols = np.nonzero(cells_in_polygon(grid, problem.poly) & grid.valid_mask)
+    xs = grid.origin_x + (cols + 0.5) * grid.cell_size
+    ys = grid.origin_y + (grid.n_rows - rows - 0.5) * grid.cell_size
+    vols = grid.depth[rows, cols] * grid.cell_size**2
+    picks = _farthest_point_seed(xs, ys, n, np.random.default_rng(problem.rng_seed))
+    sx, sy = xs[picks].copy(), ys[picks].copy()
+    weights = np.zeros(n)
+
+    def assign():
+        d2 = (xs[:, None] - sx[None, :]) ** 2 + (ys[:, None] - sy[None, :]) ** 2
+        site_of = np.argmin(d2 - weights[None, :], axis=1)
+        return site_of, np.bincount(site_of, weights=vols, minlength=n)
+
+    site_of, volumes = assign()
+    converged = False
+    for it in range(1, problem.max_iterations + 1):
+        target = float(np.sum(volumes)) / n
+        if n > 1:
+            d2 = (sx[:, None] - sx[None, :]) ** 2 + (sy[:, None] - sy[None, :]) ** 2
+            np.fill_diagonal(d2, np.inf)
+            spacing = float(np.mean(np.sqrt(d2.min(axis=1))))
+            weights = weights + ETA * (target - volumes) / target * spacing**2
+        for i in range(n):
+            mine = site_of == i
+            w = vols[mine]
+            if w.sum() > 0:
+                cx = float(np.sum(w * xs[mine]) / w.sum())
+                cy = float(np.sum(w * ys[mine]) / w.sum())
+                nearest = int(np.argmin((xs - cx) ** 2 + (ys - cy) ** 2))
+                sx[i], sy[i] = xs[nearest], ys[nearest]
+        site_of, volumes = assign()
+        total = float(np.sum(volumes))
+        if objective(volumes.tolist(), total) <= problem.volume_tolerance * total / n:
+            converged = True
+            break
+    positions = tuple(Point2D(float(x), float(y)) for x, y in zip(sx, sy))
+    return positions, tuple(volumes.tolist()), tuple(weights.tolist()), it, converged
+
+
+def sloped_grid(n):
+    # non-integer depths and a nodata island, so sums are inexact
+    r, c = np.mgrid[0:n, 0:n]
+    depth = 40.0 + 0.37 * c + 0.21 * r + 3.3 * np.sin(0.7 * c) * np.cos(0.4 * r)
+    depth[(r - n / 2) ** 2 + (c - n / 3) ** 2 < (n / 6) ** 2] = -9999.0
+    return BathymetryGrid(10.0, -20.0, 50.0, n, n, depth, -9999.0)
+
+
+@pytest.mark.parametrize("n_beacons, seed", [(1, 0), (3, 1), (5, 3), (8, 2), (12, 5)])
+@pytest.mark.parametrize("raster", ["sloped", "flat"])
+def test_lloyd_matches_the_per_site_reference(raster, n_beacons, seed):
+    g = sloped_grid(36) if raster == "sloped" else flat_grid(30)
+    problem = DeploymentProblem(
+        g, cover_all(g), n_beacons=n_beacons, rng_seed=seed, volume_tolerance=0.002
+    )
+    result = lloyd_deploy(problem)
+    got = (
+        result.beacon_positions,
+        result.cell_volumes,
+        result.site_weights,
+        result.iterations_used,
+        result.converged,
+    )
+    assert got == reference_lloyd(problem)
+
+
 def test_lloyd_deterministic_rerun():
     g = flat_grid(20)
     problem = DeploymentProblem(g, cover_all(g), n_beacons=3, rng_seed=99)
@@ -206,6 +278,24 @@ def test_lloyd_positions_are_water_cell_centers():
         assert g.valid_mask[r, c]
         assert p.x == g.origin_x + (c + 0.5) * g.cell_size
         assert p.y == g.origin_y + (g.n_rows - r - 0.5) * g.cell_size
+
+
+def test_lloyd_site_with_a_dry_region_stays_put():
+    # one row of nine cells where only the easternmost holds water: after
+    # one iteration the site nearer it sits on it, and the other site,
+    # whose region holds no water, keeps its seed cell
+    depth = np.zeros((1, 9))
+    depth[0, 8] = 30.0
+    g = BathymetryGrid(0.0, 0.0, 10.0, 1, 9, depth, -9999.0)
+    xs = np.arange(9) * 10.0 + 5.0
+    for seed in range(10):
+        picks = _farthest_point_seed(xs, np.full(9, 5.0), 2, np.random.default_rng(seed))
+        expected = [float(xs[k]) for k in picks]
+        expected[int(np.argmax(picks))] = 85.0
+        result = lloyd_deploy(
+            DeploymentProblem(g, cover_all(g), n_beacons=2, max_iterations=1, rng_seed=seed)
+        )
+        assert [p.x for p in result.beacon_positions] == expected
 
 
 def test_centroid_move_never_increases_squared_distance_energy():

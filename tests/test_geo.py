@@ -88,6 +88,38 @@ def test_parse_missing_header_key():
     assert "cellsize" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("ncols 2", "ncols inf", 1, "non-finite header value 'inf'"),
+        ("ncols 2", "ncols nan", 1, "non-finite header value 'nan'"),
+        ("ncols 2", "ncols 2.5", 1, "ncols must be a positive integer, got '2.5'"),
+        ("nrows 2", "nrows 0", 2, "nrows must be a positive integer, got '0'"),
+        ("xllcorner 0", "xllcorner nan", 3, "non-finite header value 'nan'"),
+        ("cellsize 10", "cellsize -inf", 5, "non-finite header value '-inf'"),
+        ("NODATA_value -9999", "NODATA_value nan", 6, "non-finite header value 'nan'"),
+        ("3 4", "3 nan", 8, "non-finite grid value 'nan'"),
+        ("1 2", "inf 2", 7, "non-finite grid value 'inf'"),
+    ],
+    ids=[
+        "inf-ncols",
+        "nan-ncols",
+        "fractional-ncols",
+        "zero-nrows",
+        "nan-xllcorner",
+        "inf-cellsize",
+        "nan-nodata",
+        "nan-depth",
+        "inf-depth",
+    ],
+)
+def test_parse_rejects_non_finite_and_fractional_values(old, new, line, message):
+    with pytest.raises(GridFormatError) as exc:
+        load_ascii_grid(GRID_2X2.replace(old, new))
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_negative_depth_rejected():
     text = GRID_2X2.replace("3 4", "-3 4")
     with pytest.raises(GridFormatError):

@@ -1,4 +1,5 @@
-"""Golden outputs: ``simulate`` on the bundled scenarios is pinned byte for byte.
+"""Golden outputs: ``simulate`` on the bundled scenarios and the README's
+``deploy`` command are pinned byte for byte.
 
 A change that is meant to keep behaviour, such as a refactor, must leave
 these digests alone.  A change that alters the outputs on purpose updates
@@ -41,3 +42,32 @@ def test_simulate_outputs_match_golden_digests(scenario, tmp_path, capsys):
         for name in GOLDEN[scenario]
     }
     assert digests == GOLDEN[scenario]
+
+
+# uuvnav deploy --bathymetry scenarios/bathymetry.asc
+#     --area scenarios/mission-area.geojson
+#     --n-beacons 5 --seed 3 --tolerance 0.01
+DEPLOY_GOLDEN = {
+    "constellation.geojson": "1685cac1390b4c6215f3b9457ff27f6b3107ab3196be767ccfd937553aa08e36",
+    "deploy.json": "8fe79e13032a7cd7b15dbf57e6a6d7dc192cec076dff24be7a4b0eac6221ce68",
+}
+
+
+def test_deploy_outputs_match_golden_digests(tmp_path, capsys):
+    code = main(
+        [
+            "deploy",
+            "--bathymetry", str(SCENARIOS / "bathymetry.asc"),
+            "--area", str(SCENARIOS / "mission-area.geojson"),
+            "--n-beacons", "5", "--seed", "3", "--tolerance", "0.01",
+            "--out", str(tmp_path / "constellation.geojson"),
+            "--report", str(tmp_path / "deploy.json"),
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DEPLOY_GOLDEN
+    }
+    assert digests == DEPLOY_GOLDEN
