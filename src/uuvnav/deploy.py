@@ -209,6 +209,10 @@ def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
         raise InputError(
             f"{n} beacons requested but only {len(xs)} water cells lie in the polygon"
         )
+    if not np.any(vols > 0):
+        raise InputError(
+            f"the {len(xs)} water cells in the polygon hold no volume: every depth is 0"
+        )
 
     rng = np.random.default_rng(problem.rng_seed)
     site = _farthest_point_seed(xs, ys, n, rng)

@@ -224,6 +224,8 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
                 raise GridFormatError(f"non-finite header value {tokens[1]!r}", line_no)
             if key in ("ncols", "nrows") and not (value > 0 and value.is_integer()):
                 raise GridFormatError(f"{key} must be a positive integer, got {tokens[1]!r}", line_no)
+            if key == "cellsize" and value <= 0:
+                raise GridFormatError(f"cellsize must be > 0, got {tokens[1]!r}", line_no)
             header[key] = value
         else:
             for tok in tokens:
@@ -231,8 +233,12 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
                     value = float(tok)
                 except ValueError:
                     raise GridFormatError(f"non-numeric grid value {tok!r}", line_no) from None
-                if not math.isfinite(value):
-                    raise GridFormatError(f"non-finite grid value {tok!r}", line_no)
+                # one comparison passes every finite, non-negative depth
+                if not 0.0 <= value < math.inf:
+                    if not math.isfinite(value):
+                        raise GridFormatError(f"non-finite grid value {tok!r}", line_no)
+                    if value != header["nodata_value"]:
+                        raise GridFormatError(f"negative depth {tok!r} in a non-nodata cell", line_no)
                 values.append(value)
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
@@ -245,18 +251,15 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
             f"expected {expected} grid values ({n_rows}x{n_cols}), got {len(values)}",
             line_no or 1,
         )
-    try:
-        return BathymetryGrid(
-            origin_x=header["xllcorner"],
-            origin_y=header["yllcorner"],
-            cell_size=header["cellsize"],
-            n_rows=n_rows,
-            n_cols=n_cols,
-            depth=np.array(values, dtype=float),
-            nodata_value=header["nodata_value"],
-        )
-    except ValueError as exc:
-        raise GridFormatError(str(exc), 1) from None
+    return BathymetryGrid(
+        origin_x=header["xllcorner"],
+        origin_y=header["yllcorner"],
+        cell_size=header["cellsize"],
+        n_rows=n_rows,
+        n_cols=n_cols,
+        depth=np.array(values, dtype=float),
+        nodata_value=header["nodata_value"],
+    )
 
 
 def write_ascii_grid(grid: BathymetryGrid) -> str:

@@ -67,12 +67,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             )
         )
 
-    world = WorldState(
-        sim_time=0.0,
-        uuvs=uuvs,
-        beacons=beacons,
-        params=config.world,
-    )
+    world = WorldState(uuvs=uuvs, beacons=beacons, params=config.world)
 
     beacons_by_id = {b.id: b for b in beacons}
     expectations: dict[str, list[monitor.Expectation]] = {
@@ -92,7 +87,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     while any(u.status == "active" for u in world.uuvs):
         if world.ticks_run >= config.world.step_cap:
             break
-        world, batch = step(world)
+        batch = step(world)
         for event in batch:
             if event.kind == "detection":
                 monitor.note_detection(

@@ -1,9 +1,10 @@
 """World state, tick dynamics and the action table for the fleet simulator.
 
-The world advances in fixed time steps.  Each step moves every vehicle
-along its current plan action, scans for acoustic detections at pulse
-instants, and emits a deterministic event stream.  There is no hidden
-randomness: identical inputs produce identical event logs.
+The world advances in fixed time steps on one clock, the count of ticks
+run.  Each step moves every vehicle along its current plan action, lets
+vehicles in range hear the pulses fired during the tick, and emits a
+deterministic event stream.  There is no hidden randomness: identical
+inputs produce identical event logs.
 
 Vehicles navigate by dead reckoning.  The true position integrates the
 commanded velocity plus the ambient current; the estimated position
@@ -30,7 +31,8 @@ from ..hddl.ground import GroundAction
 
 @dataclass
 class WorldParams:
-    """Physical and scheduling constants shared by every vehicle."""
+    """Physical and scheduling constants shared by every vehicle.
+    ``step_cap`` counts ticks, not seconds."""
 
     tick: float = 1.0
     step_cap: int = 5000
@@ -65,6 +67,15 @@ class BeaconState:
     acoustic_range: float = 2000.0
     pulse_period: float = 10.0
 
+    def pulses_during(self, tick_number: int, tick: float) -> bool:
+        """True when the beacon is active and fires a pulse, at a whole
+        multiple of its period, within ((tick_number - 1) * tick,
+        tick_number * tick].  The count of pulses fired never decreases, so
+        each pulse falls in exactly one tick at any tick size; a tick
+        longer than the period hears at most one pulse."""
+        fired = math.floor(tick_number * tick / self.pulse_period)
+        return self.active and fired > math.floor((tick_number - 1) * tick / self.pulse_period)
+
 
 @dataclass
 class UUVState:
@@ -82,7 +93,7 @@ class UUVState:
     replan_count: int = 0
     # Circle fix in progress: (theta0, ticks_done, ticks_total).
     circle: Optional[tuple[float, int, int]] = None
-    last_detection: dict[str, float] = field(default_factory=dict)
+    last_detection: dict[str, int] = field(default_factory=dict)  # beacon id -> tick
 
     @property
     def current_action(self) -> Optional[GroundAction]:
@@ -104,11 +115,14 @@ class Event:
 
 @dataclass
 class WorldState:
-    sim_time: float
     uuvs: list[UUVState]
     beacons: list[BeaconState]
     params: WorldParams
     ticks_run: int = 0
+
+    @property
+    def sim_time(self) -> float:
+        return self.ticks_run * self.params.tick
 
     def uuv(self, uuv_id: str) -> UUVState:
         for u in self.uuvs:
@@ -123,20 +137,9 @@ class WorldState:
         raise SimulationError(f"unknown beacon id {beacon_id!r}")
 
 
-def sense_beacon(uuv: UUVState, beacon: BeaconState, sim_time: float) -> bool:
-    """True when the vehicle hears this beacon's pulse at sim_time.
-
-    A pulse is heard only at whole pulse instants, only from an active
-    beacon, and only when the true (not estimated) position lies within
-    the beacon's acoustic range.
-    """
-    if not beacon.active:
-        return False
-    period = beacon.pulse_period
-    # Pulses fire at integer multiples of the period.
-    k = round(sim_time / period)
-    if abs(sim_time - k * period) > 1e-9:
-        return False
+def sense_beacon(uuv: UUVState, beacon: BeaconState) -> bool:
+    """True when the vehicle hears a pulse of this beacon: its true (not
+    estimated) position lies within the beacon's acoustic range."""
     return uuv.true_position.distance_to(beacon.position) <= beacon.acoustic_range
 
 
@@ -307,7 +310,7 @@ def _tick_to_broadcast(uuv: UUVState, world: WorldState, events: list[Event]) ->
 
 
 def _tick_sense(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
-    if uuv.last_detection.get(uuv.queue[0].args[1]) == world.sim_time:
+    if uuv.last_detection.get(uuv.queue[0].args[1]) == world.ticks_run:
         _complete_action(uuv, world, events)
 
 
@@ -321,7 +324,7 @@ def _tick_circle(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
         est = uuv.estimated_position
         off_x = est.x - beacon.position.x
         off_y = est.y - beacon.position.y
-        if math.hypot(off_x, off_y) > 1e-9:
+        if off_x or off_y:
             theta0 = math.atan2(off_y, off_x)
         else:
             theta0 = uuv.heading + math.pi
@@ -471,12 +474,13 @@ def _tick_uuv(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
 
 
 def _detection_phase(world: WorldState, events: list[Event]) -> None:
+    pulsing = [b for b in world.beacons if b.pulses_during(world.ticks_run, world.params.tick)]
     for uuv in world.uuvs:
         if uuv.status == "failed":
             continue
-        for beacon in world.beacons:
-            if sense_beacon(uuv, beacon, world.sim_time):
-                uuv.last_detection[beacon.id] = world.sim_time
+        for beacon in pulsing:
+            if sense_beacon(uuv, beacon):
+                uuv.last_detection[beacon.id] = world.ticks_run
                 events.append(
                     Event(
                         time=world.sim_time,
@@ -500,16 +504,16 @@ def _after_detection_phase(world: WorldState, events: list[Event]) -> None:
             behaviour.tick(uuv, world, events)
 
 
-def step(world: WorldState) -> tuple[WorldState, list[Event]]:
+def step(world: WorldState) -> list[Event]:
     """Advance the world by one tick and return the events it produced.
 
     Phases within a tick: vehicles execute their current actions in id
-    order, then the acoustic detection scan runs at the new positions,
-    then actions that wait to hear a beacon in this tick take their turn.
+    order, then each vehicle hears, from its new position, the beacons
+    that pulsed during the tick, then actions that wait to hear a beacon
+    in this tick take their turn.
     Events are stably ordered by (time, subject) so each vehicle's
     events keep their causal order.
     """
-    world.sim_time += world.params.tick
     world.ticks_run += 1
     events: list[Event] = []
     for uuv in world.uuvs:
@@ -517,4 +521,4 @@ def step(world: WorldState) -> tuple[WorldState, list[Event]]:
     _detection_phase(world, events)
     _after_detection_phase(world, events)
     events.sort(key=Event.sort_key)
-    return world, events
+    return events

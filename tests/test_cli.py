@@ -303,6 +303,25 @@ class TestDeployCommand:
         assert code == 1
         assert err.startswith(f"error: {bad}: {message}")
 
+    def test_area_without_water_volume_exits_1(self, capsys, tmp_path):
+        grid = tmp_path / "flat.asc"
+        grid.write_text(
+            "ncols 4\nnrows 4\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+            "NODATA_value -9999\n" + "0 0 0 0\n" * 4
+        )
+        area = tmp_path / "area.geojson"
+        ring = [[0.0, 0.0], [40.0, 0.0], [40.0, 40.0], [0.0, 40.0], [0.0, 0.0]]
+        area.write_text(json.dumps({"type": "Polygon", "coordinates": [ring]}))
+        out_path, report_path = tmp_path / "x.geojson", tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            "deploy", "--bathymetry", str(grid), "--area", str(area), "--n-beacons", "2",
+            "--out", str(out_path), "--report", str(report_path),
+        )
+        assert code == 1
+        assert "hold no volume" in err
+        assert not out_path.exists() and not report_path.exists()
+
     def test_bad_beacon_count_exits_1(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

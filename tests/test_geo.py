@@ -100,6 +100,10 @@ def test_parse_missing_header_key():
         ("NODATA_value -9999", "NODATA_value nan", 6, "non-finite header value 'nan'"),
         ("3 4", "3 nan", 8, "non-finite grid value 'nan'"),
         ("1 2", "inf 2", 7, "non-finite grid value 'inf'"),
+        ("cellsize 10", "cellsize -5", 5, "cellsize must be > 0, got '-5'"),
+        ("cellsize 10", "cellsize 0", 5, "cellsize must be > 0, got '0'"),
+        ("3 4", "3 -4", 8, "negative depth '-4' in a non-nodata cell"),
+        ("1 2", "-1 2", 7, "negative depth '-1' in a non-nodata cell"),
     ],
     ids=[
         "inf-ncols",
@@ -111,6 +115,10 @@ def test_parse_missing_header_key():
         "nan-nodata",
         "nan-depth",
         "inf-depth",
+        "negative-cellsize",
+        "zero-cellsize",
+        "negative-depth-line-8",
+        "negative-depth-line-7",
     ],
 )
 def test_parse_rejects_non_finite_and_fractional_values(old, new, line, message):

@@ -235,13 +235,13 @@ class TestReplanEpisode:
         u2 = uuv("uuv2", 4500.0, 4000.0, belief=init2, queue=[act("await-broadcast", "uuv2")])
         u3 = uuv("uuv3", 9000.0, 4000.0, belief=init3, queue=[act("await-broadcast", "uuv3")])
         world = WorldState(
-            sim_time=1626.0,
             uuvs=[u1, u2, u3],
             beacons=[
                 BeaconState(id="b6", position=Point2D(4000.0, 4000.0), active=False),
                 BeaconState(id="b8", position=Point2D(5500.0, 5500.0)),
             ],
             params=WorldParams(),
+            ticks_run=1626,
         )
         setups = {"uuv1": setup1, "uuv2": setup2, "uuv3": setup3}
         record = monitor.DivergenceRecord(

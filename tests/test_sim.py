@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from uuvnav.config import load_scenario
 from uuvnav.errors import SimulationError
 from uuvnav.geo import Point2D
 from uuvnav.hddl.ground import GroundAction
@@ -15,9 +17,12 @@ from uuvnav.sim import (
     sense_beacon,
     step,
 )
+from uuvnav.sim.runner import run_scenario
 from uuvnav.sim.world import ACTIONS, Projection, action_behaviour
 
-DOMAIN_PATH = Path(__file__).resolve().parent.parent / "domains" / "uuv-nav.hddl"
+REPO = Path(__file__).resolve().parent.parent
+DOMAIN_PATH = REPO / "domains" / "uuv-nav.hddl"
+SCENARIOS = REPO / "scenarios"
 
 
 def act(name, *args, pre=(), add=(), delete=()):
@@ -60,7 +65,6 @@ def beacon(beacon_id, x, y, active=True, acoustic_range=2000.0, pulse_period=10.
 
 def world(uuvs, beacons, **overrides):
     return WorldState(
-        sim_time=0.0,
         uuvs=list(uuvs),
         beacons=list(beacons),
         params=WorldParams(**overrides),
@@ -70,7 +74,7 @@ def world(uuvs, beacons, **overrides):
 def run_until(w, predicate, cap=10000):
     events = []
     for _ in range(cap):
-        w, batch = step(w)
+        batch = step(w)
         events.extend(batch)
         if predicate(w, events):
             return w, events
@@ -92,33 +96,85 @@ class TestParams:
 
 
 class TestSenseBeacon:
+    """Which beacons pulse is decided once per tick (``pulses_during``);
+    ``sense_beacon`` is only the range test on the true position."""
+
     def test_heard_only_at_pulse_instants(self):
         b = beacon("b1", 0.0, 0.0)
-        u = uuv("u1", 100.0, 0.0)
-        assert sense_beacon(u, b, 10.0)
-        assert not sense_beacon(u, b, 5.0)
-        assert not sense_beacon(u, b, 10.5)
+        assert b.pulses_during(10, 1.0)
+        assert not b.pulses_during(5, 1.0)
+        assert not b.pulses_during(11, 1.0)
+        # At tick 0.7 the pulse at t = 10 falls in tick 15, (9.8, 10.5].
+        assert [k for k in range(1, 30) if b.pulses_during(k, 0.7)] == [15, 29]
+        w = world([uuv("u1", 100.0, 0.0)], [b])
+        heard = [step(w) for _ in range(20)]
+        assert [k + 1 for k, batch in enumerate(heard) if batch] == [10, 20]
 
     def test_range_boundary_inclusive(self):
         b = beacon("b1", 0.0, 0.0, acoustic_range=500.0)
-        assert sense_beacon(uuv("u1", 500.0, 0.0), b, 10.0)
-        assert not sense_beacon(uuv("u1", 500.001, 0.0), b, 10.0)
+        assert sense_beacon(uuv("u1", 500.0, 0.0), b)
+        assert not sense_beacon(uuv("u1", 500.001, 0.0), b)
 
     def test_inactive_beacon_is_silent(self):
         b = beacon("b1", 0.0, 0.0, active=False)
-        assert not sense_beacon(uuv("u1", 10.0, 0.0), b, 10.0)
+        assert not any(b.pulses_during(k, 1.0) for k in range(1, 100))
+        w = world([uuv("u1", 10.0, 0.0)], [b])
+        assert not any(step(w) for _ in range(30))
 
     def test_true_position_not_estimate_decides_range(self):
         b = beacon("b1", 0.0, 0.0, acoustic_range=100.0)
         u = uuv("u1", 50.0, 0.0)
         u.estimated_position = Point2D(5000.0, 0.0)
-        assert sense_beacon(u, b, 10.0)
+        assert sense_beacon(u, b)
+        u.true_position, u.estimated_position = Point2D(5000.0, 0.0), Point2D(50.0, 0.0)
+        assert not sense_beacon(u, b)
+
+
+class TestPulseRule:
+    @pytest.mark.parametrize(
+        "tick, period, n",
+        [
+            (0.7, 10.0, 5000),
+            (0.3, 10.0, 10000),
+            (0.1, 10.0, 22804),
+            (1.0, 7.5, 3000),
+            (0.25, 3.3, 4000),
+        ],
+    )
+    def test_each_pulse_falls_in_exactly_one_tick(self, tick, period, n):
+        b = beacon("b1", 0.0, 0.0, pulse_period=period)
+        pulses = sum(b.pulses_during(k, tick) for k in range(1, n + 1))
+        assert pulses == math.floor(n * tick / period)
+
+    def test_silent_beacon_never_pulses(self):
+        b = beacon("b1", 0.0, 0.0, active=False, pulse_period=3.3)
+        assert not any(b.pulses_during(k, 0.7) for k in range(1, 5000))
+
+    @pytest.mark.parametrize("tick", [10.0, 12.5, 25.0])
+    def test_tick_longer_than_period_pulses_once_per_tick(self, tick):
+        b = beacon("b1", 0.0, 0.0, pulse_period=10.0)
+        assert all(b.pulses_during(k, tick) for k in range(1, 1000))
+
+
+class TestTickSizeIndependence:
+    HORIZON = 5000.0  # seconds: the nominal scenario's step_cap at tick 1.0
+
+    def run(self, tick):
+        config = load_scenario(SCENARIOS / "nominal.yaml")
+        params = replace(config.world, tick=tick, step_cap=math.ceil(self.HORIZON / tick))
+        report = run_scenario(replace(config, world=params))
+        assert report.summary["all_missions_completed"]
+        return report.summary["event_counts"]["detection"]
+
+    def test_nominal_detections_do_not_depend_on_tick(self):
+        at_one = self.run(1.0)
+        assert [self.run(tick) for tick in (0.7, 0.5, 0.3)] == [at_one] * 3
 
 
 class TestMovement:
     def test_moves_at_speed_towards_target(self):
         w = world([uuv("u1", 0.0, 0.0, queue=[nav("u1", "b1")])], [beacon("b1", 100.0, 0.0)])
-        w, _ = step(w)
+        step(w)
         u = w.uuv("u1")
         assert u.true_position == Point2D(2.0, 0.0)
         assert u.estimated_position == Point2D(2.0, 0.0)
@@ -130,7 +186,7 @@ class TestMovement:
             [beacon("b1", 100.0, 0.0)],
             current=(0.5, 0.0),
         )
-        w, _ = step(w)
+        step(w)
         u = w.uuv("u1")
         assert u.true_position == Point2D(2.5, 0.0)
         assert u.estimated_position == Point2D(2.0, 0.0)
@@ -167,7 +223,7 @@ class TestCircleLocalize:
         expected_ticks = math.ceil(2.0 * math.pi * 50.0 / 2.0)
         done_time = None
         for _ in range(500):
-            w, batch = step(w)
+            batch = step(w)
             for e in batch:
                 if e.kind == "action-completed":
                     done_time = e.time
@@ -187,9 +243,9 @@ class TestCircleLocalize:
     def test_beacon_silenced_mid_circle_fails_mission(self):
         w = self.make()
         for _ in range(20):
-            w, _ = step(w)
+            step(w)
         w.beacon("b1").active = False
-        w, batch = step(w)
+        batch = step(w)
         kinds = [e.kind for e in batch]
         assert "action-failed" in kinds and "mission-failed" in kinds
         u = w.uuv("u1")
@@ -232,7 +288,7 @@ class TestActionTable:
         vehicle = uuv("u1", 0.0, 0.0, queue=[hold])
         w = world([vehicle], [], tick=0.5)
         assert projected_duration(hold, vehicle, w) == 0.5
-        w, _ = step(w)
+        step(w)
         assert w.uuv("u1").status == "completed"
 
     def test_every_domain_action_has_an_entry(self):
@@ -246,7 +302,7 @@ class TestBroadcast:
         near_rx = uuv("u2", 1500.0, 0.0)
         far_rx = uuv("u3", 2500.0, 0.0)
         w = world([sender, near_rx, far_rx], [])
-        w, events = step(w)
+        events = step(w)
         received = [e.subject for e in events if e.kind == "broadcast-received"]
         assert received == ["u2"]
         u2, u3 = w.uuv("u2"), w.uuv("u3")
@@ -268,11 +324,11 @@ class TestBroadcast:
             queue=[act("await-broadcast", "u2", add=[("heard-broadcast", "u2")])],
         )
         w = world([sender, listener], [])
-        w, first = step(w)
+        first = step(w)
         assert w.uuv("u2").status == "active"
         # broadcast fires on the second tick; the listener (later in id
         # order) sees it the same tick and completes.
-        w, second = step(w)
+        second = step(w)
         u2_kinds = [e.kind for e in second if e.subject == "u2"]
         assert "action-completed" in u2_kinds
         assert w.uuv("u2").status == "completed"
@@ -292,7 +348,7 @@ class TestBroadcast:
     def test_navigate_to_broadcast_without_position_fails(self):
         chaser = uuv("u2", 300.0, 0.0, queue=[act("navigate-to-broadcast", "u2")])
         w = world([chaser], [])
-        w, events = step(w)
+        events = step(w)
         assert w.uuv("u2").status == "failed"
         assert any(e.kind == "action-failed" for e in events)
 
@@ -300,7 +356,7 @@ class TestBroadcast:
 class TestEventStream:
     def test_instant_action_completes_first_tick(self):
         w = world([uuv("u1", 0.0, 0.0, queue=[act("hover", "u1")])], [])
-        w, events = step(w)
+        events = step(w)
         assert [e.kind for e in events] == [
             "action-started",
             "action-completed",
@@ -311,7 +367,7 @@ class TestEventStream:
     def test_detection_logged_during_transit(self):
         w = world([uuv("u1", 0.0, 0.0, queue=[nav("u1", "b1")])], [beacon("b1", 500.0, 0.0)])
         for _ in range(10):
-            w, batch = step(w)
+            batch = step(w)
         detections = [e for e in batch if e.kind == "detection"]
         assert len(detections) == 1
         assert detections[0].payload["beacon"] == "b1"
@@ -323,7 +379,7 @@ class TestEventStream:
             uuv("u2", 50.0, 0.0, queue=[nav("u2", "b1")]),
         ]
         w = world(uuvs, [beacon("b1", 500.0, 0.0)])
-        w, events = step(w)
+        events = step(w)
         assert [e.subject for e in events] == sorted(e.subject for e in events)
 
     def test_identical_worlds_produce_identical_streams(self):
@@ -337,8 +393,8 @@ class TestEventStream:
         w1, w2 = build(), build()
         log1, log2 = [], []
         for _ in range(200):
-            w1, b1 = step(w1)
-            w2, b2 = step(w2)
+            b1 = step(w1)
+            b2 = step(w2)
             log1.extend(b1)
             log2.extend(b2)
         assert repr(log1) == repr(log2)
