@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import load_beacons, load_scenario
+from .config import load_beacons, load_scenario, parse_input, read_input
 from .deploy import (
     BeaconGraph,
     DeploymentProblem,
@@ -40,22 +40,6 @@ from .htn.validate import validate
 from .sim.runner import event_to_json_line, run_scenario, tracks_to_geojson
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
-
-
-def _parse_file(path: str, what: str, parse):
-    """Read a file and parse its text, naming the file in any input error."""
-    text = _read_text(path, what)
-    try:
-        return parse(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -67,8 +51,8 @@ def _write_output(path: str, text: str) -> None:
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
-    grid = _parse_file(args.bathymetry, "bathymetry grid", load_ascii_grid)
-    poly = _parse_file(args.area, "mission area", polygon_from_geojson)
+    grid = parse_input(args.bathymetry, "bathymetry grid", load_ascii_grid)
+    poly = parse_input(args.area, "mission area", polygon_from_geojson)
     problem = DeploymentProblem(
         grid=grid,
         poly=poly,
@@ -130,8 +114,8 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def _load_planning_inputs(domain_path: str, problem_path: str):
-    domain = parse_domain(_read_text(domain_path, "domain"))
-    problem = parse_problem(_read_text(problem_path, "problem"), domain)
+    domain = parse_input(domain_path, "domain", parse_domain)
+    problem = parse_input(problem_path, "problem", lambda text: parse_problem(text, domain))
     tables = ground(domain, problem)
     return domain, problem, tables
 
@@ -152,7 +136,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     _, problem, tables = _load_planning_inputs(args.domain, args.problem)
     try:
-        plan_doc = json.loads(_read_text(args.plan, "plan file"))
+        plan_doc = json.loads(read_input(args.plan, "plan file"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.plan}: not valid JSON: {exc}") from exc
     if not isinstance(plan_doc, dict) or not isinstance(plan_doc.get("steps"), list):
@@ -245,9 +229,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PlanNotFound as exc:
         print(f"no plan: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UuvnavError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -22,6 +22,25 @@ from .geo import Point2D
 from .sim.world import BeaconState, WorldParams
 
 
+def read_input(path: str | Path, what: str) -> str:
+    """The text of an input file.  A file that cannot be read or is not
+    UTF-8 text is an InputError naming the file."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {str(path)!r}: {exc}") from exc
+
+
+def parse_input(path: str | Path, what: str, parse):
+    """Read an input file and parse its text, naming the file in any
+    input error."""
+    text = read_input(path, what)
+    try:
+        return parse(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class UuvSpec:
     id: str
@@ -83,7 +102,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if not path.exists():
         raise InputError(f"scenario file does not exist: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(read_input(path, "scenario"))
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
@@ -174,9 +193,10 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
     """
     params = params or WorldParams()
     path = Path(path)
+    text = read_input(path, "beacon chart")
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise GeoJsonError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise GeoJsonError(f"{path}: expected a FeatureCollection")

@@ -33,13 +33,15 @@ class DeploymentProblem:
 
     def __post_init__(self):
         if self.n_beacons < 1:
-            raise ValueError(f"n_beacons must be >= 1, got {self.n_beacons}")
+            raise InputError(f"n_beacons must be >= 1, got {self.n_beacons}")
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0 < self.volume_tolerance < 1):
-            raise ValueError(
+            raise InputError(
                 f"volume_tolerance must be in (0, 1), got {self.volume_tolerance}"
             )
+        if self.rng_seed < 0:
+            raise InputError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class BeaconGraph:
 
     def __post_init__(self):
         if not 0 < self.coverage_link_distance < math.inf:
-            raise ValueError(
+            raise InputError(
                 "coverage_link_distance must be finite and > 0,"
                 f" got {self.coverage_link_distance}"
             )

@@ -153,55 +153,40 @@ def plan(
 
 
 def _build_tree(trace):
-    """Rebuild the decomposition tree from the preorder search trace."""
+    """Rebuild the decomposition tree from the preorder search trace.
+
+    Each method entry in the trace is followed by the subtrees of its
+    subtasks, in order, so one pass with a stack of the methods still
+    awaiting children rebuilds the tree.  The pass is iterative because a
+    recursive domain can nest deeper than Python's recursion limit.
+    """
     steps: list[GroundAction] = []
-    nodes: list[TreeNode] = []
     roots: list[int] = []
-    children_of: dict[int, list[int]] = {}
-    # (target list, slots remaining, owner id or None for the root list)
-    pending: list[list] = [[roots, None]]
-    counts: dict[int, int] = {}
-
-    def target():
-        return pending[-1]
-
+    nodes: list[tuple] = []  # (task, kind, method, child ids, step) per node
+    awaiting: list[list] = []  # [child ids, subtasks still to come] per open method
     for kind, payload in trace:
-        while len(pending) > 1 and counts[pending[-1][1]] == 0:
-            pending.pop()
         node_id = len(nodes)
-        tgt, owner = target()
-        tgt.append(node_id)
-        if owner is not None:
-            counts[owner] -= 1
-        if kind == "action":
-            action: GroundAction = payload
-            nodes.append(
-                TreeNode(node_id, action.task, "action", None, (), len(steps))
-            )
-            steps.append(action)
+        if awaiting:
+            top = awaiting[-1]
+            top[0].append(node_id)
+            top[1] -= 1
+            if top[1] == 0:
+                awaiting.pop()
         else:
-            method: GroundMethod = payload
-            kids: list[int] = []
-            children_of[node_id] = kids
-            counts[node_id] = len(method.subtasks)
-            nodes.append(
-                TreeNode(node_id, method.task, "method", method.name, (), None)
-            )
-            if method.subtasks:
-                pending.append([kids, node_id])
-    # freeze child lists gathered above
-    final = [
-        TreeNode(
-            n.id,
-            n.task,
-            n.kind,
-            n.method,
-            tuple(children_of.get(n.id, ())),
-            n.step,
-        )
-        for n in nodes
-    ]
-    return tuple(steps), tuple(final), tuple(roots)
+            roots.append(node_id)
+        children: list[int] = []
+        if kind == "action":
+            nodes.append((payload.task, "action", None, children, len(steps)))
+            steps.append(payload)
+        else:
+            nodes.append((payload.task, "method", payload.name, children, None))
+            if payload.subtasks:
+                awaiting.append([children, len(payload.subtasks)])
+    tree = tuple(
+        TreeNode(node_id, task, kind, method, tuple(children), step)
+        for node_id, (task, kind, method, children, step) in enumerate(nodes)
+    )
+    return tuple(steps), tree, tuple(roots)
 
 
 # ---------------------------------------------------------------------------

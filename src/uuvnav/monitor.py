@@ -23,7 +23,6 @@ from .hddl.ground import GroundAction, GroundTables
 from .htn.planner import plan
 from .sim.world import (
     BeaconState,
-    Event,
     Projection,
     UUVState,
     WorldParams,
@@ -126,7 +125,7 @@ def replan_episode(
     record: DivergenceRecord,
     world: WorldState,
     setups: Mapping[str, PlanningSetup],
-) -> tuple[list[Event], dict[str, list[Expectation]]]:
+) -> dict[str, list[Expectation]]:
     """Handle one divergence: share the bad news and replan the fleet.
 
     The unreachable fact is merged into the belief of the divergent
@@ -135,26 +134,20 @@ def replan_episode(
     original task network.  Vehicles that cannot find a plan fail their
     mission; the rest of the fleet is unaffected.
 
-    Returns the events produced and fresh expectations for every
-    vehicle whose plan changed.
+    Logs its events to ``world.events`` and returns fresh expectations
+    for every vehicle whose plan changed.
     """
-    events: list[Event] = []
     new_expectations: dict[str, list[Expectation]] = {}
     divergent = world.uuv(record.uuv_id)
     unreachable = ("beacon-unreachable", record.beacon_id)
 
     if divergent.status == "active" and not divergent.queue:
-        events.append(
-            Event(
-                time=world.sim_time,
-                kind="warning",
-                subject=divergent.id,
-                payload={
-                    "message": f"divergence on {record.beacon_id} with no plan left to revise"
-                },
-            )
+        world.emit(
+            "warning",
+            divergent.id,
+            {"message": f"divergence on {record.beacon_id} with no plan left to revise"},
         )
-        return events, new_expectations
+        return new_expectations
 
     affected: list[UUVState] = []
     for uuv in world.uuvs:
@@ -166,7 +159,6 @@ def replan_episode(
         if uuv.true_position.distance_to(divergent.true_position) <= world.params.comm_range:
             affected.append(uuv)
     affected.sort(key=lambda u: u.id)
-    beacons = {b.id: b for b in world.beacons}
 
     for uuv in affected:
         uuv.belief.add(unreachable)
@@ -182,32 +174,21 @@ def replan_episode(
             )
         except PlanNotFound as exc:
             uuv.status = "failed"
-            events.append(
-                Event(
-                    time=world.sim_time,
-                    kind="mission-failed",
-                    subject=uuv.id,
-                    payload={
-                        "reason": f"no recovery plan without {record.beacon_id}: {exc}"
-                    },
-                )
+            world.emit(
+                "mission-failed",
+                uuv.id,
+                {"reason": f"no recovery plan without {record.beacon_id}: {exc}"},
             )
             new_expectations[uuv.id] = []
             continue
         uuv.queue = list(new_plan.steps)
         uuv.replan_count += 1
-        events.append(
-            Event(
-                time=world.sim_time,
-                kind="replan-triggered",
-                subject=uuv.id,
-                payload={
-                    "beacon": record.beacon_id,
-                    "plan_length": len(new_plan.steps),
-                },
-            )
+        world.emit(
+            "replan-triggered",
+            uuv.id,
+            {"beacon": record.beacon_id, "plan_length": len(new_plan.steps)},
         )
         new_expectations[uuv.id] = derive_expectations(
-            new_plan.steps, uuv, world.params, world.sim_time, beacons
+            new_plan.steps, uuv, world.params, world.sim_time, world.beacons
         )
-    return events, new_expectations
+    return new_expectations

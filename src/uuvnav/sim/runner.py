@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .. import monitor
-from ..config import ScenarioConfig, load_beacons
+from ..config import ScenarioConfig, load_beacons, parse_input
 from ..errors import InputError
 from ..hddl.ground import ground
 from ..hddl.parser import parse_domain, parse_problem
@@ -33,21 +33,26 @@ class SimulationReport:
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
     """Execute a scenario to completion (or to the step cap)."""
-    domain = parse_domain(config.domain.read_text())
-    beacons = load_beacons(config.beacons, config.world)
-    beacon_ids = {b.id for b in beacons}
+    domain = parse_input(config.domain, "domain", parse_domain)
+    beacons = {b.id: b for b in load_beacons(config.beacons, config.world)}
     for silenced in config.inactive_beacons:
-        if silenced not in beacon_ids:
-            raise InputError(f"inactive_beacons names unknown beacon {silenced!r}")
-    for beacon in beacons:
-        if beacon.id in config.inactive_beacons:
-            beacon.active = False
+        if silenced not in beacons:
+            raise InputError(
+                f"inactive_beacons names unknown beacon {silenced!r} (not in {config.beacons})"
+            )
+        beacons[silenced].active = False
 
     uuvs: list[UUVState] = []
     setups: dict[str, monitor.PlanningSetup] = {}
     initial_plans: dict[str, int] = {}
     for spec in sorted(config.uuvs, key=lambda s: s.id):
-        problem = parse_problem(spec.problem.read_text(), domain)
+        problem = parse_input(spec.problem, "problem", lambda text: parse_problem(text, domain))
+        for name, type_name in problem.objects:
+            if domain.is_subtype(type_name, "beacon") and name not in beacons:
+                raise InputError(
+                    f"{spec.problem}: beacon object {name!r} is not in the chart"
+                    f" {config.beacons}"
+                )
         tables = ground(domain, problem)
         setups[spec.id] = monitor.PlanningSetup(
             tables=tables, network=problem.htn, goal=problem.goal
@@ -68,10 +73,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         )
 
     world = WorldState(uuvs=uuvs, beacons=beacons, params=config.world)
-
-    beacons_by_id = {b.id: b for b in beacons}
     expectations: dict[str, list[monitor.Expectation]] = {
-        uuv.id: monitor.derive_expectations(uuv.queue, uuv, world.params, 0.0, beacons_by_id)
+        uuv.id: monitor.derive_expectations(uuv.queue, uuv, world.params, 0.0, beacons)
         for uuv in world.uuvs
     }
 
@@ -87,8 +90,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     while any(u.status == "active" for u in world.uuvs):
         if world.ticks_run >= config.world.step_cap:
             break
-        batch = step(world)
-        for event in batch:
+        for event in step(world):
             if event.kind == "detection":
                 monitor.note_detection(
                     expectations.get(event.subject, ()),
@@ -98,13 +100,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
                 )
         all_expectations = [e for exps in expectations.values() for e in exps]
         for record in monitor.check(all_expectations, world.sim_time):
-            episode_events, new_expectations = monitor.replan_episode(
-                record, world, setups
-            )
-            batch.extend(episode_events)
-            expectations.update(new_expectations)
-        batch.sort(key=Event.sort_key)
-        events.extend(batch)
+            expectations.update(monitor.replan_episode(record, world, setups))
+        # replanning logs to the same tick's events, after step sorted them
+        world.events.sort(key=Event.sort_key)
+        events.extend(world.events)
         for uuv in world.uuvs:
             tracks[uuv.id]["true"].append([uuv.true_position.x, uuv.true_position.y])
             tracks[uuv.id]["estimated"].append(

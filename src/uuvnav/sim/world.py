@@ -113,16 +113,32 @@ class Event:
         return (self.time, self.subject)
 
 
+def beacon_by_id(beacons: Mapping[str, BeaconState], beacon_id: str) -> BeaconState:
+    """The beacon with this id in an id-keyed table."""
+    try:
+        return beacons[beacon_id]
+    except KeyError:
+        raise SimulationError(f"no position known for beacon {beacon_id!r}") from None
+
+
 @dataclass
 class WorldState:
+    """The fleet, the beacon table (keyed by id, in chart order), and the
+    log of the tick in progress."""
+
     uuvs: list[UUVState]
-    beacons: list[BeaconState]
+    beacons: dict[str, BeaconState]
     params: WorldParams
     ticks_run: int = 0
+    events: list[Event] = field(default_factory=list)
 
     @property
     def sim_time(self) -> float:
         return self.ticks_run * self.params.tick
+
+    def emit(self, kind: str, subject: str, payload: dict) -> None:
+        """Log an event at the current simulation time."""
+        self.events.append(Event(self.sim_time, kind, subject, payload))
 
     def uuv(self, uuv_id: str) -> UUVState:
         for u in self.uuvs:
@@ -131,10 +147,7 @@ class WorldState:
         raise SimulationError(f"unknown vehicle id {uuv_id!r}")
 
     def beacon(self, beacon_id: str) -> BeaconState:
-        for b in self.beacons:
-            if b.id == beacon_id:
-                return b
-        raise SimulationError(f"unknown beacon id {beacon_id!r}")
+        return beacon_by_id(self.beacons, beacon_id)
 
 
 def sense_beacon(uuv: UUVState, beacon: BeaconState) -> bool:
@@ -143,25 +156,17 @@ def sense_beacon(uuv: UUVState, beacon: BeaconState) -> bool:
     return uuv.true_position.distance_to(beacon.position) <= beacon.acoustic_range
 
 
-def broadcast(sender: UUVState, world: WorldState) -> list[Event]:
+def broadcast(sender: UUVState, world: WorldState) -> None:
     """Deliver a one-shot acoustic message to every vehicle in comm range.
 
     Receivers gain the sender's reported add effects plus a fact that
     they heard the message, and record the sender's estimated position as
     the rendezvous target.  Range is evaluated on true positions.
     """
-    events: list[Event] = []
     action = sender.current_action
     message_atoms: set[tuple[str, ...]] = set(action.add_eff) if action is not None else set()
     pos = sender.estimated_position
-    events.append(
-        Event(
-            time=world.sim_time,
-            kind="broadcast-sent",
-            subject=sender.id,
-            payload={"position": [pos.x, pos.y]},
-        )
-    )
+    world.emit("broadcast-sent", sender.id, {"position": [pos.x, pos.y]})
     for receiver in world.uuvs:
         if receiver.id == sender.id:
             continue
@@ -171,86 +176,49 @@ def broadcast(sender: UUVState, world: WorldState) -> list[Event]:
         receiver.belief |= message_atoms
         receiver.belief.add(("heard-broadcast", receiver.id))
         receiver.broadcast_target = pos
-        events.append(
-            Event(
-                time=world.sim_time,
-                kind="broadcast-received",
-                subject=receiver.id,
-                payload={"from": sender.id, "position": [pos.x, pos.y]},
-            )
+        world.emit(
+            "broadcast-received", receiver.id, {"from": sender.id, "position": [pos.x, pos.y]}
         )
-    return events
 
 
-def _start_action(uuv: UUVState, world: WorldState, events: list[Event]) -> GroundAction:
+def _start_action(uuv: UUVState, world: WorldState) -> GroundAction:
     action = uuv.queue[0]
     if not uuv.action_started:
         uuv.action_started = True
-        events.append(
-            Event(
-                time=world.sim_time,
-                kind="action-started",
-                subject=uuv.id,
-                payload={"action": action.name, "args": list(action.args)},
-            )
-        )
+        world.emit("action-started", uuv.id, {"action": action.name, "args": list(action.args)})
     return action
 
 
-def _complete_action(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+def _complete_action(uuv: UUVState, world: WorldState) -> None:
     action = uuv.queue.pop(0)
     uuv.action_started = False
     uuv.belief -= set(action.del_eff)
     uuv.belief |= set(action.add_eff)
-    events.append(
-        Event(
-            time=world.sim_time,
-            kind="action-completed",
-            subject=uuv.id,
-            payload={"action": action.name, "args": list(action.args)},
-        )
-    )
+    world.emit("action-completed", uuv.id, {"action": action.name, "args": list(action.args)})
     if not uuv.queue:
         uuv.status = "completed"
-        events.append(
-            Event(
-                time=world.sim_time,
-                kind="mission-completed",
-                subject=uuv.id,
-                payload={},
-            )
-        )
+        world.emit("mission-completed", uuv.id, {})
 
 
-def _fail_mission(uuv: UUVState, world: WorldState, events: list[Event], reason: str) -> None:
+def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
     action = uuv.current_action
-    events.append(
-        Event(
-            time=world.sim_time,
-            kind="action-failed",
-            subject=uuv.id,
-            payload={
-                "action": action.name if action else None,
-                "args": list(action.args) if action else [],
-                "reason": reason,
-            },
-        )
+    world.emit(
+        "action-failed",
+        uuv.id,
+        {
+            "action": action.name if action else None,
+            "args": list(action.args) if action else [],
+            "reason": reason,
+        },
     )
     uuv.queue.clear()
     uuv.action_started = False
     uuv.circle = None
     uuv.status = "failed"
-    events.append(
-        Event(
-            time=world.sim_time,
-            kind="mission-failed",
-            subject=uuv.id,
-            payload={"reason": reason},
-        )
-    )
+    world.emit("mission-failed", uuv.id, {"reason": reason})
 
 
-def _move_towards(uuv: UUVState, target: Point2D, world: WorldState, events: list[Event]) -> None:
+def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
     params = world.params
     est = uuv.estimated_position
     dx = target.x - est.x
@@ -271,23 +239,19 @@ def _move_towards(uuv: UUVState, target: Point2D, world: WorldState, events: lis
     if moved > 0:
         uuv.heading = math.atan2(vy, vx)
     cx, cy = params.current
-    uuv.true_position = Point2D(
-        uuv.true_position.x + vx + cx * params.tick,
-        uuv.true_position.y + vy + cy * params.tick,
-    )
+    try:
+        uuv.true_position = Point2D(
+            uuv.true_position.x + vx + cx * params.tick,
+            uuv.true_position.y + vy + cy * params.tick,
+        )
+    except ValueError as exc:  # a current near the float limit overflows
+        raise SimulationError(f"{uuv.id}: the current carried it out of range: {exc}") from None
     uuv.estimated_position = Point2D(est.x + vx, est.y + vy)
     uuv.position_uncertainty += params.drift_rate * moved
     if uuv.estimated_position.distance_to(target) <= params.arrival_tolerance:
         pos = uuv.estimated_position
-        events.append(
-            Event(
-                time=world.sim_time,
-                kind="waypoint-reached",
-                subject=uuv.id,
-                payload={"position": [pos.x, pos.y]},
-            )
-        )
-        _complete_action(uuv, world, events)
+        world.emit("waypoint-reached", uuv.id, {"position": [pos.x, pos.y]})
+        _complete_action(uuv, world)
 
 
 def _circle_ticks(uuv: UUVState, params: WorldParams) -> int:
@@ -298,27 +262,27 @@ def _circle_ticks(uuv: UUVState, params: WorldParams) -> int:
     return max(1, math.ceil(circumference / (uuv.speed * params.tick)))
 
 
-def _tick_to_beacon(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
-    _move_towards(uuv, world.beacon(uuv.queue[0].args[1]).position, world, events)
+def _tick_to_beacon(uuv: UUVState, world: WorldState) -> None:
+    _move_towards(uuv, world.beacon(uuv.queue[0].args[1]).position, world)
 
 
-def _tick_to_broadcast(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+def _tick_to_broadcast(uuv: UUVState, world: WorldState) -> None:
     if uuv.broadcast_target is None:
-        _fail_mission(uuv, world, events, "no broadcast position known")
+        _fail_mission(uuv, world, "no broadcast position known")
         return
-    _move_towards(uuv, uuv.broadcast_target, world, events)
+    _move_towards(uuv, uuv.broadcast_target, world)
 
 
-def _tick_sense(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+def _tick_sense(uuv: UUVState, world: WorldState) -> None:
     if uuv.last_detection.get(uuv.queue[0].args[1]) == world.ticks_run:
-        _complete_action(uuv, world, events)
+        _complete_action(uuv, world)
 
 
-def _tick_circle(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+def _tick_circle(uuv: UUVState, world: WorldState) -> None:
     params = world.params
     beacon = world.beacon(uuv.queue[0].args[1])
     if not beacon.active:
-        _fail_mission(uuv, world, events, f"beacon {beacon.id} went silent during fix")
+        _fail_mission(uuv, world, f"beacon {beacon.id} went silent during fix")
         return
     if uuv.circle is None:
         est = uuv.estimated_position
@@ -348,17 +312,17 @@ def _tick_circle(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
     # collapses the uncertainty to the localization floor.
     uuv.position_uncertainty = params.localization_floor
     uuv.circle = None
-    _complete_action(uuv, world, events)
+    _complete_action(uuv, world)
 
 
-def _tick_broadcast(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
-    events.extend(broadcast(uuv, world))
-    _complete_action(uuv, world, events)
+def _tick_broadcast(uuv: UUVState, world: WorldState) -> None:
+    broadcast(uuv, world)
+    _complete_action(uuv, world)
 
 
-def _tick_await(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+def _tick_await(uuv: UUVState, world: WorldState) -> None:
     if ("heard-broadcast", uuv.id) in uuv.belief:
-        _complete_action(uuv, world, events)
+        _complete_action(uuv, world)
 
 
 @dataclass
@@ -379,9 +343,7 @@ class Projection:
     uncertainty: float
 
     def beacon(self, beacon_id: str) -> BeaconState:
-        if beacon_id not in self.beacons:
-            raise SimulationError(f"no position known for beacon {beacon_id!r}")
-        return self.beacons[beacon_id]
+        return beacon_by_id(self.beacons, beacon_id)
 
     def _move(self, beacon: BeaconState) -> tuple[float, float]:
         """Advance to the beacon at cruise speed; return the leg's distance
@@ -443,7 +405,7 @@ class ActionBehaviour:
     cannot be projected.
     """
 
-    tick: Callable[[UUVState, WorldState, list[Event]], None]
+    tick: Callable[[UUVState, WorldState], None]
     project: Optional[Callable[[Projection, GroundAction], Optional[tuple[float, float]]]]
     after_detection: bool = False
 
@@ -465,47 +427,44 @@ def action_behaviour(name: str) -> ActionBehaviour:
     return ACTIONS.get(name, _INSTANT)
 
 
-def _tick_uuv(uuv: UUVState, world: WorldState, events: list[Event]) -> None:
+def _tick_uuv(uuv: UUVState, world: WorldState) -> None:
     if uuv.status != "active" or not uuv.queue:
         return
-    behaviour = action_behaviour(_start_action(uuv, world, events).name)
+    behaviour = action_behaviour(_start_action(uuv, world).name)
     if not behaviour.after_detection:
-        behaviour.tick(uuv, world, events)
+        behaviour.tick(uuv, world)
 
 
-def _detection_phase(world: WorldState, events: list[Event]) -> None:
-    pulsing = [b for b in world.beacons if b.pulses_during(world.ticks_run, world.params.tick)]
+def _detection_phase(world: WorldState) -> None:
+    pulsing = [
+        b for b in world.beacons.values() if b.pulses_during(world.ticks_run, world.params.tick)
+    ]
     for uuv in world.uuvs:
         if uuv.status == "failed":
             continue
         for beacon in pulsing:
             if sense_beacon(uuv, beacon):
                 uuv.last_detection[beacon.id] = world.ticks_run
-                events.append(
-                    Event(
-                        time=world.sim_time,
-                        kind="detection",
-                        subject=uuv.id,
-                        payload={
-                            "beacon": beacon.id,
-                            "range": uuv.true_position.distance_to(beacon.position),
-                        },
-                    )
+                world.emit(
+                    "detection",
+                    uuv.id,
+                    {"beacon": beacon.id, "range": uuv.true_position.distance_to(beacon.position)},
                 )
 
 
-def _after_detection_phase(world: WorldState, events: list[Event]) -> None:
+def _after_detection_phase(world: WorldState) -> None:
     for uuv in world.uuvs:
         action = uuv.current_action
         if uuv.status != "active" or action is None or not uuv.action_started:
             continue
         behaviour = action_behaviour(action.name)
         if behaviour.after_detection:
-            behaviour.tick(uuv, world, events)
+            behaviour.tick(uuv, world)
 
 
 def step(world: WorldState) -> list[Event]:
-    """Advance the world by one tick and return the events it produced.
+    """Advance the world by one tick and return the events it produced:
+    ``world.events``, which each tick starts empty.
 
     Phases within a tick: vehicles execute their current actions in id
     order, then each vehicle hears, from its new position, the beacons
@@ -515,10 +474,10 @@ def step(world: WorldState) -> list[Event]:
     events keep their causal order.
     """
     world.ticks_run += 1
-    events: list[Event] = []
+    world.events = []
     for uuv in world.uuvs:
-        _tick_uuv(uuv, world, events)
-    _detection_phase(world, events)
-    _after_detection_phase(world, events)
-    events.sort(key=Event.sort_key)
-    return events
+        _tick_uuv(uuv, world)
+    _detection_phase(world)
+    _after_detection_phase(world)
+    world.events.sort(key=Event.sort_key)
+    return world.events

@@ -6,19 +6,26 @@ that breaks ``bench/run.py --trace 1`` fail the test suite instead.
 import json
 from pathlib import Path
 
+import pytest
+
 from uuvnav.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_hooks_see_a_simulate_run(capsys, monkeypatch, tmp_path):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "bench"))
-    from tracing import Tracer, install_counters, install_spans
+    import tracing
 
-    tracer = Tracer()
+    return tracing
+
+
+def test_tracer_hooks_see_a_simulate_run(capsys, tmp_path, tracing):
+    tracer = tracing.Tracer()
     try:
-        install_spans(tracer)
-        install_counters(tracer)
+        tracing.install_spans(tracer)
+        tracing.install_counters(tracer)
         out_dir = tmp_path / "run"
         code = main(
             ["simulate", "--scenario", str(REPO / "scenarios" / "nominal.yaml"),
@@ -35,3 +42,28 @@ def test_tracer_hooks_see_a_simulate_run(capsys, monkeypatch, tmp_path):
     assert tracer.counts["sim.sense_calls"] > 0
     assert tracer.counts["sim.sense_hits"] == summary["event_counts"]["detection"]
     assert tracer.counts["sim.detections"] == summary["event_counts"]["detection"]
+
+
+def test_tracer_hooks_see_plan_and_validate(capsys, tmp_path, tracing):
+    inputs = [
+        "--domain", str(REPO / "domains" / "uuv-nav.hddl"),
+        "--problem", str(REPO / "scenarios" / "problems" / "uuv1-mission.hddl"),
+    ]
+    plan_path = tmp_path / "plan.json"
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_spans(tracer)
+        plan_code = main(["plan", *inputs, "--format", "json", "--out", str(plan_path)])
+        plan_spans = [span[0] for span in tracer.spans]
+        validate_code = main(["validate", *inputs, "--plan", str(plan_path)])
+        validate_spans = [span[0] for span in tracer.spans[len(plan_spans):]]
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert plan_code == validate_code == 0
+    assert plan_spans.count("htn.plan") == 1 and "htn.validate" not in plan_spans
+    assert validate_spans.count("htn.validate") == 1 and "htn.plan" not in validate_spans
+    assert "hddl.ground" in plan_spans and "hddl.ground" in validate_spans
+    assert tracer.counts["hddl.ground_instances"] > 0
+    stats = json.loads(plan_path.read_text())["stats"]
+    assert tracer.counts["htn.nodes_expanded"] == stats["nodes_expanded"]

@@ -412,3 +412,100 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
         assert code == 1
         assert "b99" in err
+
+    @pytest.mark.parametrize("where", ["inactive-beacons", "problem-object"])
+    def test_uncharted_beacon_exits_1_naming_the_files(self, capsys, tmp_path, where):
+        import yaml
+
+        doc = yaml.safe_load((REPO / "scenarios" / "nominal.yaml").read_text())
+        base = REPO / "scenarios"
+        doc["paths"] = {"beacons": BEACONS, "domain": DOMAIN}
+        for u in doc["uuvs"]:
+            u["problem"] = str(base / u["problem"])
+        if where == "inactive-beacons":
+            doc["inactive_beacons"] = ["b99"]
+            named = "inactive_beacons"
+        else:
+            problem = tmp_path / "uuv1-mission.hddl"
+            text = Path(PROBLEM).read_text()
+            assert "b8 - beacon" in text and "(mission uuv1 b6 b8)" in text
+            problem.write_text(
+                text.replace("b8 - beacon", "b8 b99 - beacon").replace(
+                    "(mission uuv1 b6 b8)", "(mission uuv1 b99 b8)"
+                )
+            )
+            doc["uuvs"][0]["problem"] = str(problem)
+            named = str(problem)
+        doc["output_dir"] = str(tmp_path / "out")
+        scenario = tmp_path / "uncharted.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
+        assert code == 1
+        assert named in err and "'b99'" in err and BEACONS in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("plan", "--domain"),
+        ("route", "--beacons"),
+        ("simulate", "--scenario"),
+        ("deploy", "--bathymetry"),
+    ],
+)
+def test_undecodable_input_file_exits_1_naming_it(capsys, tmp_path, command, flag):
+    bad = tmp_path / "input.bin"
+    bad.write_bytes(b"\xff\xfe not utf-8 \xff")
+    argv = {
+        "plan": ["--domain", DOMAIN, "--problem", PROBLEM],
+        "route": ["--beacons", BEACONS, "--start", "b4", "--goal", "b8"],
+        "simulate": ["--scenario", str(REPO / "scenarios" / "nominal.yaml")],
+        "deploy": [
+            "--bathymetry", BATHY, "--area", AREA, "--n-beacons", "3",
+            "--out", str(tmp_path / "x.geojson"),
+        ],
+    }[command]
+    argv[argv.index(flag) + 1] = str(bad)
+    code, _, err = run(capsys, command, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and str(bad) in err
+
+
+def test_scenario_domain_directory_exits_1_naming_it(capsys, tmp_path):
+    import yaml
+
+    doc = yaml.safe_load((REPO / "scenarios" / "nominal.yaml").read_text())
+    domain_dir = tmp_path / "uuv-nav.hddl"
+    domain_dir.mkdir()
+    doc["paths"] = {"beacons": BEACONS, "domain": str(domain_dir)}
+    for u in doc["uuvs"]:
+        u["problem"] = str(REPO / "scenarios" / u["problem"])
+    doc["output_dir"] = str(tmp_path / "out")
+    scenario = tmp_path / "dir-domain.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 1
+    assert err.startswith("error: ") and str(domain_dir) in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seed", "-1"),
+        ("--n-beacons", "0"),
+        ("--max-iterations", "0"),
+        ("--tolerance", "2"),
+        ("--link-distance", "0"),
+    ],
+)
+def test_out_of_range_deploy_flag_exits_1_naming_it(capsys, tmp_path, flag, value):
+    argv = {
+        "--bathymetry": BATHY, "--area": AREA, "--n-beacons": "3", "--max-iterations": "2",
+        "--out": str(tmp_path / "x.geojson"), flag: value,
+    }
+    code, _, err = run(capsys, "deploy", *(item for pair in argv.items() for item in pair))
+    assert code == 1
+    # each message names the parameter the flag sets, e.g. rng_seed for --seed
+    assert flag[2:].replace("-", "_") in err
+    assert not (tmp_path / "x.geojson").exists()
+

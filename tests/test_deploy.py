@@ -311,12 +311,14 @@ def test_centroid_move_never_increases_squared_distance_energy():
 
 def test_problem_invariants_validated():
     g = flat_grid(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         DeploymentProblem(g, cover_all(g), n_beacons=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         DeploymentProblem(g, cover_all(g), n_beacons=1, volume_tolerance=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         DeploymentProblem(g, cover_all(g), n_beacons=1, max_iterations=0)
+    with pytest.raises(InputError):
+        DeploymentProblem(g, cover_all(g), n_beacons=1, rng_seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,10 @@ class TestReplanEpisode:
         u3 = uuv("uuv3", 9000.0, 4000.0, belief=init3, queue=[act("await-broadcast", "uuv3")])
         world = WorldState(
             uuvs=[u1, u2, u3],
-            beacons=[
-                BeaconState(id="b6", position=Point2D(4000.0, 4000.0), active=False),
-                BeaconState(id="b8", position=Point2D(5500.0, 5500.0)),
-            ],
+            beacons={
+                "b6": BeaconState(id="b6", position=Point2D(4000.0, 4000.0), active=False),
+                "b8": BeaconState(id="b8", position=Point2D(5500.0, 5500.0)),
+            },
             params=WorldParams(),
             ticks_run=1626,
         )
@@ -251,8 +251,8 @@ class TestReplanEpisode:
 
     def test_in_range_vehicles_replan(self):
         world, setups, record = self.make_world()
-        events, new_exps = monitor.replan_episode(record, world, setups)
-        replanned = [e.subject for e in events if e.kind == "replan-triggered"]
+        new_exps = monitor.replan_episode(record, world, setups)
+        replanned = [e.subject for e in world.events if e.kind == "replan-triggered"]
         assert replanned == ["uuv1", "uuv2"]
         u1 = world.uuv("uuv1")
         assert [a.name for a in u1.queue] == ["broadcast", "transit-leg"]
@@ -270,7 +270,7 @@ class TestReplanEpisode:
 
     def test_new_expectations_replace_old(self):
         world, setups, record = self.make_world()
-        _, new_exps = monitor.replan_episode(record, world, setups)
+        new_exps = monitor.replan_episode(record, world, setups)
         # fallback plan has no beacon-approach legs, so no windows
         assert new_exps["uuv1"] == []
         assert new_exps["uuv2"] == []
@@ -290,8 +290,8 @@ class TestReplanEpisode:
             goal=None,
         )
         u1.belief.discard(("beacon-active", "b6"))
-        events, _ = monitor.replan_episode(record, world, setups)
-        assert any(e.kind == "mission-failed" and e.subject == "uuv1" for e in events)
+        monitor.replan_episode(record, world, setups)
+        assert any(e.kind == "mission-failed" and e.subject == "uuv1" for e in world.events)
         assert world.uuv("uuv1").status == "failed"
         assert world.uuv("uuv2").status == "active"
         assert [a.name for a in world.uuv("uuv2").queue] == ["await-broadcast", "navigate-to-broadcast"]
@@ -300,8 +300,8 @@ class TestReplanEpisode:
         world, setups, record = self.make_world()
         u1 = world.uuv("uuv1")
         u1.queue.clear()
-        events, new_exps = monitor.replan_episode(record, world, setups)
-        assert [e.kind for e in events] == ["warning"]
+        new_exps = monitor.replan_episode(record, world, setups)
+        assert [e.kind for e in world.events] == ["warning"]
         assert new_exps == {}
         assert u1.replan_count == 0
         assert ("beacon-unreachable", "b6") not in world.uuv("uuv2").belief

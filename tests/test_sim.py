@@ -66,7 +66,7 @@ def beacon(beacon_id, x, y, active=True, acoustic_range=2000.0, pulse_period=10.
 def world(uuvs, beacons, **overrides):
     return WorldState(
         uuvs=list(uuvs),
-        beacons=list(beacons),
+        beacons={b.id: b for b in beacons},
         params=WorldParams(**overrides),
     )
 
@@ -191,6 +191,16 @@ class TestMovement:
         assert u.true_position == Point2D(2.5, 0.0)
         assert u.estimated_position == Point2D(2.0, 0.0)
 
+    def test_current_past_the_float_range_is_a_simulation_error(self):
+        w = world(
+            [uuv("u1", 0.0, 0.0, queue=[nav("u1", "b1")])],
+            [beacon("b1", 100.0, 0.0)],
+            current=(1e308, 0.0),
+            tick=2.0,
+        )
+        with pytest.raises(SimulationError, match="u1: the current carried it out of range"):
+            step(w)
+
     def test_final_step_clamps_to_target(self):
         w = world(
             [uuv("u1", 0.0, 0.0, queue=[nav("u1", "b1")])],
@@ -256,7 +266,7 @@ class TestCircleLocalize:
 def projected_duration(action, vehicle, w):
     """How long the monitor projects the action to take, from the table."""
     projection = Projection(
-        vehicle, w.params, {b.id: b for b in w.beacons}, 0.0,
+        vehicle, w.params, w.beacons, 0.0,
         vehicle.estimated_position, vehicle.position_uncertainty,
     )
     action_behaviour(action.name).project(projection, action)
