@@ -137,7 +137,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _, problem, tables = _load_planning_inputs(args.domain, args.problem)
     try:
         plan_doc = json.loads(read_input(args.plan, "plan file"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{args.plan}: not valid JSON: {exc}") from exc
     if not isinstance(plan_doc, dict) or not isinstance(plan_doc.get("steps"), list):
         raise InputError(f"{args.plan}: expected an object with a 'steps' list")

@@ -59,9 +59,11 @@ class ScenarioConfig:
     inactive_beacons: tuple[str, ...] = ()
 
 
-def _require(mapping: dict, key: str, context: str) -> Any:
+def _require(mapping: dict, key: str, where: str = "") -> Any:
+    """``mapping[key]``, where ``where`` names the mapping's place in the
+    file, such as ``"uuvs[0]."``."""
     if key not in mapping:
-        raise InputError(f"{context}: missing required field {key!r}")
+        raise InputError(f"missing required field {where + key!r}")
     return mapping[key]
 
 
@@ -93,7 +95,7 @@ def _resolve(base: Path, value: Any, context: str, must_exist: bool = True) -> P
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load and validate a scenario file.
+    """Load and validate a scenario file; every error names the file.
 
     Every referenced input path must exist at load time, and the seed
     must be stated explicitly so reruns are reproducible.
@@ -101,76 +103,75 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise InputError(f"scenario file does not exist: {path}")
+    return parse_input(path, "scenario", lambda text: _parse_scenario(text, path.parent))
+
+
+def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
     try:
-        raw = yaml.safe_load(read_input(path, "scenario"))
-    except yaml.YAMLError as exc:
-        raise InputError(f"{path}: not valid YAML: {exc}") from exc
+        raw = yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError) as exc:
+        raise InputError(f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
-        raise InputError(f"{path}: scenario must be a mapping")
-    base = path.parent
+        raise InputError("scenario must be a mapping")
 
-    seed = _require(raw, "seed", str(path))
+    seed = _require(raw, "seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InputError(f"{path}: seed must be an integer, got {seed!r}")
+        raise InputError(f"seed must be an integer, got {seed!r}")
 
-    out_value = _require(raw, "output_dir", str(path))
-    if not isinstance(out_value, str) or not out_value:
-        raise InputError(f"{path}: output_dir must be a path string")
-    output_dir = (base / out_value).resolve() if not Path(out_value).is_absolute() else Path(out_value)
+    output_dir = _resolve(base, _require(raw, "output_dir"), "output_dir", must_exist=False)
 
-    paths = _require(raw, "paths", str(path))
+    paths = _require(raw, "paths")
     if not isinstance(paths, dict):
-        raise InputError(f"{path}: paths must be a mapping")
-    beacons = _resolve(base, _require(paths, "beacons", "paths"), "paths.beacons")
-    domain = _resolve(base, _require(paths, "domain", "paths"), "paths.domain")
+        raise InputError("paths must be a mapping")
+    beacons = _resolve(base, _require(paths, "beacons", "paths."), "paths.beacons")
+    domain = _resolve(base, _require(paths, "domain", "paths."), "paths.domain")
 
     world_raw = raw.get("world", {})
     if not isinstance(world_raw, dict):
-        raise InputError(f"{path}: world must be a mapping")
+        raise InputError("world must be a mapping")
     defaults = WorldParams()
     known = set(defaults.__dataclass_fields__)
     unknown = set(world_raw) - known
     if unknown:
-        raise InputError(
-            f"{path}: unknown world parameter(s): {', '.join(sorted(unknown))}"
-        )
+        raise InputError(f"unknown world parameter(s): {', '.join(sorted(unknown))}")
     current = world_raw.get("current", list(defaults.current))
-    current_pt = _as_point(current, f"{path}: world.current")
+    current_pt = _as_point(current, "world.current")
     values = {}
     for name in sorted(set(world_raw) - {"current"}):
         value = world_raw[name]
         if isinstance(getattr(defaults, name), int):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"{path}: world.{name} must be an integer, got {value!r}")
+                raise InputError(f"world.{name} must be an integer, got {value!r}")
         elif not _is_finite_number(value):
-            raise InputError(f"{path}: world.{name} must be a finite number, got {value!r}")
+            raise InputError(f"world.{name} must be a finite number, got {value!r}")
         values[name] = type(getattr(defaults, name))(value)
     try:
         world = WorldParams(**values, current=(current_pt.x, current_pt.y))
     except SimulationError as exc:
-        raise InputError(f"{path}: world.{exc}") from exc
+        raise InputError(f"world.{exc}") from exc
 
-    uuvs_raw = _require(raw, "uuvs", str(path))
+    uuvs_raw = _require(raw, "uuvs")
     if not isinstance(uuvs_raw, list) or not uuvs_raw:
-        raise InputError(f"{path}: uuvs must be a non-empty list")
+        raise InputError("uuvs must be a non-empty list")
     uuvs: list[UuvSpec] = []
     seen_ids: set[str] = set()
     for i, entry in enumerate(uuvs_raw):
+        where = f"uuvs[{i}]."
         if not isinstance(entry, dict):
-            raise InputError(f"{path}: uuvs[{i}] must be a mapping")
-        uuv_id = _require(entry, "id", f"uuvs[{i}]")
+            raise InputError(f"uuvs[{i}] must be a mapping")
+        uuv_id = _require(entry, "id", where)
         if not isinstance(uuv_id, str) or not uuv_id:
-            raise InputError(f"{path}: uuvs[{i}].id must be a non-empty string")
+            raise InputError(f"uuvs[{i}].id must be a non-empty string")
         if uuv_id in seen_ids:
-            raise InputError(f"{path}: duplicate vehicle id {uuv_id!r}")
+            raise InputError(f"duplicate vehicle id {uuv_id!r}")
         seen_ids.add(uuv_id)
-        start = _as_point(_require(entry, "start", f"uuvs[{i}]"), f"uuvs[{i}].start")
-        problem = _resolve(base, _require(entry, "problem", f"uuvs[{i}]"), f"uuvs[{i}].problem")
+        start = _as_point(_require(entry, "start", where), f"uuvs[{i}].start")
+        problem = _resolve(base, _require(entry, "problem", where), f"uuvs[{i}].problem")
         uuvs.append(UuvSpec(id=uuv_id, start=start, problem=problem))
 
     inactive = raw.get("inactive_beacons", [])
     if not isinstance(inactive, list) or not all(isinstance(b, str) for b in inactive):
-        raise InputError(f"{path}: inactive_beacons must be a list of beacon ids")
+        raise InputError("inactive_beacons must be a list of beacon ids")
 
     return ScenarioConfig(
         seed=seed,
@@ -196,7 +197,7 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
     text = read_input(path, "beacon chart")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GeoJsonError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise GeoJsonError(f"{path}: expected a FeatureCollection")

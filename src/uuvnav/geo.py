@@ -201,7 +201,7 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
     header: dict[str, float] = {}
     values: list[float] = []
     lines = text.splitlines()
-    line_no = 0
+    line_no = cellsize_line = 0
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
@@ -224,8 +224,10 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
                 raise GridFormatError(f"non-finite header value {tokens[1]!r}", line_no)
             if key in ("ncols", "nrows") and not (value > 0 and value.is_integer()):
                 raise GridFormatError(f"{key} must be a positive integer, got {tokens[1]!r}", line_no)
-            if key == "cellsize" and value <= 0:
-                raise GridFormatError(f"cellsize must be > 0, got {tokens[1]!r}", line_no)
+            if key == "cellsize":
+                if value <= 0:
+                    raise GridFormatError(f"cellsize must be > 0, got {tokens[1]!r}", line_no)
+                cellsize_line = line_no
             header[key] = value
         else:
             for tok in tokens:
@@ -245,6 +247,12 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
         raise GridFormatError(f"missing header keys: {', '.join(missing)}", line_no or 1)
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
+    size = header["cellsize"]
+    far_corner = (header["xllcorner"] + n_cols * size, header["yllcorner"] + n_rows * size)
+    if not all(math.isfinite(v) for v in (size * size, *far_corner)):
+        raise GridFormatError(
+            f"cellsize {size!r} gives a non-finite cell area or grid extent", cellsize_line
+        )
     expected = n_rows * n_cols
     if len(values) != expected:
         raise GridFormatError(
@@ -286,7 +294,7 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
     FeatureCollection). Only the exterior ring is accepted; holes are an error."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GeoJsonError(f"not valid JSON: {exc}") from None
     geom = obj if isinstance(obj, dict) else {}
     if geom.get("type") == "FeatureCollection":

@@ -1,23 +1,28 @@
 """Execution monitoring and in-mission replanning.
 
 Every leg of a plan that approaches a beacon carries an expectation:
-a time window in which a detection of that beacon should appear in the
-event stream.  The action table in ``sim.world`` defines each action's
-projection beside its executor step; the monitor chains a plan's steps
-through those projections and stops at the first action whose duration
-cannot be projected.  A window that closes without a matching
-detection is a divergence: the affected vehicle marks the beacon
-unreachable, shares that fact with every fleet mate in comm range, and
-each of them replans from its current belief against its original task
-network.
+a time window in which the vehicle should hear that beacon.  The action
+table in ``sim.world`` defines each action's projection beside its
+executor step; the monitor chains a plan's steps through those
+projections and stops at the first action whose duration cannot be
+projected.  A vehicle's open windows are kept on the vehicle
+(``UUVState.expectations``), in plan order.
+
+After each tick, ``check`` reads the world and settles every open
+window: one whose beacon the vehicle heard on that tick, at or before
+the window closes, is met; one that has closed is a divergence.  For
+each divergence, ``replan_episode`` has the affected vehicle mark the
+beacon unreachable and share that fact with every fleet mate in comm
+range, and each of them replans from its current belief against its
+original task network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .errors import PlanNotFound, SimulationError
+from .errors import PlanNotFound
 from .hddl.ast import Literal, TaskNetwork
 from .hddl.ground import GroundAction, GroundTables
 from .htn.planner import plan
@@ -31,7 +36,7 @@ from .sim.world import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Expectation:
     """A detection window for one beacon-approach leg of a plan."""
 
@@ -40,17 +45,6 @@ class Expectation:
     step_index: int
     earliest: float
     latest: float
-    met: bool = False
-    fired: bool = False
-
-
-@dataclass(frozen=True)
-class DivergenceRecord:
-    time: float
-    uuv_id: str
-    beacon_id: str
-    step_index: int
-    window_close: float
 
 
 @dataclass
@@ -91,63 +85,49 @@ def derive_expectations(
     return expectations
 
 
-def note_detection(
-    expectations: Iterable[Expectation], uuv_id: str, beacon_id: str, time: float
-) -> None:
-    """Mark every open expectation satisfied by this detection."""
-    for exp in expectations:
-        if exp.uuv_id == uuv_id and exp.beacon_id == beacon_id and not exp.fired:
-            if time <= exp.latest:
-                exp.met = True
+def check(world: WorldState) -> list[Expectation]:
+    """Settle the open windows of every vehicle, in fleet order and each
+    vehicle's windows in plan order, and return the ones that diverged.
+
+    A window whose beacon the vehicle heard on this tick, at or before
+    the window's close, is met.  A window whose close has passed is a
+    divergence.  Both leave the vehicle; every other window stays open.
+    A detection before the window opens counts, and a failed vehicle's
+    windows still close.
+    """
+    now, tick_number = world.sim_time, world.ticks_run
+    diverged: list[Expectation] = []
+    for uuv in world.uuvs:
+        still_open: list[Expectation] = []
+        for exp in uuv.expectations:
+            if now > exp.latest:
+                diverged.append(exp)
+            elif not uuv.heard(exp.beacon_id, tick_number):
+                still_open.append(exp)
+        uuv.expectations = still_open
+    return diverged
 
 
-def check(expectations: Iterable[Expectation], sim_time: float) -> list[DivergenceRecord]:
-    """Return a record for every window that closed without a detection."""
-    records: list[DivergenceRecord] = []
-    for exp in expectations:
-        if exp.met or exp.fired:
-            continue
-        if sim_time > exp.latest:
-            exp.fired = True
-            records.append(
-                DivergenceRecord(
-                    time=sim_time,
-                    uuv_id=exp.uuv_id,
-                    beacon_id=exp.beacon_id,
-                    step_index=exp.step_index,
-                    window_close=exp.latest,
-                )
-            )
-    return records
-
-
-def replan_episode(
-    record: DivergenceRecord,
-    world: WorldState,
-    setups: Mapping[str, PlanningSetup],
-) -> dict[str, list[Expectation]]:
+def replan_episode(exp: Expectation, world: WorldState) -> None:
     """Handle one divergence: share the bad news and replan the fleet.
 
     The unreachable fact is merged into the belief of the divergent
     vehicle and of every active vehicle within comm range of it, and
     each of those vehicles replans from its updated belief against its
-    original task network.  Vehicles that cannot find a plan fail their
-    mission; the rest of the fleet is unaffected.
-
-    Logs its events to ``world.events`` and returns fresh expectations
-    for every vehicle whose plan changed.
+    original task network, taking the new plan's windows in place of
+    its open ones.  Vehicles that cannot find a plan fail their mission;
+    the rest of the fleet is unaffected.  Events go to ``world.events``.
     """
-    new_expectations: dict[str, list[Expectation]] = {}
-    divergent = world.uuv(record.uuv_id)
-    unreachable = ("beacon-unreachable", record.beacon_id)
+    divergent = world.uuv(exp.uuv_id)
+    unreachable = ("beacon-unreachable", exp.beacon_id)
 
     if divergent.status == "active" and not divergent.queue:
         world.emit(
             "warning",
             divergent.id,
-            {"message": f"divergence on {record.beacon_id} with no plan left to revise"},
+            {"message": f"divergence on {exp.beacon_id} with no plan left to revise"},
         )
-        return new_expectations
+        return
 
     affected: list[UUVState] = []
     for uuv in world.uuvs:
@@ -162,33 +142,28 @@ def replan_episode(
 
     for uuv in affected:
         uuv.belief.add(unreachable)
-        setup = setups.get(uuv.id)
-        if setup is None:
-            raise SimulationError(f"no planning setup for vehicle {uuv.id!r}")
+        setup = uuv.setup
         uuv.queue.clear()
+        uuv.expectations = []
         uuv.action_started = False
         uuv.circle = None
         try:
-            new_plan = plan(
-                setup.tables, frozenset(uuv.belief), setup.network, setup.goal
-            )
+            new_plan = plan(setup.tables, frozenset(uuv.belief), setup.network, setup.goal)
         except PlanNotFound as exc:
             uuv.status = "failed"
             world.emit(
                 "mission-failed",
                 uuv.id,
-                {"reason": f"no recovery plan without {record.beacon_id}: {exc}"},
+                {"reason": f"no recovery plan without {exp.beacon_id}: {exc}"},
             )
-            new_expectations[uuv.id] = []
             continue
         uuv.queue = list(new_plan.steps)
         uuv.replan_count += 1
         world.emit(
             "replan-triggered",
             uuv.id,
-            {"beacon": record.beacon_id, "plan_length": len(new_plan.steps)},
+            {"beacon": exp.beacon_id, "plan_length": len(new_plan.steps)},
         )
-        new_expectations[uuv.id] = derive_expectations(
+        uuv.expectations = derive_expectations(
             new_plan.steps, uuv, world.params, world.sim_time, world.beacons
         )
-    return new_expectations

@@ -1,16 +1,18 @@
 """Closed-loop scenario execution.
 
 Wires the pieces together: parse the domain and one problem per
-vehicle, plan each mission, build the initial world, then tick the
-simulator while the monitor watches detection windows and triggers
-replanning episodes.  The run produces an ordered event log, per-tick
-position tracks, and a summary suitable for serialization.
+vehicle, plan each mission, and build the initial world, where each
+vehicle carries its planning setup and its plan's detection windows.
+Then each tick is ``step(world)``, then ``monitor.check(world)`` settles
+the tick's windows, and each divergence it returns runs one replanning
+episode.  The run produces an ordered event log, per-tick position
+tracks, and a summary suitable for serialization.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import monitor
 from ..config import ScenarioConfig, load_beacons, parse_input
@@ -43,7 +45,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         beacons[silenced].active = False
 
     uuvs: list[UUVState] = []
-    setups: dict[str, monitor.PlanningSetup] = {}
     initial_plans: dict[str, int] = {}
     for spec in sorted(config.uuvs, key=lambda s: s.id):
         problem = parse_input(spec.problem, "problem", lambda text: parse_problem(text, domain))
@@ -54,9 +55,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
                     f" {config.beacons}"
                 )
         tables = ground(domain, problem)
-        setups[spec.id] = monitor.PlanningSetup(
-            tables=tables, network=problem.htn, goal=problem.goal
-        )
         mission_plan = plan(tables, frozenset(problem.init), problem.htn, problem.goal)
         initial_plans[spec.id] = len(mission_plan.steps)
         uuvs.append(
@@ -69,14 +67,15 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
                 speed=config.world.uuv_speed,
                 queue=list(mission_plan.steps),
                 belief=set(problem.init),
+                setup=monitor.PlanningSetup(tables, problem.htn, problem.goal),
             )
         )
 
     world = WorldState(uuvs=uuvs, beacons=beacons, params=config.world)
-    expectations: dict[str, list[monitor.Expectation]] = {
-        uuv.id: monitor.derive_expectations(uuv.queue, uuv, world.params, 0.0, beacons)
-        for uuv in world.uuvs
-    }
+    for uuv in world.uuvs:
+        uuv.expectations = monitor.derive_expectations(
+            uuv.queue, uuv, world.params, 0.0, beacons
+        )
 
     tracks: dict[str, dict[str, list[list[float]]]] = {
         uuv.id: {
@@ -90,17 +89,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     while any(u.status == "active" for u in world.uuvs):
         if world.ticks_run >= config.world.step_cap:
             break
-        for event in step(world):
-            if event.kind == "detection":
-                monitor.note_detection(
-                    expectations.get(event.subject, ()),
-                    event.subject,
-                    event.payload["beacon"],
-                    event.time,
-                )
-        all_expectations = [e for exps in expectations.values() for e in exps]
-        for record in monitor.check(all_expectations, world.sim_time):
-            expectations.update(monitor.replan_episode(record, world, setups))
+        step(world)
+        for exp in monitor.check(world):
+            monitor.replan_episode(exp, world)
         # replanning logs to the same tick's events, after step sorted them
         world.events.sort(key=Event.sort_key)
         events.extend(world.events)

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ..errors import SimulationError
 from ..geo import Point2D
 from ..hddl.ground import GroundAction
+
+if TYPE_CHECKING:  # the monitor imports this module
+    from ..monitor import Expectation, PlanningSetup
 
 
 @dataclass
@@ -94,10 +97,18 @@ class UUVState:
     # Circle fix in progress: (theta0, ticks_done, ticks_total).
     circle: Optional[tuple[float, int, int]] = None
     last_detection: dict[str, int] = field(default_factory=dict)  # beacon id -> tick
+    # The monitor's open detection windows, in plan order, and what the
+    # vehicle needs to replan.
+    expectations: list[Expectation] = field(default_factory=list)
+    setup: Optional[PlanningSetup] = None
 
     @property
     def current_action(self) -> Optional[GroundAction]:
         return self.queue[0] if self.queue else None
+
+    def heard(self, beacon_id: str, tick_number: int) -> bool:
+        """True when the vehicle heard this beacon on this tick."""
+        return self.last_detection.get(beacon_id) == tick_number
 
 
 @dataclass
@@ -274,7 +285,7 @@ def _tick_to_broadcast(uuv: UUVState, world: WorldState) -> None:
 
 
 def _tick_sense(uuv: UUVState, world: WorldState) -> None:
-    if uuv.last_detection.get(uuv.queue[0].args[1]) == world.ticks_run:
+    if uuv.heard(uuv.queue[0].args[1], world.ticks_run):
         _complete_action(uuv, world)
 
 

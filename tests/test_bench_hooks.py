@@ -44,6 +44,26 @@ def test_tracer_hooks_see_a_simulate_run(capsys, tmp_path, tracing):
     assert tracer.counts["sim.detections"] == summary["event_counts"]["detection"]
 
 
+def test_tracer_hooks_count_the_b6_divergence(capsys, tmp_path, tracing):
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_spans(tracer)
+        out_dir = tmp_path / "run"
+        code = main(
+            ["simulate", "--scenario", str(REPO / "scenarios" / "b6-silenced.yaml"),
+             "--out-dir", str(out_dir)]
+        )
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    names = [span[0] for span in tracer.spans]
+    assert names.count("monitor.check") == summary["ticks"] > 0
+    assert tracer.counts["monitor.divergences"] == 1
+    assert names.count("monitor.replan") == 1
+
+
 def test_tracer_hooks_see_plan_and_validate(capsys, tmp_path, tracing):
     inputs = [
         "--domain", str(REPO / "domains" / "uuv-nav.hddl"),

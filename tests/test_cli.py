@@ -509,3 +509,59 @@ def test_out_of_range_deploy_flag_exits_1_naming_it(capsys, tmp_path, flag, valu
     assert flag[2:].replace("-", "_") in err
     assert not (tmp_path / "x.geojson").exists()
 
+
+
+def nominal_scenario_doc():
+    """The nominal scenario with every path made absolute."""
+    import yaml
+
+    doc = yaml.safe_load((REPO / "scenarios" / "nominal.yaml").read_text())
+    doc["paths"] = {"beacons": BEACONS, "domain": DOMAIN}
+    for u in doc["uuvs"]:
+        u["problem"] = str(REPO / "scenarios" / u["problem"])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["paths"].update(beacons=5), "paths.beacons: expected a path string, got 5"),
+        (lambda d: d["paths"].pop("domain"), "missing required field 'paths.domain'"),
+        (lambda d: d["uuvs"][0].update(start=[1]), "uuvs[0].start: expected [x, y], got [1]"),
+        (lambda d: d["uuvs"][0].pop("problem"), "missing required field 'uuvs[0].problem'"),
+        (lambda d: d["uuvs"][0].update(problem="gone.hddl"), "uuvs[0].problem: path does not exist"),
+    ],
+    ids=["beacons-not-a-path", "no-domain", "short-start", "no-problem", "missing-problem"],
+)
+def test_scenario_error_names_the_scenario_once(capsys, tmp_path, mutate, message):
+    import yaml
+
+    doc = nominal_scenario_doc()
+    mutate(doc)
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
+    assert code == 1
+    assert err.startswith(f"error: {scenario}: {message}")
+    assert err.count(str(scenario)) == 1
+
+
+@pytest.mark.parametrize("command", ["route", "deploy", "validate", "simulate"])
+def test_deeply_nested_input_exits_1_naming_it(capsys, tmp_path, command):
+    bad = tmp_path / "nested.txt"
+    if command == "simulate":
+        bad.write_text("seed: " + "[" * 5000 + "]" * 5000 + "\n")
+    else:
+        bad.write_text("[" * 200000 + "]" * 200000)
+    argv = {
+        "route": ["--beacons", str(bad), "--start", "b4", "--goal", "b8"],
+        "deploy": [
+            "--bathymetry", BATHY, "--area", str(bad), "--n-beacons", "3",
+            "--out", str(tmp_path / "x.geojson"),
+        ],
+        "validate": ["--domain", DOMAIN, "--problem", PROBLEM, "--plan", str(bad)],
+        "simulate": ["--scenario", str(bad)],
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {bad}: ")

@@ -102,6 +102,9 @@ def test_parse_missing_header_key():
         ("1 2", "inf 2", 7, "non-finite grid value 'inf'"),
         ("cellsize 10", "cellsize -5", 5, "cellsize must be > 0, got '-5'"),
         ("cellsize 10", "cellsize 0", 5, "cellsize must be > 0, got '0'"),
+        ("cellsize 10", "cellsize 1e200", 5,
+         "cellsize 1e+200 gives a non-finite cell area or grid extent"),
+        ("ncols 2", "ncols 1e308", 5, "cellsize 10.0 gives a non-finite cell area or grid extent"),
         ("3 4", "3 -4", 8, "negative depth '-4' in a non-nodata cell"),
         ("1 2", "-1 2", 7, "negative depth '-1' in a non-nodata cell"),
     ],
@@ -117,6 +120,8 @@ def test_parse_missing_header_key():
         "inf-depth",
         "negative-cellsize",
         "zero-cellsize",
+        "cell-area-overflows",
+        "grid-extent-overflows",
         "negative-depth-line-8",
         "negative-depth-line-7",
     ],

@@ -163,51 +163,79 @@ class TestDeriveExpectations:
         assert exps[0].latest == 50.0
 
 
+def window(uuv_id="u1", beacon_id="b1", step_index=0, earliest=225.0, latest=785.0):
+    return monitor.Expectation(uuv_id, beacon_id, step_index, earliest, latest)
+
+
+def settle(world, tick_number, heard=()):
+    """Check the world's windows on this tick, after each (vehicle id,
+    beacon id) in ``heard`` heard its beacon on it."""
+    world.ticks_run = tick_number
+    for uuv_id, beacon_id in heard:
+        world.uuv(uuv_id).last_detection[beacon_id] = tick_number
+    return monitor.check(world)
+
+
 class TestCheckAndDetections:
-    def make_exp(self, earliest=225.0, latest=785.0):
-        return monitor.Expectation(
-            uuv_id="u1", beacon_id="b1", step_index=0, earliest=earliest, latest=latest
-        )
+    def make_world(self):
+        u1, u2 = uuv("u1", 0.0, 0.0), uuv("u2", 0.0, 0.0)
+        u1.expectations = [window()]
+        return WorldState(uuvs=[u1, u2], beacons=dict(BEACONS), params=WorldParams())
 
     def test_detection_marks_met(self):
-        exp = self.make_exp()
-        monitor.note_detection([exp], "u1", "b1", 300.0)
-        assert exp.met
+        world = self.make_world()
+        assert settle(world, 300, heard=[("u1", "b1")]) == []
+        assert world.uuv("u1").expectations == []
 
     def test_early_detection_counts(self):
-        exp = self.make_exp()
-        monitor.note_detection([exp], "u1", "b1", 100.0)
-        assert exp.met
+        world = self.make_world()
+        assert settle(world, 100, heard=[("u1", "b1")]) == []
+        assert world.uuv("u1").expectations == []
 
     def test_late_detection_does_not_count(self):
-        exp = self.make_exp()
-        monitor.note_detection([exp], "u1", "b1", 790.0)
-        assert not exp.met
+        world = self.make_world()
+        assert settle(world, 790, heard=[("u1", "b1")]) == [window()]
+        assert world.uuv("u1").expectations == []
 
     def test_other_subject_or_beacon_ignored(self):
-        exp = self.make_exp()
-        monitor.note_detection([exp], "u2", "b1", 300.0)
-        monitor.note_detection([exp], "u1", "b2", 300.0)
-        assert not exp.met
+        world = self.make_world()
+        assert settle(world, 300, heard=[("u2", "b1"), ("u1", "b2")]) == []
+        assert world.uuv("u1").expectations == [window()]
+
+    def test_detection_on_an_earlier_tick_is_ignored(self):
+        world = self.make_world()
+        world.uuv("u1").last_detection["b1"] = 299
+        assert settle(world, 300) == []
+        assert world.uuv("u1").expectations == [window()]
 
     def test_check_fires_after_window_close(self):
-        exp = self.make_exp()
-        assert monitor.check([exp], 785.0) == []
-        records = monitor.check([exp], 786.0)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.uuv_id == "u1" and rec.beacon_id == "b1"
-        assert rec.window_close == 785.0
+        world = self.make_world()
+        assert settle(world, 785) == []
+        assert world.uuv("u1").expectations == [window()]
+        assert settle(world, 786) == [window()]
+        assert world.uuv("u1").expectations == []
 
     def test_check_fires_only_once(self):
-        exp = self.make_exp()
-        assert len(monitor.check([exp], 786.0)) == 1
-        assert monitor.check([exp], 787.0) == []
+        world = self.make_world()
+        assert len(settle(world, 786)) == 1
+        assert settle(world, 787) == []
 
     def test_met_window_never_fires(self):
-        exp = self.make_exp()
-        monitor.note_detection([exp], "u1", "b1", 300.0)
-        assert monitor.check([exp], 1000.0) == []
+        world = self.make_world()
+        settle(world, 300, heard=[("u1", "b1")])
+        assert settle(world, 1000) == []
+
+    def test_failed_vehicle_window_still_fires(self):
+        world = self.make_world()
+        world.uuv("u1").status = "failed"
+        assert settle(world, 786) == [window()]
+
+    def test_windows_close_in_fleet_then_plan_order(self):
+        world = self.make_world()
+        later = window(beacon_id="b2", step_index=1, latest=700.0)
+        world.uuv("u1").expectations.append(later)
+        world.uuv("u2").expectations = [window(uuv_id="u2", latest=10.0)]
+        assert settle(world, 786) == [window(), later, window(uuv_id="u2", latest=10.0)]
 
 
 def load_setup(problem_name):
@@ -234,6 +262,9 @@ class TestReplanEpisode:
         ]
         u2 = uuv("uuv2", 4500.0, 4000.0, belief=init2, queue=[act("await-broadcast", "uuv2")])
         u3 = uuv("uuv3", 9000.0, 4000.0, belief=init3, queue=[act("await-broadcast", "uuv3")])
+        for vehicle, setup in ((u1, setup1), (u2, setup2), (u3, setup3)):
+            vehicle.setup = setup
+            vehicle.expectations = [window(vehicle.id, "b8", 3, 2000.0, 3000.0)]
         world = WorldState(
             uuvs=[u1, u2, u3],
             beacons={
@@ -243,15 +274,11 @@ class TestReplanEpisode:
             params=WorldParams(),
             ticks_run=1626,
         )
-        setups = {"uuv1": setup1, "uuv2": setup2, "uuv3": setup3}
-        record = monitor.DivergenceRecord(
-            time=1626.0, uuv_id="uuv1", beacon_id="b6", step_index=0, window_close=1625.0
-        )
-        return world, setups, record
+        return world, window("uuv1", "b6", 0, 1000.0, 1625.0)
 
     def test_in_range_vehicles_replan(self):
-        world, setups, record = self.make_world()
-        new_exps = monitor.replan_episode(record, world, setups)
+        world, exp = self.make_world()
+        monitor.replan_episode(exp, world)
         replanned = [e.subject for e in world.events if e.kind == "replan-triggered"]
         assert replanned == ["uuv1", "uuv2"]
         u1 = world.uuv("uuv1")
@@ -261,47 +288,66 @@ class TestReplanEpisode:
         assert u1.replan_count == 1
 
     def test_out_of_range_vehicle_untouched(self):
-        world, setups, record = self.make_world()
-        monitor.replan_episode(record, world, setups)
+        world, exp = self.make_world()
+        monitor.replan_episode(exp, world)
         u3 = world.uuv("uuv3")
         assert ("beacon-unreachable", "b6") not in u3.belief
         assert [a.name for a in u3.queue] == ["await-broadcast"]
         assert u3.replan_count == 0
+        assert u3.expectations == [window("uuv3", "b8", 3, 2000.0, 3000.0)]
 
     def test_new_expectations_replace_old(self):
-        world, setups, record = self.make_world()
-        new_exps = monitor.replan_episode(record, world, setups)
+        world, exp = self.make_world()
+        monitor.replan_episode(exp, world)
         # fallback plan has no beacon-approach legs, so no windows
-        assert new_exps["uuv1"] == []
-        assert new_exps["uuv2"] == []
+        assert world.uuv("uuv1").expectations == []
+        assert world.uuv("uuv2").expectations == []
 
     def test_unsolvable_replan_fails_only_that_mission(self):
-        world, setups, record = self.make_world()
+        world, exp = self.make_world()
         # strip the fact the fallback method needs nothing, but the
         # preferred method everything: removing beacon-active leaves the
         # localize task with no applicable method at all
         u1 = world.uuv("uuv1")
-        setup1, _ = load_setup("uuv1-mission.hddl")
         from uuvnav.hddl.ast import TaskNetwork
 
-        setups["uuv1"] = monitor.PlanningSetup(
-            tables=setup1.tables,
+        u1.setup = monitor.PlanningSetup(
+            tables=u1.setup.tables,
             network=TaskNetwork(identifiers=("t1",), tasks=(("localize-at", ("uuv1", "b6")),)),
             goal=None,
         )
         u1.belief.discard(("beacon-active", "b6"))
-        monitor.replan_episode(record, world, setups)
+        monitor.replan_episode(exp, world)
         assert any(e.kind == "mission-failed" and e.subject == "uuv1" for e in world.events)
         assert world.uuv("uuv1").status == "failed"
+        assert world.uuv("uuv1").expectations == []
         assert world.uuv("uuv2").status == "active"
         assert [a.name for a in world.uuv("uuv2").queue] == ["await-broadcast", "navigate-to-broadcast"]
 
     def test_empty_queue_divergence_is_warning_noop(self):
-        world, setups, record = self.make_world()
+        world, exp = self.make_world()
         u1 = world.uuv("uuv1")
         u1.queue.clear()
-        new_exps = monitor.replan_episode(record, world, setups)
+        monitor.replan_episode(exp, world)
         assert [e.kind for e in world.events] == ["warning"]
-        assert new_exps == {}
+        assert u1.expectations == [window("uuv1", "b8", 3, 2000.0, 3000.0)]
         assert u1.replan_count == 0
         assert ("beacon-unreachable", "b6") not in world.uuv("uuv2").belief
+
+    def test_windows_closing_on_one_tick_each_run_an_episode(self):
+        # uuv1 and uuv2 are in comm range and both windows close on tick
+        # 1626.  Both are collected before either episode replans, so
+        # uuv2's divergence is handled although the first episode has
+        # already replaced uuv2's windows.
+        world, _ = self.make_world()
+        world.uuv("uuv1").expectations = [window("uuv1", "b6", 0, 1000.0, 1625.0)]
+        world.uuv("uuv2").expectations = [window("uuv2", "b8", 0, 1000.0, 1625.0)]
+        for exp in monitor.check(world):
+            monitor.replan_episode(exp, world)
+        replans = [
+            (e.subject, e.payload["beacon"]) for e in world.events if e.kind == "replan-triggered"
+        ]
+        assert replans == [("uuv1", "b6"), ("uuv2", "b6"), ("uuv1", "b8"), ("uuv2", "b8")]
+        for vehicle in (world.uuv("uuv1"), world.uuv("uuv2")):
+            assert {("beacon-unreachable", "b6"), ("beacon-unreachable", "b8")} <= vehicle.belief
+            assert vehicle.replan_count == 2
