@@ -99,6 +99,16 @@ class MissionPolygon:
             a, b = verts[i], verts[(i + 1) % n]
             if a.x == b.x and a.y == b.y:
                 raise ValueError(f"consecutive duplicate vertex at index {i}")
+        # The crossing test multiplies coordinate differences, which are
+        # bounded by the extent; past the float range its signs are wrong.
+        extent = max(
+            max(v.x for v in verts) - min(v.x for v in verts),
+            max(v.y for v in verts) - min(v.y for v in verts),
+        )
+        if not math.isfinite(extent * extent):
+            raise ValueError(
+                f"coordinate extent {extent!r} m is too large: its square is not finite"
+            )
         for i in range(n):
             for j in range(i + 1, n):
                 # skip edges sharing a vertex

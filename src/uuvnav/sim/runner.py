@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Mapping, TextIO
 
 from .. import monitor
 from ..config import ScenarioConfig, load_beacons, parse_input
-from ..errors import InputError
+from ..errors import InputError, SimulationError
 from ..hddl.ground import ground
 from ..hddl.parser import parse_domain, parse_problem
 from ..htn.planner import plan
@@ -128,6 +129,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     return SimulationReport(world=world, events=events, tracks=tracks, summary=summary)
 
 
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def event_to_json_line(event: Event) -> str:
     """One event as a compact JSON line with a schema version tag."""
     record = {
@@ -137,22 +141,44 @@ def event_to_json_line(event: Event) -> str:
         "subject": event.subject,
     }
     record.update(event.payload)
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _EVENT_ENCODER.encode(record)
 
 
-def tracks_to_geojson(report: SimulationReport) -> dict:
-    """Per-vehicle true and estimated tracks as LineString features."""
-    features = []
-    for uuv_id in sorted(report.tracks):
+# One track point and one feature, laid out as json.dumps(indent=2,
+# sort_keys=True) lays them out at their depth in the collection.  %r
+# spells a float as json does.
+_POINT = "          [\n            %r,\n            %r\n          ]"
+_FEATURE = """    {
+      "geometry": {
+        "coordinates": %s,
+        "type": "LineString"
+      },
+      "properties": {
+        "id": %s,
+        "role": %s
+      },
+      "type": "Feature"
+    }"""
+
+
+def write_tracks_geojson(
+    tracks: Mapping[str, Mapping[str, list[list[float]]]], out: TextIO
+) -> None:
+    """Write per-vehicle true and estimated tracks as LineString features
+    of a FeatureCollection, one feature at a time.  The text is exactly
+    ``json.dumps(collection, indent=2, sort_keys=True) + "\\n"``.
+
+    Raises SimulationError on a non-finite coordinate, which json would
+    write as NaN or Infinity.
+    """
+    out.write('{\n  "features": [')
+    separator = "\n"
+    for uuv_id in sorted(tracks):
         for role in ("true", "estimated"):
-            features.append(
-                {
-                    "type": "Feature",
-                    "properties": {"id": uuv_id, "role": role},
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": report.tracks[uuv_id][role],
-                    },
-                }
-            )
-    return {"type": "FeatureCollection", "features": features}
+            points = ",\n".join([_POINT % (x, y) for x, y in tracks[uuv_id][role]])
+            if "n" in points:  # the repr of a number has an "n" only in nan and inf
+                raise SimulationError(f"{uuv_id}: non-finite position in its {role} track")
+            coordinates = f"[\n{points}\n        ]" if points else "[]"
+            out.write(separator + _FEATURE % (coordinates, json.dumps(uuv_id), json.dumps(role)))
+            separator = ",\n"
+    out.write(("\n  ]" if tracks else "]") + ',\n  "type": "FeatureCollection"\n}\n')

@@ -447,9 +447,12 @@ def _tick_uuv(uuv: UUVState, world: WorldState) -> None:
 
 
 def _detection_phase(world: WorldState) -> None:
-    pulsing = [
-        b for b in world.beacons.values() if b.pulses_during(world.ticks_run, world.params.tick)
-    ]
+    # Beacons of one period pulse on the same ticks, so the pulse test
+    # runs once per period, on any one active beacon of that period.
+    active = [b for b in world.beacons.values() if b.active]
+    by_period = {b.pulse_period: b for b in active}
+    fires = {p: b.pulses_during(world.ticks_run, world.params.tick) for p, b in by_period.items()}
+    pulsing = [b for b in active if fires[b.pulse_period]]
     for uuv in world.uuvs:
         if uuv.status == "failed":
             continue

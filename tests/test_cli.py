@@ -303,6 +303,27 @@ class TestDeployCommand:
         assert code == 1
         assert err.startswith(f"error: {bad}: {message}")
 
+    @pytest.mark.parametrize(
+        "corner, extent",
+        [(1e308, "inf"), (1e200, "2e+200")],
+        ids=["past-float-range", "square-overflows"],
+    )
+    def test_area_too_large_to_square_exits_1_naming_it(self, capsys, tmp_path, corner, extent):
+        # A plain square: it used to be rejected as self-intersecting, or
+        # accepted with overflowing arithmetic.
+        area = tmp_path / "area.geojson"
+        ring = [[-corner, -corner], [corner, -corner], [corner, corner], [-corner, corner]]
+        area.write_text(json.dumps({"type": "Polygon", "coordinates": [ring + ring[:1]]}))
+        out_path = tmp_path / "x.geojson"
+        code, _, err = run(
+            capsys,
+            "deploy", "--bathymetry", BATHY, "--area", str(area),
+            "--n-beacons", "3", "--out", str(out_path),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {area}: coordinate extent {extent} m is too large")
+        assert not out_path.exists()
+
     def test_area_without_water_volume_exits_1(self, capsys, tmp_path):
         grid = tmp_path / "flat.asc"
         grid.write_text(

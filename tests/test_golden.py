@@ -10,6 +10,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 from uuvnav.cli import main
 
@@ -42,6 +43,43 @@ def test_simulate_outputs_match_golden_digests(scenario, tmp_path, capsys):
         for name in GOLDEN[scenario]
     }
     assert digests == GOLDEN[scenario]
+
+
+# The same scenarios at tick 0.7, which divides no pulse period: a pulse
+# test that drifted off the per-beacon rule would move these first.
+GOLDEN_TICK_07 = {
+    "nominal": {
+        "events.jsonl": "bb3a4b03963b365036e7ee78cb618cedd0aa23a5f165b37ef1e7ed3d764bcd44",
+        "tracks.geojson": "ddd361ddfeb81b746e226c40f3c7df808d7c4bf99efec0c28eb70cdf3992d2dc",
+        "summary.json": "f223174f0eca19046dbf89924c18d7b1d2e49faabc04ea6a9d0e0536b7bb34a8",
+    },
+    "b6-silenced": {
+        "events.jsonl": "154bd1851ed0550ddb33d624216d4d7030f94e0fe616d9929e37e804cc805500",
+        "tracks.geojson": "06185dd129c3c52e4f893b586a321dc18012d3c2972b35054550a937af9e7f91",
+        "summary.json": "3081dbbf274d96f2885b24cf9a8cac8206a569d947efc862307339cb63ffb989",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_TICK_07))
+def test_simulate_outputs_at_tick_0_7_match_golden_digests(scenario, tmp_path, capsys):
+    source = SCENARIOS / f"{scenario}.yaml"
+    doc = yaml.safe_load(source.read_text())
+    doc["world"]["tick"] = 0.7
+    doc["paths"] = {key: str(SCENARIOS / path) for key, path in doc["paths"].items()}
+    for vehicle in doc["uuvs"]:
+        vehicle["problem"] = str(SCENARIOS / vehicle["problem"])
+    scenario_path = tmp_path / source.name
+    scenario_path.write_text(yaml.safe_dump(doc))
+    out_dir = tmp_path / "run"
+    code = main(["simulate", "--scenario", str(scenario_path), "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in GOLDEN_TICK_07[scenario]
+    }
+    assert digests == GOLDEN_TICK_07[scenario]
 
 
 # uuvnav deploy --bathymetry scenarios/bathymetry.asc

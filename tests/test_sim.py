@@ -155,6 +155,42 @@ class TestPulseRule:
         b = beacon("b1", 0.0, 0.0, pulse_period=10.0)
         assert all(b.pulses_during(k, tick) for k in range(1, 1000))
 
+    @pytest.mark.parametrize("tick", [1.0, 0.7, 12.5])
+    def test_pulses_tested_once_per_period_match_the_per_beacon_rule(self, tick):
+        # b4 is silenced and is the last beacon of its 7.5 s period, so a
+        # scan that let it stand for its period would silence b2 too.
+        chart = [
+            beacon("b1", 0.0, 0.0, pulse_period=10.0),
+            beacon("b2", 400.0, 0.0, pulse_period=7.5),
+            beacon("b3", 0.0, 400.0, pulse_period=3.0, acoustic_range=300.0),
+            beacon("b4", 800.0, 0.0, pulse_period=7.5, active=False),
+            beacon("b5", 0.0, 800.0, pulse_period=10.0, acoustic_range=500.0),
+            beacon("b6", 400.0, 400.0, pulse_period=3.0),
+        ]
+        fleet = [
+            uuv("u1", 100.0, 100.0, queue=[nav("u1", "b2")]),
+            uuv("u2", 0.0, 600.0),
+            uuv("u3", 700.0, 300.0, queue=[nav("u3", "b5")]),
+        ]
+        w = world(fleet, chart, tick=tick)
+        heard = set()
+        for _ in range(math.ceil(90.0 / tick)):
+            events = step(w)
+            got = [
+                (e.subject, e.payload["beacon"], e.payload["range"])
+                for e in events
+                if e.kind == "detection"
+            ]
+            expected = [
+                (u.id, b.id, u.true_position.distance_to(b.position))
+                for u in w.uuvs
+                for b in chart
+                if b.pulses_during(w.ticks_run, tick) and sense_beacon(u, b)
+            ]
+            assert got == expected
+            heard.update(b for _, b, _ in got)
+        assert heard == {"b1", "b2", "b3", "b5", "b6"}
+
 
 class TestTickSizeIndependence:
     HORIZON = 5000.0  # seconds: the nominal scenario's step_cap at tick 1.0

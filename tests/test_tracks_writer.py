@@ -1,0 +1,81 @@
+"""``tracks.geojson`` is written by a text writer, not by ``json.dumps``.
+
+The writer must give exactly the bytes ``json.dumps(indent=2,
+sort_keys=True)`` gives for the same FeatureCollection, and must refuse
+the non-finite coordinates json would spell ``NaN`` or ``Infinity``.
+"""
+
+import io
+import json
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uuvnav.errors import SimulationError
+from uuvnav.sim.runner import write_tracks_geojson
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+ROLES = ("true", "estimated")
+
+
+def reference_collection(tracks):
+    """The FeatureCollection that ``tracks.geojson`` has always held."""
+    features = []
+    for uuv_id in sorted(tracks):
+        for role in ROLES:
+            features.append(
+                {
+                    "type": "Feature",
+                    "properties": {"id": uuv_id, "role": role},
+                    "geometry": {"type": "LineString", "coordinates": tracks[uuv_id][role]},
+                }
+            )
+    return {"type": "FeatureCollection", "features": features}
+
+
+def written(tracks):
+    out = io.StringIO()
+    write_tracks_geojson(tracks, out)
+    return out.getvalue()
+
+
+# ids that json must escape: quotes, backslashes, control and non-ASCII
+ids = st.text(alphabet='u1"\\\n\t\x00/é \U0001f30a', min_size=1, max_size=6) | st.text(
+    max_size=6
+)
+coordinates = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.225e-308, 1e300, -1e300, 3.0, -42.0, 1e16, 0.1]
+) | st.floats(allow_nan=False, allow_infinity=False)
+points = st.lists(coordinates, min_size=2, max_size=2)
+track = st.lists(points, max_size=4)
+fleets = st.dictionaries(
+    ids, st.fixed_dictionaries({role: track for role in ROLES}), min_size=1, max_size=3
+)
+
+
+@PROPERTY
+@given(fleets)
+@example({'u"1\\': {"true": [], "estimated": [[-0.0, 5e-324]]}})
+@example({"uuv1": {"true": [[1e300, -1e300]], "estimated": [[2.0, -7.0], [0.1, 1e16]]}})
+def test_writer_matches_json_dumps_byte_for_byte(tracks):
+    expected = json.dumps(reference_collection(tracks), indent=2, sort_keys=True) + "\n"
+    assert written(tracks) == expected
+
+
+def test_no_tracks_is_an_empty_collection():
+    assert written({}) == json.dumps(reference_collection({}), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("role", ROLES)
+def test_non_finite_coordinate_is_refused_naming_vehicle_and_role(bad, role):
+    tracks = {
+        "uuv1": {"true": [[0.0, 1.0]], "estimated": [[0.0, 1.0]]},
+        "uuv2": {"true": [[0.0, 1.0]], "estimated": [[0.0, 1.0]]},
+    }
+    tracks["uuv2"][role] = [[0.0, 1.0], [2.0, bad]]
+    with pytest.raises(SimulationError, match=f"^uuv2: non-finite position in its {role} track"):
+        written(tracks)
