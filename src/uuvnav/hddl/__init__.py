@@ -8,7 +8,6 @@ from .ast import (
     PredicateDecl,
     ProblemAst,
     TaskDecl,
-    TaskNetwork,
 )
 from .ground import GroundAction, GroundMethod, GroundTables, ground
 from .parser import parse_domain, parse_problem
@@ -25,7 +24,6 @@ __all__ = [
     "PredicateDecl",
     "ProblemAst",
     "TaskDecl",
-    "TaskNetwork",
     "ground",
     "parse_domain",
     "parse_problem",

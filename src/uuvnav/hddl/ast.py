@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# a task reference: (task-or-action name, argument symbols)
-TaskRef = tuple[str, tuple[str, ...]]
+# a task reference: (task-or-action name, argument, ...)
+TaskRef = tuple[str, ...]
 # a ground atom: (predicate, object, ...)
 Atom = tuple[str, ...]
 
@@ -88,29 +88,11 @@ class DomainAst:
 
 
 @dataclass(frozen=True)
-class TaskNetwork:
-    """Ordered task identifiers with their task mapping (list position is
-    the total order)."""
-
-    identifiers: tuple[str, ...]
-    tasks: tuple[TaskRef, ...]
-
-    def __post_init__(self):
-        if len(self.identifiers) != len(self.tasks):
-            raise ValueError("identifier and task lists differ in length")
-        if len(set(self.identifiers)) != len(self.identifiers):
-            raise ValueError("task identifiers must be unique")
-
-    def alpha(self, identifier: str) -> TaskRef:
-        return self.tasks[self.identifiers.index(identifier)]
-
-
-@dataclass(frozen=True)
 class ProblemAst:
     name: str
     domain_name: str
     objects: tuple[tuple[str, str], ...]  # (object, type)
     init: tuple[Atom, ...]
-    htn: TaskNetwork
+    htn: tuple[TaskRef, ...]  # the initial task network, in its total order
     goal: tuple[Literal, ...] | None
     pos: tuple[int, int] = field(default=(0, 0), compare=False)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..errors import GroundingError
-from .ast import ActionAst, Atom, DomainAst, Literal, MethodAst, ProblemAst
+from .ast import Atom, DomainAst, Literal, ProblemAst
 
 DEFAULT_INSTANCE_CAP = 10**6
 
@@ -56,7 +56,6 @@ class GroundMethod:
 class GroundTables:
     actions: dict[GroundTask, GroundAction]
     methods: dict[GroundTask, tuple[GroundMethod, ...]]  # source order per task
-    abstract_names: frozenset[str]
     action_names: frozenset[str]
     instance_count: int
 
@@ -130,23 +129,21 @@ def ground(
 
     methods: dict[GroundTask, list[GroundMethod]] = {}
     for schema in domain.methods:
+        # split each task reference into (name, variables) once, not per binding
+        (head, head_vars), *refs = [(r[0], r[1:]) for r in (schema.task,) + schema.subtasks]
         for binding in _bindings(schema.parameters, by_type, cap_state, schema.name):
             if not _well_typed(domain, preds, obj_types, schema.precondition, binding):
                 continue
             args = tuple(binding[v] for v, _ in schema.parameters)
-            task = (schema.task[0],) + tuple(binding[a] for a in schema.task[1])
+            task = (head,) + tuple(binding[a] for a in head_vars)
             pos_pre, neg_pre = _split_literals(schema.precondition, binding)
-            subtasks = tuple(
-                (name,) + tuple(binding[a] for a in sargs)
-                for name, sargs in schema.subtasks
-            )
+            subtasks = tuple((name,) + tuple(binding[a] for a in sargs) for name, sargs in refs)
             gm = GroundMethod(schema.name, args, task, pos_pre, neg_pre, subtasks)
             methods.setdefault(task, []).append(gm)
 
     return GroundTables(
         actions=actions,
         methods={k: tuple(v) for k, v in methods.items()},
-        abstract_names=frozenset(t.name for t in domain.tasks),
         action_names=frozenset(a.name for a in domain.actions),
         instance_count=cap_state["count"],
     )

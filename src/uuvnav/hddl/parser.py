@@ -5,7 +5,8 @@ Accepted requirements: :typing, :hierarchy, :method-preconditions,
 recognized only to be rejected with an explanation; every error carries
 the line:column of the offending form. The keyed sections (:task,
 :action, :method, :htn) are all read by _section_map, so each rejects a
-repeated, unknown, temporal or partial-order key in the same way.
+repeated, unknown, temporal or partial-order key in the same way. Every
+top-level section but :task, :action and :method may appear only once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .ast import (
     PredicateDecl,
     ProblemAst,
     TaskDecl,
-    TaskNetwork,
     TaskRef,
 )
 from .sexpr import Node, SList, Symbol, read_all
@@ -134,7 +134,7 @@ def _parse_task_atom(node: Node) -> TaskRef:
     if not form.items:
         raise _err("empty task atom", form)
     head = _want_symbol(form.items[0], "task name")
-    return head.text, tuple(_want_symbol(a, "task argument").text for a in form.items[1:])
+    return (head.text,) + tuple(_want_symbol(a, "task argument").text for a in form.items[1:])
 
 
 def _parse_ordered_subtasks(node: Node) -> tuple[TaskRef, ...]:
@@ -174,9 +174,14 @@ def parse_domain(text: str) -> DomainAst:
     actions: list[ActionAst] = []
     methods: list[MethodAst] = []
 
+    seen: set[str] = set()
     for section_node in form.items[2:]:
         section = _want_list(section_node, "a domain section")
         key = _head(section)
+        if key in seen:
+            raise _err(f"duplicate {key} section", section)
+        if key not in (":task", ":action", ":method"):
+            seen.add(key)
         if key == ":requirements":
             reqs = []
             for r in section.items[1:]:
@@ -348,13 +353,13 @@ def _validate_domain(domain: DomainAst):
         method_names.add(m.name)
         _check_params(domain, m.parameters, owner, m.pos, type_names)
         scope = dict(m.parameters)
-        tname, targs = m.task
+        tname, *targs = m.task
         if tname not in task_names:
             raise HddlError(f"{owner} decomposes undeclared task {tname}", *m.pos)
         _check_args("task", tname, targs, len(decls[tname].parameters), scope, owner, m.pos)
         for lit in m.precondition:
             _check_literal(seen_preds, scope, lit, owner, m.pos)
-        for name, args in m.subtasks:
+        for name, *args in m.subtasks:
             if name not in decls:
                 raise HddlError(f"{owner} references unknown task {name}", *m.pos)
             _check_args("task", name, args, len(decls[name].parameters), scope, owner, m.pos)
@@ -402,12 +407,16 @@ def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
     domain_name: str | None = None
     objects: tuple[tuple[str, str], ...] = ()
     init: list[tuple[str, ...]] = []
-    htn: TaskNetwork | None = None
+    htn: tuple[TaskRef, ...] | None = None
     goal: tuple[Literal, ...] | None = None
 
+    seen: set[str] = set()
     for section_node in form.items[2:]:
         section = _want_list(section_node, "a problem section")
         key = _head(section)
+        if key in seen:
+            raise _err(f"duplicate {key} section", section)
+        seen.add(key)
         if key in (":domain", ":goal") and len(section.items) < 2:
             raise _err(f"{key} section is missing its value", section)
         if key == ":domain":
@@ -458,13 +467,12 @@ def _no_parameters(node: Node) -> None:
         raise _err("nonempty :htn parameters are not supported", node)
 
 
-def _parse_htn(section: SList) -> TaskNetwork:
+def _parse_htn(section: SList) -> tuple[TaskRef, ...]:
     readers = {":parameters": _no_parameters, ":ordered-subtasks": _parse_ordered_subtasks}
     fields = _section_map(section, ":htn", readers)
     if ":ordered-subtasks" not in fields:
         raise _err(":htn has no :ordered-subtasks", section)
-    refs = fields[":ordered-subtasks"]
-    return TaskNetwork(tuple(f"t{k + 1}" for k in range(len(refs))), refs)
+    return fields[":ordered-subtasks"]
 
 
 def _validate_problem(domain: DomainAst, problem: ProblemAst, form: SList):
@@ -492,7 +500,7 @@ def _validate_problem(domain: DomainAst, problem: ProblemAst, form: SList):
                     form,
                 )
     arities = {d.name: len(d.parameters) for d in domain.tasks + domain.actions}
-    for tname, targs in problem.htn.tasks:
+    for tname, *targs in problem.htn:
         if tname not in arities:
             raise _err(f":htn references unknown task {tname}", form)
         check_args(":htn task", tname, targs, arities[tname])

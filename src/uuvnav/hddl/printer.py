@@ -27,8 +27,7 @@ def _conjunction(lits: tuple[Literal, ...]) -> str:
 
 
 def _task_ref(ref: TaskRef) -> str:
-    name, args = ref
-    return f"({name}{''.join(' ' + a for a in args)})"
+    return "(" + " ".join(ref) + ")"
 
 
 def _network(refs: tuple[TaskRef, ...]) -> str:
@@ -75,7 +74,7 @@ def print_problem(problem: ProblemAst) -> str:
     out.append(f"  (:domain {problem.domain_name})")
     if problem.objects:
         out.append(f"  (:objects {_typed(problem.objects)})")
-    out.append(f"  (:htn :ordered-subtasks {_network(problem.htn.tasks)})")
+    out.append(f"  (:htn :ordered-subtasks {_network(problem.htn)})")
     if problem.init:
         atoms = " ".join(
             "(" + " ".join(atom) + ")" for atom in problem.init

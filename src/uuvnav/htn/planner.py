@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import PlanNotFound
-from ..hddl.ast import Atom, Literal, TaskNetwork
+from ..hddl.ast import Atom, Literal
 from ..hddl.ground import GroundAction, GroundMethod, GroundTables, GroundTask
 
 DEFAULT_DECOMPOSITION_BUDGET = 10**4
@@ -69,7 +69,7 @@ class _Choice:
 def plan(
     tables: GroundTables,
     s0: frozenset[Atom],
-    w0: TaskNetwork,
+    w0: Sequence[GroundTask],
     goal: Sequence[Literal] | None = None,
     max_decompositions: int = DEFAULT_DECOMPOSITION_BUDGET,
 ) -> Plan:
@@ -79,7 +79,7 @@ def plan(
     decomposition budget runs out.
     """
     state: State = frozenset(s0)
-    agenda: list[GroundTask] = [(name,) + tuple(args) for name, args in w0.tasks]
+    agenda: list[GroundTask] = list(w0)
     trace: list[tuple[str, object]] = []
     stack: list[_Choice] = []
     nodes_expanded = 0
@@ -130,19 +130,15 @@ def plan(
                 )
             failed = True
         if not failed:
-            front = agenda[0]
-            if front[0] not in tables.abstract_names:
-                failed = True  # task name unknown to the domain
-            else:
-                choice = _Choice(
-                    methods=tables.methods.get(front, ()),
-                    next_index=0,
-                    state=state,
-                    agenda=list(agenda),
-                    trace_len=len(trace),
-                )
-                stack.append(choice)
-                failed = not try_next(choice)
+            choice = _Choice(
+                methods=tables.methods.get(agenda[0], ()),
+                next_index=0,
+                state=state,
+                agenda=list(agenda),
+                trace_len=len(trace),
+            )
+            stack.append(choice)
+            failed = not try_next(choice)
         if failed:
             while stack:
                 if try_next(stack[-1]):

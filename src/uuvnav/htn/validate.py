@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..hddl.ast import Atom, Literal, TaskNetwork
+from ..hddl.ast import Atom, Literal
 from ..hddl.ground import GroundTables, GroundTask
 from .planner import DEFAULT_DECOMPOSITION_BUDGET, goal_satisfied
 
@@ -26,7 +26,7 @@ class Verdict:
 def validate(
     tables: GroundTables,
     s0: frozenset[Atom],
-    w0: TaskNetwork,
+    w0: Sequence[GroundTask],
     steps: Sequence[GroundTask],
     goal: Sequence[Literal] | None = None,
     max_decompositions: int = DEFAULT_DECOMPOSITION_BUDGET,
@@ -59,7 +59,7 @@ def validate(
 def _derive(
     tables: GroundTables,
     s0: frozenset[Atom],
-    w0: TaskNetwork,
+    w0: Sequence[GroundTask],
     steps: list[GroundTask],
     max_decompositions: int,
 ) -> tuple[bool, int]:
@@ -67,7 +67,7 @@ def _derive(
 
     Returns (derived fully, longest matched prefix)."""
     state = frozenset(s0)
-    agenda: list[GroundTask] = [(name,) + tuple(args) for name, args in w0.tasks]
+    agenda: list[GroundTask] = list(w0)
     # choice frames: [methods, next_index, state, agenda, matched_count]
     stack: list[list] = []
     matched = 0
@@ -112,16 +112,10 @@ def _derive(
                 return True, matched
             failed = True  # derivation ended before consuming every step
         if not failed:
-            front = agenda[0]
-            if front[0] not in tables.abstract_names:
-                failed = True
-            else:
-                decompositions += 1
-                if decompositions > max_decompositions:
-                    return False, best
-                stack.append(
-                    [tables.methods.get(front, ()), 0, state, list(agenda), matched]
-                )
-                failed = not backtrack()  # advances the fresh frame first
+            decompositions += 1
+            if decompositions > max_decompositions:
+                return False, best
+            stack.append([tables.methods.get(agenda[0], ()), 0, state, list(agenda), matched])
+            failed = not backtrack()  # advances the fresh frame first
         if failed and not backtrack():
             return False, best

@@ -20,20 +20,13 @@ original task network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import PlanNotFound
-from .hddl.ast import Literal, TaskNetwork
-from .hddl.ground import GroundAction, GroundTables
+from .hddl.ast import Literal
+from .hddl.ground import GroundAction, GroundTables, GroundTask
 from .htn.planner import plan
-from .sim.world import (
-    BeaconState,
-    Projection,
-    UUVState,
-    WorldParams,
-    WorldState,
-    action_behaviour,
-)
+from .sim.world import Projection, UUVState, WorldState, action_behaviour
 
 
 @dataclass(frozen=True)
@@ -53,18 +46,15 @@ class PlanningSetup:
     task network, and the optional goal formula."""
 
     tables: GroundTables
-    network: TaskNetwork
+    network: tuple[GroundTask, ...]
     goal: Optional[Sequence[Literal]] = None
 
 
 def derive_expectations(
-    steps: Sequence[GroundAction],
-    uuv: UUVState,
-    params: WorldParams,
-    start_time: float,
-    beacons: Mapping[str, BeaconState],
+    steps: Sequence[GroundAction], uuv: UUVState, world: WorldState
 ) -> list[Expectation]:
-    """Project detection windows for every beacon-approach leg.
+    """Project detection windows for every beacon-approach leg, starting
+    from the vehicle's estimate and uncertainty at the world's current time.
 
     Position, uncertainty, and elapsed time are chained through the
     plan: each step starts where the previous one nominally ends.  Steps
@@ -72,7 +62,7 @@ def derive_expectations(
     """
     expectations: list[Expectation] = []
     projection = Projection(
-        uuv, params, beacons, start_time, uuv.estimated_position, uuv.position_uncertainty
+        uuv, world, world.sim_time, uuv.estimated_position, uuv.position_uncertainty
     )
     for index, action in enumerate(steps):
         project = action_behaviour(action.name).project
@@ -164,6 +154,4 @@ def replan_episode(exp: Expectation, world: WorldState) -> None:
             uuv.id,
             {"beacon": exp.beacon_id, "plan_length": len(new_plan.steps)},
         )
-        uuv.expectations = derive_expectations(
-            new_plan.steps, uuv, world.params, world.sim_time, world.beacons
-        )
+        uuv.expectations = derive_expectations(new_plan.steps, uuv, world)

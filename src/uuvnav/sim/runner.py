@@ -74,9 +74,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
 
     world = WorldState(uuvs=uuvs, beacons=beacons, params=config.world)
     for uuv in world.uuvs:
-        uuv.expectations = monitor.derive_expectations(
-            uuv.queue, uuv, world.params, 0.0, beacons
-        )
+        uuv.expectations = monitor.derive_expectations(uuv.queue, uuv, world)
 
     tracks: dict[str, dict[str, list[list[float]]]] = {
         uuv.id: {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import SimulationError
 from ..geo import Point2D
@@ -52,14 +52,21 @@ class WorldParams:
     current: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
-            raise SimulationError("tick must be positive")
-        if self.uuv_speed < 0:
-            raise SimulationError("uuv_speed must be non-negative")
-        if self.pulse_period <= 0:
-            raise SimulationError("pulse_period must be positive")
-        if self.standoff_radius <= 0:
-            raise SimulationError("standoff_radius must be positive")
+        for name in ("tick", "step_cap", "pulse_period", "standoff_radius"):
+            if getattr(self, name) <= 0:
+                raise SimulationError(f"{name} must be positive")
+        for name in (
+            "uuv_speed",
+            "acoustic_range",
+            "comm_range",
+            "drift_rate",
+            "arrival_tolerance",
+            "localization_floor",
+            "initial_uncertainty",
+            "margin_base",
+        ):
+            if getattr(self, name) < 0:
+                raise SimulationError(f"{name} must be non-negative")
 
 
 @dataclass
@@ -124,14 +131,6 @@ class Event:
         return (self.time, self.subject)
 
 
-def beacon_by_id(beacons: Mapping[str, BeaconState], beacon_id: str) -> BeaconState:
-    """The beacon with this id in an id-keyed table."""
-    try:
-        return beacons[beacon_id]
-    except KeyError:
-        raise SimulationError(f"no position known for beacon {beacon_id!r}") from None
-
-
 @dataclass
 class WorldState:
     """The fleet, the beacon table (keyed by id, in chart order), and the
@@ -158,7 +157,10 @@ class WorldState:
         raise SimulationError(f"unknown vehicle id {uuv_id!r}")
 
     def beacon(self, beacon_id: str) -> BeaconState:
-        return beacon_by_id(self.beacons, beacon_id)
+        try:
+            return self.beacons[beacon_id]
+        except KeyError:
+            raise SimulationError(f"no position known for beacon {beacon_id!r}") from None
 
 
 def sense_beacon(uuv: UUVState, beacon: BeaconState) -> bool:
@@ -347,14 +349,10 @@ class Projection:
     """
 
     uuv: UUVState
-    params: WorldParams
-    beacons: Mapping[str, BeaconState]
+    world: WorldState
     time: float
     position: Point2D
     uncertainty: float
-
-    def beacon(self, beacon_id: str) -> BeaconState:
-        return beacon_by_id(self.beacons, beacon_id)
 
     def _move(self, beacon: BeaconState) -> tuple[float, float]:
         """Advance to the beacon at cruise speed; return the leg's distance
@@ -367,24 +365,24 @@ class Projection:
         nominal = distance / self.uuv.speed if distance > 0 else 0.0
         self.time += nominal
         self.position = beacon.position
-        self.uncertainty += self.params.drift_rate * distance
+        self.uncertainty += self.world.params.drift_rate * distance
         return distance, nominal
 
     def transit(self, action: GroundAction) -> Optional[tuple[float, float]]:
-        self._move(self.beacon(action.args[1]))
+        self._move(self.world.beacon(action.args[1]))
         return None
 
     def approach(self, action: GroundAction) -> Optional[tuple[float, float]]:
         """A leg that expects to hear its beacon within the nominal leg time,
         widened by a margin that grows with dead-reckoning uncertainty, plus
         one of the beacon's own pulse periods of slack at the tail."""
-        beacon = self.beacon(action.args[1])
+        beacon = self.world.beacon(action.args[1])
         start, uncertainty = self.time, self.uncertainty
         distance, nominal = self._move(beacon)
         if distance == 0:
             # Already on top of the beacon: a pulse is due within one period.
             return start, start + beacon.pulse_period
-        margin = self.params.margin_base * (1.0 + uncertainty / distance)
+        margin = self.world.params.margin_base * (1.0 + uncertainty / distance)
         return (
             start + nominal * (1.0 - margin),
             start + nominal * (1.0 + margin) + beacon.pulse_period,
@@ -392,16 +390,17 @@ class Projection:
 
     def sense(self, action: GroundAction) -> Optional[tuple[float, float]]:
         # The beacon's next pulse is at most one of its periods away.
-        self.time += self.beacon(action.args[1]).pulse_period
+        self.time += self.world.beacon(action.args[1]).pulse_period
         return None
 
     def circle(self, action: GroundAction) -> Optional[tuple[float, float]]:
-        self.time += _circle_ticks(self.uuv, self.params) * self.params.tick
-        self.uncertainty = self.params.localization_floor
+        params = self.world.params
+        self.time += _circle_ticks(self.uuv, params) * params.tick
+        self.uncertainty = params.localization_floor
         return None
 
     def instant(self, action: GroundAction) -> Optional[tuple[float, float]]:
-        self.time += self.params.tick
+        self.time += self.world.params.tick
         return None
 
 

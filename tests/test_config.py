@@ -115,6 +115,15 @@ class TestLoadScenario:
             ("pulse_period", 0, "world.pulse_period must be positive"),
             ("standoff_radius", 0, "world.standoff_radius must be positive"),
             ("uuv_speed", -1, "world.uuv_speed must be non-negative"),
+            ("step_cap", 0, "world.step_cap must be positive"),
+            ("step_cap", -3, "world.step_cap must be positive"),
+            ("acoustic_range", -1, "world.acoustic_range must be non-negative"),
+            ("comm_range", -1, "world.comm_range must be non-negative"),
+            ("drift_rate", -0.01, "world.drift_rate must be non-negative"),
+            ("arrival_tolerance", -1, "world.arrival_tolerance must be non-negative"),
+            ("localization_floor", -5, "world.localization_floor must be non-negative"),
+            ("initial_uncertainty", -100, "world.initial_uncertainty must be non-negative"),
+            ("margin_base", -0.5, "world.margin_base must be non-negative"),
         ],
     )
     def test_world_value_out_of_range_names_file_and_field(self, tmp_path, key, value, message):

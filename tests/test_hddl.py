@@ -163,6 +163,27 @@ def test_method_keys_read_like_every_section(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "(define (domain d) (:requirements :typing) (:requirements :hierarchy))",
+            "1:44: duplicate :requirements section",
+        ),
+        ("(define (domain d) (:types a) (:types b))", "1:31: duplicate :types section"),
+        (
+            "(define (domain d) (:predicates (p)) (:predicates (q)))",
+            "1:38: duplicate :predicates section",
+        ),
+    ],
+    ids=["requirements", "types", "predicates"],
+)
+def test_domain_section_may_appear_once(text, message):
+    with pytest.raises(HddlError) as exc:
+        parse_domain(text)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Problem parsing
 # ---------------------------------------------------------------------------
@@ -171,8 +192,7 @@ def test_parse_problem_basic():
     d = parse_domain(DOMAIN)
     p = parse_problem(PROBLEM, d)
     assert p.init == (("at", "r1", "s1"),)
-    assert p.htn.identifiers == ("t1",)
-    assert p.htn.alpha("t1") == ("survey", ("r1", "s2"))
+    assert p.htn == (("survey", "r1", "s2"),)
     assert p.goal is None
 
 
@@ -182,7 +202,7 @@ def test_parse_problem_empty_init_single_subtask():
     text = text.replace("(survey r1 s2)", "(goto r1 s2)")
     p = parse_problem(text, d)
     assert p.init == ()
-    assert len(p.htn.tasks) == 1
+    assert p.htn == (("goto", "r1", "s2"),)
 
 
 def test_parse_problem_undeclared_object_type():
@@ -252,6 +272,23 @@ def test_problem_sections_checked_like_domain_sections(htn, goal, message):
     with pytest.raises(HddlError) as exc:
         parse_problem(small_problem(htn, goal), parse_domain(SMALL_DOMAIN))
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("(:domain d)", "1:83: duplicate :domain section"),
+        ("(:objects o)", "1:83: duplicate :objects section"),
+        ("(:htn :ordered-subtasks (t))", "1:83: duplicate :htn section"),
+        ("(:init)", "1:83: duplicate :init section"),
+        ("(:goal (p o)) (:goal (p o))", "1:97: duplicate :goal section"),
+    ],
+    ids=["domain", "objects", "htn", "init", "goal"],
+)
+def test_problem_section_may_appear_once(extra, message):
+    with pytest.raises(HddlError) as exc:
+        parse_problem(small_problem(":ordered-subtasks (t)", extra), parse_domain(SMALL_DOMAIN))
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

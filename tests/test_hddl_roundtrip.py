@@ -16,7 +16,6 @@ from uuvnav.hddl import (
     PredicateDecl,
     ProblemAst,
     TaskDecl,
-    TaskNetwork,
     parse_domain,
     parse_problem,
     print_domain,
@@ -51,7 +50,7 @@ def _refs(draw, decls, args_pool, min_size, max_size):
     out = []
     for _ in range(draw(st.integers(min_size, max_size))):
         decl = draw(st.sampled_from(usable))
-        out.append((decl.name, tuple(draw(st.sampled_from(args_pool)) for _ in decl.parameters)))
+        out.append((decl.name,) + tuple(draw(st.sampled_from(args_pool)) for _ in decl.parameters))
     return tuple(out)
 
 
@@ -131,7 +130,7 @@ def problems(draw):
         domain_name=domain.name,
         objects=objects,
         init=tuple(init),
-        htn=TaskNetwork(tuple(f"t{k + 1}" for k in range(len(refs))), refs),
+        htn=refs,
         goal=goal,
     )
     return domain, problem

@@ -214,7 +214,7 @@ def brute_force_solvable(tables, s0, w0, goal, budget=10**4):
                 found = True
         return found
 
-    return explore(frozenset(s0), [(n,) + tuple(a) for n, a in w0.tasks])
+    return explore(frozenset(s0), list(w0))
 
 
 @pytest.mark.parametrize(

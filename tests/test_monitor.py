@@ -45,10 +45,9 @@ BEACONS = {
 }
 
 
-def derive(steps, vehicle, params=None, start=0.0, beacons=None):
-    return monitor.derive_expectations(
-        steps, vehicle, params or WorldParams(), start, beacons or BEACONS
-    )
+def derive(steps, vehicle, params=None, ticks_run=0, beacons=None):
+    world = WorldState([vehicle], beacons or BEACONS, params or WorldParams(), ticks_run=ticks_run)
+    return monitor.derive_expectations(steps, vehicle, world)
 
 
 class TestDeriveExpectations:
@@ -158,7 +157,7 @@ class TestDeriveExpectations:
 
     def test_zero_distance_leg_expects_a_pulse_soon(self):
         vehicle = uuv("u1", 1000.0, 0.0)
-        exps = derive([act("navigate-to-beacon", "u1", "b1")], vehicle, start=40.0)
+        exps = derive([act("navigate-to-beacon", "u1", "b1")], vehicle, ticks_run=40)
         assert exps[0].earliest == 40.0
         assert exps[0].latest == 50.0
 
@@ -309,12 +308,8 @@ class TestReplanEpisode:
         # preferred method everything: removing beacon-active leaves the
         # localize task with no applicable method at all
         u1 = world.uuv("uuv1")
-        from uuvnav.hddl.ast import TaskNetwork
-
         u1.setup = monitor.PlanningSetup(
-            tables=u1.setup.tables,
-            network=TaskNetwork(identifiers=("t1",), tasks=(("localize-at", ("uuv1", "b6")),)),
-            goal=None,
+            tables=u1.setup.tables, network=(("localize-at", "uuv1", "b6"),), goal=None
         )
         u1.belief.discard(("beacon-active", "b6"))
         monitor.replan_episode(exp, world)

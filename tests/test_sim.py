@@ -94,6 +94,28 @@ class TestParams:
         with pytest.raises(SimulationError):
             WorldParams(uuv_speed=-1.0)
 
+    @pytest.mark.parametrize("step_cap", [0, -3])
+    def test_step_cap_must_be_positive(self, step_cap):
+        with pytest.raises(SimulationError, match="^step_cap must be positive$"):
+            WorldParams(step_cap=step_cap)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "acoustic_range",
+            "comm_range",
+            "drift_rate",
+            "arrival_tolerance",
+            "localization_floor",
+            "initial_uncertainty",
+            "margin_base",
+        ],
+    )
+    def test_ranges_and_rates_must_be_non_negative(self, name):
+        with pytest.raises(SimulationError, match=f"^{name} must be non-negative$"):
+            WorldParams(**{name: -1.0})
+        WorldParams(**{name: 0.0})
+
 
 class TestSenseBeacon:
     """Which beacons pulse is decided once per tick (``pulses_during``);
@@ -302,8 +324,7 @@ class TestCircleLocalize:
 def projected_duration(action, vehicle, w):
     """How long the monitor projects the action to take, from the table."""
     projection = Projection(
-        vehicle, w.params, w.beacons, 0.0,
-        vehicle.estimated_position, vehicle.position_uncertainty,
+        vehicle, w, 0.0, vehicle.estimated_position, vehicle.position_uncertainty
     )
     action_behaviour(action.name).project(projection, action)
     return projection.time
