@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import load_beacons, load_scenario, parse_input, read_input
+from .config import load_beacons, load_scenario, parse_input
 from .deploy import (
     BeaconGraph,
     DeploymentProblem,
@@ -133,22 +133,29 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    _, problem, tables = _load_planning_inputs(args.domain, args.problem)
+def _parse_plan_steps(text: str) -> list[tuple[str, ...]]:
+    """The (name, arg, ...) steps of a plan file as 'plan --format json'
+    writes it."""
     try:
-        plan_doc = json.loads(read_input(args.plan, "plan file"))
+        plan_doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{args.plan}: not valid JSON: {exc}") from exc
+        raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(plan_doc, dict) or not isinstance(plan_doc.get("steps"), list):
-        raise InputError(f"{args.plan}: expected an object with a 'steps' list")
+        raise InputError("expected an object with a 'steps' list")
     steps = []
     for i, entry in enumerate(plan_doc["steps"]):
         if not isinstance(entry, dict) or "name" not in entry:
-            raise InputError(f"{args.plan}: steps[{i}] is missing a 'name'")
+            raise InputError(f"steps[{i}] is missing a 'name'")
         step_args = entry.get("args", [])
         if not isinstance(step_args, list) or not all(isinstance(a, str) for a in step_args):
-            raise InputError(f"{args.plan}: steps[{i}] 'args' must be a list of strings")
+            raise InputError(f"steps[{i}] 'args' must be a list of strings")
         steps.append((str(entry["name"]),) + tuple(step_args))
+    return steps
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    _, problem, tables = _load_planning_inputs(args.domain, args.problem)
+    steps = parse_input(args.plan, "plan file", _parse_plan_steps)
     verdict = validate(tables, frozenset(problem.init), problem.htn, steps, problem.goal)
     print(json.dumps(dataclasses.asdict(verdict), sort_keys=True))
     return 0

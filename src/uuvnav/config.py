@@ -32,13 +32,15 @@ def read_input(path: str | Path, what: str) -> str:
 
 
 def parse_input(path: str | Path, what: str, parse):
-    """Read an input file and parse its text, naming the file in any
-    input error."""
+    """Read an input file and parse its text.  An input error from the
+    parse is re-raised as itself, so it keeps its class and its line or
+    column, with the file's name put before its message."""
     text = read_input(path, what)
     try:
         return parse(text)
     except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -193,58 +195,58 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
     writes is skipped, so a constellation can be read as a chart.
     """
     params = params or WorldParams()
-    path = Path(path)
-    text = read_input(path, "beacon chart")
+    return parse_input(Path(path), "beacon chart", lambda text: _parse_beacons(text, params))
+
+
+def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise GeoJsonError(f"{path}: {exc}") from exc
+        raise GeoJsonError(str(exc)) from exc
     if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
-        raise GeoJsonError(f"{path}: expected a FeatureCollection")
+        raise GeoJsonError("expected a FeatureCollection")
     beacons: list[BeaconState] = []
     seen: set[str] = set()
     features = data.get("features", [])
     if not isinstance(features, list):
-        raise GeoJsonError(f"{path}: 'features' must be a list")
+        raise GeoJsonError("'features' must be a list")
     for i, feature in enumerate(features):
         if not isinstance(feature, dict):
-            raise GeoJsonError(f"{path}: feature {i} is not a JSON object")
+            raise GeoJsonError(f"feature {i} is not a JSON object")
         props = feature.get("properties") or {}
         if not isinstance(props, dict):
-            raise GeoJsonError(f"{path}: feature {i} 'properties' is not a JSON object")
+            raise GeoJsonError(f"feature {i} 'properties' is not a JSON object")
         if props.get("role") == "beacon-links":
             continue  # the link lines that deploy appends to its constellation
         geom = feature.get("geometry")
         if not isinstance(geom, dict) or geom.get("type") != "Point":
-            raise GeoJsonError(f"{path}: feature {i} is not a Point")
+            raise GeoJsonError(f"feature {i} is not a Point")
         coords = geom.get("coordinates")
         if (
             not isinstance(coords, list)
             or len(coords) < 2
             or not all(_is_finite_number(c) for c in coords[:2])
         ):
-            raise GeoJsonError(f"{path}: feature {i} has malformed coordinates")
+            raise GeoJsonError(f"feature {i} has malformed coordinates")
         beacon_id = props.get("id")
         if not isinstance(beacon_id, str) or not beacon_id:
-            raise GeoJsonError(f"{path}: feature {i} is missing an 'id' property")
+            raise GeoJsonError(f"feature {i} is missing an 'id' property")
         if beacon_id in seen:
-            raise GeoJsonError(f"{path}: duplicate beacon id {beacon_id!r}")
+            raise GeoJsonError(f"duplicate beacon id {beacon_id!r}")
         seen.add(beacon_id)
         active = props.get("active", True)
         if not isinstance(active, bool):
-            raise GeoJsonError(f"{path}: feature {i} 'active' must be true or false")
+            raise GeoJsonError(f"feature {i} 'active' must be true or false")
         overrides = {}
         for key in ("acoustic_range", "pulse_period"):
             value = props.get(key, getattr(params, key))
             if not _is_finite_number(value):
-                raise GeoJsonError(
-                    f"{path}: feature {i} {key!r} must be a finite number, got {value!r}"
-                )
+                raise GeoJsonError(f"feature {i} {key!r} must be a finite number, got {value!r}")
             overrides[key] = float(value)
         if overrides["pulse_period"] <= 0:
-            raise GeoJsonError(f"{path}: feature {i} 'pulse_period' must be positive")
+            raise GeoJsonError(f"feature {i} 'pulse_period' must be positive")
         if overrides["acoustic_range"] < 0:
-            raise GeoJsonError(f"{path}: feature {i} 'acoustic_range' must be non-negative")
+            raise GeoJsonError(f"feature {i} 'acoustic_range' must be non-negative")
         beacons.append(
             BeaconState(
                 id=beacon_id,
@@ -254,5 +256,5 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
             )
         )
     if not beacons:
-        raise GeoJsonError(f"{path}: no beacon features found")
+        raise GeoJsonError("no beacon features found")
     return beacons

@@ -1,12 +1,8 @@
-"""Typed AST for the totally ordered HDDL subset.
-
-Source positions ride along on every named node but are excluded from
-equality so printed-and-reparsed trees compare structurally identical.
-"""
+"""Typed AST for the totally ordered HDDL subset."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # a task reference: (task-or-action name, argument, ...)
 TaskRef = tuple[str, ...]
@@ -25,7 +21,6 @@ class Literal:
 class PredicateDecl:
     name: str
     param_types: tuple[str, ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,6 @@ class TaskDecl:
 
     name: str
     parameters: tuple[tuple[str, str], ...]  # (?var, type)
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,6 @@ class ActionAst:
     parameters: tuple[tuple[str, str], ...]
     precondition: tuple[Literal, ...]  # conjunction
     effect: tuple[Literal, ...]  # negated literals are deletes
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,6 @@ class MethodAst:
     task: TaskRef  # the abstract task this method decomposes
     precondition: tuple[Literal, ...]
     subtasks: tuple[TaskRef, ...]  # totally ordered
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,6 @@ class DomainAst:
     tasks: tuple[TaskDecl, ...]
     actions: tuple[ActionAst, ...]
     methods: tuple[MethodAst, ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def type_names(self) -> set[str]:
         names = {"object"}
@@ -95,4 +86,3 @@ class ProblemAst:
     init: tuple[Atom, ...]
     htn: tuple[TaskRef, ...]  # the initial task network, in its total order
     goal: tuple[Literal, ...] | None
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)

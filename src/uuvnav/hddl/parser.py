@@ -2,16 +2,23 @@
 
 Accepted requirements: :typing, :hierarchy, :method-preconditions,
 :negative-preconditions. Partial-order and temporal constructs are
-recognized only to be rejected with an explanation; every error carries
-the line:column of the offending form. The keyed sections (:task,
-:action, :method, :htn) are all read by _section_map, so each rejects a
-repeated, unknown, temporal or partial-order key in the same way. Every
-top-level section but :task, :action and :method may appear only once.
+recognized only to be rejected with an explanation.
+
+Each file is read in one pass. _sections groups the (define ...) body
+by keyword, in source order, and rejects an unknown, temporal or
+repeated once-only section there. The groups are then read in
+dependency order: a domain's :requirements, :types, :predicates, :task,
+:action and :method; a problem's :domain, :objects, :htn, :init and
+:goal. Each form is checked against the declarations read before it,
+so every error carries the line:column of the form that is at fault.
+The keyed sections (:task, :action, :method, :htn) are all split by
+_fields, so each rejects a repeated, unknown, temporal or partial-order
+key in the same way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from ..errors import HddlError
 from .ast import (
@@ -36,9 +43,8 @@ _TEMPORAL = {":duration", ":durative-action", ":durative-actions", ":duration-co
 _QUANTIFIERS = {"forall", "exists", "when"}
 _PARTIAL_ORDER = {":subtasks", ":tasks", ":ordering", ":order"}
 
-
-def _pos(node: Node) -> tuple[int, int]:
-    return (node.line, node.col)
+# check(atom form, name, args) raises at the form if the use is wrong
+Check = Callable[[SList, str, tuple[str, ...]], None]
 
 
 def _err(msg: str, node: Node) -> HddlError:
@@ -63,10 +69,17 @@ def _head(form: SList) -> str:
     return form.items[0].text
 
 
-def _parse_typed_items(nodes: tuple, what: str) -> tuple[tuple[str, str], ...]:
-    """Parse 'a b - t c - u' groups into ((a, t), (b, t), (c, u), ...);
-    untyped items default to object."""
-    out: list[tuple[str, str]] = []
+def _parse_typed_items(
+    nodes: tuple,
+    what: str,
+    types: set[str] | None = None,
+    undeclared: Callable[[str, str], str] | None = None,
+) -> list[tuple[Symbol, str]]:
+    """Parse 'a b - t c - u' groups into [(a, t), (b, t), (c, u), ...],
+    each item as its symbol; untyped items default to object. A type not
+    in types is an error at the type's name, worded by
+    undeclared(first item, type)."""
+    out: list[tuple[Symbol, str]] = []
     pending: list[Symbol] = []
     i = 0
     while i < len(nodes):
@@ -77,14 +90,16 @@ def _parse_typed_items(nodes: tuple, what: str) -> tuple[tuple[str, str], ...]:
             if i + 1 >= len(nodes):
                 raise _err("missing type name after '-'", sym)
             type_sym = _want_symbol(nodes[i + 1], "type name")
-            out.extend((p.text, type_sym.text) for p in pending)
+            if types is not None and type_sym.text not in types:
+                raise _err(undeclared(pending[0].text, type_sym.text), type_sym)
+            out.extend((p, type_sym.text) for p in pending)
             pending = []
             i += 2
         else:
             pending.append(sym)
             i += 1
-    out.extend((p.text, "object") for p in pending)
-    return tuple(out)
+    out.extend((p, "object") for p in pending)
+    return out
 
 
 def _check_temporal(sym: Symbol):
@@ -96,7 +111,7 @@ def _check_temporal(sym: Symbol):
         )
 
 
-def _parse_literal(node: Node, allow_negation: bool) -> Literal:
+def _parse_literal(node: Node, allow_negation: bool, check: Check) -> Literal:
     form = _want_list(node, "an atom")
     if not form.items:
         raise _err("empty atom", form)
@@ -108,14 +123,18 @@ def _parse_literal(node: Node, allow_negation: bool) -> Literal:
             raise _err("negation is not allowed here", head)
         if len(form.items) != 2:
             raise _err("'not' takes exactly one atom", form)
-        inner = _parse_literal(form.items[1], allow_negation=False)
+        inner = _parse_literal(form.items[1], False, check)
         return Literal(inner.predicate, inner.args, negated=True)
     args = tuple(_want_symbol(a, "atom argument").text for a in form.items[1:])
+    check(form, head.text, args)
     return Literal(head.text, args)
 
 
-def _conjuncts(node: Node, what: str) -> tuple[Node, ...]:
-    """The items of a formula that is (), a single item, or (and item ...)."""
+def _conjuncts(node: Node | None, what: str) -> tuple[Node, ...]:
+    """The items of a formula that is absent, (), a single item, or
+    (and item ...)."""
+    if node is None:
+        return ()
     form = _want_list(node, what)
     if not form.items:
         return ()
@@ -125,24 +144,22 @@ def _conjuncts(node: Node, what: str) -> tuple[Node, ...]:
     return (form,)
 
 
-def _parse_conjunction(node: Node, what: str) -> tuple[Literal, ...]:
-    return tuple(_parse_literal(n, allow_negation=True) for n in _conjuncts(node, what))
+def _parse_conjunction(node: Node | None, what: str, check: Check) -> tuple[Literal, ...]:
+    return tuple(_parse_literal(n, True, check) for n in _conjuncts(node, what))
 
 
-def _parse_task_atom(node: Node) -> TaskRef:
+def _parse_task_atom(node: Node, check: Check) -> TaskRef:
     form = _want_list(node, "a task atom")
     if not form.items:
         raise _err("empty task atom", form)
     head = _want_symbol(form.items[0], "task name")
-    return (head.text,) + tuple(_want_symbol(a, "task argument").text for a in form.items[1:])
+    args = tuple(_want_symbol(a, "task argument").text for a in form.items[1:])
+    check(form, head.text, args)
+    return (head.text,) + args
 
 
-def _parse_ordered_subtasks(node: Node) -> tuple[TaskRef, ...]:
-    return tuple(_parse_task_atom(n) for n in _conjuncts(node, "a subtask list"))
-
-
-def _parse_parameters(node: Node) -> tuple[tuple[str, str], ...]:
-    return _parse_typed_items(_want_list(node, "parameter list").items, "parameter")
+def _parse_ordered_subtasks(node: Node, check: Check) -> tuple[TaskRef, ...]:
+    return tuple(_parse_task_atom(n, check) for n in _conjuncts(node, "a subtask list"))
 
 
 def _parse_define(text: str, kind: str) -> tuple[SList, str]:
@@ -161,82 +178,29 @@ def _parse_define(text: str, kind: str) -> tuple[SList, str]:
     return form, _want_symbol(header.items[1], f"{kind} name").text
 
 
-# ---------------------------------------------------------------------------
-# Domain
-# ---------------------------------------------------------------------------
-
-def parse_domain(text: str) -> DomainAst:
-    form, name = _parse_define(text, "domain")
-    requirements: tuple[str, ...] = ()
-    types: tuple[tuple[str, str], ...] = ()
-    predicates: list[PredicateDecl] = []
-    tasks: list[TaskDecl] = []
-    actions: list[ActionAst] = []
-    methods: list[MethodAst] = []
-
-    seen: set[str] = set()
-    for section_node in form.items[2:]:
-        section = _want_list(section_node, "a domain section")
+def _sections(
+    form: SList, kind: str, once: tuple[str, ...], many: tuple[str, ...] = ()
+) -> dict[str, list[SList]]:
+    """The sections of a (define ...) body grouped by keyword, each group
+    in source order. An unknown or temporal section, or a second copy of a
+    section in once, is an error at that section."""
+    groups: dict[str, list[SList]] = {key: [] for key in once + many}
+    for node in form.items[2:]:
+        section = _want_list(node, f"a {kind} section")
         key = _head(section)
-        if key in seen:
-            raise _err(f"duplicate {key} section", section)
-        if key not in (":task", ":action", ":method"):
-            seen.add(key)
-        if key == ":requirements":
-            reqs = []
-            for r in section.items[1:]:
-                sym = _want_symbol(r, "a requirement")
-                _check_temporal(sym)
-                if sym.text not in KNOWN_REQUIREMENTS:
-                    raise _err(
-                        f"unknown requirement {sym.text} (supported:"
-                        f" {', '.join(KNOWN_REQUIREMENTS)})",
-                        sym,
-                    )
-                reqs.append(sym.text)
-            requirements = tuple(reqs)
-        elif key == ":types":
-            types = _parse_typed_items(section.items[1:], "type")
-        elif key == ":predicates":
-            for p in section.items[1:]:
-                decl = _want_list(p, "a predicate declaration")
-                if not decl.items:
-                    raise _err("empty predicate declaration", decl)
-                pname = _want_symbol(decl.items[0], "predicate name")
-                params = _parse_typed_items(decl.items[1:], "parameter")
-                predicates.append(
-                    PredicateDecl(pname.text, tuple(t for _, t in params), _pos(decl))
-                )
-        elif key == ":task":
-            tasks.append(_parse_task_decl(section))
-        elif key == ":action":
-            actions.append(_parse_action(section))
-        elif key == ":method":
-            methods.append(_parse_method(section))
-        else:
+        if key not in groups:
             _check_temporal(section.items[0])
-            raise _err(f"unknown domain section {key}", section)
-
-    domain = DomainAst(
-        name=name,
-        requirements=requirements,
-        types=types,
-        predicates=tuple(predicates),
-        tasks=tuple(tasks),
-        actions=tuple(actions),
-        methods=tuple(methods),
-        pos=_pos(form),
-    )
-    _validate_domain(domain)
-    return domain
+            raise _err(f"unknown {kind} section {key}", section)
+        if key in once and groups[key]:
+            raise _err(f"duplicate {key} section", section)
+        groups[key].append(section)
+    return groups
 
 
-def _section_map(
-    section: SList, owner: str, readers: dict[str, Callable[[Node], Any]], start: int = 1
-) -> dict[str, Any]:
-    """Read ':key value' pairs from a section body in source order, each
-    value through the reader for its key; a key with no reader is an error."""
-    out: dict[str, Any] = {}
+def _fields(section: SList, owner: str, keys: tuple[str, ...], start: int = 1) -> dict[str, Node]:
+    """The ':key value' pairs of a section body, each value's node by its
+    key; a key not in keys is an error."""
+    out: dict[str, Node] = {}
     items = section.items
     for i in range(start, len(items), 2):
         key = _want_symbol(items[i], f"a keyword in {owner}")
@@ -253,149 +217,174 @@ def _section_map(
                 " ordered networks (:ordered-subtasks) are supported",
                 key,
             )
-        if key.text not in readers:
+        if key.text not in keys:
             raise _err(f"unexpected {key.text} in {owner}", key)
-        out[key.text] = readers[key.text](items[i + 1])
+        out[key.text] = items[i + 1]
     return out
 
 
-def _section_name(section: SList, kind: str) -> str:
+# ---------------------------------------------------------------------------
+# Domain
+# ---------------------------------------------------------------------------
+
+def parse_domain(text: str) -> DomainAst:
+    form, name = _parse_define(text, "domain")
+    groups = _sections(
+        form, "domain", (":requirements", ":types", ":predicates"), (":task", ":action", ":method")
+    )
+    requirements = tuple(_requirement(r) for s in groups[":requirements"] for r in s.items[1:])
+
+    types: tuple[tuple[str, str], ...] = ()
+    for section in groups[":types"]:
+        items = _parse_typed_items(section.items[1:], "type")
+        declared = {"object"} | {sym.text for sym, _ in items}
+        for sym, parent in items:
+            if parent not in declared:
+                raise _err(f"type {sym.text} has undeclared parent {parent}", sym)
+        types = tuple((sym.text, parent) for sym, parent in items)
+    type_names = {"object"} | {t for t, _ in types}
+
+    predicates: dict[str, PredicateDecl] = {}
+    for section in groups[":predicates"]:
+        for node in section.items[1:]:
+            decl = _want_list(node, "a predicate declaration")
+            if not decl.items:
+                raise _err("empty predicate declaration", decl)
+            pname = _want_symbol(decl.items[0], "predicate name").text
+            if pname in predicates:
+                raise _err(f"duplicate predicate {pname}", decl)
+            params = _parse_typed_items(
+                decl.items[1:],
+                "parameter",
+                type_names,
+                lambda _, t: f"predicate {pname} uses undeclared type {t}",
+            )
+            predicates[pname] = PredicateDecl(pname, tuple(t for _, t in params))
+    pred_arities = {p: len(d.param_types) for p, d in predicates.items()}
+
+    tasks: dict[str, TaskDecl] = {}
+    for section in groups[":task"]:
+        tname, _, _, params = _schema(section, "task", (), type_names, tasks)
+        tasks[tname] = TaskDecl(tname, params)
+
+    actions: dict[str, ActionAst] = {}
+    for section in groups[":action"]:
+        aname, owner, fields, params = _schema(
+            section, "action", (":precondition", ":effect"), type_names, actions
+        )
+        if aname in tasks:
+            raise _err(f"action {aname} collides with a task name", section)
+        undeclared = f"{owner}: undeclared predicate"
+        check = _variables_check(pred_arities, dict(params), owner, "predicate", undeclared)
+        actions[aname] = ActionAst(
+            aname,
+            params,
+            _parse_conjunction(fields.get(":precondition"), "precondition", check),
+            _parse_conjunction(fields.get(":effect"), "effect", check),
+        )
+
+    task_arities = {t.name: len(t.parameters) for t in tasks.values()}
+    decl_arities = {**task_arities, **{a.name: len(a.parameters) for a in actions.values()}}
+    methods: dict[str, MethodAst] = {}
+    for section in groups[":method"]:
+        mname, owner, fields, params = _schema(
+            section, "method", (":task", ":precondition", ":ordered-subtasks"), type_names, methods
+        )
+        for key in (":task", ":ordered-subtasks"):
+            if key not in fields:
+                raise _err(f"{owner} has no {key}", section)
+        scope = dict(params)
+        undeclared = f"{owner}: undeclared predicate"
+        pre = _variables_check(pred_arities, scope, owner, "predicate", undeclared)
+        undeclared = f"{owner} decomposes undeclared task"
+        head = _variables_check(task_arities, scope, owner, "task", undeclared)
+        undeclared = f"{owner} references unknown task"
+        sub = _variables_check(decl_arities, scope, owner, "task", undeclared)
+        methods[mname] = MethodAst(
+            mname,
+            params,
+            _parse_task_atom(fields[":task"], head),
+            _parse_conjunction(fields.get(":precondition"), "method precondition", pre),
+            _parse_ordered_subtasks(fields[":ordered-subtasks"], sub),
+        )
+
+    return DomainAst(
+        name=name,
+        requirements=requirements,
+        types=types,
+        predicates=tuple(predicates.values()),
+        tasks=tuple(tasks.values()),
+        actions=tuple(actions.values()),
+        methods=tuple(methods.values()),
+    )
+
+
+def _requirement(node: Node) -> str:
+    sym = _want_symbol(node, "a requirement")
+    _check_temporal(sym)
+    if sym.text not in KNOWN_REQUIREMENTS:
+        raise _err(
+            f"unknown requirement {sym.text} (supported: {', '.join(KNOWN_REQUIREMENTS)})", sym
+        )
+    return sym.text
+
+
+def _schema(section: SList, kind: str, keys: tuple[str, ...], types: set[str], seen: dict):
+    """A :task, :action or :method section's name, its owner string for
+    messages, its ':key value' fields and its checked parameters. A name
+    already in seen is an error."""
     if len(section.items) < 2:
         raise _err(f":{kind} needs a name", section)
-    return _want_symbol(section.items[1], f"{kind} name").text
+    name = _want_symbol(section.items[1], f"{kind} name").text
+    if name in seen:
+        raise _err(f"duplicate {kind} {name}", section)
+    owner = f"{kind} {name}"
+    fields = _fields(section, owner, (":parameters",) + keys, start=2)
+    return name, owner, fields, _parse_parameters(fields.get(":parameters"), owner, types)
 
 
-def _parse_task_decl(section: SList) -> TaskDecl:
-    name = _section_name(section, "task")
-    fields = _section_map(section, f"task {name}", {":parameters": _parse_parameters}, start=2)
-    return TaskDecl(name, fields.get(":parameters", ()), _pos(section))
-
-
-def _parse_action(section: SList) -> ActionAst:
-    name = _section_name(section, "action")
-    readers = {
-        ":parameters": _parse_parameters,
-        ":precondition": lambda n: _parse_conjunction(n, "precondition"),
-        ":effect": lambda n: _parse_conjunction(n, "effect"),
-    }
-    fields = _section_map(section, f"action {name}", readers, start=2)
-    return ActionAst(
-        name,
-        fields.get(":parameters", ()),
-        fields.get(":precondition", ()),
-        fields.get(":effect", ()),
-        _pos(section),
+def _parse_parameters(
+    node: Node | None, owner: str, types: set[str]
+) -> tuple[tuple[str, str], ...]:
+    if node is None:
+        return ()
+    items = _parse_typed_items(
+        _want_list(node, "parameter list").items,
+        "parameter",
+        types,
+        lambda var, t: f"{owner}: parameter {var} has undeclared type {t}",
     )
+    seen: set[str] = set()
+    for sym, _ in items:
+        if not sym.text.startswith("?"):
+            raise _err(f"{owner}: parameter {sym.text} must start with '?'", sym)
+        if sym.text in seen:
+            raise _err(f"{owner}: duplicate parameter {sym.text}", sym)
+        seen.add(sym.text)
+    return tuple((sym.text, t) for sym, t in items)
 
 
-def _parse_method(section: SList) -> MethodAst:
-    name = _section_name(section, "method")
-    readers = {
-        ":parameters": _parse_parameters,
-        ":task": _parse_task_atom,
-        ":precondition": lambda n: _parse_conjunction(n, "method precondition"),
-        ":ordered-subtasks": _parse_ordered_subtasks,
-    }
-    fields = _section_map(section, f"method {name}", readers, start=2)
-    for key in (":task", ":ordered-subtasks"):
-        if key not in fields:
-            raise _err(f"method {name} has no {key}", section)
-    return MethodAst(
-        name,
-        fields.get(":parameters", ()),
-        fields[":task"],
-        fields.get(":precondition", ()),
-        fields[":ordered-subtasks"],
-        _pos(section),
-    )
+def _variables_check(
+    arities: dict[str, int], scope: dict[str, str], owner: str, kind: str, unknown: str
+) -> Check:
+    """A schema's use of a predicate or task: the name is declared, the
+    argument count matches and every argument is a variable the schema
+    binds. unknown words the error for an undeclared name."""
 
+    def check(form: SList, name: str, args: tuple[str, ...]) -> None:
+        if name not in arities:
+            raise _err(f"{unknown} {name}", form)
+        if len(args) != arities[name]:
+            raise _err(
+                f"{owner}: {kind} {name} takes {arities[name]} arguments, got {len(args)}", form
+            )
+        for arg in args:
+            if not arg.startswith("?"):
+                raise _err(f"{owner}: constants are not supported, got {arg}", form)
+            if arg not in scope:
+                raise _err(f"{owner}: unbound variable {arg}", form)
 
-def _validate_domain(domain: DomainAst):
-    type_names = domain.type_names()
-    for t, parent in domain.types:
-        if parent != "object" and parent not in {x for x, _ in domain.types} | {"object"}:
-            raise HddlError(f"type {t} has undeclared parent {parent}", *domain.pos)
-
-    seen_preds: dict[str, PredicateDecl] = {}
-    for p in domain.predicates:
-        if p.name in seen_preds:
-            raise HddlError(f"duplicate predicate {p.name}", *p.pos)
-        seen_preds[p.name] = p
-        for t in p.param_types:
-            if t not in type_names:
-                raise HddlError(f"predicate {p.name} uses undeclared type {t}", *p.pos)
-
-    task_names: dict[str, TaskDecl] = {}
-    for t in domain.tasks:
-        if t.name in task_names:
-            raise HddlError(f"duplicate task {t.name}", *t.pos)
-        task_names[t.name] = t
-        _check_params(domain, t.parameters, f"task {t.name}", t.pos, type_names)
-
-    action_names: dict[str, ActionAst] = {}
-    for a in domain.actions:
-        if a.name in action_names:
-            raise HddlError(f"duplicate action {a.name}", *a.pos)
-        if a.name in task_names:
-            raise HddlError(f"action {a.name} collides with a task name", *a.pos)
-        action_names[a.name] = a
-        _check_params(domain, a.parameters, f"action {a.name}", a.pos, type_names)
-        scope = dict(a.parameters)
-        for lit in a.precondition + a.effect:
-            _check_literal(seen_preds, scope, lit, f"action {a.name}", a.pos)
-
-    decls: dict[str, TaskDecl | ActionAst] = {**task_names, **action_names}
-    method_names: set[str] = set()
-    for m in domain.methods:
-        owner = f"method {m.name}"
-        if m.name in method_names:
-            raise HddlError(f"duplicate method {m.name}", *m.pos)
-        method_names.add(m.name)
-        _check_params(domain, m.parameters, owner, m.pos, type_names)
-        scope = dict(m.parameters)
-        tname, *targs = m.task
-        if tname not in task_names:
-            raise HddlError(f"{owner} decomposes undeclared task {tname}", *m.pos)
-        _check_args("task", tname, targs, len(decls[tname].parameters), scope, owner, m.pos)
-        for lit in m.precondition:
-            _check_literal(seen_preds, scope, lit, owner, m.pos)
-        for name, *args in m.subtasks:
-            if name not in decls:
-                raise HddlError(f"{owner} references unknown task {name}", *m.pos)
-            _check_args("task", name, args, len(decls[name].parameters), scope, owner, m.pos)
-
-
-def _check_params(domain, params, owner, pos, type_names):
-    seen = set()
-    for var, t in params:
-        if not var.startswith("?"):
-            raise HddlError(f"{owner}: parameter {var} must start with '?'", *pos)
-        if var in seen:
-            raise HddlError(f"{owner}: duplicate parameter {var}", *pos)
-        seen.add(var)
-        if t not in type_names:
-            raise HddlError(f"{owner}: parameter {var} has undeclared type {t}", *pos)
-
-
-def _check_literal(predicates, scope, lit: Literal, owner: str, pos):
-    if lit.predicate not in predicates:
-        raise HddlError(f"{owner}: undeclared predicate {lit.predicate}", *pos)
-    arity = len(predicates[lit.predicate].param_types)
-    _check_args("predicate", lit.predicate, lit.args, arity, scope, owner, pos)
-
-
-def _check_args(kind: str, name: str, args, arity: int, scope, owner: str, pos):
-    """A schema's use of a predicate or task: the argument count matches
-    and every argument is a variable the schema binds."""
-    if len(args) != arity:
-        raise HddlError(
-            f"{owner}: {kind} {name} takes {arity} arguments, got {len(args)}", *pos
-        )
-    for arg in args:
-        if not arg.startswith("?"):
-            raise HddlError(f"{owner}: constants are not supported, got {arg}", *pos)
-        if arg not in scope:
-            raise HddlError(f"{owner}: unbound variable {arg}", *pos)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -404,107 +393,85 @@ def _check_args(kind: str, name: str, args, arity: int, scope, owner: str, pos):
 
 def parse_problem(text: str, domain: DomainAst) -> ProblemAst:
     form, name = _parse_define(text, "problem")
-    domain_name: str | None = None
-    objects: tuple[tuple[str, str], ...] = ()
-    init: list[tuple[str, ...]] = []
-    htn: tuple[TaskRef, ...] | None = None
-    goal: tuple[Literal, ...] | None = None
+    groups = _sections(form, "problem", (":domain", ":objects", ":htn", ":init", ":goal"))
+    for key in (":domain", ":htn"):
+        if not groups[key]:
+            raise _err(f"problem has no ({key} ...) section", form)
+    for key in (":domain", ":goal"):
+        for section in groups[key]:
+            if len(section.items) < 2:
+                raise _err(f"{key} section is missing its value", section)
 
-    seen: set[str] = set()
-    for section_node in form.items[2:]:
-        section = _want_list(section_node, "a problem section")
-        key = _head(section)
-        if key in seen:
-            raise _err(f"duplicate {key} section", section)
-        seen.add(key)
-        if key in (":domain", ":goal") and len(section.items) < 2:
-            raise _err(f"{key} section is missing its value", section)
-        if key == ":domain":
-            sym = _want_symbol(section.items[1], "domain name")
-            if sym.text != domain.name:
-                raise _err(
-                    f"problem requires domain {sym.text} but {domain.name} was loaded",
-                    sym,
-                )
-            domain_name = sym.text
-        elif key == ":objects":
-            objects = _parse_typed_items(section.items[1:], "object")
-            for obj, t in objects:
-                if t not in domain.type_names():
-                    raise _err(f"object {obj} has undeclared type {t}", section)
-        elif key == ":htn":
-            htn = _parse_htn(section)
-        elif key == ":init":
-            for atom_node in section.items[1:]:
-                lit = _parse_literal(atom_node, allow_negation=False)
-                init.append((lit.predicate,) + lit.args)
-        elif key == ":goal":
-            goal = _parse_conjunction(section.items[1], "goal")
-        else:
-            _check_temporal(section.items[0])
-            raise _err(f"unknown problem section {key}", section)
+    sym = _want_symbol(groups[":domain"][0].items[1], "domain name")
+    if sym.text != domain.name:
+        raise _err(f"problem requires domain {sym.text} but {domain.name} was loaded", sym)
 
-    if domain_name is None:
-        raise _err("problem has no (:domain ...) section", form)
-    if htn is None:
-        raise _err("problem has no (:htn ...) section", form)
-
-    problem = ProblemAst(
-        name=name,
-        domain_name=domain_name,
-        objects=objects,
-        init=tuple(init),
-        htn=htn,
-        goal=goal,
-        pos=_pos(form),
-    )
-    _validate_problem(domain, problem, form)
-    return problem
-
-
-def _no_parameters(node: Node) -> None:
-    if _want_list(node, "parameter list").items:
-        raise _err("nonempty :htn parameters are not supported", node)
-
-
-def _parse_htn(section: SList) -> tuple[TaskRef, ...]:
-    readers = {":parameters": _no_parameters, ":ordered-subtasks": _parse_ordered_subtasks}
-    fields = _section_map(section, ":htn", readers)
-    if ":ordered-subtasks" not in fields:
-        raise _err(":htn has no :ordered-subtasks", section)
-    return fields[":ordered-subtasks"]
-
-
-def _validate_problem(domain: DomainAst, problem: ProblemAst, form: SList):
-    obj_types = dict(problem.objects)
-    if len(obj_types) != len(problem.objects):
-        raise _err("duplicate object name", form)
-
-    def check_args(what: str, name: str, args, arity: int):
-        if len(args) != arity:
-            raise _err(f"{what} {name} takes {arity} arguments, got {len(args)}", form)
-        for arg in args:
-            if arg not in obj_types:
-                raise _err(f"{what} {name} references unknown object {arg}", form)
+    objects: dict[str, str] = {}
+    for section in groups[":objects"]:
+        for obj, t in _parse_typed_items(
+            section.items[1:],
+            "object",
+            domain.type_names(),
+            lambda obj, t: f"object {obj} has undeclared type {t}",
+        ):
+            if obj.text in objects:
+                raise _err(f"duplicate object name {obj.text}", obj)
+            objects[obj.text] = t
 
     preds = {p.name: p.param_types for p in domain.predicates}
-    for pred, *args in problem.init:
-        if pred not in preds:
-            raise _err(f"init uses undeclared predicate {pred}", form)
-        check_args("init atom", pred, args, len(preds[pred]))
-        for arg, want in zip(args, preds[pred]):
-            if not domain.is_subtype(obj_types[arg], want):
+    tasks = {d.name: tuple(t for _, t in d.parameters) for d in domain.tasks + domain.actions}
+    check = _objects_check(domain, objects, tasks, ":htn task", ":htn references unknown task")
+    htn = _parse_htn(groups[":htn"][0], check)
+    check = _objects_check(domain, objects, preds, "init atom", "init uses undeclared predicate")
+    init = [_parse_literal(n, False, check) for s in groups[":init"] for n in s.items[1:]]
+    goal = None
+    for section in groups[":goal"]:
+        undeclared = "goal uses undeclared predicate"
+        check = _objects_check(domain, objects, preds, "goal atom", undeclared)
+        goal = _parse_conjunction(section.items[1], "goal", check)
+
+    return ProblemAst(
+        name=name,
+        domain_name=domain.name,
+        objects=tuple(objects.items()),
+        init=tuple((lit.predicate,) + lit.args for lit in init),
+        htn=htn,
+        goal=goal,
+    )
+
+
+def _objects_check(
+    domain: DomainAst,
+    objects: dict[str, str],
+    decls: dict[str, tuple[str, ...]],
+    what: str,
+    unknown: str,
+) -> Check:
+    """A problem's use of a predicate, task or action: the name is
+    declared, the argument count matches and every argument is an object
+    of the declared type. unknown words the error for an undeclared name."""
+
+    def check(form: SList, name: str, args: tuple[str, ...]) -> None:
+        if name not in decls:
+            raise _err(f"{unknown} {name}", form)
+        want = decls[name]
+        if len(args) != len(want):
+            raise _err(f"{what} {name} takes {len(want)} arguments, got {len(args)}", form)
+        for arg, t in zip(args, want):
+            if arg not in objects:
+                raise _err(f"{what} {name} references unknown object {arg}", form)
+            if not domain.is_subtype(objects[arg], t):
                 raise _err(
-                    f"init atom {pred}: object {arg} has type {obj_types[arg]},"
-                    f" expected {want}",
-                    form,
+                    f"{what} {name}: object {arg} has type {objects[arg]}, expected {t}", form
                 )
-    arities = {d.name: len(d.parameters) for d in domain.tasks + domain.actions}
-    for tname, *targs in problem.htn:
-        if tname not in arities:
-            raise _err(f":htn references unknown task {tname}", form)
-        check_args(":htn task", tname, targs, arities[tname])
-    for lit in problem.goal or ():
-        if lit.predicate not in preds:
-            raise _err(f"goal uses undeclared predicate {lit.predicate}", form)
-        check_args("goal atom", lit.predicate, lit.args, len(preds[lit.predicate]))
+
+    return check
+
+
+def _parse_htn(section: SList, check: Check) -> tuple[TaskRef, ...]:
+    fields = _fields(section, ":htn", (":parameters", ":ordered-subtasks"))
+    if ":parameters" in fields and _want_list(fields[":parameters"], "parameter list").items:
+        raise _err("nonempty :htn parameters are not supported", fields[":parameters"])
+    if ":ordered-subtasks" not in fields:
+        raise _err(":htn has no :ordered-subtasks", section)
+    return _parse_ordered_subtasks(fields[":ordered-subtasks"], check)

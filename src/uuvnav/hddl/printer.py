@@ -1,7 +1,6 @@
 """Canonical text form for parsed domains and problems.
 
-print_domain/print_problem emit text that parses back to a structurally
-identical AST (source positions aside).
+print_domain/print_problem emit text that parses back to an equal AST.
 """
 
 from __future__ import annotations

@@ -67,6 +67,19 @@ class WorldParams:
         ):
             if getattr(self, name) < 0:
                 raise SimulationError(f"{name} must be non-negative")
+        # one lap of the standoff circle: its length, its angle per tick and
+        # its ticks, as _circle_ticks and _tick_circle compute them
+        lap = 2.0 * math.pi * self.standoff_radius
+        step = self.uuv_speed * self.tick
+        if not (
+            math.isfinite(lap)
+            and math.isfinite(self.uuv_speed / self.standoff_radius * self.tick)
+            and (step == 0 or math.isfinite(lap / step))
+        ):
+            raise SimulationError(
+                f"standoff_radius {self.standoff_radius!r} gives a circle time or"
+                " angular rate that is not finite"
+            )
 
 
 @dataclass

@@ -70,6 +70,44 @@ class TestPlanCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("b8 - beacon", "b8 b4 - beacon", "7:20: duplicate object name b4"),
+            (
+                "(beacon-active b4)",
+                "(beacon-active uuv1)",
+                "9:5: init atom beacon-active: object uuv1 has type uuv, expected beacon",
+            ),
+            (
+                "(mission uuv1 b6 b8)",
+                "(mission b6 uuv1 b8)",
+                "14:27: :htn task mission: object b6 has type beacon, expected uuv",
+            ),
+            (
+                "(mission uuv1 b6 b8)",
+                "(sense-beacon b6 uuv1)",
+                "14:27: :htn task sense-beacon: object b6 has type beacon, expected uuv",
+            ),
+            (
+                "(mission uuv1 b6 b8))",
+                "(mission uuv1 b6 b8))\n  (:goal (localized b4))",
+                "15:10: goal atom localized: object b4 has type beacon, expected uuv",
+            ),
+        ],
+        ids=["duplicate-object", "init-type", "htn-type", "htn-action-type", "goal-type"],
+    )
+    def test_problem_error_names_file_and_offending_form(
+        self, capsys, tmp_path, old, new, message
+    ):
+        # each used to be reported at the (define form, or to parse and end in "no plan"
+        text = Path(PROBLEM).read_text()
+        assert old in text
+        bad = tmp_path / "uuv1-mission.hddl"
+        bad.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "plan", "--domain", DOMAIN, "--problem", str(bad))
+        assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(
             capsys, "plan", "--domain", "/nonexistent.hddl", "--problem", PROBLEM
@@ -586,3 +624,52 @@ def test_deeply_nested_input_exits_1_naming_it(capsys, tmp_path, command):
     code, _, err = run(capsys, command, *argv)
     assert code == 1
     assert err.startswith(f"error: {bad}: ")
+
+
+MALFORMED = REPO / "scenarios" / "malformed"
+# each file of the corpus: the flag it is passed to, how its message starts
+# after the path, and the line, feature index or field the message names
+MALFORMED_INPUTS = {
+    "invalid-yaml.yaml": ("--scenario", "not valid YAML: ", "line 11, column 12"),
+    "zero-tick.yaml": ("--scenario", "world.tick must be positive", "world.tick"),
+    "missing-domain.yaml": (
+        "--scenario", "missing required field 'paths.domain'", "paths.domain"
+    ),
+    "chart-not-a-point.geojson": ("--beacons", "feature 1 is not a Point", "feature 1"),
+    "chart-bad-coordinates.geojson": (
+        "--beacons", "feature 1 has malformed coordinates", "feature 1"
+    ),
+    "area-with-hole.geojson": (
+        "--area", "polygon has 1 hole(s); holes are not supported", "polygon"
+    ),
+    "area-bad-coordinates.geojson": (
+        "--area", "bad ring coordinates: could not convert string to float", "ring"
+    ),
+    "grid-non-numeric.asc": ("--bathymetry", "line 8: non-numeric grid value 'deep'", "line 8"),
+    "grid-bad-ncols.asc": (
+        "--bathymetry", "line 1: ncols must be a positive integer, got '4.5'", "line 1"
+    ),
+    "grid-too-few-values.asc": (
+        "--bathymetry", "line 10: expected 16 grid values (4x4), got 15", "line 10"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MALFORMED.iterdir()))
+def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, name):
+    flag, start, where = MALFORMED_INPUTS[name]
+    deploy = ["deploy", "--bathymetry", BATHY, "--area", AREA, "--n-beacons", "3",
+              "--out", str(tmp_path / "x.geojson")]
+    argv = {
+        "--scenario": ["simulate", "--scenario", "", "--out-dir", str(tmp_path / "out")],
+        "--beacons": ["route", "--beacons", "", "--start", "b1", "--goal", "b2"],
+        "--area": deploy,
+        "--bathymetry": deploy,
+    }[flag]
+    path = str(MALFORMED / name)
+    argv[argv.index(flag) + 1] = path
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: {start}")
+    assert where in err and err.count(path) == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.geojson").exists() and not (tmp_path / "out").exists()

@@ -114,6 +114,16 @@ class TestLoadScenario:
             ("tick", 0, "world.tick must be positive"),
             ("pulse_period", 0, "world.pulse_period must be positive"),
             ("standoff_radius", 0, "world.standoff_radius must be positive"),
+            (
+                "standoff_radius",
+                1.0e308,
+                "world.standoff_radius 1e+308 gives a circle time or angular rate that is not finite",
+            ),
+            (
+                "standoff_radius",
+                1.0e-320,
+                "world.standoff_radius 1e-320 gives a circle time or angular rate that is not finite",
+            ),
             ("uuv_speed", -1, "world.uuv_speed must be non-negative"),
             ("step_cap", 0, "world.step_cap must be positive"),
             ("step_cap", -3, "world.step_cap must be positive"),

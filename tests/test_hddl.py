@@ -259,11 +259,11 @@ def small_problem(htn, goal=""):
         (":ordered-subtasks", "", "1:52: :ordered-subtasks is missing its value"),
         (":duration 5 :ordered-subtasks (t)", "", "1:52: :duration is temporal HDDL"),
         ("ordered-subtasks (t)", "", "1:52: expected a :keyword in :htn, got 'ordered-subtasks'"),
-        (":ordered-subtasks (t)", "(:goal (p o o))", "1:1: goal atom p takes 1 arguments, got 2"),
+        (":ordered-subtasks (t)", "(:goal (p o o))", "1:90: goal atom p takes 1 arguments, got 2"),
         (
             ":ordered-subtasks (t)",
             "(:goal (not (p z)))",
-            "1:1: goal atom p references unknown object z",
+            "1:95: goal atom p references unknown object z",
         ),
     ],
     ids=["repeated-key", "missing-value", "temporal-key", "bare-key", "goal-arity", "goal-object"],
@@ -288,6 +288,38 @@ def test_problem_sections_checked_like_domain_sections(htn, goal, message):
 def test_problem_section_may_appear_once(extra, message):
     with pytest.raises(HddlError) as exc:
         parse_problem(small_problem(":ordered-subtasks (t)", extra), parse_domain(SMALL_DOMAIN))
+    assert str(exc.value) == message
+
+
+MISSION = """(define (problem m)
+  (:domain toy)
+  (:objects r1 - robot s1 s2 - site)
+  (:htn :ordered-subtasks (survey r1 s2))
+  (:init (at r1 s1))
+)"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("s1 s2 - site", "s1 s2 s1 - site", "3:30: duplicate object name s1"),
+        ("(at r1 s1)", "(at s1 s1)", "5:10: init atom at: object s1 has type site, expected robot"),
+        (
+            "(survey r1 s2)",
+            "(survey s2 r1)",
+            "4:27: :htn task survey: object s2 has type site, expected robot",
+        ),
+        (
+            "(:init (at r1 s1))",
+            "(:init (at r1 s1))\n  (:goal (and (visited s2) (not (visited r1))))",
+            "6:33: goal atom visited: object r1 has type robot, expected site",
+        ),
+    ],
+    ids=["duplicate-object", "init-type", "htn-type", "goal-type"],
+)
+def test_problem_error_points_at_the_offending_form(old, new, message):
+    with pytest.raises(HddlError) as exc:
+        parse_problem(MISSION.replace(old, new), parse_domain(DOMAIN))
     assert str(exc.value) == message
 
 

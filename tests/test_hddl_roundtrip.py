@@ -116,15 +116,26 @@ def problems(draw):
     objects = tuple(
         (f"o{i}", draw(st.sampled_from(type_pool))) for i in range(draw(st.integers(0, 4)))
     )
-    names = [o for o, _ in objects]
-    init = []
-    for _ in range(draw(st.integers(0, 4)) if domain.predicates else 0):
-        pred = draw(st.sampled_from(domain.predicates))
-        pools = [[o for o, t in objects if domain.is_subtype(t, want)] for want in pred.param_types]
-        if all(pools):
-            init.append((pred.name,) + tuple(draw(st.sampled_from(pool)) for pool in pools))
-    refs = _refs(draw, domain.tasks + domain.actions, names, min_size=0, max_size=3)
-    goal = _literals(draw, domain.predicates, names) if draw(st.booleans()) else None
+
+    def uses(decls, max_size):
+        """Up to max_size uses of decls, given as (name, param types), each
+        argument an object of its parameter's type; a use that some type
+        has no object for is left out."""
+        out = []
+        for _ in range(draw(st.integers(0, max_size)) if decls else 0):
+            name, want = draw(st.sampled_from(decls))
+            pools = [[o for o, t in objects if domain.is_subtype(t, w)] for w in want]
+            if all(pools):
+                out.append((name,) + tuple(draw(st.sampled_from(pool)) for pool in pools))
+        return out
+
+    predicates = [(p.name, p.param_types) for p in domain.predicates]
+    init = uses(predicates, 4)
+    tasks = [(d.name, [t for _, t in d.parameters]) for d in domain.tasks + domain.actions]
+    refs = tuple(uses(tasks, 3))
+    goal = None
+    if draw(st.booleans()):
+        goal = tuple(Literal(u[0], u[1:], draw(st.booleans())) for u in uses(predicates, 3))
     problem = ProblemAst(
         name="generated-1",
         domain_name=domain.name,
