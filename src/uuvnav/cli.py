@@ -37,7 +37,7 @@ from .hddl.ground import ground
 from .hddl.parser import parse_domain, parse_problem
 from .htn.planner import format_plan_text, plan, plan_to_dict
 from .htn.validate import validate
-from .sim.runner import event_to_json_line, run_scenario, write_tracks_geojson
+from .sim.runner import run_scenario, write_events_jsonl, write_tracks_geojson
 
 
 def _dump_json(obj) -> str:
@@ -168,9 +168,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_scenario(config)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "events.jsonl").write_text(
-        "".join(event_to_json_line(e) + "\n" for e in report.events)
-    )
+    with open(out / "events.jsonl", "w") as events:
+        write_events_jsonl(report.events, events)
     with open(out / "tracks.geojson", "w") as tracks:
         write_tracks_geojson(report.tracks, tracks)
     (out / "summary.json").write_text(_dump_json(report.summary))

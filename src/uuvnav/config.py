@@ -108,10 +108,46 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return parse_input(path, "scenario", lambda text: _parse_scenario(text, path.parent))
 
 
+def _yaml_error_message(exc: yaml.YAMLError, text: str) -> str:
+    """A PyYAML error on one line, placed by line and column, as in
+    ``line 13, column 5: expected ',' or ']', but got ':' (while parsing a
+    flow sequence at line 11, column 12)``.  PyYAML's own text names the
+    input ``"<unicode string>"`` and quotes the source under it."""
+
+    def at(line: int, column: int) -> str:
+        return f"line {line + 1}, column {column + 1}"
+
+    if isinstance(exc, yaml.reader.ReaderError):
+        # an unprintable character, placed by its offset in the text
+        line = text.count("\n", 0, exc.position)
+        column = exc.position - (text.rfind("\n", 0, exc.position) + 1)
+        return (
+            f"{at(line, column)}: unacceptable character"
+            f" #x{ord(text[exc.position]):04x}: {exc.reason}"
+        )
+    if not isinstance(exc, yaml.MarkedYAMLError):
+        return str(exc)
+    message = exc.problem or exc.context or "invalid YAML"
+    mark = exc.problem_mark if exc.problem else exc.context_mark
+    if exc.problem and exc.context:
+        cm = exc.context_mark
+        if cm is not None and (mark is None or (cm.line, cm.column) != (mark.line, mark.column)):
+            message += f" ({exc.context} at {at(cm.line, cm.column)})"
+        else:
+            message += f" ({exc.context})"
+    if mark is not None:
+        message = f"{at(mark.line, mark.column)}: {message}"
+    if exc.note:
+        message += f"; {exc.note}"
+    return message
+
+
 def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
     try:
         raw = yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:
+    except yaml.YAMLError as exc:
+        raise InputError(f"not valid YAML: {_yaml_error_message(exc, text)}") from exc
+    except RecursionError as exc:
         raise InputError(f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("scenario must be a mapping")

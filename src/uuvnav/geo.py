@@ -323,13 +323,23 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
     if len(rings) > 1:
         raise GeoJsonError(f"polygon has {len(rings) - 1} hole(s); holes are not supported")
     ring = rings[0]
+    if not isinstance(ring, list):
+        raise GeoJsonError("bad ring coordinates: the ring is not a list of positions")
+    if ring and ring[0] == ring[-1]:
+        ring = ring[:-1]
+    verts = []
+    for i, position in enumerate(ring):
+        if not isinstance(position, list):
+            raise GeoJsonError(f"bad ring coordinates: vertex {i} is not a position")
+        if len(position) != 2:
+            raise GeoJsonError(
+                f"bad ring coordinates: vertex {i} has {len(position)} numbers, expected 2"
+            )
+        try:
+            verts.append(Point2D(float(position[0]), float(position[1])))
+        except (TypeError, ValueError) as exc:
+            raise GeoJsonError(f"bad ring coordinates: {exc} (vertex {i})") from None
     try:
-        if ring and ring[0] == ring[-1]:
-            ring = ring[:-1]
-        verts = tuple(Point2D(float(x), float(y)) for x, y in ring)
-    except (TypeError, ValueError) as exc:
-        raise GeoJsonError(f"bad ring coordinates: {exc}") from None
-    try:
-        return MissionPolygon(verts)
+        return MissionPolygon(tuple(verts))
     except ValueError as exc:
         raise GeoJsonError(str(exc)) from None

@@ -12,8 +12,10 @@ tracks, and a summary suitable for serialization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Mapping, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Mapping, TextIO
 
 from .. import monitor
 from ..config import ScenarioConfig, load_beacons, parse_input
@@ -89,10 +91,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         if world.ticks_run >= config.world.step_cap:
             break
         step(world)
-        for exp in monitor.check(world):
+        divergences = monitor.check(world)
+        for exp in divergences:
             monitor.replan_episode(exp, world)
-        # replanning logs to the same tick's events, after step sorted them
-        world.events.sort(key=Event.sort_key)
+        if divergences:
+            # replanning logs to the same tick's events, after step sorted them
+            world.events.sort(key=Event.sort_key)
         events.extend(world.events)
         for uuv in world.uuvs:
             tracks[uuv.id]["true"].append([uuv.true_position.x, uuv.true_position.y])
@@ -140,6 +144,50 @@ def event_to_json_line(event: Event) -> str:
     }
     record.update(event.payload)
     return _EVENT_ENCODER.encode(record)
+
+
+# A detection event's line as event_to_json_line writes it: keys sorted,
+# ids quoted by json's own ASCII quoter, floats spelled by %r as json does.
+_DETECTION = (
+    '{"beacon":%s,"kind":"detection","range":%r,"subject":%s,"t":%r,"v":'
+    + str(EVENT_SCHEMA_VERSION)
+    + "}\n"
+)
+
+
+def write_events_jsonl(events: Iterable[Event], out: TextIO) -> None:
+    """Write one ``event_to_json_line`` line per event, in order.
+
+    A detection (a payload of exactly a str beacon and a finite float
+    range, a str subject, a float time) is filled into a fixed line with
+    each id quoted once; any other event goes through event_to_json_line.
+    """
+    quoted: dict[str, str] = {}
+    isfinite = math.isfinite
+    write = out.write
+    for event in events:
+        payload = event.payload
+        subject, time = event.subject, event.time
+        if (
+            event.kind == "detection"
+            and type(payload) is dict
+            and len(payload) == 2
+            and type(beacon := payload.get("beacon")) is str
+            and type(distance := payload.get("range")) is float
+            and isfinite(distance)
+            and type(subject) is str
+            and type(time) is float
+        ):
+            # a quoted id is never empty, so a miss is the only false get
+            beacon_json = quoted.get(beacon) or quoted.setdefault(
+                beacon, encode_basestring_ascii(beacon)
+            )
+            subject_json = quoted.get(subject) or quoted.setdefault(
+                subject, encode_basestring_ascii(subject)
+            )
+            write(_DETECTION % (beacon_json, distance, subject_json, time))
+        else:
+            write(event_to_json_line(event) + "\n")
 
 
 # One track point and one feature, laid out as json.dumps(indent=2,

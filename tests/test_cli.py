@@ -655,6 +655,16 @@ MALFORMED_INPUTS = {
 }
 
 
+def test_invalid_yaml_error_is_one_line_placed_by_line_and_column(capsys, tmp_path):
+    path = str(MALFORMED / "invalid-yaml.yaml")
+    code, out, err = run(capsys, "simulate", "--scenario", path, "--out-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}: not valid YAML: line 13, column 5: expected ',' or ']',"
+        " but got ':' (while parsing a flow sequence at line 11, column 12)\n"
+    )
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in MALFORMED.iterdir()))
 def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, name):
     flag, start, where = MALFORMED_INPUTS[name]

@@ -377,3 +377,23 @@ class TestLoadBeacons:
         path.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
         with pytest.raises(GeoJsonError, match="no beacon"):
             load_beacons(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed: [1\nb: 2\n", "line 2, column 2: expected ',' or ']', but got ':'"
+         " (while parsing a flow sequence at line 1, column 7)"),
+        ("a: b: c\n", "line 1, column 5: mapping values are not allowed here"),
+        ("seed: 1\nx: \x00\n", "line 2, column 4: unacceptable character #x0000:"
+         " special characters are not allowed"),
+        ("a: !!foo x\n", "line 1, column 4: could not determine a constructor for the tag"
+         " 'tag:yaml.org,2002:foo'"),
+    ],
+)
+def test_yaml_error_is_one_line_placed_by_line_and_column(tmp_path, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == f"{path}: not valid YAML: {message}"

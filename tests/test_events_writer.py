@@ -1,0 +1,118 @@
+"""``events.jsonl`` is written by a line writer with a fixed detection line.
+
+The writer must give exactly the lines ``event_to_json_line`` gives, one
+per event, whether an event takes the detection template or falls back
+to the reference encoder.
+"""
+
+import io
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uuvnav.sim.runner import event_to_json_line, write_events_jsonl
+from uuvnav.sim.world import Event
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def written(events):
+    out = io.StringIO()
+    write_events_jsonl(events, out)
+    return out.getvalue()
+
+
+def reference(events):
+    return "".join(event_to_json_line(e) + "\n" for e in events)
+
+
+# ids that json must escape: quotes, backslashes, control and non-ASCII
+ids = st.text(alphabet='b1"\\\n\t\x00\x7f/é \U0001f30a', min_size=1, max_size=6) | st.text(
+    max_size=6
+)
+floats = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e300, 0.1, 123.0]
+) | st.floats()
+ranges = floats | st.sampled_from([7, True, False, None]) | st.integers()
+times = floats | st.integers(min_value=0, max_value=10**6) | st.booleans()
+subjects = ids | st.integers() | st.none()
+
+detection_payloads = st.fixed_dictionaries({"beacon": ids, "range": ranges})
+# an extra key, a missing key, a key that overrides the record's own
+odd_payloads = (
+    st.fixed_dictionaries({"beacon": ids, "range": ranges, "note": ids})
+    | st.fixed_dictionaries({"beacon": ids})
+    | st.fixed_dictionaries({"range": ranges})
+    | st.fixed_dictionaries({"beacon": ids, "range": ranges, "t": floats})
+    | st.fixed_dictionaries({"beacon": ids, "range": ranges, "kind": ids})
+    | st.fixed_dictionaries({"beacon": st.integers(), "range": ranges})
+    # not a dict, though record.update takes it
+    | st.just([("beacon", "b1"), ("range", 1.5)])
+)
+positions = st.lists(st.floats(), min_size=2, max_size=2)
+actions = st.fixed_dictionaries({"action": ids, "args": st.lists(ids, max_size=3)})
+# the other payloads the simulator and the monitor emit, by kind
+other_events = st.one_of(
+    st.tuples(st.sampled_from(["action-started", "action-completed"]), actions),
+    st.tuples(
+        st.just("action-failed"),
+        st.fixed_dictionaries(
+            {"action": st.none() | ids, "args": st.lists(ids, max_size=2), "reason": ids}
+        ),
+    ),
+    st.tuples(st.just("mission-completed"), st.just({})),
+    st.tuples(st.just("mission-failed"), st.fixed_dictionaries({"reason": ids})),
+    st.tuples(
+        st.sampled_from(["waypoint-reached", "broadcast-sent"]),
+        st.fixed_dictionaries({"position": positions}),
+    ),
+    st.tuples(
+        st.just("broadcast-received"),
+        st.fixed_dictionaries({"from": ids, "position": positions}),
+    ),
+    st.tuples(
+        st.just("replan-triggered"),
+        st.fixed_dictionaries({"beacon": ids, "plan_length": st.integers(0, 50)}),
+    ),
+    st.tuples(st.just("warning"), st.fixed_dictionaries({"message": ids})),
+)
+kinds_and_payloads = (
+    st.tuples(st.just("detection"), detection_payloads | odd_payloads)
+    | st.tuples(ids, detection_payloads)
+    | other_events
+)
+events = st.builds(
+    lambda t, subject, kind_payload: Event(t, kind_payload[0], subject, kind_payload[1]),
+    times,
+    subjects,
+    kinds_and_payloads,
+)
+
+
+@PROPERTY
+@given(st.lists(events, max_size=8))
+@example([Event(3.0, "detection", 'u"1\\', {"beacon": "b\x00é", "range": 5e-324})])
+@example([Event(1.0, "detection", "uuv1", {"beacon": "b1", "range": r})
+          for r in (math.nan, math.inf, -math.inf, -0.0, 1e16, 7, True)])
+@example([Event(2.0, "detection", "uuv1", {"beacon": "b1", "range": 1.5, "t": 9.0}),
+          Event(2.0, "detection", "uuv1", {"beacon": "b1", "range": 1.5, "kind": "x"}),
+          Event(2.0, "detection", "uuv1", {"beacon": "b1"}),
+          Event(2, "detection", "uuv1", {"beacon": "b1", "range": 1.5}),
+          Event(True, "detection", "uuv1", {"beacon": "b1", "range": 1.5}),
+          Event(2.0, "detection", 7, {"beacon": "b1", "range": 1.5}),
+          Event(2.0, "detection", "uuv1", [("beacon", "b1"), ("range", 1.5)])])
+def test_writer_matches_event_to_json_line_byte_for_byte(event_list):
+    assert written(event_list) == reference(event_list)
+
+
+def test_no_events_is_an_empty_file():
+    assert written([]) == ""
+
+
+def test_a_detection_line_is_the_reference_line():
+    event = Event(12.0, "detection", "uuv2", {"beacon": "b4", "range": 1234.5678})
+    assert written([event]) == (
+        '{"beacon":"b4","kind":"detection","range":1234.5678,"subject":"uuv2","t":12.0,"v":1}\n'
+    )
+    assert written([event]) == reference([event])

@@ -346,3 +346,40 @@ def test_geojson_bad_json():
 def test_geojson_non_object_parts_rejected(text):
     with pytest.raises(GeoJsonError):
         polygon_from_geojson(text)
+
+
+def ring_text(*positions):
+    ring = ",".join(positions)
+    return f'{{"type": "Polygon", "coordinates": [[{ring}]]}}'
+
+
+def test_geojson_text_coordinate_names_its_vertex():
+    text = ring_text("[0, 0]", "[10, 0]", '["east", 10]', "[0, 10]", "[0, 0]")
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(text)
+    assert str(exc.value) == (
+        "bad ring coordinates: could not convert string to float: 'east' (vertex 2)"
+    )
+
+
+def test_geojson_three_number_position_names_its_vertex():
+    text = ring_text("[0, 0]", "[10, 0, -5]", "[10, 10]", "[0, 10]", "[0, 0]")
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(text)
+    assert str(exc.value) == "bad ring coordinates: vertex 1 has 3 numbers, expected 2"
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ('{"a": 1}', "bad ring coordinates: the ring is not a list of positions"),
+        ('"abc"', "bad ring coordinates: the ring is not a list of positions"),
+        ("[[0, 0], 5, [1, 1]]", "bad ring coordinates: vertex 1 is not a position"),
+        ("[[0, 0], [1], [1, 1]]", "bad ring coordinates: vertex 1 has 1 numbers, expected 2"),
+        ("[[0, 0], [1, null], [1, 1]]", "bad ring coordinates: float() argument must be"),
+    ],
+)
+def test_geojson_malformed_ring_rejected_naming_the_vertex(ring, message):
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(f'{{"type": "Polygon", "coordinates": [{ring}]}}')
+    assert str(exc.value).startswith(message)

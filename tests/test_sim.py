@@ -472,3 +472,20 @@ class TestEventStream:
             w.uuv("nope")
         with pytest.raises(SimulationError):
             w.beacon("nope")
+
+
+def test_replan_events_are_sorted_into_their_tick():
+    """With a pulse every tick, the divergence tick of b6-silenced logs
+    detections for every vehicle before replanning logs for uuv1..uuv4;
+    the tick's events still come out ordered by (time, subject), each
+    vehicle's replan after its own detection."""
+    config = load_scenario(REPO / "scenarios" / "b6-silenced.yaml")
+    config = replace(config, world=replace(config.world, pulse_period=1.0))
+    events = run_scenario(config).events
+    assert [e.sort_key() for e in events] == sorted(e.sort_key() for e in events)
+    replan_time = next(e.time for e in events if e.kind == "replan-triggered")
+    tick = [(e.subject, e.kind) for e in events if e.time == replan_time]
+    assert tick[:3] == [
+        ("uuv1", "detection"), ("uuv1", "replan-triggered"), ("uuv2", "replan-triggered")
+    ]
+    assert tick[-1] == ("uuv5", "detection")
