@@ -226,10 +226,26 @@ def sloped_grid(n):
     return BathymetryGrid(10.0, -20.0, 50.0, n, n, depth, -9999.0)
 
 
-@pytest.mark.parametrize("n_beacons, seed", [(1, 0), (3, 1), (5, 3), (8, 2), (12, 5)])
-@pytest.mark.parametrize("raster", ["sloped", "flat"])
+RASTERS = {
+    "sloped": lambda: sloped_grid(36),
+    "flat": lambda: flat_grid(30),
+    # about 13k water cells: 5 blocks of _power_assign at N = 12, 17 at N = 40,
+    # where the two rasters above each fit in one
+    "sloped120": lambda: sloped_grid(120),
+}
+
+
+@pytest.mark.parametrize(
+    "raster, n_beacons, seed",
+    [
+        (raster, n_beacons, seed)
+        for raster in ("sloped", "flat")
+        for n_beacons, seed in [(1, 0), (3, 1), (5, 3), (8, 2), (12, 5)]
+    ]
+    + [("sloped120", 12, 4), ("sloped120", 40, 6)],
+)
 def test_lloyd_matches_the_per_site_reference(raster, n_beacons, seed):
-    g = sloped_grid(36) if raster == "sloped" else flat_grid(30)
+    g = RASTERS[raster]()
     problem = DeploymentProblem(
         g, cover_all(g), n_beacons=n_beacons, rng_seed=seed, volume_tolerance=0.002
     )

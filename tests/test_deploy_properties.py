@@ -1,7 +1,8 @@
 """Properties of ``lloyd_deploy`` on small random rasters with nodata cells:
 the region volumes partition the water under the polygon, every beacon
 sits on an in-polygon water-cell centre, and the final sites and weights
-reproduce the reported volumes."""
+reproduce the reported volumes. The blocked power assignment and the
+buffered nearest-cell search return exactly what their one-shot forms do."""
 
 import math
 
@@ -13,7 +14,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uuvnav.deploy import DeploymentProblem, assign_cells, lloyd_deploy, region_volumes
+from uuvnav.deploy import (
+    BLOCK,
+    DeploymentProblem,
+    _nearest_cell,
+    _power_assign,
+    assign_cells,
+    lloyd_deploy,
+    region_volumes,
+)
 from uuvnav.geo import (
     BathymetryGrid,
     MissionPolygon,
@@ -101,3 +110,74 @@ def test_final_sites_and_weights_reproduce_the_volumes(problem):
     )
     recount = region_volumes(assignment, problem.grid)
     assert recount.tolist() == list(result.cell_volumes)
+
+
+def whole_matrix_assign(xs, ys, sx, sy, weights):
+    """The one-shot cells x sites formula that _power_assign computes block
+    by block."""
+    d2 = (xs[:, None] - sx[None, :]) ** 2 + (ys[:, None] - sy[None, :]) ** 2
+    return np.argmin(d2 - weights[None, :], axis=1)
+
+
+def point_by_point_nearest(xs, ys, px, py):
+    """The nearest-cell search with fresh temporaries for every point."""
+    return np.array(
+        [np.argmin((xs - x) ** 2 + (ys - y) ** 2) for x, y in zip(px, py)], dtype=np.intp
+    )
+
+
+def coordinates(draw, rng, size):
+    # a 3 x 3 lattice of small integers makes duplicate points and exact
+    # ties common; wide floats exercise the rounding of every operation
+    if draw(st.booleans()):
+        return rng.integers(0, 3, size).astype(float), rng.integers(0, 3, size).astype(float)
+    return rng.uniform(-1e4, 1e4, size), rng.uniform(-1e4, 1e4, size)
+
+
+@st.composite
+def power_assignments(draw):
+    shape = draw(st.sampled_from(["under one block", "ragged blocks", "one cell a block"]))
+    if shape == "one cell a block":
+        n_sites = draw(st.integers(BLOCK + 1, BLOCK + 64))
+        n_cells = draw(st.integers(1, 5))
+    else:
+        n_sites = draw(st.integers(1, 80))
+        per_block = BLOCK // n_sites
+        if shape == "under one block":
+            n_cells = draw(st.integers(0, per_block - 1))
+        else:
+            n_cells = draw(st.integers(1, 3)) * per_block + draw(st.integers(1, per_block - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs, ys = coordinates(draw, rng, n_cells)
+    sx, sy = coordinates(draw, rng, n_sites)
+    if draw(st.booleans()):
+        weights = rng.integers(0, 2, n_sites).astype(float)  # equal weights tie
+    else:
+        weights = rng.uniform(-1e3, 1e3, n_sites)
+    return xs, ys, sx, sy, weights
+
+
+@PROPERTY
+@given(power_assignments())
+def test_blocked_power_assignment_equals_the_whole_matrix(case):
+    got = _power_assign(*case)
+    want = whole_matrix_assign(*case)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def nearest_searches(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs, ys = coordinates(draw, rng, draw(st.integers(1, 3000)))
+    px, py = coordinates(draw, rng, draw(st.integers(0, 12)))
+    return xs, ys, px, py
+
+
+@PROPERTY
+@given(nearest_searches())
+def test_buffered_nearest_cell_equals_the_point_by_point_search(case):
+    got = _nearest_cell(*case)
+    want = point_by_point_nearest(*case)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

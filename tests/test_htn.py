@@ -189,32 +189,35 @@ def test_determinism_identical_runs():
 # Completeness against brute-force decomposition enumeration
 # ---------------------------------------------------------------------------
 
-def brute_force_solvable(tables, s0, w0, goal, budget=10**4):
-    """Exhaustively enumerate decomposition sequences; True iff any yields
-    an executable primitive sequence (and satisfies the goal)."""
+def brute_force_plans(tables, s0, w0, goal=None, budget=10**4):
+    """Exhaustively enumerate decomposition sequences; the set of every
+    executable primitive sequence (as a tuple of ground tasks) that
+    satisfies the goal. Fails rather than return a partial set when the
+    enumeration exceeds the budget."""
     from uuvnav.htn.planner import goal_satisfied
 
     counter = {"n": 0}
+    plans = set()
 
-    def explore(state, agenda):
+    def explore(state, agenda, steps):
         counter["n"] += 1
-        if counter["n"] > budget:
-            return False
+        assert counter["n"] <= budget, "brute-force budget exhausted"
         if not agenda:
-            return goal_satisfied(goal, state)
+            if goal_satisfied(goal, state):
+                plans.add(steps)
+            return
         head, rest = agenda[0], agenda[1:]
         if tables.is_primitive(head):
             action = tables.actions.get(head)
-            if action is None or not action.applicable(state):
-                return False
-            return explore(action.apply(state), rest)
-        found = False
+            if action is not None and action.applicable(state):
+                explore(action.apply(state), rest, steps + (head,))
+            return
         for m in tables.methods.get(head, ()):
-            if m.applicable(state) and explore(state, list(m.subtasks) + rest):
-                found = True
-        return found
+            if m.applicable(state):
+                explore(state, list(m.subtasks) + rest, steps)
 
-    return explore(frozenset(s0), list(w0))
+    explore(frozenset(s0), list(w0), ())
+    return plans
 
 
 @pytest.mark.parametrize(
@@ -231,7 +234,7 @@ def brute_force_solvable(tables, s0, w0, goal, budget=10**4):
 )
 def test_planner_agrees_with_brute_force(htn, init, goal):
     tables, s0, w0, g = setup(BASE_DOMAIN, problem_text(htn, init=init, goal=goal))
-    expect = brute_force_solvable(tables, s0, w0, g)
+    expect = bool(brute_force_plans(tables, s0, w0, g))
     try:
         plan(tables, s0, w0, g)
         found = True
