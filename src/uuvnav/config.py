@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-import yaml
-
+from ._lazy import lazy_import
 from .errors import GeoJsonError, InputError, SimulationError
 from .geo import Point2D
 from .sim.world import BeaconState, WorldParams
+
+yaml = lazy_import("yaml")
 
 
 def read_input(path: str | Path, what: str) -> str:

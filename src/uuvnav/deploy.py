@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import InputError
 from .geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon
+
+np = lazy_import("numpy")
 
 ETA = 0.5  # weight-update step size
 # Power distances per block of _power_assign: two float64 scratch blocks of

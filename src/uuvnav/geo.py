@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import GeoJsonError, GridFormatError
+
+np = lazy_import("numpy")
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 

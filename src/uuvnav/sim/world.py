@@ -176,10 +176,11 @@ class WorldState:
             raise SimulationError(f"no position known for beacon {beacon_id!r}") from None
 
 
-def sense_beacon(uuv: UUVState, beacon: BeaconState) -> bool:
-    """True when the vehicle hears a pulse of this beacon: its true (not
-    estimated) position lies within the beacon's acoustic range."""
-    return uuv.true_position.distance_to(beacon.position) <= beacon.acoustic_range
+def sense_beacon(distance: float, beacon: BeaconState) -> bool:
+    """True when a vehicle hears a pulse of this beacon: ``distance``, from
+    the vehicle's true (not estimated) position, is within the beacon's
+    acoustic range."""
+    return distance <= beacon.acoustic_range
 
 
 def broadcast(sender: UUVState, world: WorldState) -> None:
@@ -469,13 +470,10 @@ def _detection_phase(world: WorldState) -> None:
         if uuv.status == "failed":
             continue
         for beacon in pulsing:
-            if sense_beacon(uuv, beacon):
+            distance = uuv.true_position.distance_to(beacon.position)
+            if sense_beacon(distance, beacon):
                 uuv.last_detection[beacon.id] = world.ticks_run
-                world.emit(
-                    "detection",
-                    uuv.id,
-                    {"beacon": beacon.id, "range": uuv.true_position.distance_to(beacon.position)},
-                )
+                world.emit("detection", uuv.id, {"beacon": beacon.id, "range": distance})
 
 
 def _after_detection_phase(world: WorldState) -> None:

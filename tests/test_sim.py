@@ -119,7 +119,7 @@ class TestParams:
 
 class TestSenseBeacon:
     """Which beacons pulse is decided once per tick (``pulses_during``);
-    ``sense_beacon`` is only the range test on the true position."""
+    ``sense_beacon`` is only the range test on the true position's distance."""
 
     def test_heard_only_at_pulse_instants(self):
         b = beacon("b1", 0.0, 0.0)
@@ -134,8 +134,8 @@ class TestSenseBeacon:
 
     def test_range_boundary_inclusive(self):
         b = beacon("b1", 0.0, 0.0, acoustic_range=500.0)
-        assert sense_beacon(uuv("u1", 500.0, 0.0), b)
-        assert not sense_beacon(uuv("u1", 500.001, 0.0), b)
+        assert sense_beacon(500.0, b)
+        assert not sense_beacon(500.001, b)
 
     def test_inactive_beacon_is_silent(self):
         b = beacon("b1", 0.0, 0.0, active=False)
@@ -145,11 +145,13 @@ class TestSenseBeacon:
 
     def test_true_position_not_estimate_decides_range(self):
         b = beacon("b1", 0.0, 0.0, acoustic_range=100.0)
-        u = uuv("u1", 50.0, 0.0)
-        u.estimated_position = Point2D(5000.0, 0.0)
-        assert sense_beacon(u, b)
-        u.true_position, u.estimated_position = Point2D(5000.0, 0.0), Point2D(50.0, 0.0)
-        assert not sense_beacon(u, b)
+        heard = []
+        for true_x, estimated_x in ((50.0, 5000.0), (5000.0, 50.0)):
+            u = uuv("u1", true_x, 0.0)
+            u.estimated_position = Point2D(estimated_x, 0.0)
+            w = world([u], [b])
+            heard.append(any(step(w) for _ in range(10)))
+        assert heard == [True, False]
 
 
 class TestPulseRule:
@@ -204,10 +206,11 @@ class TestPulseRule:
                 if e.kind == "detection"
             ]
             expected = [
-                (u.id, b.id, u.true_position.distance_to(b.position))
+                (u.id, b.id, d)
                 for u in w.uuvs
                 for b in chart
-                if b.pulses_during(w.ticks_run, tick) and sense_beacon(u, b)
+                if b.pulses_during(w.ticks_run, tick)
+                and sense_beacon(d := u.true_position.distance_to(b.position), b)
             ]
             assert got == expected
             heard.update(b for _, b, _ in got)

@@ -1,0 +1,117 @@
+"""What each command loads: numpy only for ``deploy`` and PyYAML only
+for ``simulate``, so the other commands start without either.
+
+Each README command runs on the bundled inputs in a fresh interpreter,
+which then lists ``sys.modules``.
+"""
+
+import hashlib
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import uuvnav
+from test_golden import DEPLOY_GOLDEN
+from uuvnav._lazy import lazy_import
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE_ROOT = Path(uuvnav.__file__).resolve().parent.parent
+
+RUN_AND_LIST_MODULES = (
+    "import json, sys\n"
+    "from uuvnav.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print()\n"
+    "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+)
+
+HDDL = ["--domain", "domains/uuv-nav.hddl", "--problem", "scenarios/problems/uuv1-mission.hddl"]
+
+
+def readme_commands(out: Path) -> dict[str, list[str]]:
+    """The README's commands in its order, writing into ``out``."""
+    return {
+        "deploy": [
+            "deploy", "--bathymetry", "scenarios/bathymetry.asc",
+            "--area", "scenarios/mission-area.geojson",
+            "--n-beacons", "5", "--seed", "3", "--tolerance", "0.01",
+            "--out", str(out / "constellation.geojson"), "--report", str(out / "deploy.json"),
+        ],
+        "route": [
+            "route", "--beacons", "scenarios/beacons.geojson",
+            "--start", "b4", "--goal", "b8", "--link-distance", "2200",
+        ],
+        "route-constellation": [
+            "route", "--beacons", str(out / "constellation.geojson"), "--start", "b1", "--goal", "b2",
+        ],
+        "plan": ["plan", *HDDL],
+        "plan-json": ["plan", *HDDL, "--format", "json", "--out", str(out / "plan.json")],
+        "validate": ["validate", *HDDL, "--plan", str(out / "plan.json")],
+        "simulate-nominal": [
+            "simulate", "--scenario", "scenarios/nominal.yaml", "--out-dir", str(out / "nominal"),
+        ],
+        "simulate-b6-silenced": [
+            "simulate", "--scenario", "scenarios/b6-silenced.yaml", "--out-dir", str(out / "b6"),
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Each README command's exit code and loaded modules, by command."""
+    out = tmp_path_factory.mktemp("readme")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE_ROOT), env.get("PYTHONPATH"))))
+    results = {}
+    for name, argv in readme_commands(out).items():
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_AND_LIST_MODULES, *argv],
+            cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        results[name] = json.loads(done.stdout.splitlines()[-1])
+    return out, results
+
+
+def submodules(modules: list[str], package: str) -> list[str]:
+    return [m for m in modules if m.startswith(package + ".")]
+
+
+@pytest.mark.parametrize("command", ["route", "route-constellation", "plan", "plan-json", "validate"])
+def test_command_loads_neither_numpy_nor_yaml(runs, command):
+    result = runs[1][command]
+    assert result["code"] == 0
+    assert submodules(result["modules"], "numpy") == []
+    assert submodules(result["modules"], "yaml") == []
+
+
+@pytest.mark.parametrize("command", ["simulate-nominal", "simulate-b6-silenced"])
+def test_simulate_loads_no_numpy(runs, command):
+    result = runs[1][command]
+    assert result["code"] == 0
+    assert submodules(result["modules"], "numpy") == []
+    assert submodules(result["modules"], "yaml") != []
+
+
+def test_deploy_loads_numpy_and_writes_the_golden_bytes(runs):
+    out, results = runs
+    assert results["deploy"]["code"] == 0
+    assert submodules(results["deploy"]["modules"], "numpy") != []
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DEPLOY_GOLDEN}
+    assert digests == DEPLOY_GOLDEN
+
+
+def test_missing_module_fails_like_import():
+    name = "uuvnav_no_such_module"
+    with pytest.raises(ModuleNotFoundError) as plain:
+        importlib.import_module(name)
+    with pytest.raises(ModuleNotFoundError) as lazy:
+        lazy_import(name)
+    assert lazy.value.name == name
+    assert str(lazy.value) == str(plain.value)
+    assert name not in sys.modules
