@@ -9,7 +9,7 @@ and summary.
 
 Every command is deterministic: the same inputs produce byte-identical
 outputs.  Exit codes: 0 success, 1 bad input, 2 no route, 3 no plan,
-4 any other package error.
+4 any other package error, or a reader that closed stdout early.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -229,7 +230,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so that the flush
+        # at interpreter exit cannot raise again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -168,30 +168,27 @@ def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
     """Boolean mask over grid cells whose centers lie inside poly.
 
     Vectorized twin of point_in_polygon with the identical boundary rule.
+    Cell centers form a lattice, so each edge's tests on x are taken once
+    per column and those on y once per row, then broadcast.
     """
     xs, ys = grid.cell_centers()
-    xs = xs.ravel()
-    ys = ys.ravel()
-    inside = np.zeros(xs.shape, dtype=bool)
-    boundary = np.zeros(xs.shape, dtype=bool)
+    x = xs[:1]  # one row of column centers
+    y = ys[:, :1]  # one column of row centers
+    inside = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
+    boundary = np.zeros_like(inside)
     verts = poly.vertices
     n = len(verts)
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
-        cross = (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x)
-        on = (
-            (cross == 0)
-            & (xs >= min(a.x, b.x))
-            & (xs <= max(a.x, b.x))
-            & (ys >= min(a.y, b.y))
-            & (ys <= max(a.y, b.y))
-        )
-        boundary |= on
-        straddles = (a.y > ys) != (b.y > ys)
+        cross = (b.x - a.x) * (y - a.y) - (b.y - a.y) * (x - a.x)
+        within_x = (x >= min(a.x, b.x)) & (x <= max(a.x, b.x))
+        within_y = (y >= min(a.y, b.y)) & (y <= max(a.y, b.y))
+        boundary |= (cross == 0) & within_x & within_y
         if a.y != b.y:
-            x_cross = a.x + (ys - a.y) * (b.x - a.x) / (b.y - a.y)
-            inside ^= straddles & (xs < x_cross)
-    return (inside | boundary).reshape(grid.n_rows, grid.n_cols)
+            straddles = (a.y > y) != (b.y > y)
+            x_cross = a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
+            inside ^= straddles & (x < x_cross)
+    return inside | boundary
 
 
 def volume_under_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> float:

@@ -5,11 +5,15 @@ applied immediately, abstract tasks are decomposed by the first applicable
 method in domain source order, and failures backtrack to the most recent
 method choice. A global decomposition budget guards against unbounded
 recursion in the method set.
+
+The decomposition tree is recorded in preorder while the search runs:
+each applied action or method appends a node naming its parent, and
+backtracking cuts the list back to the choice point's length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import PlanNotFound
@@ -57,15 +61,6 @@ def goal_satisfied(goal: Sequence[Literal] | None, state: State) -> bool:
     return True
 
 
-@dataclass
-class _Choice:
-    methods: tuple[GroundMethod, ...]
-    next_index: int
-    state: State
-    agenda: list[GroundTask]
-    trace_len: int
-
-
 def plan(
     tables: GroundTables,
     s0: frozenset[Atom],
@@ -79,110 +74,64 @@ def plan(
     decomposition budget runs out.
     """
     state: State = frozenset(s0)
-    agenda: list[GroundTask] = list(w0)
-    trace: list[tuple[str, object]] = []
-    stack: list[_Choice] = []
-    nodes_expanded = 0
-    decompositions = 0
-
-    def try_next(choice: _Choice) -> bool:
-        nonlocal decompositions, nodes_expanded, state, agenda
-        i = choice.next_index
-        while i < len(choice.methods):
-            m = choice.methods[i]
-            i += 1
-            if m.applicable(choice.state):
-                choice.next_index = i
-                decompositions += 1
-                nodes_expanded += 1
-                if decompositions > max_decompositions:
-                    raise PlanNotFound(
-                        f"decomposition budget of {max_decompositions} exceeded"
-                    )
-                state = choice.state
-                agenda = list(m.subtasks) + choice.agenda[1:]
-                del trace[choice.trace_len :]
-                trace.append(("method", m))
-                return True
-        choice.next_index = i
-        return False
-
+    # (task, parent node id) entries, front task last
+    agenda: list[tuple[GroundTask, int | None]] = [(task, None) for task in reversed(w0)]
+    nodes: list[tuple[GroundAction | GroundMethod, int | None]] = []  # (payload, parent)
+    # (untried methods, state, rest of agenda, node count, parent) per choice point
+    choices: list[tuple] = []
+    nodes_expanded = decompositions = 0
     while True:
-        failed = False
         # apply primitives at the agenda front
-        while agenda and tables.is_primitive(agenda[0]):
-            action = tables.actions.get(agenda[0])
+        while agenda and tables.is_primitive(agenda[-1][0]):
+            task, parent = agenda[-1]
+            action = tables.actions.get(task)
             if action is None or not action.applicable(state):
-                failed = True
                 break
             nodes_expanded += 1
             state = action.apply(state)
-            trace.append(("action", action))
-            agenda.pop(0)
-        if not failed and not agenda:
-            if goal_satisfied(goal, state):
-                steps, tree, roots = _build_tree(trace)
-                return Plan(
-                    steps=steps,
-                    tree=tree,
-                    roots=roots,
-                    stats=PlanStats(nodes_expanded, decompositions),
-                )
-            failed = True
-        if not failed:
-            choice = _Choice(
-                methods=tables.methods.get(agenda[0], ()),
-                next_index=0,
-                state=state,
-                agenda=list(agenda),
-                trace_len=len(trace),
-            )
-            stack.append(choice)
-            failed = not try_next(choice)
-        if failed:
-            while stack:
-                if try_next(stack[-1]):
-                    break
-                stack.pop()
-            else:
-                raise PlanNotFound("search space exhausted without a plan")
-
-
-def _build_tree(trace):
-    """Rebuild the decomposition tree from the preorder search trace.
-
-    Each method entry in the trace is followed by the subtrees of its
-    subtasks, in order, so one pass with a stack of the methods still
-    awaiting children rebuilds the tree.  The pass is iterative because a
-    recursive domain can nest deeper than Python's recursion limit.
-    """
-    steps: list[GroundAction] = []
-    roots: list[int] = []
-    nodes: list[tuple] = []  # (task, kind, method, child ids, step) per node
-    awaiting: list[list] = []  # [child ids, subtasks still to come] per open method
-    for kind, payload in trace:
-        node_id = len(nodes)
-        if awaiting:
-            top = awaiting[-1]
-            top[0].append(node_id)
-            top[1] -= 1
-            if top[1] == 0:
-                awaiting.pop()
+            nodes.append((action, parent))
+            agenda.pop()
         else:
-            roots.append(node_id)
-        children: list[int] = []
-        if kind == "action":
-            nodes.append((payload.task, "action", None, children, len(steps)))
+            if agenda:
+                task, parent = agenda.pop()
+                methods = iter(tables.methods.get(task, ()))
+                choices.append((methods, state, agenda, len(nodes), parent))
+            elif goal_satisfied(goal, state):
+                return _plan(nodes, PlanStats(nodes_expanded, decompositions))
+        # decompose by the next applicable method of the latest choice point
+        while choices:
+            methods, state, rest, mark, parent = choices[-1]
+            method = next((m for m in methods if m.applicable(state)), None)
+            if method is not None:
+                break
+            choices.pop()
+        else:
+            raise PlanNotFound("search space exhausted without a plan")
+        decompositions += 1
+        nodes_expanded += 1
+        if decompositions > max_decompositions:
+            raise PlanNotFound(f"decomposition budget of {max_decompositions} exceeded")
+        del nodes[mark:]
+        nodes.append((method, parent))
+        agenda = rest + [(task, mark) for task in reversed(method.subtasks)]
+
+
+def _plan(nodes: list[tuple], stats: PlanStats) -> Plan:
+    """Group the preorder (payload, parent) nodes into the plan's tree."""
+    roots: list[int] = []
+    children: list[list[int]] = [[] for _ in nodes]
+    for node_id, (_, parent) in enumerate(nodes):
+        (roots if parent is None else children[parent]).append(node_id)
+    steps: list[GroundAction] = []
+    tree: list[TreeNode] = []
+    for node_id, (payload, _) in enumerate(nodes):
+        if isinstance(payload, GroundAction):
+            tree.append(TreeNode(node_id, payload.task, "action", None, (), len(steps)))
             steps.append(payload)
         else:
-            nodes.append((payload.task, "method", payload.name, children, None))
-            if payload.subtasks:
-                awaiting.append([children, len(payload.subtasks)])
-    tree = tuple(
-        TreeNode(node_id, task, kind, method, tuple(children), step)
-        for node_id, (task, kind, method, children, step) in enumerate(nodes)
-    )
-    return tuple(steps), tree, tuple(roots)
+            kids = tuple(children[node_id])
+            tree.append(TreeNode(node_id, payload.task, "method", payload.name, kids, None))
+    return Plan(steps=tuple(steps), tree=tuple(tree), roots=tuple(roots), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +166,16 @@ def plan_to_dict(p: Plan) -> dict:
 
 
 def format_plan_text(p: Plan) -> str:
-    """Indented decomposition view with numbered primitive steps."""
+    """Indented decomposition view with numbered primitive steps; node ids
+    are preorder, so one pass in id order prints the tree."""
     lines = [f"plan: {len(p.steps)} step(s)"]
-    by_id = {n.id: n for n in p.tree}
-
-    def walk(node_id: int, depth: int):
-        n = by_id[node_id]
+    depth = dict.fromkeys(p.roots, 1)
+    for n in p.tree:
         label = " ".join(n.task)
-        pad = "  " * depth
+        pad = "  " * depth[n.id]
         if n.kind == "action":
             lines.append(f"{pad}{n.step + 1}. {label}")
         else:
             lines.append(f"{pad}{label}  [{n.method}]")
-            for c in n.children:
-                walk(c, depth + 1)
-
-    for r in p.roots:
-        walk(r, 1)
+            depth.update(dict.fromkeys(n.children, depth[n.id] + 1))
     return "\n".join(lines) + "\n"

@@ -67,55 +67,40 @@ def _derive(
 
     Returns (derived fully, longest matched prefix)."""
     state = frozenset(s0)
-    agenda: list[GroundTask] = list(w0)
-    # choice frames: [methods, next_index, state, agenda, matched_count]
-    stack: list[list] = []
-    matched = 0
-    best = 0
-    decompositions = 0
-
-    def backtrack() -> bool:
-        nonlocal state, agenda, matched
-        while stack:
-            frame = stack[-1]
-            methods, i, f_state, f_agenda, f_matched = frame
-            while i < len(methods):
-                m = methods[i]
-                i += 1
-                if m.applicable(f_state):
-                    frame[1] = i
-                    state = f_state
-                    agenda = list(m.subtasks) + f_agenda[1:]
-                    matched = f_matched
-                    return True
-            stack.pop()
-        return False
-
+    agenda: list[GroundTask] = list(reversed(w0))  # front task last
+    # (untried methods, state, rest of agenda, matched count) per choice frame
+    frames: list[tuple] = []
+    matched = best = decompositions = 0
     while True:
-        failed = False
-        while agenda and tables.is_primitive(agenda[0]):
-            action = tables.actions.get(agenda[0])
+        while agenda and tables.is_primitive(agenda[-1]):
+            action = tables.actions.get(agenda[-1])
             if (
                 matched >= len(steps)
                 or action is None
                 or action.task != steps[matched]
                 or not action.applicable(state)
             ):
-                failed = True
                 break
             state = action.apply(state)
             matched += 1
             best = max(best, matched)
-            agenda.pop(0)
-        if not failed and not agenda:
-            if matched == len(steps):
+            agenda.pop()
+        else:
+            if agenda:
+                decompositions += 1
+                if decompositions > max_decompositions:
+                    return False, best
+                task = agenda.pop()
+                frames.append((iter(tables.methods.get(task, ())), state, agenda, matched))
+            elif matched == len(steps):
                 return True, matched
-            failed = True  # derivation ended before consuming every step
-        if not failed:
-            decompositions += 1
-            if decompositions > max_decompositions:
-                return False, best
-            stack.append([tables.methods.get(agenda[0], ()), 0, state, list(agenda), matched])
-            failed = not backtrack()  # advances the fresh frame first
-        if failed and not backtrack():
+            # else the derivation ended before consuming every step
+        while frames:
+            methods, state, rest, matched = frames[-1]
+            method = next((m for m in methods if m.applicable(state)), None)
+            if method is not None:
+                break
+            frames.pop()
+        else:
             return False, best
+        agenda = rest + list(reversed(method.subtasks))

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import uuvnav
 from uuvnav.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -12,6 +17,7 @@ PROBLEM = str(REPO / "scenarios" / "problems" / "uuv1-mission.hddl")
 BEACONS = str(REPO / "scenarios" / "beacons.geojson")
 BATHY = str(REPO / "scenarios" / "bathymetry.asc")
 AREA = str(REPO / "scenarios" / "mission-area.geojson")
+PACKAGE_ROOT = Path(uuvnav.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -113,6 +119,31 @@ class TestPlanCommand:
             capsys, "plan", "--domain", "/nonexistent.hddl", "--problem", PROBLEM
         )
         assert code == 1
+
+    def test_text_plan_of_a_3000_deep_decomposition_prints_every_step(self, capsys, tmp_path):
+        # task t{i} decomposes into a step and t{i+1}, so the tree is 3000 methods deep
+        depth = 3000
+        methods = [
+            f"(:method m{i} :parameters () :task (t{i}) :ordered-subtasks (and (step) (t{i + 1})))"
+            for i in range(depth - 1)
+        ]
+        last = depth - 1
+        methods.append(f"(:method m{last} :parameters () :task (t{last}) :ordered-subtasks (step))")
+        domain = tmp_path / "chain.hddl"
+        domain.write_text(
+            "(define (domain chain) (:requirements :hierarchy)\n"
+            + "".join(f"(:task t{i} :parameters ())\n" for i in range(depth))
+            + "(:action step :parameters ())\n"
+            + "\n".join(methods)
+            + ")\n"
+        )
+        problem = tmp_path / "deep.hddl"
+        problem.write_text("(define (problem deep) (:domain chain) (:htn :ordered-subtasks (t0)))")
+        code, out, err = run(capsys, "plan", "--domain", str(domain), "--problem", str(problem))
+        assert (code, err) == (0, "")
+        numbered = [int(n) for n in re.findall(r"^ +(\d+)\. step$", out, flags=re.M)]
+        assert numbered == list(range(1, depth + 1))
+        assert out.startswith(f"plan: {depth} step(s)\n")
 
 
 class TestValidateCommand:
@@ -683,3 +714,47 @@ def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, 
     assert err.startswith(f"error: {path}: {start}")
     assert where in err and err.count(path) == 1 and "Traceback" not in err
     assert not (tmp_path / "x.geojson").exists() and not (tmp_path / "out").exists()
+
+
+def run_with_closed_stdout(*argv):
+    """Run the command in a fresh interpreter whose stdout is a pipe that
+    nobody reads: its read end is closed before the command starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "uuvnav.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)),
+            cwd=REPO,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (
+            ["plan", "--domain", DOMAIN, "--problem", PROBLEM, "--format", "json",
+             "--out", "{out}/plan.json"],
+            ["plan.json"],
+        ),
+        (
+            ["simulate", "--scenario", str(REPO / "scenarios" / "nominal.yaml"),
+             "--out-dir", "{out}"],
+            ["events.jsonl", "tracks.geojson", "summary.json"],
+        ),
+    ],
+    ids=["plan", "simulate"],
+)
+def test_closed_stdout_exits_4_quietly_with_outputs_complete(capsys, tmp_path, argv, outputs):
+    code, _, _ = run(capsys, *(arg.format(out=tmp_path / "normal") for arg in argv))
+    assert code == 0
+    done = run_with_closed_stdout(*(arg.format(out=tmp_path / "closed") for arg in argv))
+    assert (done.returncode, done.stderr) == (4, b"")
+    for name in outputs:
+        closed, normal = tmp_path / "closed" / name, tmp_path / "normal" / name
+        assert closed.read_bytes() == normal.read_bytes(), name

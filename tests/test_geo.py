@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from uuvnav.errors import GeoJsonError, GridFormatError
 from uuvnav.geo import (
@@ -204,17 +206,49 @@ def test_polygon_rejects_too_few_vertices():
         MissionPolygon((Point2D(0, 0), Point2D(1, 1)))
 
 
-def test_cells_in_polygon_matches_scalar_test():
-    rng = np.random.default_rng(11)
-    g = flat_grid(12, 9, 5.0, cell_size=3.0, origin=(-4.0, 2.0))
-    poly = MissionPolygon(
-        (Point2D(-2, 4), Point2D(20, 6), Point2D(15, 30), Point2D(1, 22))
+@st.composite
+def grids_and_lattice_polygons(draw):
+    """A small grid and a simple polygon whose vertices are cell centers of
+    that lattice, some beyond the grid, so that cell centers fall on edges
+    and vertices and edges run along rows."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cell = draw(st.sampled_from([1.0, 3.0, 0.1, 100.0]))
+    grid = flat_grid(
+        n_rows, n_cols, 5.0, cell_size=cell,
+        origin=(draw(st.integers(-50, 50)) * 0.7, draw(st.integers(-50, 50)) * 0.3),
     )
-    mask = cells_in_polygon(g, poly)
-    xs, ys = g.cell_centers()
-    for r in range(g.n_rows):
-        for c in range(g.n_cols):
-            assert mask[r, c] == point_in_polygon(Point2D(xs[r, c], ys[r, c]), poly)
+    vertex = st.tuples(st.integers(-2, n_rows + 1), st.integers(-2, n_cols + 1))
+    corners = [
+        # the formula of BathymetryGrid.cell_centers, continued beyond the grid
+        Point2D(
+            grid.origin_x + (c + 0.5) * cell,
+            grid.origin_y + (grid.n_rows - r - 0.5) * cell,
+        )
+        for r, c in draw(st.lists(vertex, min_size=3, max_size=7, unique=True))
+    ]
+    try:
+        poly = MissionPolygon(tuple(corners))
+    except ValueError:
+        reject()  # collinear repeats or crossing edges
+    return grid, poly
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grids_and_lattice_polygons())
+@example(
+    (
+        flat_grid(12, 9, 5.0, cell_size=3.0, origin=(-4.0, 2.0)),
+        MissionPolygon((Point2D(-2, 4), Point2D(20, 6), Point2D(15, 30), Point2D(1, 22))),
+    )
+)
+def test_cells_in_polygon_matches_scalar_test(grid_and_poly):
+    grid, poly = grid_and_poly
+    mask = cells_in_polygon(grid, poly)
+    assert mask.shape == (grid.n_rows, grid.n_cols)
+    xs, ys = grid.cell_centers()
+    for r in range(grid.n_rows):
+        for c in range(grid.n_cols):
+            assert mask[r, c] == point_in_polygon(Point2D(xs[r, c], ys[r, c]), poly), (r, c)
 
 
 # ---------------------------------------------------------------------------

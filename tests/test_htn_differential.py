@@ -1,0 +1,392 @@
+"""Differential properties: the planner, its text view and the validator's
+derivation search agree with the reference implementations kept below.
+
+The references are the earlier forms of the same searches: a planner that
+logged a trace and rebuilt the tree by replaying it, a recursive text
+walk, and a derivation search with list frames and an index per frame.
+They are test-only; the package does not import them.
+"""
+
+import importlib
+from dataclasses import dataclass
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from uuvnav.errors import PlanNotFound
+from uuvnav.hddl import (
+    ActionAst,
+    DomainAst,
+    Literal,
+    MethodAst,
+    PredicateDecl,
+    ProblemAst,
+    TaskDecl,
+    ground,
+    parse_domain,
+    parse_problem,
+)
+from uuvnav.htn import Plan, PlanStats, TreeNode, format_plan_text, plan, validate
+from uuvnav.htn.planner import DEFAULT_DECOMPOSITION_BUDGET, goal_satisfied
+
+import test_hddl_roundtrip
+import test_htn_properties
+from test_htn import RECURSIVE_DOMAIN
+from test_htn_properties import ALTERNATIVES, PROPERTY
+
+REPO = Path(__file__).resolve().parent.parent
+# the package binds the name validate to the function, so the module is
+# reached through the import system
+validate_module = importlib.import_module("uuvnav.htn.validate")
+
+# About half the examples take the default budget; small budgets run out.
+BUDGETS = st.one_of(st.just(DEFAULT_DECOMPOSITION_BUDGET), st.integers(0, 8))
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Choice:
+    methods: tuple
+    next_index: int
+    state: frozenset
+    agenda: list
+    trace_len: int
+
+
+def reference_plan(tables, s0, w0, goal=None, max_decompositions=DEFAULT_DECOMPOSITION_BUDGET):
+    """Search with a trace of applied actions and methods, then rebuild the
+    tree by replaying the trace."""
+    state = frozenset(s0)
+    agenda = list(w0)
+    trace = []
+    stack = []
+    nodes_expanded = 0
+    decompositions = 0
+
+    def try_next(choice):
+        nonlocal decompositions, nodes_expanded, state, agenda
+        i = choice.next_index
+        while i < len(choice.methods):
+            m = choice.methods[i]
+            i += 1
+            if m.applicable(choice.state):
+                choice.next_index = i
+                decompositions += 1
+                nodes_expanded += 1
+                if decompositions > max_decompositions:
+                    raise PlanNotFound(
+                        f"decomposition budget of {max_decompositions} exceeded"
+                    )
+                state = choice.state
+                agenda = list(m.subtasks) + choice.agenda[1:]
+                del trace[choice.trace_len :]
+                trace.append(("method", m))
+                return True
+        choice.next_index = i
+        return False
+
+    while True:
+        failed = False
+        while agenda and tables.is_primitive(agenda[0]):
+            action = tables.actions.get(agenda[0])
+            if action is None or not action.applicable(state):
+                failed = True
+                break
+            nodes_expanded += 1
+            state = action.apply(state)
+            trace.append(("action", action))
+            agenda.pop(0)
+        if not failed and not agenda:
+            if goal_satisfied(goal, state):
+                steps, tree, roots = reference_build_tree(trace)
+                return Plan(
+                    steps=steps,
+                    tree=tree,
+                    roots=roots,
+                    stats=PlanStats(nodes_expanded, decompositions),
+                )
+            failed = True
+        if not failed:
+            choice = _Choice(
+                methods=tables.methods.get(agenda[0], ()),
+                next_index=0,
+                state=state,
+                agenda=list(agenda),
+                trace_len=len(trace),
+            )
+            stack.append(choice)
+            failed = not try_next(choice)
+        if failed:
+            while stack:
+                if try_next(stack[-1]):
+                    break
+                stack.pop()
+            else:
+                raise PlanNotFound("search space exhausted without a plan")
+
+
+def reference_build_tree(trace):
+    """One pass over the preorder trace with a stack of the methods still
+    awaiting children."""
+    steps = []
+    roots = []
+    nodes = []
+    awaiting = []
+    for kind, payload in trace:
+        node_id = len(nodes)
+        if awaiting:
+            top = awaiting[-1]
+            top[0].append(node_id)
+            top[1] -= 1
+            if top[1] == 0:
+                awaiting.pop()
+        else:
+            roots.append(node_id)
+        children = []
+        if kind == "action":
+            nodes.append((payload.task, "action", None, children, len(steps)))
+            steps.append(payload)
+        else:
+            nodes.append((payload.task, "method", payload.name, children, None))
+            if payload.subtasks:
+                awaiting.append([children, len(payload.subtasks)])
+    tree = tuple(
+        TreeNode(node_id, task, kind, method, tuple(children), step)
+        for node_id, (task, kind, method, children, step) in enumerate(nodes)
+    )
+    return tuple(steps), tree, tuple(roots)
+
+
+def reference_format_plan_text(p):
+    """The recursive walk from each root."""
+    lines = [f"plan: {len(p.steps)} step(s)"]
+    by_id = {n.id: n for n in p.tree}
+
+    def walk(node_id, depth):
+        n = by_id[node_id]
+        label = " ".join(n.task)
+        pad = "  " * depth
+        if n.kind == "action":
+            lines.append(f"{pad}{n.step + 1}. {label}")
+        else:
+            lines.append(f"{pad}{label}  [{n.method}]")
+            for c in n.children:
+                walk(c, depth + 1)
+
+    for r in p.roots:
+        walk(r, 1)
+    return "\n".join(lines) + "\n"
+
+
+def reference_derive(tables, s0, w0, steps, max_decompositions):
+    """Derivation search with [methods, next index, state, agenda, matched]
+    frames and a backtracking closure."""
+    state = frozenset(s0)
+    agenda = list(w0)
+    stack = []
+    matched = 0
+    best = 0
+    decompositions = 0
+
+    def backtrack():
+        nonlocal state, agenda, matched
+        while stack:
+            frame = stack[-1]
+            methods, i, f_state, f_agenda, f_matched = frame
+            while i < len(methods):
+                m = methods[i]
+                i += 1
+                if m.applicable(f_state):
+                    frame[1] = i
+                    state = f_state
+                    agenda = list(m.subtasks) + f_agenda[1:]
+                    matched = f_matched
+                    return True
+            stack.pop()
+        return False
+
+    while True:
+        failed = False
+        while agenda and tables.is_primitive(agenda[0]):
+            action = tables.actions.get(agenda[0])
+            if (
+                matched >= len(steps)
+                or action is None
+                or action.task != steps[matched]
+                or not action.applicable(state)
+            ):
+                failed = True
+                break
+            state = action.apply(state)
+            matched += 1
+            best = max(best, matched)
+            agenda.pop(0)
+        if not failed and not agenda:
+            if matched == len(steps):
+                return True, matched
+            failed = True
+        if not failed:
+            decompositions += 1
+            if decompositions > max_decompositions:
+                return False, best
+            stack.append([tables.methods.get(agenda[0], ()), 0, state, list(agenda), matched])
+            failed = not backtrack()
+        if failed and not backtrack():
+            return False, best
+
+
+def reference_validate(*args, **kwargs):
+    """validate with the reference derivation search in place of _derive."""
+    with mock.patch.object(validate_module, "_derive", reference_derive):
+        return validate(*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Checks
+# ---------------------------------------------------------------------------
+
+def outcome(search, *args, **kwargs):
+    """The plan a search finds, or the reason it gives for finding none."""
+    try:
+        return search(*args, **kwargs)
+    except PlanNotFound as exc:
+        return exc.reason
+
+
+def mutants(steps, tables):
+    """Every sequence one deletion, one insertion, one substitution or one
+    swap of two steps away from steps."""
+    steps = tuple(steps)
+    out = set()
+    for i in range(len(steps) + 1):
+        for task in tables.actions:
+            out.add(steps[:i] + (task,) + steps[i:])
+            if i < len(steps):
+                out.add(steps[:i] + (task,) + steps[i + 1 :])
+        if i < len(steps):
+            out.add(steps[:i] + steps[i + 1 :])
+        for j in range(i + 1, len(steps)):
+            swapped = list(steps)
+            swapped[i], swapped[j] = steps[j], steps[i]
+            out.add(tuple(swapped))
+    out.discard(steps)
+    return sorted(out)
+
+
+def check_plan_and_validate(tables, s0, w0, goal, budget):
+    got = outcome(plan, tables, s0, w0, goal, max_decompositions=budget)
+    want = outcome(reference_plan, tables, s0, w0, goal, max_decompositions=budget)
+    assert got == want
+    if isinstance(got, str):
+        return got
+    assert format_plan_text(got) == reference_format_plan_text(want)
+    steps = tuple(action.task for action in got.steps)
+    for candidate in [steps] + mutants(steps, tables):
+        assert validate(tables, s0, w0, candidate, goal, budget) == reference_validate(
+            tables, s0, w0, candidate, goal, budget
+        ), candidate
+    # the derivation's own budget, from none to just past what it needs
+    for small in range(min(budget, got.stats.decompositions + 2)):
+        assert validate(tables, s0, w0, steps, goal, small) == reference_validate(
+            tables, s0, w0, steps, goal, small
+        ), small
+    return got
+
+
+@st.composite
+def layered_problems(draw):
+    """Parameterless domains whose tasks t0, t1, t2 each have two or three
+    methods, each of one or two actions and the next task in some order,
+    and a goal on the final state, so the search often backtracks to a
+    later method of a task before it finds a plan."""
+    props = ["p0", "p1", "p2"]
+
+    def literals(min_size, max_size):
+        literal = st.builds(Literal, st.sampled_from(props), st.just(()), st.booleans())
+        return tuple(draw(st.lists(literal, min_size=min_size, max_size=max_size)))
+
+    tasks = ["t0", "t1", "t2"]
+    actions = tuple(ActionAst(f"a{i}", (), literals(0, 1), literals(1, 2)) for i in range(3))
+    methods = []
+    for i, task in enumerate(tasks):
+        for j in range(draw(st.integers(2, 3))):
+            subtasks = draw(st.lists(st.sampled_from(["a0", "a1", "a2"]), min_size=1, max_size=2))
+            subtasks = draw(st.permutations(subtasks + tasks[i + 1 : i + 2]))
+            refs = tuple((name,) for name in subtasks)
+            methods.append(MethodAst(f"m{i}-{j}", (), (task,), literals(0, 1), refs))
+    domain = DomainAst(
+        name="layered",
+        requirements=(),
+        types=(),
+        predicates=tuple(PredicateDecl(p, ()) for p in props),
+        tasks=tuple(TaskDecl(t, ()) for t in tasks),
+        actions=actions,
+        methods=tuple(methods),
+    )
+    problem = ProblemAst(
+        name="layered-1",
+        domain_name="layered",
+        objects=(),
+        init=tuple((p,) for p in props if draw(st.booleans())),
+        htn=(("t0",),),
+        goal=literals(0, 1),
+    )
+    return domain, problem
+
+
+@PROPERTY
+@given(test_hddl_roundtrip.problems(), BUDGETS)
+def test_generated_domains_plan_and_validate_as_the_reference(domain_and_problem, budget):
+    domain, problem = domain_and_problem
+    tables = ground(domain, problem)
+    check_plan_and_validate(tables, frozenset(problem.init), problem.htn, problem.goal, budget)
+
+
+@PROPERTY
+@given(layered_problems(), BUDGETS)
+def test_layered_domains_plan_and_validate_as_the_reference(domain_and_problem, budget):
+    domain, problem = domain_and_problem
+    tables = ground(domain, problem)
+    check_plan_and_validate(tables, frozenset(problem.init), problem.htn, problem.goal, budget)
+
+
+@PROPERTY
+@given(test_htn_properties.problems(alternatives=True), BUDGETS)
+def test_bundled_domain_plans_and_validates_as_the_reference(problem, budget):
+    tables = ground(ALTERNATIVES, problem)
+    check_plan_and_validate(tables, frozenset(problem.init), problem.htn, None, budget)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 7, 50])
+def test_recursive_domain_runs_out_of_budget_as_the_reference(budget):
+    domain = parse_domain(RECURSIVE_DOMAIN)
+    problem = parse_problem(
+        "(define (problem loop-1) (:domain loopy) (:objects t1 - thing)"
+        " (:htn :ordered-subtasks (and (spin t1))) (:init))",
+        domain,
+    )
+    tables = ground(domain, problem)
+    reason = check_plan_and_validate(tables, frozenset(problem.init), problem.htn, None, budget)
+    assert reason == f"decomposition budget of {budget} exceeded"
+
+
+@pytest.mark.parametrize(
+    "problem_path", sorted((REPO / "scenarios" / "problems").glob("*.hddl")), ids=lambda p: p.stem
+)
+def test_bundled_problems_plan_and_validate_as_the_reference(problem_path):
+    domain = parse_domain((REPO / "domains" / "uuv-nav.hddl").read_text())
+    problem = parse_problem(problem_path.read_text(), domain)
+    tables = ground(domain, problem)
+    found = check_plan_and_validate(
+        tables, frozenset(problem.init), problem.htn, problem.goal, DEFAULT_DECOMPOSITION_BUDGET
+    )
+    assert isinstance(found, Plan)
