@@ -282,6 +282,11 @@ def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
             overrides[key] = float(value)
         if overrides["pulse_period"] <= 0:
             raise GeoJsonError(f"feature {i} 'pulse_period' must be positive")
+        if not math.isfinite(params.run_pulses(overrides["pulse_period"])):
+            raise GeoJsonError(
+                f"feature {i} 'pulse_period' {overrides['pulse_period']!r} gives a pulse count"
+                " over the run (step_cap × tick / pulse_period) that is not finite"
+            )
         if overrides["acoustic_range"] < 0:
             raise GeoJsonError(f"feature {i} 'acoustic_range' must be non-negative")
         beacons.append(

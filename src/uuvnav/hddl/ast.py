@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # a task reference: (task-or-action name, argument, ...)
 TaskRef = tuple[str, ...]
 # a ground atom: (predicate, object, ...)
 Atom = tuple[str, ...]
+
+
+def type_chain(parents: dict[str, str], t: str) -> list[str]:
+    """t and its ancestors up to object, by a type -> parent table in which
+    a missing type is directly under object. The parser refuses a type
+    cycle, so every walk ends."""
+    chain = [t]
+    while chain[-1] != "object":
+        chain.append(parents.get(chain[-1], "object"))
+    return chain
 
 
 @dataclass(frozen=True)
@@ -58,24 +68,21 @@ class DomainAst:
     actions: tuple[ActionAst, ...]
     methods: tuple[MethodAst, ...]
 
+    # each type's supertypes, itself and object included, worked out once
+    supertypes: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parents = dict(self.types)
+        supertypes = {
+            t: frozenset(type_chain(parents, t)) for t in ("object", *parents, *parents.values())
+        }
+        object.__setattr__(self, "supertypes", supertypes)
+
     def type_names(self) -> set[str]:
-        names = {"object"}
-        for t, parent in self.types:
-            names.add(t)
-            names.add(parent)
-        return names
+        return set(self.supertypes)
 
     def is_subtype(self, t: str, ancestor: str) -> bool:
-        if ancestor == "object":
-            return True
-        parents = dict(self.types)
-        seen = set()
-        while t not in seen:
-            if t == ancestor:
-                return True
-            seen.add(t)
-            t = parents.get(t, "object")
-        return False
+        return ancestor in self.supertypes.get(t, (t, "object"))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
 """Instantiate action and method schemas over the problem's objects.
 
-Bindings are enumerated in parameter declaration order with objects in
-problem declaration order, so grounding is deterministic. Instances whose
-atoms would be ill-typed are pruned.
+Each parameter ranges over the objects, in problem declaration order,
+whose type is under its declared type and under the type of every
+predicate slot it fills, so every instance's atoms are well typed.
+Bindings are enumerated in parameter declaration order, so grounding is
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from ..errors import GroundingError
-from .ast import Atom, DomainAst, Literal, ProblemAst
+from .ast import ActionAst, Atom, DomainAst, Literal, MethodAst, ProblemAst
 
 DEFAULT_INSTANCE_CAP = 10**6
 
@@ -63,15 +66,6 @@ class GroundTables:
         return task[0] in self.action_names
 
 
-def _objects_by_type(domain: DomainAst, problem: ProblemAst) -> dict[str, list[str]]:
-    table: dict[str, list[str]] = {t: [] for t in domain.type_names()}
-    for obj, obj_type in problem.objects:
-        for t in table:
-            if domain.is_subtype(obj_type, t):
-                table[t].append(obj)
-    return table
-
-
 def _split_literals(lits: tuple[Literal, ...], binding: dict[str, str]):
     pos, neg = [], []
     for lit in lits:
@@ -80,47 +74,39 @@ def _split_literals(lits: tuple[Literal, ...], binding: dict[str, str]):
     return frozenset(pos), frozenset(neg)
 
 
-def _well_typed(domain, preds, obj_types, lits, binding) -> bool:
-    for lit in lits:
-        for arg, want in zip(lit.args, preds[lit.predicate].param_types):
-            if not domain.is_subtype(obj_types[binding[arg]], want):
-                return False
-    return True
-
-
-def _bindings(schema_params, by_type, cap_state, schema_name):
-    """Yield variable bindings over type-filtered object tuples."""
-    pools = [by_type.get(t, []) for _, t in schema_params]
-    names = [v for v, _ in schema_params]
-    count = 1
-    for p in pools:
-        count *= len(p)
-    cap_state["count"] += count
-    if cap_state["count"] > cap_state["cap"]:
-        raise GroundingError(
-            f"grounding aborted at {cap_state['count']} instances"
-            f" (cap {cap_state['cap']}, exceeded while grounding {schema_name})"
-        )
-    for combo in itertools.product(*pools):
-        yield dict(zip(names, combo))
-
-
 def ground(
     domain: DomainAst,
     problem: ProblemAst,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
 ) -> GroundTables:
-    by_type = _objects_by_type(domain, problem)
-    obj_types = dict(problem.objects)
-    preds = {p.name: p for p in domain.predicates}
-    cap_state = {"count": 0, "cap": instance_cap}
+    slot_types = {p.name: p.param_types for p in domain.predicates}
+    count = 0
+
+    def pools(schema: ActionAst | MethodAst, lits: tuple[Literal, ...]) -> list[list[str]]:
+        """Each parameter's objects: those under its type and the type of
+        every slot it fills in lits. Their product counts against the cap."""
+        nonlocal count
+        wants = {v: {t} for v, t in schema.parameters}
+        for lit in lits:
+            for var, t in zip(lit.args, slot_types[lit.predicate]):
+                wants[var].add(t)
+        out = [
+            [o for o, o_type in problem.objects if want <= domain.supertypes[o_type]]
+            for want in wants.values()
+        ]
+        count += math.prod(map(len, out))
+        if count > instance_cap:
+            raise GroundingError(
+                f"grounding aborted at {count} instances"
+                f" (cap {instance_cap}, exceeded while grounding {schema.name})"
+            )
+        return out
 
     actions: dict[GroundTask, GroundAction] = {}
     for schema in domain.actions:
-        for binding in _bindings(schema.parameters, by_type, cap_state, schema.name):
-            lits = schema.precondition + schema.effect
-            if not _well_typed(domain, preds, obj_types, lits, binding):
-                continue
+        names = [v for v, _ in schema.parameters]
+        for combo in itertools.product(*pools(schema, schema.precondition + schema.effect)):
+            binding = dict(zip(names, combo))
             args = tuple(binding[v] for v, _ in schema.parameters)
             pos_pre, neg_pre = _split_literals(schema.precondition, binding)
             adds, dels = _split_literals(schema.effect, binding)
@@ -131,9 +117,9 @@ def ground(
     for schema in domain.methods:
         # split each task reference into (name, variables) once, not per binding
         (head, head_vars), *refs = [(r[0], r[1:]) for r in (schema.task,) + schema.subtasks]
-        for binding in _bindings(schema.parameters, by_type, cap_state, schema.name):
-            if not _well_typed(domain, preds, obj_types, schema.precondition, binding):
-                continue
+        names = [v for v, _ in schema.parameters]
+        for combo in itertools.product(*pools(schema, schema.precondition)):
+            binding = dict(zip(names, combo))
             args = tuple(binding[v] for v, _ in schema.parameters)
             task = (head,) + tuple(binding[a] for a in head_vars)
             pos_pre, neg_pre = _split_literals(schema.precondition, binding)
@@ -145,6 +131,5 @@ def ground(
         actions=actions,
         methods={k: tuple(v) for k, v in methods.items()},
         action_names=frozenset(a.name for a in domain.actions),
-        instance_count=cap_state["count"],
+        instance_count=count,
     )
-

@@ -30,6 +30,7 @@ from .ast import (
     ProblemAst,
     TaskDecl,
     TaskRef,
+    type_chain,
 )
 from .sexpr import Node, SList, Symbol, read_all
 
@@ -238,10 +239,19 @@ def parse_domain(text: str) -> DomainAst:
     for section in groups[":types"]:
         items = _parse_typed_items(section.items[1:], "type")
         declared = {"object"} | {sym.text for sym, _ in items}
+        parents: dict[str, str] = {}
         for sym, parent in items:
             if parent not in declared:
                 raise _err(f"type {sym.text} has undeclared parent {parent}", sym)
-        types = tuple((sym.text, parent) for sym, parent in items)
+            if sym.text in parents:
+                raise _err(f"type {sym.text} is declared twice", sym)
+            # a type among its parent's supertypes, by the types declared so
+            # far, closes a cycle; only object may sit under object itself
+            in_cycle = sym.text in type_chain(parents, parent)
+            if in_cycle and (sym.text, parent) != ("object", "object"):
+                raise _err(f"type {sym.text} under {parent} closes a type cycle", sym)
+            parents[sym.text] = parent
+        types = tuple(parents.items())
     type_names = {"object"} | {t for t, _ in types}
 
     predicates: dict[str, PredicateDecl] = {}

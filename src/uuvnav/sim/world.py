@@ -80,6 +80,25 @@ class WorldParams:
                 f"standoff_radius {self.standoff_radius!r} gives a circle time or"
                 " angular rate that is not finite"
             )
+        # the most a run of step_cap ticks can reach: the pulse count that
+        # BeaconState.pulses_during floors, and the uncertainty that
+        # _move_towards accrues at full speed
+        if not math.isfinite(self.run_pulses(self.pulse_period)):
+            raise SimulationError(
+                f"tick {self.tick!r} and pulse_period {self.pulse_period!r} give a pulse"
+                " count over the run (step_cap × tick / pulse_period) that is not finite"
+            )
+        drift = self.drift_rate * self.uuv_speed * self.tick * self.step_cap
+        if not math.isfinite(self.initial_uncertainty + drift):
+            raise SimulationError(
+                f"drift_rate {self.drift_rate!r} and uuv_speed {self.uuv_speed!r} give a"
+                " position uncertainty over the run (initial_uncertainty + drift_rate"
+                " × uuv_speed × tick × step_cap) that is not finite"
+            )
+
+    def run_pulses(self, pulse_period: float) -> float:
+        """The pulses a beacon of this period fires in step_cap ticks."""
+        return self.step_cap * self.tick / pulse_period
 
 
 @dataclass
@@ -223,8 +242,12 @@ def _complete_action(uuv: UUVState, world: WorldState) -> None:
     uuv.belief |= set(action.add_eff)
     world.emit("action-completed", uuv.id, {"action": action.name, "args": list(action.args)})
     if not uuv.queue:
-        uuv.status = "completed"
-        world.emit("mission-completed", uuv.id, {})
+        _complete_mission(uuv, world)
+
+
+def _complete_mission(uuv: UUVState, world: WorldState) -> None:
+    uuv.status = "completed"
+    world.emit("mission-completed", uuv.id, {})
 
 
 def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
@@ -452,7 +475,10 @@ def action_behaviour(name: str) -> ActionBehaviour:
 
 
 def _tick_uuv(uuv: UUVState, world: WorldState) -> None:
-    if uuv.status != "active" or not uuv.queue:
+    if uuv.status != "active":
+        return
+    if not uuv.queue:  # an empty plan, from the start or from a replan
+        _complete_mission(uuv, world)
         return
     behaviour = action_behaviour(_start_action(uuv, world).name)
     if not behaviour.after_detection:

@@ -663,6 +663,9 @@ MALFORMED = REPO / "scenarios" / "malformed"
 MALFORMED_INPUTS = {
     "invalid-yaml.yaml": ("--scenario", "not valid YAML: ", "line 11, column 12"),
     "zero-tick.yaml": ("--scenario", "world.tick must be positive", "world.tick"),
+    "overflowing-tick.yaml": (
+        "--scenario", "world.tick 1e+308 and pulse_period 10.0 give a pulse count", "world.tick"
+    ),
     "missing-domain.yaml": (
         "--scenario", "missing required field 'paths.domain'", "paths.domain"
     ),

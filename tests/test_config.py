@@ -124,6 +124,25 @@ class TestLoadScenario:
                 1.0e-320,
                 "world.standoff_radius 1e-320 gives a circle time or angular rate that is not finite",
             ),
+            (
+                "tick",
+                1.0e308,
+                "world.tick 1e+308 and pulse_period 10.0 give a pulse count over the run"
+                " (step_cap × tick / pulse_period) that is not finite",
+            ),
+            (
+                "pulse_period",
+                1.0e-320,
+                "world.tick 1.0 and pulse_period 1e-320 give a pulse count over the run"
+                " (step_cap × tick / pulse_period) that is not finite",
+            ),
+            (
+                "drift_rate",
+                1.0e308,
+                "world.drift_rate 1e+308 and uuv_speed 2.0 give a position uncertainty over"
+                " the run (initial_uncertainty + drift_rate × uuv_speed × tick × step_cap)"
+                " that is not finite",
+            ),
             ("uuv_speed", -1, "world.uuv_speed must be non-negative"),
             ("step_cap", 0, "world.step_cap must be positive"),
             ("step_cap", -3, "world.step_cap must be positive"),
@@ -328,6 +347,14 @@ class TestLoadBeacons:
                     "geometry": POINT,
                 },
                 "feature 1 'pulse_period' must be positive",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "pulse_period": 1e-320},
+                    "geometry": POINT,
+                },
+                "feature 1 'pulse_period' 1e-320 gives a pulse count over the run",
             ),
             (
                 {

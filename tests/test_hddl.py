@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from uuvnav.errors import GroundingError, HddlError
@@ -8,6 +10,9 @@ from uuvnav.hddl import (
     print_domain,
     print_problem,
 )
+
+REPO = Path(__file__).resolve().parent.parent
+MALFORMED_DOMAINS = REPO / "domains" / "malformed"
 
 DOMAIN = """
 (define (domain toy)
@@ -182,6 +187,48 @@ def test_domain_section_may_appear_once(text, message):
     with pytest.raises(HddlError) as exc:
         parse_domain(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(define (domain d) (:types a b - object a - b))", "1:41: type a is declared twice"),
+        ("(define (domain d) (:types a - a))", "1:28: type a under a closes a type cycle"),
+        ("(define (domain d) (:types a - b b - a))", "1:34: type b under a closes a type cycle"),
+        (
+            "(define (domain d) (:types object - t t))",
+            "1:28: type object under t closes a type cycle",
+        ),
+        (
+            (MALFORMED_DOMAINS / "repeated-type.hddl").read_text(),
+            "5:31: type spot is declared twice",
+        ),
+        (
+            (MALFORMED_DOMAINS / "cyclic-types.hddl").read_text(),
+            "5:24: type vista under spot closes a type cycle",
+        ),
+    ],
+    ids=[
+        "repeated",
+        "self-parent",
+        "two-cycle",
+        "object-under-its-subtype",
+        "repeated-type.hddl",
+        "cyclic-types.hddl",
+    ],
+)
+def test_repeated_type_and_type_cycle_rejected_at_the_type(text, message):
+    with pytest.raises(HddlError) as exc:
+        parse_domain(text)
+    assert str(exc.value) == message
+
+
+def test_object_may_be_declared_under_itself():
+    d = parse_domain("(define (domain d) (:types a - b object b))")
+    assert d.types == (("a", "b"), ("object", "object"), ("b", "object"))
+    assert d.is_subtype("a", "b") and d.is_subtype("a", "object")
+    assert not d.is_subtype("b", "a")
+    assert d.type_names() == {"object", "a", "b"}
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +487,31 @@ def test_ground_type_hierarchy_respected():
     tables = ground(d, p)
     # the special object is also a base, so both ground instances exist
     assert set(tables.actions.keys()) == {("tag", "o1"), ("tag", "o2")}
+
+
+def test_ground_counts_only_bindings_that_fit_every_slot():
+    # ?x is declared object but fills (mark ?x - special) in the effect and
+    # (seen ?x - base) in the precondition: only the special object fits
+    text = """
+    (define (domain h)
+      (:requirements :typing)
+      (:types base - object special - base other)
+      (:predicates (mark ?x - special) (seen ?x - base))
+      (:action tag :parameters (?x - object) :precondition (seen ?x) :effect (mark ?x))
+    )
+    """
+    d = parse_domain(text)
+    p = parse_problem(
+        "(define (problem hp) (:domain h) (:objects o1 - base o2 - special o3 - other)"
+        " (:htn :ordered-subtasks ()) (:init))",
+        d,
+    )
+    tables = ground(d, p)
+    assert list(tables.actions) == [("tag", "o2")]
+    assert tables.instance_count == 1
+
+
+def test_bundled_mission_instance_count():
+    d = parse_domain((REPO / "domains" / "uuv-nav.hddl").read_text())
+    p = parse_problem((REPO / "scenarios" / "problems" / "uuv1-mission.hddl").read_text(), d)
+    assert ground(d, p).instance_count == 80

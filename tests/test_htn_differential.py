@@ -1,13 +1,16 @@
 """Differential properties: the planner, its text view and the validator's
 derivation search agree with the reference implementations kept below.
 
-The references are the earlier forms of the same searches: a planner that
+The references are the earlier forms of the same code: a planner that
 logged a trace and rebuilt the tree by replaying it, a recursive text
-walk, and a derivation search with list frames and an index per frame.
-They are test-only; the package does not import them.
+walk, a derivation search with list frames and an index per frame, and a
+grounder that enumerated each parameter's declared-type objects and then
+dropped the ill-typed bindings. They are test-only; the package does not
+import them.
 """
 
 import importlib
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
@@ -32,6 +35,7 @@ from uuvnav.hddl import (
     parse_domain,
     parse_problem,
 )
+from uuvnav.hddl.ground import GroundAction, GroundMethod, _split_literals
 from uuvnav.htn import Plan, PlanStats, TreeNode, format_plan_text, plan, validate
 from uuvnav.htn.planner import DEFAULT_DECOMPOSITION_BUDGET, goal_satisfied
 
@@ -250,6 +254,70 @@ def reference_validate(*args, **kwargs):
         return validate(*args, **kwargs)
 
 
+def reference_is_subtype(domain, t, ancestor):
+    """Walk t's parents, rebuilding the parent table on each call."""
+    if ancestor == "object":
+        return True
+    parents = dict(domain.types)
+    seen = set()
+    while t not in seen:
+        if t == ancestor:
+            return True
+        seen.add(t)
+        t = parents.get(t, "object")
+    return False
+
+
+def reference_ground(domain, problem):
+    """Enumerate every binding over each parameter's declared-type objects,
+    keep the bindings whose atoms are well typed, and build the same
+    instances from them. Returns (actions, methods, bindings kept)."""
+    names = {"object"} | {t for pair in domain.types for t in pair}
+    by_type = {
+        t: [o for o, ot in problem.objects if reference_is_subtype(domain, ot, t)] for t in names
+    }
+    obj_types = dict(problem.objects)
+    slot_types = {p.name: p.param_types for p in domain.predicates}
+
+    def well_typed(lits, binding):
+        return all(
+            reference_is_subtype(domain, obj_types[binding[arg]], want)
+            for lit in lits
+            for arg, want in zip(lit.args, slot_types[lit.predicate])
+        )
+
+    def bindings(params):
+        pools = [by_type.get(t, []) for _, t in params]
+        for combo in itertools.product(*pools):
+            yield dict(zip([v for v, _ in params], combo))
+
+    kept = 0
+    actions = {}
+    for schema in domain.actions:
+        for binding in bindings(schema.parameters):
+            if not well_typed(schema.precondition + schema.effect, binding):
+                continue
+            kept += 1
+            args = tuple(binding[v] for v, _ in schema.parameters)
+            pos_pre, neg_pre = _split_literals(schema.precondition, binding)
+            adds, dels = _split_literals(schema.effect, binding)
+            action = GroundAction(schema.name, args, pos_pre, neg_pre, adds, dels)
+            actions[action.task] = action
+    methods = {}
+    for schema in domain.methods:
+        for binding in bindings(schema.parameters):
+            if not well_typed(schema.precondition, binding):
+                continue
+            kept += 1
+            args = tuple(binding[v] for v, _ in schema.parameters)
+            task = (schema.task[0],) + tuple(binding[a] for a in schema.task[1:])
+            pos_pre, neg_pre = _split_literals(schema.precondition, binding)
+            subtasks = tuple((r[0],) + tuple(binding[a] for a in r[1:]) for r in schema.subtasks)
+            method = GroundMethod(schema.name, args, task, pos_pre, neg_pre, subtasks)
+            methods.setdefault(task, []).append(method)
+    return actions, {task: tuple(ms) for task, ms in methods.items()}, kept
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -390,3 +458,27 @@ def test_bundled_problems_plan_and_validate_as_the_reference(problem_path):
         tables, frozenset(problem.init), problem.htn, problem.goal, DEFAULT_DECOMPOSITION_BUDGET
     )
     assert isinstance(found, Plan)
+
+
+def check_ground(domain, problem):
+    tables = ground(domain, problem)
+    actions, methods, kept = reference_ground(domain, problem)
+    assert list(tables.actions.items()) == list(actions.items())
+    assert list(tables.methods.items()) == list(methods.items())
+    assert tables.instance_count == kept
+
+
+@PROPERTY
+@given(test_hddl_roundtrip.problems())
+def test_generated_domains_ground_as_the_reference(domain_and_problem):
+    # the generated schemas often put a variable in a slot narrower than
+    # its declared type, so the reference drops bindings here
+    check_ground(*domain_and_problem)
+
+
+@pytest.mark.parametrize(
+    "problem_path", sorted((REPO / "scenarios" / "problems").glob("*.hddl")), ids=lambda p: p.stem
+)
+def test_bundled_problems_ground_as_the_reference(problem_path):
+    domain = parse_domain((REPO / "domains" / "uuv-nav.hddl").read_text())
+    check_ground(domain, parse_problem(problem_path.read_text(), domain))

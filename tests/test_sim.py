@@ -71,6 +71,12 @@ def world(uuvs, beacons, **overrides):
     )
 
 
+def detections(events):
+    """The detection events of a tick; an idle vehicle (an empty plan) also
+    logs its mission-completed on the first tick."""
+    return [e for e in events if e.kind == "detection"]
+
+
 def run_until(w, predicate, cap=10000):
     events = []
     for _ in range(cap):
@@ -129,7 +135,7 @@ class TestSenseBeacon:
         # At tick 0.7 the pulse at t = 10 falls in tick 15, (9.8, 10.5].
         assert [k for k in range(1, 30) if b.pulses_during(k, 0.7)] == [15, 29]
         w = world([uuv("u1", 100.0, 0.0)], [b])
-        heard = [step(w) for _ in range(20)]
+        heard = [detections(step(w)) for _ in range(20)]
         assert [k + 1 for k, batch in enumerate(heard) if batch] == [10, 20]
 
     def test_range_boundary_inclusive(self):
@@ -141,7 +147,7 @@ class TestSenseBeacon:
         b = beacon("b1", 0.0, 0.0, active=False)
         assert not any(b.pulses_during(k, 1.0) for k in range(1, 100))
         w = world([uuv("u1", 10.0, 0.0)], [b])
-        assert not any(step(w) for _ in range(30))
+        assert not any(detections(step(w)) for _ in range(30))
 
     def test_true_position_not_estimate_decides_range(self):
         b = beacon("b1", 0.0, 0.0, acoustic_range=100.0)
@@ -150,7 +156,7 @@ class TestSenseBeacon:
             u = uuv("u1", true_x, 0.0)
             u.estimated_position = Point2D(estimated_x, 0.0)
             w = world([u], [b])
-            heard.append(any(step(w) for _ in range(10)))
+            heard.append(any(detections(step(w)) for _ in range(10)))
         assert heard == [True, False]
 
 
@@ -492,3 +498,25 @@ def test_replan_events_are_sorted_into_their_tick():
         ("uuv1", "detection"), ("uuv1", "replan-triggered"), ("uuv2", "replan-triggered")
     ]
     assert tick[-1] == ("uuv5", "detection")
+
+
+def test_vehicle_with_an_empty_plan_completes_on_its_first_tick(tmp_path):
+    problem = tmp_path / "empty.hddl"
+    problem.write_text(
+        "(define (problem empty) (:domain uuv-nav) (:objects uuv1 - uuv)"
+        " (:htn :ordered-subtasks ()) (:init))"
+    )
+    config = load_scenario(REPO / "scenarios" / "nominal.yaml")
+    (spec,) = [s for s in config.uuvs if s.id == "uuv1"]
+    config = replace(
+        config,
+        uuvs=(replace(spec, problem=problem),),
+        world=replace(config.world, step_cap=300),
+    )
+    report = run_scenario(config)
+    assert report.summary["ticks"] == 1
+    assert report.summary["all_missions_completed"] is True
+    assert report.summary["uuvs"]["uuv1"]["status"] == "completed"
+    assert [(e.time, e.kind, e.subject) for e in report.events] == [
+        (1.0, "mission-completed", "uuv1")
+    ]
