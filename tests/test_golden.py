@@ -1,5 +1,6 @@
-"""Golden outputs: ``simulate`` on the bundled scenarios and the README's
-``deploy`` command are pinned byte for byte.
+"""Golden outputs: ``simulate`` on the bundled scenarios, the README's
+``deploy`` command and ``plan`` of every bundled problem are pinned byte
+for byte.
 
 A change that is meant to keep behaviour, such as a refactor, must leave
 these digests alone.  A change that alters the outputs on purpose updates
@@ -109,3 +110,54 @@ def test_deploy_outputs_match_golden_digests(tmp_path, capsys):
         for name in DEPLOY_GOLDEN
     }
     assert digests == DEPLOY_GOLDEN
+
+
+# uuvnav plan --domain domains/uuv-nav.hddl --problem scenarios/problems/<name>.hddl
+#     --format text|json
+PLAN_GOLDEN = {
+    "uuv1-mission": {
+        "text": "42e4a45ec64a1bbd52dd12500c08957931c9a182b4a3d76587f1992cd1f1e3e1",
+        "json": "b61e79f087c34bf8f36d1b2ba4769eea9f319dddb3d0bce1981b9ce4812619f1",
+    },
+    "uuv2-listen": {
+        "text": "20f12c43d6da7621c793d4df13d29b401902cdfca0b4c5ce693b28782fe1dfb6",
+        "json": "660294ac546243aa318c91a406fcdb691077e5da2247be45f697dde2e41d9b36",
+    },
+    "uuv3-listen": {
+        "text": "c3688ed056f2aeb9bdc864c84538bc568c494819d069cbd4cb2fdb95861d2886",
+        "json": "ced5c53cd1dbfd33f9e4f0c26a9d25886a03692402682673cb158a181e21fefb",
+    },
+    "uuv4-listen": {
+        "text": "18b059fed8d39bea96e566f14c07daeefba096f48cba113f23a9d5aa3979730f",
+        "json": "8fb86c828735698232890c82100cfe69ff17a07076af21fa82d6440b8e3dfb76",
+    },
+    "uuv5-listen": {
+        "text": "38d1f7ae14467ec23ed96ec176037c4159afccc0047a782c5ea67e4f1ea379fa",
+        "json": "9d65ea2d7d5c2556c992fa73bda3fe44468b86fd16c71f3781c487379a7d4eef",
+    },
+    "uuv5-transit": {
+        "text": "21363a4ffcfb71a2027fefeecfba412411e6d5c88fd5ac5bd4dd34845372948b",
+        "json": "0be95852df1d3866398780b691ebb2b809aab16faa7fee74eebe05f0f38756cd",
+    },
+}
+
+
+# every bundled problem, so a new one fails here until it is pinned
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "problem", sorted(p.stem for p in (SCENARIOS / "problems").glob("*.hddl"))
+)
+def test_plan_outputs_match_golden_digests(problem, fmt, tmp_path, capsys):
+    out = tmp_path / f"plan.{fmt}"
+    code = main(
+        [
+            "plan",
+            "--domain", str(SCENARIOS.parent / "domains" / "uuv-nav.hddl"),
+            "--problem", str(SCENARIOS / "problems" / f"{problem}.hddl"),
+            "--format", fmt,
+            "--out", str(out),
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAN_GOLDEN[problem][fmt]
