@@ -32,22 +32,13 @@ class PlanStats:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """One node of the decomposition tree (action leaf or method split)."""
-
-    id: int
-    task: GroundTask
-    kind: str  # "action" | "method"
-    method: str | None
-    children: tuple[int, ...]
-    step: int | None  # plan step index for action leaves
-
-
-@dataclass(frozen=True)
 class Plan:
+    """The primitive steps, and the decomposition tree as the search
+    recorded it: in preorder, each node an applied action or method paired
+    with its parent's index, None for a root."""
+
     steps: tuple[GroundAction, ...]
-    tree: tuple[TreeNode, ...]
-    roots: tuple[int, ...]
+    nodes: tuple[tuple[GroundAction | GroundMethod, int | None], ...]
     stats: PlanStats
 
 
@@ -97,7 +88,11 @@ def plan(
                 methods = iter(tables.methods.get(task, ()))
                 choices.append((methods, state, agenda, len(nodes), parent))
             elif goal_satisfied(goal, state):
-                return _plan(nodes, PlanStats(nodes_expanded, decompositions))
+                return Plan(
+                    steps=tuple(p for p, _ in nodes if isinstance(p, GroundAction)),
+                    nodes=tuple(nodes),
+                    stats=PlanStats(nodes_expanded, decompositions),
+                )
         # decompose by the next applicable method of the latest choice point
         while choices:
             methods, state, rest, mark, parent = choices[-1]
@@ -116,48 +111,29 @@ def plan(
         agenda = rest + [(task, mark) for task in reversed(method.subtasks)]
 
 
-def _plan(nodes: list[tuple], stats: PlanStats) -> Plan:
-    """Group the preorder (payload, parent) nodes into the plan's tree."""
-    roots: list[int] = []
-    children: list[list[int]] = [[] for _ in nodes]
-    for node_id, (_, parent) in enumerate(nodes):
-        (roots if parent is None else children[parent]).append(node_id)
-    steps: list[GroundAction] = []
-    tree: list[TreeNode] = []
-    for node_id, (payload, _) in enumerate(nodes):
-        if isinstance(payload, GroundAction):
-            tree.append(TreeNode(node_id, payload.task, "action", None, (), len(steps)))
-            steps.append(payload)
-        else:
-            kids = tuple(children[node_id])
-            tree.append(TreeNode(node_id, payload.task, "method", payload.name, kids, None))
-    return Plan(steps=tuple(steps), tree=tuple(tree), roots=tuple(roots), stats=stats)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 def plan_to_dict(p: Plan) -> dict:
+    roots: list[int] = []
+    nodes: list[dict] = []
+    step = 0
+    for node_id, (payload, parent) in enumerate(p.nodes):
+        (roots if parent is None else nodes[parent]["children"]).append(node_id)
+        node = {"id": node_id, "task": list(payload.task)}
+        if isinstance(payload, GroundAction):
+            node.update(kind="action", step=step)
+            step += 1
+        else:
+            node.update(kind="method", method=payload.name, children=[])
+        nodes.append(node)
     return {
         "steps": [
             {"index": i, "name": s.name, "args": list(s.args)}
             for i, s in enumerate(p.steps)
         ],
-        "tree": {
-            "roots": list(p.roots),
-            "nodes": [
-                {
-                    "id": n.id,
-                    "task": list(n.task),
-                    "kind": n.kind,
-                    **({"method": n.method} if n.method is not None else {}),
-                    **({"children": list(n.children)} if n.kind == "method" else {}),
-                    **({"step": n.step} if n.step is not None else {}),
-                }
-                for n in p.tree
-            ],
-        },
+        "tree": {"roots": roots, "nodes": nodes},
         "stats": {
             "nodes_expanded": p.stats.nodes_expanded,
             "decompositions": p.stats.decompositions,
@@ -166,16 +142,18 @@ def plan_to_dict(p: Plan) -> dict:
 
 
 def format_plan_text(p: Plan) -> str:
-    """Indented decomposition view with numbered primitive steps; node ids
-    are preorder, so one pass in id order prints the tree."""
+    """Indented decomposition view with numbered primitive steps; a parent
+    precedes its children in preorder, so one pass prints the tree."""
     lines = [f"plan: {len(p.steps)} step(s)"]
-    depth = dict.fromkeys(p.roots, 1)
-    for n in p.tree:
-        label = " ".join(n.task)
-        pad = "  " * depth[n.id]
-        if n.kind == "action":
-            lines.append(f"{pad}{n.step + 1}. {label}")
+    depth: list[int] = []
+    step = 0
+    for payload, parent in p.nodes:
+        depth.append(1 if parent is None else depth[parent] + 1)
+        pad = "  " * depth[-1]
+        label = " ".join(payload.task)
+        if isinstance(payload, GroundAction):
+            step += 1
+            lines.append(f"{pad}{step}. {label}")
         else:
-            lines.append(f"{pad}{label}  [{n.method}]")
-            depth.update(dict.fromkeys(n.children, depth[n.id] + 1))
+            lines.append(f"{pad}{label}  [{payload.name}]")
     return "\n".join(lines) + "\n"

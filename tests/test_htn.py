@@ -299,12 +299,10 @@ def test_goal_violation_detected_by_validator():
 def test_tree_links_steps_to_methods():
     tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (acquire widget))"))
     result = plan(tables, s0, w0, goal)
-    roots = [n for n in result.tree if n.id in result.roots]
-    assert len(roots) == 1
-    root = roots[0]
-    assert root.kind == "method" and root.method == "m-pack"
-    kids = [n for n in result.tree if n.id in root.children]
-    assert [n.step for n in kids] == [0, 1]
+    (root, parent), *leaves = result.nodes
+    assert parent is None and root.name == "m-pack"
+    assert leaves == [(step, 0) for step in result.steps]
+    assert [step.name for step in result.steps] == ["pick", "pack"]
 
 
 def test_plan_to_dict_shape():

@@ -36,7 +36,7 @@ from uuvnav.hddl import (
     parse_problem,
 )
 from uuvnav.hddl.ground import GroundAction, GroundMethod, _split_literals
-from uuvnav.htn import Plan, PlanStats, TreeNode, format_plan_text, plan, validate
+from uuvnav.htn import Plan, PlanStats, format_plan_text, plan, validate
 from uuvnav.htn.planner import DEFAULT_DECOMPOSITION_BUDGET, goal_satisfied
 
 import test_hddl_roundtrip
@@ -111,12 +111,9 @@ def reference_plan(tables, s0, w0, goal=None, max_decompositions=DEFAULT_DECOMPO
             agenda.pop(0)
         if not failed and not agenda:
             if goal_satisfied(goal, state):
-                steps, tree, roots = reference_build_tree(trace)
+                steps, nodes = reference_build_tree(trace)
                 return Plan(
-                    steps=steps,
-                    tree=tree,
-                    roots=roots,
-                    stats=PlanStats(nodes_expanded, decompositions),
+                    steps=steps, nodes=nodes, stats=PlanStats(nodes_expanded, decompositions)
                 )
             failed = True
         if not failed:
@@ -140,53 +137,50 @@ def reference_plan(tables, s0, w0, goal=None, max_decompositions=DEFAULT_DECOMPO
 
 def reference_build_tree(trace):
     """One pass over the preorder trace with a stack of the methods still
-    awaiting children."""
+    awaiting children, each with its node id and its count of subtasks not
+    yet placed. Returns the steps and the (payload, parent id) nodes."""
     steps = []
-    roots = []
     nodes = []
     awaiting = []
     for kind, payload in trace:
-        node_id = len(nodes)
+        parent = None
         if awaiting:
             top = awaiting[-1]
-            top[0].append(node_id)
+            parent = top[0]
             top[1] -= 1
             if top[1] == 0:
                 awaiting.pop()
-        else:
-            roots.append(node_id)
-        children = []
         if kind == "action":
-            nodes.append((payload.task, "action", None, children, len(steps)))
             steps.append(payload)
-        else:
-            nodes.append((payload.task, "method", payload.name, children, None))
-            if payload.subtasks:
-                awaiting.append([children, len(payload.subtasks)])
-    tree = tuple(
-        TreeNode(node_id, task, kind, method, tuple(children), step)
-        for node_id, (task, kind, method, children, step) in enumerate(nodes)
-    )
-    return tuple(steps), tree, tuple(roots)
+        elif payload.subtasks:
+            awaiting.append([len(nodes), len(payload.subtasks)])
+        nodes.append((payload, parent))
+    return tuple(steps), tuple(nodes)
 
 
 def reference_format_plan_text(p):
-    """The recursive walk from each root."""
+    """The recursive walk from each root, numbering steps as it meets them."""
     lines = [f"plan: {len(p.steps)} step(s)"]
-    by_id = {n.id: n for n in p.tree}
+    children = {node_id: [] for node_id in range(len(p.nodes))}
+    roots = []
+    for node_id, (_, parent) in enumerate(p.nodes):
+        (roots if parent is None else children[parent]).append(node_id)
+    step = 0
 
     def walk(node_id, depth):
-        n = by_id[node_id]
-        label = " ".join(n.task)
+        nonlocal step
+        payload = p.nodes[node_id][0]
+        label = " ".join(payload.task)
         pad = "  " * depth
-        if n.kind == "action":
-            lines.append(f"{pad}{n.step + 1}. {label}")
+        if isinstance(payload, GroundAction):
+            step += 1
+            lines.append(f"{pad}{step}. {label}")
         else:
-            lines.append(f"{pad}{label}  [{n.method}]")
-            for c in n.children:
+            lines.append(f"{pad}{label}  [{payload.name}]")
+            for c in children[node_id]:
                 walk(c, depth + 1)
 
-    for r in p.roots:
+    for r in roots:
         walk(r, 1)
     return "\n".join(lines) + "\n"
 
@@ -350,12 +344,29 @@ def mutants(steps, tables):
     return sorted(out)
 
 
+def check_tree_against_network(found, w0):
+    """The roots carry the network's tasks in order, each method node's
+    children carry its method's subtasks in order, actions have no
+    children, and the action nodes in preorder are the plan's steps."""
+    roots = []
+    child_tasks = [[] for _ in found.nodes]
+    for node_id, (payload, parent) in enumerate(found.nodes):
+        assert parent is None or parent < node_id
+        (roots if parent is None else child_tasks[parent]).append(payload.task)
+    assert roots == [tuple(task) for task in w0]
+    for (payload, _), tasks in zip(found.nodes, child_tasks):
+        want = list(payload.subtasks) if isinstance(payload, GroundMethod) else []
+        assert tasks == want, payload
+    assert tuple(p for p, _ in found.nodes if isinstance(p, GroundAction)) == found.steps
+
+
 def check_plan_and_validate(tables, s0, w0, goal, budget):
     got = outcome(plan, tables, s0, w0, goal, max_decompositions=budget)
     want = outcome(reference_plan, tables, s0, w0, goal, max_decompositions=budget)
     assert got == want
     if isinstance(got, str):
         return got
+    check_tree_against_network(got, w0)
     assert format_plan_text(got) == reference_format_plan_text(want)
     steps = tuple(action.task for action in got.steps)
     for candidate in [steps] + mutants(steps, tables):
