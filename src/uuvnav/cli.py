@@ -46,9 +46,14 @@ def _dump_json(obj) -> str:
 
 
 def _write_output(path: str, text: str) -> None:
+    """Write an output file, making its directory.  A path that cannot be
+    written is an InputError naming it."""
     out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
@@ -168,12 +173,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, output_dir=Path(args.out_dir).resolve())
     report = run_scenario(config)
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "events.jsonl", "w") as events:
-        write_events_jsonl(report.events, events)
-    with open(out / "tracks.geojson", "w") as tracks:
-        write_tracks_geojson(report.tracks, tracks)
-    (out / "summary.json").write_text(_dump_json(report.summary))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "events.jsonl", "w") as events:
+            write_events_jsonl(report.events, events)
+        with open(out / "tracks.geojson", "w") as tracks:
+            write_tracks_geojson(report.tracks, tracks)
+        (out / "summary.json").write_text(_dump_json(report.summary))
+    except OSError as exc:
+        raise InputError(f"cannot write output directory {str(out)!r}: {exc}") from exc
     print(json.dumps(report.summary, sort_keys=True))
     return 0
 

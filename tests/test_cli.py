@@ -561,6 +561,27 @@ def test_undecodable_input_file_exits_1_naming_it(capsys, tmp_path, command, fla
     assert err.startswith("error: ") and str(bad) in err
 
 
+@pytest.mark.parametrize("command", ["plan", "route", "deploy", "simulate"])
+def test_unwritable_output_path_exits_1_naming_it(capsys, tmp_path, command):
+    # plan and route are pointed at a directory; deploy and simulate at a
+    # path under, or at, a plain file
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    target, argv = {
+        "plan": (tmp_path, ["--domain", DOMAIN, "--problem", PROBLEM, "--out"]),
+        "route": (tmp_path, ["--beacons", BEACONS, "--start", "b4", "--goal", "b8", "--out"]),
+        "deploy": (
+            afile / "x.geojson",
+            ["--bathymetry", BATHY, "--area", AREA, "--n-beacons", "3", "--out"],
+        ),
+        "simulate": (afile, ["--scenario", str(REPO / "scenarios" / "nominal.yaml"), "--out-dir"]),
+    }[command]
+    code, _, err = run(capsys, command, *argv, str(target))
+    assert code == 1
+    assert err.startswith("error: cannot write ") and repr(str(target)) in err
+    assert "Traceback" not in err
+
+
 def test_scenario_domain_directory_exits_1_naming_it(capsys, tmp_path):
     import yaml
 
