@@ -1,5 +1,6 @@
 """Differential properties: the planner, its text view and the validator's
-derivation search agree with the reference implementations kept below.
+derivation search agree with the reference implementations kept below,
+and every tree the planner finds matches its task network.
 
 The references are the earlier forms of the same code: a planner that
 logged a trace and rebuilt the tree by replaying it, a recursive text
@@ -161,7 +162,7 @@ def reference_build_tree(trace):
 def reference_format_plan_text(p):
     """The recursive walk from each root, numbering steps as it meets them."""
     lines = [f"plan: {len(p.steps)} step(s)"]
-    children = {node_id: [] for node_id in range(len(p.nodes))}
+    children = [[] for _ in p.nodes]
     roots = []
     for node_id, (_, parent) in enumerate(p.nodes):
         (roots if parent is None else children[parent]).append(node_id)
