@@ -135,7 +135,8 @@ def _candidate_cells(grid: BathymetryGrid, poly: MissionPolygon):
 
 def _power_assign(xs, ys, sx, sy, weights) -> np.ndarray:
     """Site with the smallest power distance ||c - s||^2 - w for each cell
-    (ties to the lowest site index).
+    (ties to the lowest site index). With every weight 0 it is the nearest
+    site, which is how lloyd_deploy snaps its centroids to cells.
 
     Cells are taken in blocks of max(1, BLOCK // N), so the scratch is two
     small buffers reused block after block rather than several cells x N
@@ -207,30 +208,6 @@ def _mean_site_spacing(sx, sy) -> float:
     return float(np.mean(np.sqrt(d2.min(axis=1))))
 
 
-def _nearest_cell(xs, ys, px, py) -> np.ndarray:
-    """Index of the candidate cell nearest each point (ties to the lowest
-    index).
-
-    Points are searched one at a time through one scratch buffer of two
-    rows (x and y differences), allocated once per call and overwritten
-    for every point, so no pass over the cells allocates. A points x cells
-    distance matrix must fault in fresh pages on every call, and at 10
-    points x 34k cells it ran about four times slower (measured on a
-    shared 2-vCPU x86-64 host).
-    """
-    scratch = np.empty((2, len(xs)))
-    dx, dy = scratch
-    nearest = np.empty(len(px), dtype=np.intp)
-    for i, (x, y) in enumerate(zip(px, py)):
-        np.subtract(xs, x, out=dx)
-        np.square(dx, out=dx)
-        np.subtract(ys, y, out=dy)
-        np.square(dy, out=dy)
-        np.add(dx, dy, out=dx)
-        nearest[i] = np.argmin(dx)
-    return nearest
-
-
 def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
     """Place n_beacons sites so their water volumes balance toward V_tot/N.
 
@@ -255,6 +232,7 @@ def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
     rng = np.random.default_rng(problem.rng_seed)
     site = _farthest_point_seed(xs, ys, n, rng)
     weights = np.zeros(n)
+    no_weights = np.zeros(len(xs))
 
     site_of = _power_assign(xs, ys, xs[site], ys[site], weights)
     volumes = np.bincount(site_of, weights=vols, minlength=n)
@@ -271,7 +249,7 @@ def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
         moving = volumes > 0
         cx = np.bincount(site_of, weights=mass_x, minlength=n)[moving] / volumes[moving]
         cy = np.bincount(site_of, weights=mass_y, minlength=n)[moving] / volumes[moving]
-        site[moving] = _nearest_cell(xs, ys, cx, cy)
+        site[moving] = _power_assign(cx, cy, xs, ys, no_weights)
         site_of = _power_assign(xs, ys, xs[site], ys[site], weights)
         volumes = np.bincount(site_of, weights=vols, minlength=n)
         obj = objective(volumes.tolist(), float(np.sum(volumes)))

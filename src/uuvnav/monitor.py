@@ -135,8 +135,7 @@ def replan_episode(exp: Expectation, world: WorldState) -> None:
         setup = uuv.setup
         uuv.queue.clear()
         uuv.expectations = []
-        uuv.action_started = False
-        uuv.circle = None
+        uuv.action_ticks = 0
         try:
             new_plan = plan(setup.tables, frozenset(uuv.belief), setup.network, setup.goal)
         except PlanNotFound as exc:

@@ -67,7 +67,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
                 estimated_position=spec.start,
                 position_uncertainty=config.world.initial_uncertainty,
                 heading=0.0,
-                speed=config.world.uuv_speed,
                 queue=list(mission_plan.steps),
                 belief=set(problem.init),
                 setup=monitor.PlanningSetup(tables, problem.htn, problem.goal),

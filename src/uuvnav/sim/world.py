@@ -126,15 +126,15 @@ class UUVState:
     estimated_position: Point2D
     position_uncertainty: float
     heading: float
-    speed: float
     queue: list[GroundAction] = field(default_factory=list)
     belief: set[tuple[str, ...]] = field(default_factory=set)
     status: str = "active"
-    action_started: bool = False
+    # Ticks the current action has run, 0 until it starts; a circle fix
+    # starts at the angle set on its first tick.
+    action_ticks: int = 0
+    circle_start: float = 0.0
     broadcast_target: Optional[Point2D] = None
     replan_count: int = 0
-    # Circle fix in progress: (theta0, ticks_done, ticks_total).
-    circle: Optional[tuple[float, int, int]] = None
     last_detection: dict[str, int] = field(default_factory=dict)  # beacon id -> tick
     # The monitor's open detection windows, in plan order, and what the
     # vehicle needs to replan.
@@ -229,15 +229,15 @@ def broadcast(sender: UUVState, world: WorldState) -> None:
 
 def _start_action(uuv: UUVState, world: WorldState) -> GroundAction:
     action = uuv.queue[0]
-    if not uuv.action_started:
-        uuv.action_started = True
+    if not uuv.action_ticks:
         world.emit("action-started", uuv.id, {"action": action.name, "args": list(action.args)})
+    uuv.action_ticks += 1
     return action
 
 
 def _complete_action(uuv: UUVState, world: WorldState) -> None:
     action = uuv.queue.pop(0)
-    uuv.action_started = False
+    uuv.action_ticks = 0
     uuv.belief -= set(action.del_eff)
     uuv.belief |= set(action.add_eff)
     world.emit("action-completed", uuv.id, {"action": action.name, "args": list(action.args)})
@@ -262,8 +262,7 @@ def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
         },
     )
     uuv.queue.clear()
-    uuv.action_started = False
-    uuv.circle = None
+    uuv.action_ticks = 0
     uuv.status = "failed"
     world.emit("mission-failed", uuv.id, {"reason": reason})
 
@@ -274,7 +273,7 @@ def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
     dx = target.x - est.x
     dy = target.y - est.y
     remaining = math.hypot(dx, dy)
-    step_len = uuv.speed * params.tick
+    step_len = params.uuv_speed * params.tick
     if remaining <= 1e-12:
         vx, vy = 0.0, 0.0
         moved = 0.0
@@ -306,10 +305,10 @@ def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
 
 def _circle_ticks(uuv: UUVState, params: WorldParams) -> int:
     """Whole ticks the vehicle takes to fly once round the standoff circle."""
-    if uuv.speed <= 0:
+    if params.uuv_speed <= 0:
         raise SimulationError(f"{uuv.id}: cannot circle with zero speed")
     circumference = 2.0 * math.pi * params.standoff_radius
-    return max(1, math.ceil(circumference / (uuv.speed * params.tick)))
+    return max(1, math.ceil(circumference / (params.uuv_speed * params.tick)))
 
 
 def _tick_to_beacon(uuv: UUVState, world: WorldState) -> None:
@@ -334,19 +333,17 @@ def _tick_circle(uuv: UUVState, world: WorldState) -> None:
     if not beacon.active:
         _fail_mission(uuv, world, f"beacon {beacon.id} went silent during fix")
         return
-    if uuv.circle is None:
+    if uuv.action_ticks == 1:
         est = uuv.estimated_position
         off_x = est.x - beacon.position.x
         off_y = est.y - beacon.position.y
         if off_x or off_y:
-            theta0 = math.atan2(off_y, off_x)
+            uuv.circle_start = math.atan2(off_y, off_x)
         else:
-            theta0 = uuv.heading + math.pi
-        uuv.circle = (theta0, 0, _circle_ticks(uuv, params))
-    theta0, ticks_done, ticks_total = uuv.circle
-    ticks_done += 1
-    omega = uuv.speed / params.standoff_radius
-    theta = theta0 + omega * ticks_done * params.tick
+            uuv.circle_start = uuv.heading + math.pi
+    ticks_total = _circle_ticks(uuv, params)
+    omega = params.uuv_speed / params.standoff_radius
+    theta = uuv.circle_start + omega * uuv.action_ticks * params.tick
     on_circle = Point2D(
         beacon.position.x + params.standoff_radius * math.cos(theta),
         beacon.position.y + params.standoff_radius * math.sin(theta),
@@ -354,14 +351,12 @@ def _tick_circle(uuv: UUVState, world: WorldState) -> None:
     uuv.true_position = on_circle
     uuv.estimated_position = on_circle
     uuv.heading = theta + math.pi / 2.0
-    if ticks_done < ticks_total:
-        uuv.circle = (theta0, ticks_done, ticks_total)
+    if uuv.action_ticks < ticks_total:
         return
     # The vehicle held the standoff radius under continuous acoustic
     # feedback, so the fix pins its estimate to the exit point and
     # collapses the uncertainty to the localization floor.
     uuv.position_uncertainty = params.localization_floor
-    uuv.circle = None
     _complete_action(uuv, world)
 
 
@@ -395,11 +390,12 @@ class Projection:
         """Advance to the beacon at cruise speed; return the leg's distance
         and nominal duration."""
         distance = self.position.distance_to(beacon.position)
-        if distance > 0 and self.uuv.speed <= 0:
+        speed = self.world.params.uuv_speed
+        if distance > 0 and speed <= 0:
             raise SimulationError(
                 f"{self.uuv.id}: leg of {distance:.1f} m is inexecutable at zero speed"
             )
-        nominal = distance / self.uuv.speed if distance > 0 else 0.0
+        nominal = distance / speed if distance > 0 else 0.0
         self.time += nominal
         self.position = beacon.position
         self.uncertainty += self.world.params.drift_rate * distance
@@ -505,7 +501,7 @@ def _detection_phase(world: WorldState) -> None:
 def _after_detection_phase(world: WorldState) -> None:
     for uuv in world.uuvs:
         action = uuv.current_action
-        if uuv.status != "active" or action is None or not uuv.action_started:
+        if uuv.status != "active" or action is None or not uuv.action_ticks:
             continue
         behaviour = action_behaviour(action.name)
         if behaviour.after_detection:

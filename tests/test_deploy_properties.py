@@ -1,8 +1,9 @@
 """Properties of ``lloyd_deploy`` on small random rasters with nodata cells:
 the region volumes partition the water under the polygon, every beacon
 sits on an in-polygon water-cell centre, and the final sites and weights
-reproduce the reported volumes. The blocked power assignment and the
-buffered nearest-cell search return exactly what their one-shot forms do."""
+reproduce the reported volumes. The blocked power assignment returns
+exactly what its one-shot form does, and with zero weights, the nearest
+cell that a point-by-point search finds."""
 
 import math
 
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from uuvnav.deploy import (
     BLOCK,
     DeploymentProblem,
-    _nearest_cell,
     _power_assign,
     assign_cells,
     lloyd_deploy,
@@ -120,7 +120,8 @@ def whole_matrix_assign(xs, ys, sx, sy, weights):
 
 
 def point_by_point_nearest(xs, ys, px, py):
-    """The nearest-cell search with fresh temporaries for every point."""
+    """The nearest-cell search with fresh temporaries for every point, which
+    lloyd_deploy's zero-weight _power_assign snap must equal."""
     return np.array(
         [np.argmin((xs - x) ** 2 + (ys - y) ** 2) for x, y in zip(px, py)], dtype=np.intp
     )
@@ -177,7 +178,8 @@ def nearest_searches(draw):
 @PROPERTY
 @given(nearest_searches())
 def test_buffered_nearest_cell_equals_the_point_by_point_search(case):
-    got = _nearest_cell(*case)
+    xs, ys, px, py = case
+    got = _power_assign(px, py, xs, ys, np.zeros(len(xs)))
     want = point_by_point_nearest(*case)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)

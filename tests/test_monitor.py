@@ -26,14 +26,13 @@ def act(name, *args, add=()):
     )
 
 
-def uuv(uuv_id, x, y, queue=None, speed=2.0, uncertainty=100.0, belief=None):
+def uuv(uuv_id, x, y, queue=None, uncertainty=100.0, belief=None):
     return UUVState(
         id=uuv_id,
         true_position=Point2D(x, y),
         estimated_position=Point2D(x, y),
         position_uncertainty=uncertainty,
         heading=0.0,
-        speed=speed,
         queue=list(queue or []),
         belief=set(belief or []),
     )
@@ -142,14 +141,14 @@ class TestDeriveExpectations:
         assert derive(steps, uuv("u1", 0.0, 0.0)) == []
 
     def test_zero_speed_with_distance_is_error(self):
-        vehicle = uuv("u1", 0.0, 0.0, speed=0.0)
+        vehicle = uuv("u1", 0.0, 0.0)
         with pytest.raises(SimulationError, match="zero speed"):
-            derive([act("navigate-to-beacon", "u1", "b1")], vehicle)
+            derive([act("navigate-to-beacon", "u1", "b1")], vehicle, WorldParams(uuv_speed=0.0))
 
     def test_zero_speed_circle_is_error(self):
-        vehicle = uuv("u1", 1000.0, 0.0, speed=0.0)
+        vehicle = uuv("u1", 1000.0, 0.0)
         with pytest.raises(SimulationError, match="zero speed"):
-            derive([act("circle-localize", "u1", "b1")], vehicle)
+            derive([act("circle-localize", "u1", "b1")], vehicle, WorldParams(uuv_speed=0.0))
 
     def test_unknown_beacon_is_error(self):
         with pytest.raises(SimulationError, match="no position known"):

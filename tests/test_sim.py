@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from uuvnav import monitor
 from uuvnav.config import load_scenario
 from uuvnav.errors import SimulationError
 from uuvnav.geo import Point2D
-from uuvnav.hddl.ground import GroundAction
-from uuvnav.hddl.parser import parse_domain
+from uuvnav.hddl.ground import GroundAction, ground
+from uuvnav.hddl.parser import parse_domain, parse_problem
 from uuvnav.sim import (
     BeaconState,
     UUVState,
@@ -18,7 +19,7 @@ from uuvnav.sim import (
     step,
 )
 from uuvnav.sim.runner import run_scenario
-from uuvnav.sim.world import ACTIONS, Projection, action_behaviour
+from uuvnav.sim.world import ACTIONS, Projection, _circle_ticks, action_behaviour
 
 REPO = Path(__file__).resolve().parent.parent
 DOMAIN_PATH = REPO / "domains" / "uuv-nav.hddl"
@@ -40,14 +41,13 @@ def nav(u, b):
     return act("navigate-to-beacon", u, b, add=[("near", u, b)])
 
 
-def uuv(uuv_id, x, y, queue=None, speed=2.0, uncertainty=100.0, belief=None):
+def uuv(uuv_id, x, y, queue=None, uncertainty=100.0, belief=None):
     return UUVState(
         id=uuv_id,
         true_position=Point2D(x, y),
         estimated_position=Point2D(x, y),
         position_uncertainty=uncertainty,
         heading=0.0,
-        speed=speed,
         queue=list(queue or []),
         belief=set(belief or []),
     )
@@ -329,6 +329,40 @@ class TestCircleLocalize:
         assert u.status == "failed"
         assert not u.queue
 
+    def test_replan_mid_circle_then_a_new_circle_flies_a_full_lap(self):
+        domain = parse_domain(DOMAIN_PATH.read_text())
+        problem = parse_problem(
+            "(define (problem refix) (:domain uuv-nav)"
+            " (:objects u1 - uuv b1 - beacon) (:init (beacon-active b1))"
+            " (:htn :ordered-subtasks (localize-at u1 b1)))",
+            domain,
+        )
+        w = self.make()
+        w.params = replace(w.params, arrival_tolerance=60.0)
+        u = w.uuv("u1")
+        u.belief = set(problem.init)
+        u.setup = monitor.PlanningSetup(ground(domain, problem), problem.htn)
+        for _ in range(20):
+            step(w)
+        monitor.replan_episode(monitor.Expectation("u1", "b1", 0, 0.0, 1.0), w)
+        started = []
+        while "circle-localize" not in started:
+            before = u.estimated_position
+            started += [e.payload["action"] for e in step(w) if e.kind == "action-started"]
+        # each action of the new plan starts afresh, the circle from where
+        # the vehicle is when it begins
+        assert started == ["navigate-to-beacon", "sense-beacon", "circle-localize"]
+        lap = _circle_ticks(u, w.params)
+        omega = w.params.uuv_speed / w.params.standoff_radius
+        theta0 = math.atan2(before.y, before.x)  # b1 sits at the origin
+        ticks = 1
+        while u.status == "active":
+            step(w)
+            ticks += 1
+        assert ticks == lap
+        theta = theta0 + omega * lap * w.params.tick
+        assert u.estimated_position == Point2D(50.0 * math.cos(theta), 50.0 * math.sin(theta))
+
 
 def projected_duration(action, vehicle, w):
     """How long the monitor projects the action to take, from the table."""
@@ -353,8 +387,10 @@ class TestActionTable:
     )
     def test_circle_completes_on_the_projected_tick(self, speed, tick, radius):
         circle = act("circle-localize", "u1", "b1")
-        vehicle = uuv("u1", 10.0, 0.0, queue=[circle], speed=speed)
-        w = world([vehicle], [beacon("b1", 0.0, 0.0)], tick=tick, standoff_radius=radius)
+        vehicle = uuv("u1", 10.0, 0.0, queue=[circle])
+        w = world(
+            [vehicle], [beacon("b1", 0.0, 0.0)], uuv_speed=speed, tick=tick, standoff_radius=radius
+        )
         projected = projected_duration(circle, vehicle, w)
         w, _ = run_until(w, lambda ww, _: ww.uuv("u1").status == "completed")
         assert w.ticks_run * tick == projected
