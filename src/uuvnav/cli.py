@@ -171,10 +171,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
     if args.out_dir:
         config = dataclasses.replace(config, output_dir=Path(args.out_dir).resolve())
-    report = run_scenario(config)
     out = config.output_dir
     try:
+        # an unwritable directory fails before the run, not after it
         out.mkdir(parents=True, exist_ok=True)
+        report = run_scenario(config)
         with open(out / "events.jsonl", "w") as events:
             write_events_jsonl(report.events, events)
         with open(out / "tracks.geojson", "w") as tracks:

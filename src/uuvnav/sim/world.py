@@ -344,10 +344,13 @@ def _tick_circle(uuv: UUVState, world: WorldState) -> None:
     ticks_total = _circle_ticks(uuv, params)
     omega = params.uuv_speed / params.standoff_radius
     theta = uuv.circle_start + omega * uuv.action_ticks * params.tick
-    on_circle = Point2D(
-        beacon.position.x + params.standoff_radius * math.cos(theta),
-        beacon.position.y + params.standoff_radius * math.sin(theta),
-    )
+    try:
+        on_circle = Point2D(
+            beacon.position.x + params.standoff_radius * math.cos(theta),
+            beacon.position.y + params.standoff_radius * math.sin(theta),
+        )
+    except ValueError as exc:  # a circle round a beacon near the float limit
+        raise SimulationError(f"{uuv.id}: its standoff circle left the float range: {exc}") from None
     uuv.true_position = on_circle
     uuv.estimated_position = on_circle
     uuv.heading = theta + math.pi / 2.0
@@ -500,10 +503,9 @@ def _detection_phase(world: WorldState) -> None:
 
 def _after_detection_phase(world: WorldState) -> None:
     for uuv in world.uuvs:
-        action = uuv.current_action
-        if uuv.status != "active" or action is None or not uuv.action_ticks:
+        if uuv.status != "active" or not uuv.action_ticks:  # no action under way
             continue
-        behaviour = action_behaviour(action.name)
+        behaviour = action_behaviour(uuv.queue[0].name)
         if behaviour.after_detection:
             behaviour.tick(uuv, world)
 

@@ -463,6 +463,49 @@ class TestSimulateCommand:
         assert code == 4
         assert "inexecutable" in err
 
+    def test_circle_past_the_float_range_exits_4_naming_the_vehicle(self, capsys, tmp_path):
+        # every beacon charted near the float limit; uuv1 starts on b6 and
+        # its standoff circle round it overflows on the first tick
+        chart = {
+            "type": "FeatureCollection",
+            "features": [
+                {
+                    "type": "Feature",
+                    "geometry": {"type": "Point", "coordinates": [-1.7e308, 1000.0 * i]},
+                    "properties": {"id": f"b{i}"},
+                }
+                for i in range(4, 9)
+            ],
+        }
+        (tmp_path / "chart.geojson").write_text(json.dumps(chart))
+        scenario = tmp_path / "edge.yaml"
+        scenario.write_text(
+            "seed: 1\n"
+            "output_dir: out\n"
+            f"paths: {{beacons: chart.geojson, domain: {DOMAIN}}}\n"
+            "world: {standoff_radius: 1.0e+307}\n"
+            f"uuvs: [{{id: uuv1, start: [-1.7e+308, 6000.0], problem: {PROBLEM}}}]\n"
+        )
+        code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
+        assert code == 4
+        assert err.startswith("error: uuv1: its standoff circle left the float range")
+        assert "Traceback" not in err
+
+    def test_unwritable_out_dir_exits_1_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def run_scenario(config):
+            raise AssertionError("the scenario ran before its output directory was made")
+
+        monkeypatch.setattr("uuvnav.cli.run_scenario", run_scenario)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, _, err = run(
+            capsys,
+            "simulate", "--scenario", str(REPO / "scenarios" / "nominal.yaml"),
+            "--out-dir", str(afile),
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot write output directory {str(afile)!r}")
+
     def test_zero_tick_exits_1_naming_file_and_field(self, capsys, tmp_path):
         import yaml
 

@@ -329,6 +329,17 @@ class TestCircleLocalize:
         assert u.status == "failed"
         assert not u.queue
 
+    def test_circle_past_the_float_range_is_a_simulation_error(self):
+        # on the beacon, the circle starts opposite the heading: at -x
+        circle = act("circle-localize", "u1", "b1")
+        w = world(
+            [uuv("u1", -1.7e308, 0.0, queue=[circle])],
+            [beacon("b1", -1.7e308, 0.0)],
+            standoff_radius=1e307,
+        )
+        with pytest.raises(SimulationError, match="u1: its standoff circle left the float range"):
+            step(w)
+
     def test_replan_mid_circle_then_a_new_circle_flies_a_full_lap(self):
         domain = parse_domain(DOMAIN_PATH.read_text())
         problem = parse_problem(
