@@ -145,23 +145,28 @@ def event_to_json_line(event: Event) -> str:
     return _EVENT_ENCODER.encode(record)
 
 
-# A detection event's line as event_to_json_line writes it: keys sorted,
-# ids quoted by json's own ASCII quoter, floats spelled by %r as json does.
-_DETECTION = (
-    '{"beacon":%s,"kind":"detection","range":%r,"subject":%s,"t":%r,"v":'
-    + str(EVENT_SCHEMA_VERSION)
-    + "}\n"
-)
+# A detection event's line as event_to_json_line writes it, keys sorted,
+# in two parts: the head up to the time, with ids quoted by json's own
+# ASCII quoter, and the time onwards.  %r spells a float as json does.
+_DETECTION_HEAD = '{"beacon":%s,"kind":"detection","range":%r,"subject":%s,"t":'
+_DETECTION_TAIL = '%r,"v":' + str(EVENT_SCHEMA_VERSION) + "}\n"
 
 
 def write_events_jsonl(events: Iterable[Event], out: TextIO) -> None:
     """Write one ``event_to_json_line`` line per event, in order.
 
     A detection (a payload of exactly a str beacon and a finite float
-    range, a str subject, a float time) is filled into a fixed line with
-    each id quoted once; any other event goes through event_to_json_line.
+    range, a str subject, a finite float time) is filled into a fixed
+    line; any other event goes through event_to_json_line.  Each id is
+    quoted once; a (subject, beacon) pair that hears the same non-zero
+    range again reuses its line's head, and events of the same non-zero
+    time reuse its tail.  Equal non-zero floats have equal bits, so they
+    spell the same; 0.0 and -0.0 are equal but spell differently.
     """
     quoted: dict[str, str] = {}
+    heads: dict[tuple[str, str], tuple[float, str]] = {}  # pair -> last range, head
+    last_time: object = None
+    tail = ""
     isfinite = math.isfinite
     write = out.write
     for event in events:
@@ -176,15 +181,24 @@ def write_events_jsonl(events: Iterable[Event], out: TextIO) -> None:
             and isfinite(distance)
             and type(subject) is str
             and type(time) is float
+            and isfinite(time)
         ):
-            # a quoted id is never empty, so a miss is the only false get
-            beacon_json = quoted.get(beacon) or quoted.setdefault(
-                beacon, encode_basestring_ascii(beacon)
-            )
-            subject_json = quoted.get(subject) or quoted.setdefault(
-                subject, encode_basestring_ascii(subject)
-            )
-            write(_DETECTION % (beacon_json, distance, subject_json, time))
+            head = heads.get((subject, beacon))
+            if head is None or head[0] != distance or not distance:
+                # a quoted id is never empty, so a miss is the only false get
+                beacon_json = quoted.get(beacon) or quoted.setdefault(
+                    beacon, encode_basestring_ascii(beacon)
+                )
+                subject_json = quoted.get(subject) or quoted.setdefault(
+                    subject, encode_basestring_ascii(subject)
+                )
+                head = heads[(subject, beacon)] = (
+                    distance,
+                    _DETECTION_HEAD % (beacon_json, distance, subject_json),
+                )
+            if time != last_time or not time:
+                last_time, tail = time, _DETECTION_TAIL % time
+            write(head[1] + tail)
         else:
             write(event_to_json_line(event) + "\n")
 
@@ -213,14 +227,28 @@ def write_tracks_geojson(
     of a FeatureCollection, one feature at a time.  The text is exactly
     ``json.dumps(collection, indent=2, sort_keys=True) + "\\n"``.
 
+    A vehicle's point of two non-zero floats is spelled once for both its
+    tracks; a zero or a non-float coordinate is spelled every time, since
+    0.0 and -0.0, or 3 and 3.0, are equal keys that spell differently.
+
     Raises SimulationError on a non-finite coordinate, which json would
     write as NaN or Infinity.
     """
     out.write('{\n  "features": [')
     separator = "\n"
     for uuv_id in sorted(tracks):
+        spelled: dict[tuple[float, float], str] = {}  # this vehicle's points only
         for role in ("true", "estimated"):
-            points = ",\n".join([_POINT % (x, y) for x, y in tracks[uuv_id][role]])
+            texts = []
+            for x, y in tracks[uuv_id][role]:
+                if type(x) is float and type(y) is float and x and y:
+                    text = spelled.get((x, y))
+                    if text is None:
+                        text = spelled[(x, y)] = _POINT % (x, y)
+                else:
+                    text = _POINT % (x, y)
+                texts.append(text)
+            points = ",\n".join(texts)
             if "n" in points:  # the repr of a number has an "n" only in nan and inf
                 raise SimulationError(f"{uuv_id}: non-finite position in its {role} track")
             coordinates = f"[\n{points}\n        ]" if points else "[]"

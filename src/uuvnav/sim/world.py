@@ -81,8 +81,8 @@ class WorldParams:
                 " angular rate that is not finite"
             )
         # the most a run of step_cap ticks can reach: the pulse count that
-        # BeaconState.pulses_during floors, and the uncertainty that
-        # _move_towards accrues at full speed
+        # pulse_fires floors, and the uncertainty that _move_towards
+        # accrues at full speed
         if not math.isfinite(self.run_pulses(self.pulse_period)):
             raise SimulationError(
                 f"tick {self.tick!r} and pulse_period {self.pulse_period!r} give a pulse"
@@ -110,13 +110,16 @@ class BeaconState:
     pulse_period: float = 10.0
 
     def pulses_during(self, tick_number: int, tick: float) -> bool:
-        """True when the beacon is active and fires a pulse, at a whole
-        multiple of its period, within ((tick_number - 1) * tick,
-        tick_number * tick].  The count of pulses fired never decreases, so
-        each pulse falls in exactly one tick at any tick size; a tick
-        longer than the period hears at most one pulse."""
-        fired = math.floor(tick_number * tick / self.pulse_period)
-        return self.active and fired > math.floor((tick_number - 1) * tick / self.pulse_period)
+        """True when the beacon is active and ``pulse_fires`` for its period."""
+        return self.active and pulse_fires(tick_number, tick, self.pulse_period)
+
+
+def pulse_fires(tick_number: int, tick: float, period: float) -> bool:
+    """True when a pulse, at a whole multiple of ``period``, falls within
+    ((tick_number - 1) * tick, tick_number * tick].  The count of pulses
+    fired never decreases, so each pulse falls in exactly one tick at any
+    tick size; a tick longer than the period hears at most one pulse."""
+    return math.floor(tick_number * tick / period) > math.floor((tick_number - 1) * tick / period)
 
 
 @dataclass
@@ -166,13 +169,18 @@ class Event:
 @dataclass
 class WorldState:
     """The fleet, the beacon table (keyed by id, in chart order), and the
-    log of the tick in progress."""
+    log of the tick in progress.  ``periods`` holds the chart's distinct
+    pulse periods, taken once when the world is made."""
 
     uuvs: list[UUVState]
     beacons: dict[str, BeaconState]
     params: WorldParams
     ticks_run: int = 0
     events: list[Event] = field(default_factory=list)
+    periods: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.periods = tuple(dict.fromkeys(b.pulse_period for b in self.beacons.values()))
 
     @property
     def sim_time(self) -> float:
@@ -267,12 +275,18 @@ def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
     world.emit("mission-failed", uuv.id, {"reason": reason})
 
 
-def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
+def _move_towards(uuv: UUVState, target: Point2D, label: str, world: WorldState) -> None:
+    """One tick's step towards ``target``, named ``label`` in errors."""
     params = world.params
     est = uuv.estimated_position
     dx = target.x - est.x
     dy = target.y - est.y
     remaining = math.hypot(dx, dy)
+    if not math.isfinite(remaining):  # ends near opposite float limits
+        raise SimulationError(
+            f"{uuv.id}: its leg to {label} is longer than the float range"
+            f" (from ({est.x!r}, {est.y!r}) to ({target.x!r}, {target.y!r}))"
+        )
     step_len = params.uuv_speed * params.tick
     if remaining <= 1e-12:
         vx, vy = 0.0, 0.0
@@ -312,14 +326,15 @@ def _circle_ticks(uuv: UUVState, params: WorldParams) -> int:
 
 
 def _tick_to_beacon(uuv: UUVState, world: WorldState) -> None:
-    _move_towards(uuv, world.beacon(uuv.queue[0].args[1]).position, world)
+    beacon = world.beacon(uuv.queue[0].args[1])
+    _move_towards(uuv, beacon.position, f"beacon {beacon.id}", world)
 
 
 def _tick_to_broadcast(uuv: UUVState, world: WorldState) -> None:
     if uuv.broadcast_target is None:
         _fail_mission(uuv, world, "no broadcast position known")
         return
-    _move_towards(uuv, uuv.broadcast_target, world)
+    _move_towards(uuv, uuv.broadcast_target, "the broadcast position", world)
 
 
 def _tick_sense(uuv: UUVState, world: WorldState) -> None:
@@ -485,19 +500,29 @@ def _tick_uuv(uuv: UUVState, world: WorldState) -> None:
 
 
 def _detection_phase(world: WorldState) -> None:
-    # Beacons of one period pulse on the same ticks, so the pulse test
-    # runs once per period, on any one active beacon of that period.
-    active = [b for b in world.beacons.values() if b.active]
-    by_period = {b.pulse_period: b for b in active}
-    fires = {p: b.pulses_during(world.ticks_run, world.params.tick) for p, b in by_period.items()}
-    pulsing = [b for b in active if fires[b.pulse_period]]
+    """Each vehicle that has not failed hears, from its true position, the
+    active beacons that pulsed during the tick and are in range, in chart
+    order.  The pulse rule runs once per distinct period, and a tick on
+    which no period fires scans nothing; ``active`` is read on every tick
+    that fires, since a beacon can be silenced mid-run."""
+    tick_number, tick = world.ticks_run, world.params.tick
+    fired = {p for p in world.periods if pulse_fires(tick_number, tick, p)}
+    if not fired:
+        return
+    pulsing = [
+        (b, b.position.x, b.position.y)
+        for b in world.beacons.values()
+        if b.active and b.pulse_period in fired
+    ]
+    hypot = math.hypot
     for uuv in world.uuvs:
         if uuv.status == "failed":
             continue
-        for beacon in pulsing:
-            distance = uuv.true_position.distance_to(beacon.position)
+        x, y = uuv.true_position.x, uuv.true_position.y
+        for beacon, bx, by in pulsing:
+            distance = hypot(x - bx, y - by)  # Point2D.distance_to, spelled out
             if sense_beacon(distance, beacon):
-                uuv.last_detection[beacon.id] = world.ticks_run
+                uuv.last_detection[beacon.id] = tick_number
                 world.emit("detection", uuv.id, {"beacon": beacon.id, "range": distance})
 
 
@@ -516,8 +541,9 @@ def step(world: WorldState) -> list[Event]:
 
     Phases within a tick: vehicles execute their current actions in id
     order, then each vehicle hears, from its new position, the beacons
-    that pulsed during the tick, then actions that wait to hear a beacon
-    in this tick take their turn.
+    that pulsed during the tick (on most ticks no period fires and the
+    scan is skipped), then actions that wait to hear a beacon in this
+    tick take their turn.
     Events are stably ordered by (time, subject) so each vehicle's
     events keep their causal order.
     """

@@ -44,6 +44,41 @@ def test_tracer_hooks_see_a_simulate_run(capsys, tmp_path, tracing):
     assert tracer.counts["sim.detections"] == summary["event_counts"]["detection"]
 
 
+def test_tracer_sees_one_sense_call_per_vehicle_and_pulsing_beacon(
+    capsys, monkeypatch, tmp_path, tracing
+):
+    import uuvnav.sim.runner as runner
+
+    # counted from the world after each step, with the pulse rule run on
+    # every beacon: vehicles that have not failed times beacons that pulsed
+    pairs = 0
+    step = runner.step
+
+    def counted_step(world):
+        nonlocal pairs
+        events = step(world)
+        listening = sum(u.status != "failed" for u in world.uuvs)
+        pulsing = sum(
+            b.pulses_during(world.ticks_run, world.params.tick) for b in world.beacons.values()
+        )
+        pairs += listening * pulsing
+        return events
+
+    monkeypatch.setattr(runner, "step", counted_step)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_counters(tracer)
+        code = main(
+            ["simulate", "--scenario", str(REPO / "scenarios" / "nominal.yaml"),
+             "--out-dir", str(tmp_path / "run")]
+        )
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.counts["sim.sense_calls"] == pairs > 0
+
+
 def test_tracer_hooks_count_the_b6_divergence(capsys, tmp_path, tracing):
     tracer = tracing.Tracer()
     try:

@@ -463,15 +463,16 @@ class TestSimulateCommand:
         assert code == 4
         assert "inexecutable" in err
 
-    def test_circle_past_the_float_range_exits_4_naming_the_vehicle(self, capsys, tmp_path):
-        # every beacon charted near the float limit; uuv1 starts on b6 and
-        # its standoff circle round it overflows on the first tick
+    @staticmethod
+    def edge_scenario(tmp_path, chart_x, world):
+        """uuv1 starts at x = -1.7e308 on the line of b6, in a chart of
+        beacons b4..b8 all charted at ``chart_x``."""
         chart = {
             "type": "FeatureCollection",
             "features": [
                 {
                     "type": "Feature",
-                    "geometry": {"type": "Point", "coordinates": [-1.7e308, 1000.0 * i]},
+                    "geometry": {"type": "Point", "coordinates": [chart_x, 1000.0 * i]},
                     "properties": {"id": f"b{i}"},
                 }
                 for i in range(4, 9)
@@ -483,12 +484,26 @@ class TestSimulateCommand:
             "seed: 1\n"
             "output_dir: out\n"
             f"paths: {{beacons: chart.geojson, domain: {DOMAIN}}}\n"
-            "world: {standoff_radius: 1.0e+307}\n"
+            f"world: {world}\n"
             f"uuvs: [{{id: uuv1, start: [-1.7e+308, 6000.0], problem: {PROBLEM}}}]\n"
         )
+        return scenario
+
+    def test_circle_past_the_float_range_exits_4_naming_the_vehicle(self, capsys, tmp_path):
+        # uuv1 starts on b6 and its standoff circle round it overflows on
+        # the first tick
+        scenario = self.edge_scenario(tmp_path, -1.7e308, "{standoff_radius: 1.0e+307}")
         code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
         assert code == 4
         assert err.startswith("error: uuv1: its standoff circle left the float range")
+        assert "Traceback" not in err
+
+    def test_leg_past_the_float_range_exits_4_naming_vehicle_and_beacon(self, capsys, tmp_path):
+        # the first leg, to b6 at the other float limit, has no finite length
+        scenario = self.edge_scenario(tmp_path, 1.7e308, "{}")
+        code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
+        assert code == 4
+        assert err.startswith("error: uuv1: its leg to beacon b6 is longer than the float range")
         assert "Traceback" not in err
 
     def test_unwritable_out_dir_exits_1_before_the_run(self, capsys, tmp_path, monkeypatch):

@@ -88,6 +88,14 @@ events = st.builds(
     subjects,
     kinds_and_payloads,
 )
+# detections drawn from few pairs, ranges and times, so that they repeat
+events |= st.builds(
+    lambda t, subject, beacon, r: Event(t, "detection", subject, {"beacon": beacon, "range": r}),
+    st.sampled_from([0.0, -0.0, 3.0, 3]),
+    st.just("u1"),
+    st.sampled_from(["b1", "b2"]),
+    st.sampled_from([0.0, -0.0, 1.5, 2]),
+)
 
 
 @PROPERTY
@@ -102,6 +110,12 @@ events = st.builds(
           Event(True, "detection", "uuv1", {"beacon": "b1", "range": 1.5}),
           Event(2.0, "detection", 7, {"beacon": "b1", "range": 1.5}),
           Event(2.0, "detection", "uuv1", [("beacon", "b1"), ("range", 1.5)])])
+# a range repeated by one (subject, beacon) pair, then equal zeros that
+# spell differently; a time repeated, then equal zeros; non-finite times
+@example([Event(t, "detection", "uuv1", {"beacon": "b1", "range": r})
+          for t, r in ((4.0, 1.5), (4.0, 1.5), (0.0, 0.0), (-0.0, -0.0), (0.0, 0.0))])
+@example([Event(t, "detection", "uuv1", {"beacon": "b1", "range": 1.5})
+          for t in (math.nan, math.inf, -math.inf)])
 def test_writer_matches_event_to_json_line_byte_for_byte(event_list):
     assert written(event_list) == reference(event_list)
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uuvnav import monitor
 from uuvnav.config import load_scenario
@@ -205,22 +207,65 @@ class TestPulseRule:
         w = world(fleet, chart, tick=tick)
         heard = set()
         for _ in range(math.ceil(90.0 / tick)):
-            events = step(w)
-            got = [
-                (e.subject, e.payload["beacon"], e.payload["range"])
-                for e in events
-                if e.kind == "detection"
-            ]
-            expected = [
-                (u.id, b.id, d)
-                for u in w.uuvs
-                for b in chart
-                if b.pulses_during(w.ticks_run, tick)
-                and sense_beacon(d := u.true_position.distance_to(b.position), b)
-            ]
-            assert got == expected
+            got = self.heard(step(w))
+            assert got == self.per_beacon_reference(w, chart, tick)
             heard.update(b for _, b, _ in got)
         assert heard == {"b1", "b2", "b3", "b5", "b6"}
+
+    @staticmethod
+    def heard(events):
+        return [
+            (e.subject, e.payload["beacon"], e.payload["range"])
+            for e in events
+            if e.kind == "detection"
+        ]
+
+    @staticmethod
+    def per_beacon_reference(w, chart, tick):
+        """The tick's detections with the pulse rule run on every beacon."""
+        return [
+            (u.id, b.id, d)
+            for u in w.uuvs
+            if u.status != "failed"
+            for b in chart
+            if b.pulses_during(w.ticks_run, tick)
+            and sense_beacon(d := u.true_position.distance_to(b.position), b)
+        ]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        periods=st.lists(
+            st.sampled_from([2.5, 3.0, 4.4, 7.5, 10.0, 13.0]), min_size=1, max_size=3, unique=True
+        ),
+        tick=st.sampled_from([0.7, 0.9, 1.7, 2.3, 6.1, 17.0]),
+        data=st.data(),
+    )
+    def test_random_charts_match_the_per_beacon_rule(self, periods, tick, data):
+        # 17.0 is longer than every period: each of its ticks hears one pulse
+        assert not any((p / tick).is_integer() for p in periods)
+        chart = [
+            beacon(
+                f"b{i}",
+                data.draw(st.sampled_from([0.0, 300.0, 700.0])),
+                data.draw(st.sampled_from([0.0, 400.0, 900.0])),
+                active=data.draw(st.booleans()),
+                acoustic_range=data.draw(st.sampled_from([250.0, 600.0, 2000.0])),
+                pulse_period=periods[i % len(periods)],
+            )
+            for i in range(data.draw(st.integers(len(periods), 6)))
+        ]
+        fleet = [
+            uuv("u1", 100.0, 100.0, queue=[nav("u1", chart[-1].id)]),
+            uuv("u2", 650.0, 350.0),
+        ]
+        w = world(fleet, chart, tick=tick)
+        ticks = math.ceil(60.0 / tick)
+        silence_at = data.draw(st.integers(1, ticks - 1))
+        silenced = data.draw(st.sampled_from(chart))
+        for k in range(1, ticks + 1):
+            if k == silence_at:
+                silenced.active = False
+            assert self.heard(step(w)) == self.per_beacon_reference(w, chart, tick)
 
 
 class TestTickSizeIndependence:
@@ -267,6 +312,26 @@ class TestMovement:
         )
         with pytest.raises(SimulationError, match="u1: the current carried it out of range"):
             step(w)
+
+    def test_leg_longer_than_the_float_range_is_refused_before_moving(self):
+        # the leg spans both float limits, so its length is infinite even
+        # though no current is set
+        u = uuv("u1", -1.7e308, 0.0, queue=[nav("u1", "b1")])
+        w = world([u], [beacon("b1", 1.7e308, 0.0)])
+        with pytest.raises(
+            SimulationError, match=r"^u1: its leg to beacon b1 is longer than the float range"
+        ):
+            step(w)
+        assert u.true_position == u.estimated_position == Point2D(-1.7e308, 0.0)
+
+    def test_leg_to_a_broadcast_beyond_the_float_range_is_refused(self):
+        u = uuv("u1", -1.7e308, 0.0, queue=[act("navigate-to-broadcast", "u1")])
+        u.broadcast_target = Point2D(1.7e308, 1.7e308)
+        with pytest.raises(
+            SimulationError,
+            match=r"^u1: its leg to the broadcast position is longer than the float range",
+        ):
+            step(world([u], []))
 
     def test_final_step_clamps_to_target(self):
         w = world(

@@ -60,6 +60,16 @@ fleets = st.dictionaries(
 @given(fleets)
 @example({'u"1\\': {"true": [], "estimated": [[-0.0, 5e-324]]}})
 @example({"uuv1": {"true": [[1e300, -1e300]], "estimated": [[2.0, -7.0], [0.1, 1e16]]}})
+# equal points that spell differently, and a repeat, in both roles: a
+# vehicle's points are spelled once only when both are non-zero floats
+@example(
+    {
+        "uuv1": {
+            role: [[0.0, 5.0], [-0.0, 5.0], [3, 1.5], [3.0, 1.5], [2.5, -4.0], [2.5, -4.0]]
+            for role in ROLES
+        }
+    }
+)
 def test_writer_matches_json_dumps_byte_for_byte(tracks):
     expected = json.dumps(reference_collection(tracks), indent=2, sort_keys=True) + "\n"
     assert written(tracks) == expected
