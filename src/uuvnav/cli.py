@@ -122,12 +122,11 @@ def cmd_route(args: argparse.Namespace) -> int:
 def _load_planning_inputs(domain_path: str, problem_path: str):
     domain = parse_input(domain_path, "domain", parse_domain)
     problem = parse_input(problem_path, "problem", lambda text: parse_problem(text, domain))
-    tables = ground(domain, problem)
-    return domain, problem, tables
+    return problem, ground(domain, problem)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    _, problem, tables = _load_planning_inputs(args.domain, args.problem)
+    problem, tables = _load_planning_inputs(args.domain, args.problem)
     mission_plan = plan(tables, frozenset(problem.init), problem.htn, problem.goal)
     if args.format == "json":
         text = _dump_json(plan_to_dict(mission_plan))
@@ -160,7 +159,7 @@ def _parse_plan_steps(text: str) -> list[tuple[str, ...]]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _, problem, tables = _load_planning_inputs(args.domain, args.problem)
+    problem, tables = _load_planning_inputs(args.domain, args.problem)
     steps = parse_input(args.plan, "plan file", _parse_plan_steps)
     verdict = validate(tables, frozenset(problem.init), problem.htn, steps, problem.goal)
     print(json.dumps(dataclasses.asdict(verdict), sort_keys=True))

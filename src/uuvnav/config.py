@@ -1,17 +1,18 @@
 """Scenario configuration loading and validation.
 
-A scenario is a YAML file naming the beacon chart and the planning
-domain, the fleet roster with one plan problem per vehicle, the world
-constants, and the seed.  All relative paths are resolved against the
-YAML file's own directory so a scenario can be run from anywhere.
-Top-level keys that the simulator does not read are ignored.
+A scenario is a YAML file naming the output directory, the beacon
+chart and the planning domain, the fleet roster with one plan problem
+per vehicle, the world constants, and the beacons that stay silent.
+All relative paths are resolved against the YAML file's own directory
+so a scenario can be run from anywhere.  Top-level keys that the
+simulator does not read, such as a ``seed``, are ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -53,7 +54,6 @@ class UuvSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int
     output_dir: Path
     beacons: Path
     domain: Path
@@ -100,12 +100,10 @@ def _resolve(base: Path, value: Any, context: str, must_exist: bool = True) -> P
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario file; every error names the file.
 
-    Every referenced input path must exist at load time, and the seed
-    must be stated explicitly so reruns are reproducible.
+    Every referenced input path must exist at load time.  A file that
+    cannot be read is reported as for every other input.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"scenario file does not exist: {path}")
     return parse_input(path, "scenario", lambda text: _parse_scenario(text, path.parent))
 
 
@@ -152,10 +150,6 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
         raise InputError(f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("scenario must be a mapping")
-
-    seed = _require(raw, "seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InputError(f"seed must be an integer, got {seed!r}")
 
     output_dir = _resolve(base, _require(raw, "output_dir"), "output_dir", must_exist=False)
 
@@ -213,7 +207,6 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
         raise InputError("inactive_beacons must be a list of beacon ids")
 
     return ScenarioConfig(
-        seed=seed,
         output_dir=output_dir,
         beacons=beacons,
         domain=domain,

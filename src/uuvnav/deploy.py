@@ -181,12 +181,6 @@ def assign_cells(
     return CellAssignment(rows, cols, site_of, len(sites))
 
 
-def region_volumes(assignment: CellAssignment, grid: BathymetryGrid) -> np.ndarray:
-    """Water volume (m^3) owned by each site under the assignment."""
-    vols = grid.depth[assignment.cell_rows, assignment.cell_cols] * grid.cell_size**2
-    return np.bincount(assignment.site_of, weights=vols, minlength=assignment.n_sites)
-
-
 def _farthest_point_seed(xs, ys, n, rng) -> np.ndarray:
     """Pick n candidate-cell indices: random first, then repeatedly the cell
     farthest from all picks so far (ties to the lowest index)."""

@@ -1,4 +1,4 @@
-"""Bathymetry rasters, mission polygons, and water-volume integration.
+"""Bathymetry rasters, mission polygons, and the cells a polygon covers.
 
 Coordinates are planar projected meters; inputs must be pre-projected
 (no geodetic handling here). Depths are positive downward, in meters of
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .errors import GeoJsonError, GridFormatError
@@ -141,35 +140,14 @@ def _segments_cross(p1: Point2D, p2: Point2D, q1: Point2D, q2: Point2D) -> bool:
     return on_seg(p1, p2, q1) or on_seg(p1, p2, q2) or on_seg(q1, q2, p1) or on_seg(q1, q2, p2)
 
 
-def point_in_polygon(p: Point2D, poly: MissionPolygon) -> bool:
-    """Even-odd ray-casting membership test; boundary points count as inside."""
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-        if (
-            cross == 0
-            and min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-        ):
-            return True
-    inside = False
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_cross:
-                inside = not inside
-    return inside
-
-
 def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
     """Boolean mask over grid cells whose centers lie inside poly.
 
-    Vectorized twin of point_in_polygon with the identical boundary rule.
-    Cell centers form a lattice, so each edge's tests on x are taken once
-    per column and those on y once per row, then broadcast.
+    Even-odd ray casting; boundary points count as inside.  Its scalar
+    reference, which it must agree with cell for cell, is the per-point
+    test in ``tests/test_geo.py``.  Cell centers form a lattice, so each
+    edge's tests on x are taken once per column and those on y once per
+    row, then broadcast.
     """
     xs, ys = grid.cell_centers()
     x = xs[:1]  # one row of column centers
@@ -189,14 +167,6 @@ def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
             x_cross = a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
             inside ^= straddles & (x < x_cross)
     return inside | boundary
-
-
-def volume_under_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> float:
-    """Total water volume (m^3) of non-nodata cells whose centers lie in poly."""
-    mask = cells_in_polygon(grid, poly) & grid.valid_mask
-    if not mask.any():
-        return 0.0
-    return float(np.sum(grid.depth[mask]) * grid.cell_size**2)
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +246,6 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
         depth=np.array(values, dtype=float),
         nodata_value=header["nodata_value"],
     )
-
-
-def write_ascii_grid(grid: BathymetryGrid) -> str:
-    """Serialize back to ESRI ASCII; load_ascii_grid round-trips exactly."""
-    out = [
-        f"ncols {grid.n_cols}",
-        f"nrows {grid.n_rows}",
-        f"xllcorner {grid.origin_x!r}",
-        f"yllcorner {grid.origin_y!r}",
-        f"cellsize {grid.cell_size!r}",
-        f"NODATA_value {grid.nodata_value!r}",
-    ]
-    for row in grid.depth:
-        out.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

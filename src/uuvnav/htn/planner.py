@@ -22,6 +22,10 @@ from ..hddl.ground import GroundAction, GroundMethod, GroundTables, GroundTask
 
 DEFAULT_DECOMPOSITION_BUDGET = 10**4
 
+# The text view stops indenting past this depth, so its size stays linear
+# in the depth of the tree; deeper lines state their depth as "[depth]".
+TEXT_INDENT_LEVELS = 8
+
 State = frozenset
 
 
@@ -143,13 +147,17 @@ def plan_to_dict(p: Plan) -> dict:
 
 def format_plan_text(p: Plan) -> str:
     """Indented decomposition view with numbered primitive steps; a parent
-    precedes its children in preorder, so one pass prints the tree."""
+    precedes its children in preorder, so one pass prints the tree.  A
+    line deeper than TEXT_INDENT_LEVELS keeps that indent and begins with
+    its depth in brackets, as in ``[9] 8. step``."""
     lines = [f"plan: {len(p.steps)} step(s)"]
     depth: list[int] = []
     step = 0
     for payload, parent in p.nodes:
         depth.append(1 if parent is None else depth[parent] + 1)
-        pad = "  " * depth[-1]
+        pad = "  " * min(depth[-1], TEXT_INDENT_LEVELS)
+        if depth[-1] > TEXT_INDENT_LEVELS:
+            pad += f"[{depth[-1]}] "
         label = " ".join(payload.task)
         if isinstance(payload, GroundAction):
             step += 1

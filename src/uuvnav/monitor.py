@@ -35,7 +35,6 @@ class Expectation:
 
     uuv_id: str
     beacon_id: str
-    step_index: int
     earliest: float
     latest: float
 
@@ -64,14 +63,14 @@ def derive_expectations(
     projection = Projection(
         uuv, world, world.sim_time, uuv.estimated_position, uuv.position_uncertainty
     )
-    for index, action in enumerate(steps):
+    for action in steps:
         project = action_behaviour(action.name).project
         if project is None:
             break
         window = project(projection, action)
         if window is not None:
             earliest, latest = window
-            expectations.append(Expectation(uuv.id, action.args[1], index, earliest, latest))
+            expectations.append(Expectation(uuv.id, action.args[1], earliest, latest))
     return expectations
 
 

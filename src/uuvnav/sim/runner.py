@@ -107,7 +107,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     for event in events:
         kind_counts[event.kind] = kind_counts.get(event.kind, 0) + 1
     summary = {
-        "seed": config.seed,
         "sim_time": world.sim_time,
         "ticks": world.ticks_run,
         "all_missions_completed": all(u.status == "completed" for u in world.uuvs),

@@ -141,9 +141,20 @@ class TestPlanCommand:
         problem.write_text("(define (problem deep) (:domain chain) (:htn :ordered-subtasks (t0)))")
         code, out, err = run(capsys, "plan", "--domain", str(domain), "--problem", str(problem))
         assert (code, err) == (0, "")
-        numbered = [int(n) for n in re.findall(r"^ +(\d+)\. step$", out, flags=re.M)]
+        numbered = [int(n) for n in re.findall(r"^ +(?:\[\d+\] )?(\d+)\. step$", out, flags=re.M)]
         assert numbered == list(range(1, depth + 1))
         assert out.startswith(f"plan: {depth} step(s)\n")
+        # the indent stops growing, so the view stays no larger than the JSON
+        code, json_out, _ = run(
+            capsys, "plan", "--domain", str(domain), "--problem", str(problem), "--format", "json"
+        )
+        assert code == 0
+        assert len(out) <= len(json_out)
+        # step i sits at depth i + 1; only lines past depth 8 carry a mark
+        assert re.search(r"^ {16}7\. step$", out, flags=re.M)
+        assert re.search(r"^ {16}\[9\] 8\. step$", out, flags=re.M)
+        assert re.search(r"^ {16}\[3001\] 3000\. step$", out, flags=re.M)
+        assert "\n" + "  " * 9 not in out
 
 
 class TestValidateCommand:
@@ -435,7 +446,8 @@ class TestSimulateCommand:
         assert (out_dir / "summary.json").exists()
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["all_missions_completed"] is True
-        assert json.loads(out)["seed"] == summary["seed"] == 12345
+        assert json.loads(out) == summary
+        assert "seed" not in summary
         first = json.loads((out_dir / "events.jsonl").read_text().splitlines()[0])
         assert first["v"] == 1
         tracks = json.loads((out_dir / "tracks.geojson").read_text())

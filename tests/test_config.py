@@ -7,13 +7,14 @@ import yaml
 from uuvnav.config import load_beacons, load_scenario
 from uuvnav.errors import GeoJsonError, InputError
 from uuvnav.geo import Point2D
+from uuvnav.sim.runner import run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 NOMINAL = REPO / "scenarios" / "nominal.yaml"
 POINT = {"type": "Point", "coordinates": [1.0, 2.0]}
 
 
-def write_scenario(tmp_path, mutate=None, drop=None):
+def write_scenario(tmp_path, mutate=None):
     doc = yaml.safe_load(NOMINAL.read_text())
     base = NOMINAL.parent
     doc["paths"] = {
@@ -26,8 +27,6 @@ def write_scenario(tmp_path, mutate=None, drop=None):
         u["problem"] = str(base / u["problem"])
     if mutate:
         mutate(doc)
-    if drop:
-        doc.pop(drop, None)
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -36,7 +35,6 @@ def write_scenario(tmp_path, mutate=None, drop=None):
 class TestLoadScenario:
     def test_bundled_nominal_loads(self):
         cfg = load_scenario(NOMINAL)
-        assert cfg.seed == 12345
         assert cfg.world.uuv_speed == 2.0
         assert cfg.world.current == (0.0, 0.0)
         assert [u.id for u in cfg.uuvs] == ["uuv1", "uuv2", "uuv3", "uuv4", "uuv5"]
@@ -54,18 +52,18 @@ class TestLoadScenario:
         assert cfg.beacons == (NOMINAL.parent / "beacons.geojson").resolve()
 
     def test_missing_file_is_input_error(self):
-        with pytest.raises(InputError, match="does not exist"):
+        # the same message as for every other input that cannot be read
+        with pytest.raises(InputError, match="^cannot read scenario '/nonexistent/scenario.yaml': "):
             load_scenario("/nonexistent/scenario.yaml")
 
-    def test_missing_seed_rejected(self, tmp_path):
-        path = write_scenario(tmp_path, drop="seed")
-        with pytest.raises(InputError, match="seed"):
-            load_scenario(path)
-
-    def test_non_integer_seed_rejected(self, tmp_path):
-        path = write_scenario(tmp_path, mutate=lambda d: d.update(seed="soon"))
-        with pytest.raises(InputError, match="seed"):
-            load_scenario(path)
+    @pytest.mark.parametrize("seed", [12345, "soon"])
+    def test_leftover_seed_is_ignored(self, tmp_path, seed):
+        # nothing reads a scenario's seed, so a file that still has one loads
+        path = write_scenario(tmp_path, mutate=lambda d: d.update(seed=seed))
+        assert yaml.safe_load(path.read_text())["seed"] == seed
+        cfg = load_scenario(path)
+        assert cfg == load_scenario(write_scenario(tmp_path))
+        assert "seed" not in run_scenario(cfg).summary
 
     def test_missing_input_path_rejected(self, tmp_path):
         def mutate(doc):

@@ -7,6 +7,7 @@ import pytest
 from uuvnav.deploy import (
     ETA,
     BeaconGraph,
+    CellAssignment,
     DeploymentProblem,
     DeploymentResult,
     _farthest_point_seed,
@@ -16,7 +17,6 @@ from uuvnav.deploy import (
     deployment_to_geojson,
     lloyd_deploy,
     objective,
-    region_volumes,
     route_length,
 )
 from uuvnav.errors import InputError
@@ -33,6 +33,12 @@ def flat_grid(n, depth=30.0, cell=100.0):
         depth=np.full((n, n), depth),
         nodata_value=-9999.0,
     )
+
+
+def region_volumes(assignment: CellAssignment, grid: BathymetryGrid) -> np.ndarray:
+    """Water volume (m^3) owned by each site under the assignment."""
+    vols = grid.depth[assignment.cell_rows, assignment.cell_cols] * grid.cell_size**2
+    return np.bincount(assignment.site_of, weights=vols, minlength=assignment.n_sites)
 
 
 def cover_all(grid):

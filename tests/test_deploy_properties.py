@@ -21,15 +21,15 @@ from uuvnav.deploy import (
     _power_assign,
     assign_cells,
     lloyd_deploy,
-    region_volumes,
 )
 from uuvnav.geo import (
     BathymetryGrid,
     MissionPolygon,
     Point2D,
     cells_in_polygon,
-    volume_under_polygon,
 )
+from test_deploy import region_volumes
+from test_geo import volume_under_polygon
 
 NODATA = -9999.0
 

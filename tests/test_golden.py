@@ -21,12 +21,12 @@ GOLDEN = {
     "nominal": {
         "events.jsonl": "7a15d49a2f72b47562574ab5c728826d4e839936b7e781d3b899345a0be03117",
         "tracks.geojson": "d5ae2217c9d4e41b219c17976da59932c35d185f8e4df75fce1ef1f65dd483df",
-        "summary.json": "8fdc80d7e8609f0ae38a012bdca6a9578fd2d2d69eec87a23a6afe2f928151db",
+        "summary.json": "1e8b850fbd7567218c1a3281102b37d99b0e41cd8625369d41d67042978bd302",
     },
     "b6-silenced": {
         "events.jsonl": "ef10eed6c20ec673cd4fcd5bf454bb5408b074b7de5770670eccf27269b7dbc5",
         "tracks.geojson": "f7088236a41d41309be116d00fa71bb968e4a00eca798253a20c588fad37a335",
-        "summary.json": "bf0c6565e1c73c588ff12efbdbae408677cc61ccbb3f48ba2a7209244087ad29",
+        "summary.json": "b2554c10f87b6ba55bb9ba1ecd2a2dc9207aeb762dcfbb97784dd06e1499f854",
     },
 }
 
@@ -52,12 +52,12 @@ GOLDEN_TICK_07 = {
     "nominal": {
         "events.jsonl": "bb3a4b03963b365036e7ee78cb618cedd0aa23a5f165b37ef1e7ed3d764bcd44",
         "tracks.geojson": "ddd361ddfeb81b746e226c40f3c7df808d7c4bf99efec0c28eb70cdf3992d2dc",
-        "summary.json": "f223174f0eca19046dbf89924c18d7b1d2e49faabc04ea6a9d0e0536b7bb34a8",
+        "summary.json": "7656a3286ea863e5acd17b6ca834e53bdbba03d119631bf7aac96e747fffccb7",
     },
     "b6-silenced": {
         "events.jsonl": "154bd1851ed0550ddb33d624216d4d7030f94e0fe616d9929e37e804cc805500",
         "tracks.geojson": "06185dd129c3c52e4f893b586a321dc18012d3c2972b35054550a937af9e7f91",
-        "summary.json": "3081dbbf274d96f2885b24cf9a8cac8206a569d947efc862307339cb63ffb989",
+        "summary.json": "ba1782dc39958a933f3f7254fec0387dfb187982e30e9a6ad665cdc6fa8b51fc",
     },
 }
 

@@ -56,7 +56,6 @@ class TestDeriveExpectations:
         e = exps[0]
         # leg: 1000 m at 2 m/s, margin 0.5 * (1 + 100/1000)
         assert e.beacon_id == "b1"
-        assert e.step_index == 0
         assert e.earliest == pytest.approx(500.0 * (1.0 - 0.55))
         assert e.latest == pytest.approx(500.0 * (1.0 + 0.55) + 10.0)
 
@@ -130,7 +129,6 @@ class TestDeriveExpectations:
         exps = derive(steps, uuv("u1", 0.0, 0.0))
         assert len(exps) == 1
         assert exps[0].beacon_id == "b2"
-        assert exps[0].step_index == 1
         assert exps[0].earliest > 500.0
 
     def test_projection_stops_at_await(self):
@@ -161,8 +159,8 @@ class TestDeriveExpectations:
         assert exps[0].latest == 50.0
 
 
-def window(uuv_id="u1", beacon_id="b1", step_index=0, earliest=225.0, latest=785.0):
-    return monitor.Expectation(uuv_id, beacon_id, step_index, earliest, latest)
+def window(uuv_id="u1", beacon_id="b1", earliest=225.0, latest=785.0):
+    return monitor.Expectation(uuv_id, beacon_id, earliest, latest)
 
 
 def settle(world, tick_number, heard=()):
@@ -230,7 +228,7 @@ class TestCheckAndDetections:
 
     def test_windows_close_in_fleet_then_plan_order(self):
         world = self.make_world()
-        later = window(beacon_id="b2", step_index=1, latest=700.0)
+        later = window(beacon_id="b2", latest=700.0)
         world.uuv("u1").expectations.append(later)
         world.uuv("u2").expectations = [window(uuv_id="u2", latest=10.0)]
         assert settle(world, 786) == [window(), later, window(uuv_id="u2", latest=10.0)]
@@ -262,7 +260,7 @@ class TestReplanEpisode:
         u3 = uuv("uuv3", 9000.0, 4000.0, belief=init3, queue=[act("await-broadcast", "uuv3")])
         for vehicle, setup in ((u1, setup1), (u2, setup2), (u3, setup3)):
             vehicle.setup = setup
-            vehicle.expectations = [window(vehicle.id, "b8", 3, 2000.0, 3000.0)]
+            vehicle.expectations = [window(vehicle.id, "b8", 2000.0, 3000.0)]
         world = WorldState(
             uuvs=[u1, u2, u3],
             beacons={
@@ -272,7 +270,7 @@ class TestReplanEpisode:
             params=WorldParams(),
             ticks_run=1626,
         )
-        return world, window("uuv1", "b6", 0, 1000.0, 1625.0)
+        return world, window("uuv1", "b6", 1000.0, 1625.0)
 
     def test_in_range_vehicles_replan(self):
         world, exp = self.make_world()
@@ -292,7 +290,7 @@ class TestReplanEpisode:
         assert ("beacon-unreachable", "b6") not in u3.belief
         assert [a.name for a in u3.queue] == ["await-broadcast"]
         assert u3.replan_count == 0
-        assert u3.expectations == [window("uuv3", "b8", 3, 2000.0, 3000.0)]
+        assert u3.expectations == [window("uuv3", "b8", 2000.0, 3000.0)]
 
     def test_new_expectations_replace_old(self):
         world, exp = self.make_world()
@@ -324,7 +322,7 @@ class TestReplanEpisode:
         u1.queue.clear()
         monitor.replan_episode(exp, world)
         assert [e.kind for e in world.events] == ["warning"]
-        assert u1.expectations == [window("uuv1", "b8", 3, 2000.0, 3000.0)]
+        assert u1.expectations == [window("uuv1", "b8", 2000.0, 3000.0)]
         assert u1.replan_count == 0
         assert ("beacon-unreachable", "b6") not in world.uuv("uuv2").belief
 
@@ -334,8 +332,8 @@ class TestReplanEpisode:
         # uuv2's divergence is handled although the first episode has
         # already replaced uuv2's windows.
         world, _ = self.make_world()
-        world.uuv("uuv1").expectations = [window("uuv1", "b6", 0, 1000.0, 1625.0)]
-        world.uuv("uuv2").expectations = [window("uuv2", "b8", 0, 1000.0, 1625.0)]
+        world.uuv("uuv1").expectations = [window("uuv1", "b6", 1000.0, 1625.0)]
+        world.uuv("uuv2").expectations = [window("uuv2", "b8", 1000.0, 1625.0)]
         for exp in monitor.check(world):
             monitor.replan_episode(exp, world)
         replans = [

@@ -420,7 +420,7 @@ class TestCircleLocalize:
         u.setup = monitor.PlanningSetup(ground(domain, problem), problem.htn)
         for _ in range(20):
             step(w)
-        monitor.replan_episode(monitor.Expectation("u1", "b1", 0, 0.0, 1.0), w)
+        monitor.replan_episode(monitor.Expectation("u1", "b1", 0.0, 1.0), w)
         started = []
         while "circle-localize" not in started:
             before = u.estimated_position
