@@ -151,10 +151,13 @@ def _parse_plan_steps(text: str) -> list[tuple[str, ...]]:
     for i, entry in enumerate(plan_doc["steps"]):
         if not isinstance(entry, dict) or "name" not in entry:
             raise InputError(f"steps[{i}] is missing a 'name'")
+        name = entry["name"]
+        if not isinstance(name, str) or not name:
+            raise InputError(f"steps[{i}] 'name' must be a non-empty string")
         step_args = entry.get("args", [])
         if not isinstance(step_args, list) or not all(isinstance(a, str) for a in step_args):
             raise InputError(f"steps[{i}] 'args' must be a list of strings")
-        steps.append((str(entry["name"]),) + tuple(step_args))
+        steps.append((name, *step_args))
     return steps
 
 

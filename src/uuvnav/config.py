@@ -16,12 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-from ._lazy import lazy_import
 from .errors import GeoJsonError, InputError, SimulationError
 from .geo import Point2D
 from .sim.world import BeaconState, WorldParams
-
-yaml = lazy_import("yaml")
 
 
 def read_input(path: str | Path, what: str) -> str:
@@ -112,6 +109,7 @@ def _yaml_error_message(exc: yaml.YAMLError, text: str) -> str:
     ``line 13, column 5: expected ',' or ']', but got ':' (while parsing a
     flow sequence at line 11, column 12)``.  PyYAML's own text names the
     input ``"<unicode string>"`` and quotes the source under it."""
+    import yaml
 
     def at(line: int, column: int) -> str:
         return f"line {line + 1}, column {column + 1}"
@@ -142,6 +140,8 @@ def _yaml_error_message(exc: yaml.YAMLError, text: str) -> str:
 
 
 def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
+    import yaml
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

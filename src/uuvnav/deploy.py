@@ -14,11 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._lazy import lazy_import
 from .errors import InputError
 from .geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon
-
-np = lazy_import("numpy")
 
 ETA = 0.5  # weight-update step size
 # Power distances per block of _power_assign: two float64 scratch blocks of
@@ -62,6 +59,8 @@ class CellAssignment:
     n_sites: int
 
     def __post_init__(self):
+        import numpy as np
+
         for name in ("cell_rows", "cell_cols", "site_of"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
@@ -125,6 +124,8 @@ def objective(volumes: Sequence[float], v_tot: float) -> float:
 
 def _candidate_cells(grid: BathymetryGrid, poly: MissionPolygon):
     """Arrays (rows, cols, xs, ys, vols) of the in-polygon water cells."""
+    import numpy as np
+
     mask = cells_in_polygon(grid, poly) & grid.valid_mask
     rows, cols = np.nonzero(mask)
     all_xs, all_ys = grid.cell_centers()
@@ -144,6 +145,8 @@ def _power_assign(xs, ys, sx, sy, weights) -> np.ndarray:
     the same ufuncs in the same order as the whole-matrix formula, so the
     result is identical.
     """
+    import numpy as np
+
     n_cells, n_sites = len(xs), len(sx)
     rows = max(1, BLOCK // n_sites)
     d2 = np.empty((rows, n_sites))
@@ -170,6 +173,8 @@ def assign_cells(
 ) -> CellAssignment:
     """Assign every in-polygon water cell to the site with the smallest
     power distance (squared distance minus the site's weight)."""
+    import numpy as np
+
     if len(sites) == 0:
         raise ValueError("sites list is empty")
     if len(weights) != len(sites):
@@ -184,6 +189,8 @@ def assign_cells(
 def _farthest_point_seed(xs, ys, n, rng) -> np.ndarray:
     """Pick n candidate-cell indices: random first, then repeatedly the cell
     farthest from all picks so far (ties to the lowest index)."""
+    import numpy as np
+
     first = int(rng.integers(len(xs)))
     picked = [first]
     min_d2 = (xs - xs[first]) ** 2 + (ys - ys[first]) ** 2
@@ -196,6 +203,8 @@ def _farthest_point_seed(xs, ys, n, rng) -> np.ndarray:
 
 
 def _mean_site_spacing(sx, sy) -> float:
+    import numpy as np
+
     # mean nearest-neighbor distance between sites
     d2 = (sx[:, None] - sx[None, :]) ** 2 + (sy[:, None] - sy[None, :]) ** 2
     np.fill_diagonal(d2, np.inf)
@@ -212,6 +221,8 @@ def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
     no water stays put), then reassigns and checks the balance objective
     against the tolerance. Deterministic for a fixed rng_seed.
     """
+    import numpy as np
+
     grid, poly, n = problem.grid, problem.poly, problem.n_beacons
     rows, cols, xs, ys, vols = _candidate_cells(grid, poly)
     if len(xs) < n:

@@ -13,10 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._lazy import lazy_import
 from .errors import GeoJsonError, GridFormatError
-
-np = lazy_import("numpy")
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -53,6 +50,8 @@ class BathymetryGrid:
     nodata_value: float
 
     def __post_init__(self):
+        import numpy as np
+
         if self.cell_size <= 0:
             raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
         arr = np.asarray(self.depth, dtype=float)
@@ -74,6 +73,8 @@ class BathymetryGrid:
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Center coordinates of every cell as (xs, ys), shape (n_rows, n_cols)."""
+        import numpy as np
+
         cols = np.arange(self.n_cols)
         rows = np.arange(self.n_rows)
         xs = self.origin_x + (cols + 0.5) * self.cell_size
@@ -149,6 +150,8 @@ def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
     edge's tests on x are taken once per column and those on y once per
     row, then broadcast.
     """
+    import numpy as np
+
     xs, ys = grid.cell_centers()
     x = xs[:1]  # one row of column centers
     y = ys[:, :1]  # one column of row centers
@@ -243,7 +246,7 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
         cell_size=header["cellsize"],
         n_rows=n_rows,
         n_cols=n_cols,
-        depth=np.array(values, dtype=float),
+        depth=values,
         nodata_value=header["nodata_value"],
     )
 

@@ -61,7 +61,7 @@ def derive_expectations(
     """
     expectations: list[Expectation] = []
     projection = Projection(
-        uuv, world, world.sim_time, uuv.estimated_position, uuv.position_uncertainty
+        world, world.sim_time, uuv.estimated_position, uuv.position_uncertainty
     )
     for action in steps:
         project = action_behaviour(action.name).project

@@ -56,7 +56,6 @@ class WorldParams:
             if getattr(self, name) <= 0:
                 raise SimulationError(f"{name} must be positive")
         for name in (
-            "uuv_speed",
             "acoustic_range",
             "comm_range",
             "drift_rate",
@@ -67,14 +66,21 @@ class WorldParams:
         ):
             if getattr(self, name) < 0:
                 raise SimulationError(f"{name} must be non-negative")
+        # the distance a tick moves a vehicle, which every leg and circle
+        # divides by; a speed so small that it underflows is no speed at all
+        step = self.uuv_speed * self.tick
+        if not step > 0:
+            raise SimulationError(
+                f"uuv_speed {self.uuv_speed!r} and tick {self.tick!r} give a step per tick"
+                " (uuv_speed × tick) that is not positive"
+            )
         # one lap of the standoff circle: its length, its angle per tick and
         # its ticks, as _circle_ticks and _tick_circle compute them
         lap = 2.0 * math.pi * self.standoff_radius
-        step = self.uuv_speed * self.tick
         if not (
             math.isfinite(lap)
             and math.isfinite(self.uuv_speed / self.standoff_radius * self.tick)
-            and (step == 0 or math.isfinite(lap / step))
+            and math.isfinite(lap / step)
         ):
             raise SimulationError(
                 f"standoff_radius {self.standoff_radius!r} gives a circle time or"
@@ -317,10 +323,8 @@ def _move_towards(uuv: UUVState, target: Point2D, label: str, world: WorldState)
         _complete_action(uuv, world)
 
 
-def _circle_ticks(uuv: UUVState, params: WorldParams) -> int:
-    """Whole ticks the vehicle takes to fly once round the standoff circle."""
-    if params.uuv_speed <= 0:
-        raise SimulationError(f"{uuv.id}: cannot circle with zero speed")
+def _circle_ticks(params: WorldParams) -> int:
+    """Whole ticks a vehicle takes to fly once round the standoff circle."""
     circumference = 2.0 * math.pi * params.standoff_radius
     return max(1, math.ceil(circumference / (params.uuv_speed * params.tick)))
 
@@ -356,7 +360,7 @@ def _tick_circle(uuv: UUVState, world: WorldState) -> None:
             uuv.circle_start = math.atan2(off_y, off_x)
         else:
             uuv.circle_start = uuv.heading + math.pi
-    ticks_total = _circle_ticks(uuv, params)
+    ticks_total = _circle_ticks(params)
     omega = params.uuv_speed / params.standoff_radius
     theta = uuv.circle_start + omega * uuv.action_ticks * params.tick
     try:
@@ -398,7 +402,6 @@ class Projection:
     action expects to hear the beacon named by its second argument, or None.
     """
 
-    uuv: UUVState
     world: WorldState
     time: float
     position: Point2D
@@ -408,12 +411,7 @@ class Projection:
         """Advance to the beacon at cruise speed; return the leg's distance
         and nominal duration."""
         distance = self.position.distance_to(beacon.position)
-        speed = self.world.params.uuv_speed
-        if distance > 0 and speed <= 0:
-            raise SimulationError(
-                f"{self.uuv.id}: leg of {distance:.1f} m is inexecutable at zero speed"
-            )
-        nominal = distance / speed if distance > 0 else 0.0
+        nominal = distance / self.world.params.uuv_speed
         self.time += nominal
         self.position = beacon.position
         self.uncertainty += self.world.params.drift_rate * distance
@@ -446,7 +444,7 @@ class Projection:
 
     def circle(self, action: GroundAction) -> Optional[tuple[float, float]]:
         params = self.world.params
-        self.time += _circle_ticks(self.uuv, params) * params.tick
+        self.time += _circle_ticks(params) * params.tick
         self.uncertainty = params.localization_floor
         return None
 

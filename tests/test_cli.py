@@ -239,6 +239,20 @@ class TestValidateCommand:
         assert code == 1
         assert str(plan_path) in err and "steps[1]" in err
 
+    @pytest.mark.parametrize("bad_name", [["navigate-to-beacon"], None, 7, ""])
+    def test_step_name_must_be_a_non_empty_string(self, capsys, tmp_path, bad_name):
+        plan_path = self.make_plan(capsys, tmp_path)
+        doc = json.loads(plan_path.read_text())
+        doc["steps"][0]["name"] = bad_name
+        plan_path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys,
+            "validate", "--domain", DOMAIN, "--problem", PROBLEM,
+            "--plan", str(plan_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {plan_path}: steps[0] 'name' must be a non-empty string\n"
+
     def test_garbage_plan_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "plan.json"
         bad.write_text("{not json")
@@ -454,7 +468,7 @@ class TestSimulateCommand:
         roles = {(f["properties"]["id"], f["properties"]["role"]) for f in tracks["features"]}
         assert ("uuv1", "true") in roles and ("uuv1", "estimated") in roles
 
-    def test_zero_speed_scenario_exits_4(self, capsys, tmp_path):
+    def test_zero_speed_scenario_exits_1_naming_the_field(self, capsys, tmp_path):
         import yaml
 
         doc = yaml.safe_load((REPO / "scenarios" / "nominal.yaml").read_text())
@@ -472,8 +486,9 @@ class TestSimulateCommand:
         scenario = tmp_path / "stalled.yaml"
         scenario.write_text(yaml.safe_dump(doc))
         code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
-        assert code == 4
-        assert "inexecutable" in err
+        assert code == 1
+        assert err.startswith(f"error: {scenario}: world.uuv_speed ")
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def edge_scenario(tmp_path, chart_x, world):
@@ -752,8 +767,11 @@ MALFORMED = REPO / "scenarios" / "malformed"
 # each file of the corpus: the flag it is passed to, how its message starts
 # after the path, and the line, feature index or field the message names
 MALFORMED_INPUTS = {
-    "invalid-yaml.yaml": ("--scenario", "not valid YAML: ", "line 11, column 12"),
+    "invalid-yaml.yaml": ("--scenario", "not valid YAML: ", "line 10, column 12"),
     "zero-tick.yaml": ("--scenario", "world.tick must be positive", "world.tick"),
+    "zero-speed.yaml": (
+        "--scenario", "world.uuv_speed 0.0 and tick 1.0 give a step per tick", "world.uuv_speed"
+    ),
     "overflowing-tick.yaml": (
         "--scenario", "world.tick 1e+308 and pulse_period 10.0 give a pulse count", "world.tick"
     ),
@@ -777,6 +795,14 @@ MALFORMED_INPUTS = {
     "grid-too-few-values.asc": (
         "--bathymetry", "line 10: expected 16 grid values (4x4), got 15", "line 10"
     ),
+    "plan-name-not-a-string.json": (
+        "--plan", "steps[0] 'name' must be a non-empty string", "steps[0]"
+    ),
+    "plan-args-not-strings.json": (
+        "--plan", "steps[1] 'args' must be a list of strings", "steps[1]"
+    ),
+    "plan-not-json.json": ("--plan", "not valid JSON: Expecting value", "line 4 column 1"),
+    "plan-no-steps.json": ("--plan", "expected an object with a 'steps' list", "'steps'"),
 }
 
 
@@ -785,8 +811,8 @@ def test_invalid_yaml_error_is_one_line_placed_by_line_and_column(capsys, tmp_pa
     code, out, err = run(capsys, "simulate", "--scenario", path, "--out-dir", str(tmp_path))
     assert (code, out) == (1, "")
     assert err == (
-        f"error: {path}: not valid YAML: line 13, column 5: expected ',' or ']',"
-        " but got ':' (while parsing a flow sequence at line 11, column 12)\n"
+        f"error: {path}: not valid YAML: line 12, column 5: expected ',' or ']',"
+        " but got ':' (while parsing a flow sequence at line 10, column 12)\n"
     )
 
 
@@ -800,6 +826,7 @@ def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, 
         "--beacons": ["route", "--beacons", "", "--start", "b1", "--goal", "b2"],
         "--area": deploy,
         "--bathymetry": deploy,
+        "--plan": ["validate", "--domain", DOMAIN, "--problem", PROBLEM, "--plan", ""],
     }[flag]
     path = str(MALFORMED / name)
     argv[argv.index(flag) + 1] = path

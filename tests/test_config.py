@@ -141,7 +141,18 @@ class TestLoadScenario:
                 " the run (initial_uncertainty + drift_rate × uuv_speed × tick × step_cap)"
                 " that is not finite",
             ),
-            ("uuv_speed", -1, "world.uuv_speed must be non-negative"),
+            (
+                "uuv_speed",
+                -1,
+                "world.uuv_speed -1.0 and tick 1.0 give a step per tick (uuv_speed × tick)"
+                " that is not positive",
+            ),
+            (
+                "uuv_speed",
+                0,
+                "world.uuv_speed 0.0 and tick 1.0 give a step per tick (uuv_speed × tick)"
+                " that is not positive",
+            ),
             ("step_cap", 0, "world.step_cap must be positive"),
             ("step_cap", -3, "world.step_cap must be positive"),
             ("acoustic_range", -1, "world.acoustic_range must be non-negative"),
@@ -161,6 +172,19 @@ class TestLoadScenario:
         with pytest.raises(InputError) as excinfo:
             load_scenario(path)
         assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_speed_whose_step_underflows_to_zero_names_file_and_field(self, tmp_path):
+        def mutate(doc):
+            doc["world"]["uuv_speed"] = 5.0e-324
+            doc["world"]["tick"] = 0.5
+
+        path = write_scenario(tmp_path, mutate=mutate)
+        with pytest.raises(InputError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == (
+            f"{path}: world.uuv_speed 5e-324 and tick 0.5 give a step per tick"
+            " (uuv_speed × tick) that is not positive"
+        )
 
     def test_duplicate_vehicle_id_rejected(self, tmp_path):
         def mutate(doc):

@@ -3,13 +3,9 @@ from pathlib import Path
 import pytest
 
 from uuvnav.errors import GroundingError, HddlError
-from uuvnav.hddl import (
-    ground,
-    parse_domain,
-    parse_problem,
-    print_domain,
-    print_problem,
-)
+from uuvnav.hddl.ground import ground
+from uuvnav.hddl.parser import parse_domain, parse_problem
+from uuvnav.hddl.printer import print_domain, print_problem
 
 REPO = Path(__file__).resolve().parent.parent
 MALFORMED_DOMAINS = REPO / "domains" / "malformed"

@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uuvnav.hddl import (
+from uuvnav.hddl.ast import (
     ActionAst,
     DomainAst,
     Literal,
@@ -16,12 +16,9 @@ from uuvnav.hddl import (
     PredicateDecl,
     ProblemAst,
     TaskDecl,
-    parse_domain,
-    parse_problem,
-    print_domain,
-    print_problem,
 )
-from uuvnav.hddl.parser import KNOWN_REQUIREMENTS
+from uuvnav.hddl.parser import KNOWN_REQUIREMENTS, parse_domain, parse_problem
+from uuvnav.hddl.printer import print_domain, print_problem
 
 # Derandomized, so every run checks the same examples; 80 of each take
 # about a second.

@@ -1,8 +1,10 @@
 import pytest
 
 from uuvnav.errors import PlanNotFound
-from uuvnav.hddl import ground, parse_domain, parse_problem
-from uuvnav.htn import format_plan_text, plan, plan_to_dict, validate
+from uuvnav.hddl.ground import ground
+from uuvnav.hddl.parser import parse_domain, parse_problem
+from uuvnav.htn.planner import format_plan_text, plan, plan_to_dict
+from uuvnav.htn.validate import validate
 
 
 def setup(domain_text, problem_text):

@@ -24,7 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uuvnav.errors import PlanNotFound
-from uuvnav.hddl import (
+from uuvnav.hddl.ast import (
     ActionAst,
     DomainAst,
     Literal,
@@ -32,13 +32,18 @@ from uuvnav.hddl import (
     PredicateDecl,
     ProblemAst,
     TaskDecl,
-    ground,
-    parse_domain,
-    parse_problem,
 )
-from uuvnav.hddl.ground import GroundAction, GroundMethod, _split_literals
-from uuvnav.htn import Plan, PlanStats, format_plan_text, plan, validate
-from uuvnav.htn.planner import DEFAULT_DECOMPOSITION_BUDGET, goal_satisfied
+from uuvnav.hddl.ground import GroundAction, GroundMethod, _split_literals, ground
+from uuvnav.hddl.parser import parse_domain, parse_problem
+from uuvnav.htn.planner import (
+    DEFAULT_DECOMPOSITION_BUDGET,
+    Plan,
+    PlanStats,
+    format_plan_text,
+    goal_satisfied,
+    plan,
+)
+from uuvnav.htn.validate import validate
 
 import test_hddl_roundtrip
 import test_htn_properties

@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uuvnav.errors import PlanNotFound
-from uuvnav.hddl import ProblemAst, ground, parse_domain
-from uuvnav.htn import plan, validate
+from uuvnav.hddl.ast import ProblemAst
+from uuvnav.hddl.ground import ground
+from uuvnav.hddl.parser import parse_domain
+from uuvnav.htn.planner import plan
+from uuvnav.htn.validate import validate
 
 from test_htn import brute_force_plans
 

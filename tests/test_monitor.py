@@ -8,7 +8,7 @@ from uuvnav.errors import SimulationError
 from uuvnav.geo import Point2D
 from uuvnav.hddl.ground import GroundAction, ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
-from uuvnav.sim import BeaconState, UUVState, WorldParams, WorldState
+from uuvnav.sim.world import BeaconState, UUVState, WorldParams, WorldState
 
 REPO = Path(__file__).resolve().parent.parent
 DOMAIN_PATH = REPO / "domains" / "uuv-nav.hddl"
@@ -137,16 +137,6 @@ class TestDeriveExpectations:
             act("navigate-to-beacon", "u1", "b1"),
         ]
         assert derive(steps, uuv("u1", 0.0, 0.0)) == []
-
-    def test_zero_speed_with_distance_is_error(self):
-        vehicle = uuv("u1", 0.0, 0.0)
-        with pytest.raises(SimulationError, match="zero speed"):
-            derive([act("navigate-to-beacon", "u1", "b1")], vehicle, WorldParams(uuv_speed=0.0))
-
-    def test_zero_speed_circle_is_error(self):
-        vehicle = uuv("u1", 1000.0, 0.0)
-        with pytest.raises(SimulationError, match="zero speed"):
-            derive([act("circle-localize", "u1", "b1")], vehicle, WorldParams(uuv_speed=0.0))
 
     def test_unknown_beacon_is_error(self):
         with pytest.raises(SimulationError, match="no position known"):

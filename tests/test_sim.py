@@ -12,16 +12,19 @@ from uuvnav.errors import SimulationError
 from uuvnav.geo import Point2D
 from uuvnav.hddl.ground import GroundAction, ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
-from uuvnav.sim import (
+from uuvnav.sim.runner import run_scenario
+from uuvnav.sim.world import (
+    ACTIONS,
     BeaconState,
+    Projection,
     UUVState,
     WorldParams,
     WorldState,
+    _circle_ticks,
+    action_behaviour,
     sense_beacon,
     step,
 )
-from uuvnav.sim.runner import run_scenario
-from uuvnav.sim.world import ACTIONS, Projection, _circle_ticks, action_behaviour
 
 REPO = Path(__file__).resolve().parent.parent
 DOMAIN_PATH = REPO / "domains" / "uuv-nav.hddl"
@@ -428,7 +431,7 @@ class TestCircleLocalize:
         # each action of the new plan starts afresh, the circle from where
         # the vehicle is when it begins
         assert started == ["navigate-to-beacon", "sense-beacon", "circle-localize"]
-        lap = _circle_ticks(u, w.params)
+        lap = _circle_ticks(w.params)
         omega = w.params.uuv_speed / w.params.standoff_radius
         theta0 = math.atan2(before.y, before.x)  # b1 sits at the origin
         ticks = 1
@@ -442,9 +445,7 @@ class TestCircleLocalize:
 
 def projected_duration(action, vehicle, w):
     """How long the monitor projects the action to take, from the table."""
-    projection = Projection(
-        vehicle, w, 0.0, vehicle.estimated_position, vehicle.position_uncertainty
-    )
+    projection = Projection(w, 0.0, vehicle.estimated_position, vehicle.position_uncertainty)
     action_behaviour(action.name).project(projection, action)
     return projection.time
 

@@ -1,12 +1,12 @@
 """What each command loads: numpy only for ``deploy`` and PyYAML only
-for ``simulate``, so the other commands start without either.
+for ``simulate``, so the other commands start without either, and no
+command loads the HDDL printer.
 
 Each README command runs on the bundled inputs in a fresh interpreter,
 which then lists ``sys.modules``.
 """
 
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -17,7 +17,6 @@ import pytest
 
 import uuvnav
 from test_golden import DEPLOY_GOLDEN
-from uuvnav._lazy import lazy_import
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = Path(uuvnav.__file__).resolve().parent.parent
@@ -106,12 +105,6 @@ def test_deploy_loads_numpy_and_writes_the_golden_bytes(runs):
     assert digests == DEPLOY_GOLDEN
 
 
-def test_missing_module_fails_like_import():
-    name = "uuvnav_no_such_module"
-    with pytest.raises(ModuleNotFoundError) as plain:
-        importlib.import_module(name)
-    with pytest.raises(ModuleNotFoundError) as lazy:
-        lazy_import(name)
-    assert lazy.value.name == name
-    assert str(lazy.value) == str(plain.value)
-    assert name not in sys.modules
+def test_no_command_loads_the_hddl_printer(runs):
+    for command, result in runs[1].items():
+        assert "uuvnav.hddl.printer" not in result["modules"], command
