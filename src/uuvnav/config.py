@@ -166,7 +166,10 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
     known = set(defaults.__dataclass_fields__)
     unknown = set(world_raw) - known
     if unknown:
-        raise InputError(f"unknown world parameter(s): {', '.join(sorted(unknown))}")
+        # YAML keys need not be strings (10.0:, true:), so each is named by
+        # its repr, and the names are sorted as text
+        names = ", ".join(sorted(repr(key) for key in unknown))
+        raise InputError(f"unknown world parameter(s): {names}")
     current = world_raw.get("current", list(defaults.current))
     current_pt = _as_point(current, "world.current")
     values = {}

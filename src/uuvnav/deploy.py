@@ -18,8 +18,10 @@ from .errors import InputError
 from .geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon
 
 ETA = 0.5  # weight-update step size
-# Power distances per block of _power_assign: two float64 scratch blocks of
-# this size (256 KB each) stay in cache and are reused across the blocks.
+# Cells per block of _power_assign: a block's coordinates, owners and scratch
+# (about 1.6 MB) stay in a 2 MB L2 cache while every site is tested against
+# it. On a 2-vCPU Xeon, one assignment of 160k cells to 10 sites took 4-5 ms
+# in blocks against 8 ms in one pass over all cells; on 34k cells they tie.
 BLOCK = 1 << 15
 
 
@@ -135,33 +137,45 @@ def _candidate_cells(grid: BathymetryGrid, poly: MissionPolygon):
 
 
 def _power_assign(xs, ys, sx, sy, weights) -> np.ndarray:
-    """Site with the smallest power distance ||c - s||^2 - w for each cell
-    (ties to the lowest site index). With every weight 0 it is the nearest
-    site, which is how lloyd_deploy snaps its centroids to cells.
+    """Site with the smallest power distance ||c - s||^2 - w for each cell.
 
-    Cells are taken in blocks of max(1, BLOCK // N), so the scratch is two
-    small buffers reused block after block rather than several cells x N
-    temporaries faulted in afresh on every call. Each element goes through
-    the same ufuncs in the same order as the whole-matrix formula, so the
-    result is identical.
+    Equal to np.argmin over the cells x sites matrix of those distances:
+    each element goes through the same ufuncs in the same order, and a site
+    replaces a cell's running best only where it is strictly smaller, so
+    ties stay with the lowest site index. As in argmin, the first NaN wins.
+    With a finite site and weight a distance is NaN only at a cell with a
+    NaN coordinate, which site 0 already holds, so the NaN test runs only
+    for a site or weight that is not finite.
+
+    Cells are taken in blocks of BLOCK and tested against one site at a
+    time, so the scratch is a few vectors of at most BLOCK cells, whatever N.
     """
     import numpy as np
 
-    n_cells, n_sites = len(xs), len(sx)
-    rows = max(1, BLOCK // n_sites)
-    d2 = np.empty((rows, n_sites))
-    dy = np.empty((rows, n_sites))
-    site_of = np.empty(n_cells, dtype=np.intp)
-    for lo in range(0, n_cells, rows):
-        hi = min(lo + rows, n_cells)
-        a, b = d2[: hi - lo], dy[: hi - lo]
-        np.subtract(xs[lo:hi, None], sx, out=a)
-        np.square(a, out=a)
-        np.subtract(ys[lo:hi, None], sy, out=b)
-        np.square(b, out=b)
-        np.add(a, b, out=a)
-        np.subtract(a, weights, out=a)
-        np.argmin(a, axis=1, out=site_of[lo:hi])
+    n_cells = len(xs)
+    site_of = np.zeros(n_cells, dtype=np.intp)
+    scratch = np.empty((3, min(n_cells, BLOCK)))
+    closer_scratch = np.empty(scratch.shape[1], dtype=bool)
+    finite = (np.isfinite(sx) & np.isfinite(sy) & np.isfinite(weights)).tolist()
+    for lo in range(0, n_cells, BLOCK):
+        hi = min(lo + BLOCK, n_cells)
+        bx, by, owner = xs[lo:hi], ys[lo:hi], site_of[lo:hi]
+        best, d2, dy = scratch[:, : hi - lo]
+        closer = closer_scratch[: hi - lo]
+        for j in range(len(sx)):
+            out = d2 if j else best
+            np.subtract(bx, sx[j], out=out)
+            np.square(out, out=out)
+            np.subtract(by, sy[j], out=dy)
+            np.square(dy, out=dy)
+            np.add(out, dy, out=out)
+            np.subtract(out, weights[j], out=out)
+            if j:
+                np.less(d2, best, out=closer)
+                if not finite[j]:
+                    closer |= np.isnan(d2) & ~np.isnan(best)
+                np.copyto(best, d2, where=closer)
+                np.copyto(owner, j, where=closer)
     return site_of
 
 
@@ -211,6 +225,55 @@ def _mean_site_spacing(sx, sy) -> float:
     return float(np.mean(np.sqrt(d2.min(axis=1))))
 
 
+def _nearest_candidate(grid: BathymetryGrid, rows, cols, xs, ys):
+    """Return nearest(x, y): the index k of the candidate cell whose centre
+    (xs[k], ys[k]) is nearest, ties to the lowest k, the same index as
+    np.argmin((x - xs) ** 2 + (y - ys) ** 2).
+
+    rows and cols must list the candidates in row-major order, as np.nonzero
+    gives them. A point in a candidate cell is within 0.71 cells of its
+    centre and at least 1.5 cells from every centre outside the 3 x 3 block
+    around it, so only the block is searched. Its answer is kept when its
+    float distance is below that of the rows and columns of centres two
+    cells away, which bounds the float distance of every cell beyond the
+    block; that fails only where centres round together. Otherwise, and for
+    a point off the grid, in a cell that is not a candidate or at a
+    non-finite position, every candidate is scanned.
+    """
+    import numpy as np
+
+    index = np.full((grid.n_rows, grid.n_cols), -1, dtype=np.intp)
+    index[rows, cols] = np.arange(len(rows))
+    all_xs, all_ys = grid.cell_centers()
+    # centres two cells past the raster's edge are infinitely far away
+    col_x = np.concatenate(([-math.inf] * 2, all_xs[0], [math.inf] * 2)).tolist()
+    row_y = np.concatenate(([math.inf] * 2, all_ys[:, 0], [-math.inf] * 2)).tolist()
+
+    def nearest(x: float, y: float) -> int:
+        u = (x - grid.origin_x) / grid.cell_size
+        v = (y - grid.origin_y) / grid.cell_size
+        if 0 <= u < grid.n_cols and 0 <= v < grid.n_rows:
+            r, c = grid.n_rows - 1 - int(v), int(u)
+            if index[r, c] >= 0:
+                block = index[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2].ravel()
+                near = block[block >= 0]
+                d2 = (x - xs[near]) ** 2 + (y - ys[near]) ** 2
+                k = int(np.argmin(d2))
+                # gaps to the columns c - 2, c + 2 and rows r - 2, r + 2,
+                # zero on the wrong side of one
+                gaps = (
+                    max(x - col_x[c], 0.0),
+                    min(x - col_x[c + 4], 0.0),
+                    min(y - row_y[r], 0.0),
+                    max(y - row_y[r + 4], 0.0),
+                )
+                if d2[k] < min(g * g for g in gaps):
+                    return int(near[k])
+        return int(np.argmin((x - xs) ** 2 + (y - ys) ** 2))
+
+    return nearest
+
+
 def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
     """Place n_beacons sites so their water volumes balance toward V_tot/N.
 
@@ -218,8 +281,10 @@ def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
     on a deployable cell center. Each iteration updates the power weights
     from the current volume imbalance, moves every site to the cell nearest
     the volume-weighted centroid of its region (a site whose region holds
-    no water stays put), then reassigns and checks the balance objective
-    against the tolerance. Deterministic for a fixed rng_seed.
+    no water stays put), found from the centroid's grid cell by
+    _nearest_candidate, then reassigns the cells with _power_assign and
+    checks the balance objective against the tolerance. Deterministic for
+    a fixed rng_seed.
     """
     import numpy as np
 
@@ -237,7 +302,7 @@ def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
     rng = np.random.default_rng(problem.rng_seed)
     site = _farthest_point_seed(xs, ys, n, rng)
     weights = np.zeros(n)
-    no_weights = np.zeros(len(xs))
+    nearest = _nearest_candidate(grid, rows, cols, xs, ys)
 
     site_of = _power_assign(xs, ys, xs[site], ys[site], weights)
     volumes = np.bincount(site_of, weights=vols, minlength=n)
@@ -254,7 +319,7 @@ def lloyd_deploy(problem: DeploymentProblem) -> DeploymentResult:
         moving = volumes > 0
         cx = np.bincount(site_of, weights=mass_x, minlength=n)[moving] / volumes[moving]
         cy = np.bincount(site_of, weights=mass_y, minlength=n)[moving] / volumes[moving]
-        site[moving] = _power_assign(cx, cy, xs, ys, no_weights)
+        site[moving] = [nearest(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
         site_of = _power_assign(xs, ys, xs[site], ys[site], weights)
         volumes = np.bincount(site_of, weights=vols, minlength=n)
         obj = objective(volumes.tolist(), float(np.sum(volumes)))

@@ -778,6 +778,7 @@ MALFORMED_INPUTS = {
     "missing-domain.yaml": (
         "--scenario", "missing required field 'paths.domain'", "paths.domain"
     ),
+    "world-key-not-text.yaml": ("--scenario", "unknown world parameter(s): 10.0", "10.0"),
     "chart-not-a-point.geojson": ("--beacons", "feature 1 is not a Point", "feature 1"),
     "chart-bad-coordinates.geojson": (
         "--beacons", "feature 1 has malformed coordinates", "feature 1"

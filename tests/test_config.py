@@ -87,6 +87,18 @@ class TestLoadScenario:
         with pytest.raises(InputError, match="warp_factor"):
             load_scenario(write_scenario(tmp_path, mutate=mutate))
 
+    def test_world_keys_that_are_not_text_are_named(self, tmp_path):
+        # YAML reads 10.0:, true: and 3: as a float, a bool and an int key
+        def mutate(doc):
+            doc["world"].update({10.0: 50.0, True: 1, 3: 2, "warp_factor": 9})
+
+        path = write_scenario(tmp_path, mutate=mutate)
+        with pytest.raises(InputError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == (
+            f"{path}: unknown world parameter(s): 'warp_factor', 10.0, 3, True"
+        )
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -2,8 +2,8 @@
 the region volumes partition the water under the polygon, every beacon
 sits on an in-polygon water-cell centre, and the final sites and weights
 reproduce the reported volumes. The blocked power assignment returns
-exactly what its one-shot form does, and with zero weights, the nearest
-cell that a point-by-point search finds."""
+exactly what its one-shot form does, and the grid-index centroid snap the
+nearest cell that a point-by-point search finds."""
 
 import math
 
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from uuvnav.deploy import (
     BLOCK,
     DeploymentProblem,
+    _nearest_candidate,
     _power_assign,
     assign_cells,
     lloyd_deploy,
@@ -121,7 +122,7 @@ def whole_matrix_assign(xs, ys, sx, sy, weights):
 
 def point_by_point_nearest(xs, ys, px, py):
     """The nearest-cell search with fresh temporaries for every point, which
-    lloyd_deploy's zero-weight _power_assign snap must equal."""
+    lloyd_deploy's grid-index snap must equal."""
     return np.array(
         [np.argmin((xs - x) ** 2 + (ys - y) ** 2) for x, y in zip(px, py)], dtype=np.intp
     )
@@ -137,17 +138,14 @@ def coordinates(draw, rng, size):
 
 @st.composite
 def power_assignments(draw):
-    shape = draw(st.sampled_from(["under one block", "ragged blocks", "one cell a block"]))
-    if shape == "one cell a block":
-        n_sites = draw(st.integers(BLOCK + 1, BLOCK + 64))
-        n_cells = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["one site", "no cells", "few cells", "block edge"]))
+    n_sites = 1 if shape == "one site" else draw(st.integers(1, 12))
+    if shape == "no cells":
+        n_cells = 0
+    elif shape == "block edge":
+        n_cells = draw(st.integers(1, 2)) * BLOCK + draw(st.integers(-2, 2))
     else:
-        n_sites = draw(st.integers(1, 80))
-        per_block = BLOCK // n_sites
-        if shape == "under one block":
-            n_cells = draw(st.integers(0, per_block - 1))
-        else:
-            n_cells = draw(st.integers(1, 3)) * per_block + draw(st.integers(1, per_block - 1))
+        n_cells = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs, ys = coordinates(draw, rng, n_cells)
     sx, sy = coordinates(draw, rng, n_sites)
@@ -155,31 +153,66 @@ def power_assignments(draw):
         weights = rng.integers(0, 2, n_sites).astype(float)  # equal weights tie
     else:
         weights = rng.uniform(-1e3, 1e3, n_sites)
+    # non-finite weights make infinite and NaN distances, where the first
+    # NaN in site order must win as it does in argmin
+    k = draw(st.integers(0, 3))
+    weights[rng.integers(n_sites, size=k)] = rng.choice([math.inf, -math.inf, math.nan], k)
     return xs, ys, sx, sy, weights
 
 
 @PROPERTY
 @given(power_assignments())
 def test_blocked_power_assignment_equals_the_whole_matrix(case):
-    got = _power_assign(*case)
-    want = whole_matrix_assign(*case)
+    with np.errstate(invalid="ignore"):
+        got = _power_assign(*case)
+        want = whole_matrix_assign(*case)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
 
 @st.composite
-def nearest_searches(draw):
+def snaps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    xs, ys = coordinates(draw, rng, draw(st.integers(1, 3000)))
-    px, py = coordinates(draw, rng, draw(st.integers(0, 12)))
-    return xs, ys, px, py
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        # exact arithmetic, so points on cell edges and corners tie exactly
+        cell = draw(st.sampled_from([1.0, 0.5, 4.0, 7.5]))
+        origin = (draw(st.integers(-20, 20)) * cell, draw(st.integers(-20, 20)) * cell)
+    else:
+        # rounding at every operation, and centres that round together,
+        # where a nearest cell can lie beyond the 3 x 3 block
+        cell = draw(st.sampled_from([1.0, 0.3, 100.0 / 3]))
+        origin = draw(st.sampled_from([(0.1, -0.7), (2.0**54, -(2.0**54)), (1e17, 3e16)]))
+    mask = rng.random((rows, cols)) < draw(st.sampled_from([1.0, 0.8, 0.5]))
+    assume(mask.any())
+    depth = np.full((rows, cols), 10.0)
+    grid = BathymetryGrid(origin[0], origin[1], cell, rows, cols, depth, NODATA)
+    r, c = np.nonzero(mask)
+    all_xs, all_ys = grid.cell_centers()
+    holes = np.argwhere(~mask)
+    points = []
+    for kind in rng.choice(["lattice", "hole", "random", "non-finite"], size=30):
+        if kind == "lattice":
+            # cell edges, corners and centres, and a little past the raster
+            x, y = rng.integers(-2, [2 * cols + 3, 2 * rows + 3]) * cell / 2
+            points.append((origin[0] + x, origin[1] + y))
+        elif kind == "hole" and len(holes):
+            hr, hc = holes[rng.integers(len(holes))]
+            dx, dy = rng.uniform(-0.5, 0.5, 2) * cell
+            points.append((float(all_xs[hr, hc] + dx), float(all_ys[hr, hc] + dy)))
+        elif kind == "non-finite":
+            bad = rng.choice([math.inf, -math.inf, math.nan])
+            points.append(((bad, origin[1]), (origin[0], bad), (bad, bad))[rng.integers(3)])
+        else:
+            x, y = rng.uniform(-1.5, [cols + 1.5, rows + 1.5]) * cell
+            points.append((origin[0] + x, origin[1] + y))
+    return grid, r, c, all_xs[r, c], all_ys[r, c], points
 
 
 @PROPERTY
-@given(nearest_searches())
-def test_buffered_nearest_cell_equals_the_point_by_point_search(case):
-    xs, ys, px, py = case
-    got = _power_assign(px, py, xs, ys, np.zeros(len(xs)))
-    want = point_by_point_nearest(*case)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+@given(snaps())
+def test_index_snap_equals_the_point_by_point_search(case):
+    grid, r, c, xs, ys, points = case
+    nearest = _nearest_candidate(grid, r, c, xs, ys)
+    got = np.array([nearest(x, y) for x, y in points], dtype=np.intp)
+    assert np.array_equal(got, point_by_point_nearest(xs, ys, *np.array(points).T))
