@@ -10,12 +10,16 @@ and summary.
 Every command is deterministic: the same inputs produce byte-identical
 outputs.  Exit codes: 0 success, 1 bad input, 2 no route, 3 no plan,
 4 any other package error, or a reader that closed stdout early.
+
+``main()`` may be called repeatedly in one process and reuses one parser,
+built on first use.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -28,6 +32,7 @@ from .deploy import (
     DeploymentProblem,
     astar_route,
     build_beacon_graph,
+    check_link_distance,
     deployment_to_geojson,
     lloyd_deploy,
     route_length,
@@ -67,6 +72,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         volume_tolerance=args.tolerance,
         rng_seed=args.seed,
     )
+    check_link_distance(args.link_distance)
     result = lloyd_deploy(problem)
     graph = build_beacon_graph(result, args.link_distance)
     _write_output(args.out, _dump_json(deployment_to_geojson(result, graph)))
@@ -189,6 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uuvnav",

@@ -83,6 +83,14 @@ class DeploymentResult:
     site_weights: tuple[float, ...]  # final power weights, for recounting
 
 
+def check_link_distance(coverage_link_distance: float) -> None:
+    """Reject a link distance that is not finite and > 0."""
+    if not 0 < coverage_link_distance < math.inf:
+        raise InputError(
+            f"coverage_link_distance must be finite and > 0, got {coverage_link_distance}"
+        )
+
+
 @dataclass(frozen=True)
 class BeaconGraph:
     """Undirected beacon graph; an edge joins every pair within link range."""
@@ -92,11 +100,7 @@ class BeaconGraph:
     adjacency: tuple[tuple[tuple[int, float], ...], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not 0 < self.coverage_link_distance < math.inf:
-            raise InputError(
-                "coverage_link_distance must be finite and > 0,"
-                f" got {self.coverage_link_distance}"
-            )
+        check_link_distance(self.coverage_link_distance)
         adj: list[list[tuple[int, float]]] = [[] for _ in self.positions]
         for i in range(len(self.positions)):
             for j in range(i + 1, len(self.positions)):

@@ -179,8 +179,10 @@ def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
 def load_ascii_grid(text: str) -> BathymetryGrid:
     """Parse an ESRI ASCII grid (ncols/nrows/xllcorner/yllcorner/cellsize/
     NODATA_value header, then row-major values, top row first)."""
+    from array import array
+
     header: dict[str, float] = {}
-    values: list[float] = []
+    values = array("d")  # no float object per cell; BathymetryGrid reads the buffer
     lines = text.splitlines()
     line_no = cellsize_line = 0
     for line_no, raw in enumerate(lines, start=1):

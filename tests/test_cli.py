@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import uuvnav
-from uuvnav.cli import main
+from uuvnav.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 DOMAIN = str(REPO / "domains" / "uuv-nav.hddl")
@@ -694,7 +694,11 @@ def test_scenario_domain_directory_exits_1_naming_it(capsys, tmp_path):
         ("--link-distance", "0"),
     ],
 )
-def test_out_of_range_deploy_flag_exits_1_naming_it(capsys, tmp_path, flag, value):
+def test_out_of_range_deploy_flag_exits_1_naming_it(capsys, monkeypatch, tmp_path, flag, value):
+    def lloyd_deploy(problem):
+        raise AssertionError("a bad flag must fail before the Lloyd iterations run")
+
+    monkeypatch.setattr("uuvnav.cli.lloyd_deploy", lloyd_deploy)
     argv = {
         "--bathymetry": BATHY, "--area": AREA, "--n-beacons": "3", "--max-iterations": "2",
         "--out": str(tmp_path / "x.geojson"), flag: value,
@@ -880,3 +884,56 @@ def test_closed_stdout_exits_4_quietly_with_outputs_complete(capsys, tmp_path, a
     for name in outputs:
         closed, normal = tmp_path / "closed" / name, tmp_path / "normal" / name
         assert closed.read_bytes() == normal.read_bytes(), name
+
+
+def test_the_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import uuvnav.cli as cli; print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)),
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+def test_calls_in_one_process_match_the_same_calls_run_alone(capsys, monkeypatch, tmp_path):
+    """One process reuses the parser across a usage error, a help request
+    and two routes; each call answers as it does in a fresh interpreter,
+    and the second route writes no file, though the first was given --out."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out_path = tmp_path / "route.json"
+    route = ["route", "--beacons", BEACONS, "--start", "b4", "--goal", "b8"]
+    sequence = [["route", "--start", "b4"], ["route", "--help"], [*route, "--out", str(out_path)], route]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def alone(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "uuvnav.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT), COLUMNS="80"),
+            timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    together = [in_process(argv) for argv in sequence[:3]]
+    written = json.loads(out_path.read_text())
+    out_path.unlink()
+    together.append(in_process(sequence[3]))
+    assert not out_path.exists()
+    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    assert written == json.loads(together[2][1])
+    assert together == [alone(argv) for argv in sequence]

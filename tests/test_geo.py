@@ -66,6 +66,21 @@ def test_parse_nodata_cells_marked_invalid():
     assert g.valid_mask[1, 1]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1 2 3\n40 500 6000\n",
+        "1e2 2.5E-3 7E+1\n0e0 5e-324 1.7976931348623157e308\n",
+        "-9999 4 -9999.0\n-9.999e3 -0 0.1000000000000000055511151231257827\n",
+    ],
+    ids=["integer", "exponent", "nodata"],
+)
+def test_parsed_depths_are_the_floats_of_the_tokens_bit_for_bit(body):
+    header = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\nNODATA_value -9999\n"
+    grid = load_ascii_grid(header + body)
+    assert grid.depth.tobytes() == np.array([float(t) for t in body.split()]).tobytes()
+
+
 def test_parse_value_count_mismatch_names_expected():
     text = GRID_2X2.replace("3 4\n", "")
     with pytest.raises(GridFormatError) as exc:
