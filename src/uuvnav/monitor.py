@@ -87,6 +87,8 @@ def check(world: WorldState) -> list[Expectation]:
     now, tick_number = world.sim_time, world.ticks_run
     diverged: list[Expectation] = []
     for uuv in world.uuvs:
+        if not uuv.expectations:
+            continue
         still_open: list[Expectation] = []
         for exp in uuv.expectations:
             if now > exp.latest:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, TextIO
@@ -30,6 +31,11 @@ EVENT_SCHEMA_VERSION = 1
 
 @dataclass
 class SimulationReport:
+    """A finished run.  ``tracks`` maps each vehicle id to its "true" and
+    "estimated" lists of [x, y] points, one per tick and the start; the
+    two tracks share a point list wherever the two positions were one
+    object, and nothing mutates a point once it is logged."""
+
     world: WorldState
     events: list[Event]
     tracks: dict[str, dict[str, list[list[float]]]]
@@ -78,12 +84,28 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         uuv.expectations = monitor.derive_expectations(uuv.queue, uuv, world)
 
     tracks: dict[str, dict[str, list[list[float]]]] = {
-        uuv.id: {
-            "true": [[uuv.true_position.x, uuv.true_position.y]],
-            "estimated": [[uuv.estimated_position.x, uuv.estimated_position.y]],
-        }
-        for uuv in world.uuvs
+        uuv.id: {"true": [], "estimated": []} for uuv in world.uuvs
     }
+    # each vehicle, its two tracks, and the two positions it last logged
+    logs = [
+        [uuv, tracks[uuv.id]["true"], tracks[uuv.id]["estimated"], None, None]
+        for uuv in world.uuvs
+    ]
+
+    def log_positions() -> None:
+        for log in logs:
+            uuv, true_track, estimated_track, last_true, last_estimated = log
+            true, estimated = uuv.true_position, uuv.estimated_position
+            if true is last_true and estimated is last_estimated:  # it has not moved
+                true_track.append(true_track[-1])
+                estimated_track.append(estimated_track[-1])
+                continue
+            log[3], log[4] = true, estimated
+            point = [true.x, true.y]
+            true_track.append(point)
+            estimated_track.append(point if true is estimated else [estimated.x, estimated.y])
+
+    log_positions()
 
     events: list[Event] = []
     while any(u.status == "active" for u in world.uuvs):
@@ -97,11 +119,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             # replanning logs to the same tick's events, after step sorted them
             world.events.sort(key=Event.sort_key)
         events.extend(world.events)
-        for uuv in world.uuvs:
-            tracks[uuv.id]["true"].append([uuv.true_position.x, uuv.true_position.y])
-            tracks[uuv.id]["estimated"].append(
-                [uuv.estimated_position.x, uuv.estimated_position.y]
-            )
+        log_positions()
 
     kind_counts: dict[str, int] = {}
     for event in events:
@@ -219,6 +237,30 @@ _FEATURE = """    {
     }"""
 
 
+def _spell_track(
+    points: list[list[float]], spelled: dict[tuple[float, float], str], uuv_id: str, role: str
+) -> str:
+    """A track's "coordinates" text; ``spelled`` holds the vehicle's points
+    already spelled, and a point list repeated in a row is spelled once."""
+    texts = []
+    previous, text = None, ""
+    for point in points:
+        if point is not previous:
+            previous = point
+            x, y = point
+            if type(x) is float and type(y) is float and x and y:
+                text = spelled.get((x, y))
+                if text is None:
+                    text = spelled[(x, y)] = _POINT % (x, y)
+            else:
+                text = _POINT % (x, y)
+        texts.append(text)
+    joined = ",\n".join(texts)
+    if "n" in joined:  # the repr of a number has an "n" only in nan and inf
+        raise SimulationError(f"{uuv_id}: non-finite position in its {role} track")
+    return f"[\n{joined}\n        ]" if joined else "[]"
+
+
 def write_tracks_geojson(
     tracks: Mapping[str, Mapping[str, list[list[float]]]], out: TextIO
 ) -> None:
@@ -229,6 +271,8 @@ def write_tracks_geojson(
     A vehicle's point of two non-zero floats is spelled once for both its
     tracks; a zero or a non-float coordinate is spelled every time, since
     0.0 and -0.0, or 3 and 3.0, are equal keys that spell differently.
+    An estimated track made of the true track's own point lists, in its
+    order, is the true track's text.
 
     Raises SimulationError on a non-finite coordinate, which json would
     write as NaN or Infinity.
@@ -237,20 +281,14 @@ def write_tracks_geojson(
     separator = "\n"
     for uuv_id in sorted(tracks):
         spelled: dict[tuple[float, float], str] = {}  # this vehicle's points only
-        for role in ("true", "estimated"):
-            texts = []
-            for x, y in tracks[uuv_id][role]:
-                if type(x) is float and type(y) is float and x and y:
-                    text = spelled.get((x, y))
-                    if text is None:
-                        text = spelled[(x, y)] = _POINT % (x, y)
-                else:
-                    text = _POINT % (x, y)
-                texts.append(text)
-            points = ",\n".join(texts)
-            if "n" in points:  # the repr of a number has an "n" only in nan and inf
-                raise SimulationError(f"{uuv_id}: non-finite position in its {role} track")
-            coordinates = f"[\n{points}\n        ]" if points else "[]"
-            out.write(separator + _FEATURE % (coordinates, json.dumps(uuv_id), json.dumps(role)))
-            separator = ",\n"
+        true_track, estimated = tracks[uuv_id]["true"], tracks[uuv_id]["estimated"]
+        uuv_json = json.dumps(uuv_id)
+        coordinates = _spell_track(true_track, spelled, uuv_id, "true")
+        out.write(separator + _FEATURE % (coordinates, uuv_json, '"true"'))
+        if not (
+            len(estimated) == len(true_track) and all(map(operator.is_, estimated, true_track))
+        ):
+            coordinates = _spell_track(estimated, spelled, uuv_id, "estimated")
+        out.write(",\n" + _FEATURE % (coordinates, uuv_json, '"estimated"'))
+        separator = ",\n"
     out.write(("\n  ]" if tracks else "]") + ',\n  "type": "FeatureCollection"\n}\n')

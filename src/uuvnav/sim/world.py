@@ -6,6 +6,12 @@ vehicles in range hear the pulses fired during the tick, and emits a
 deterministic event stream.  There is no hidden randomness: identical
 inputs produce identical event logs.
 
+A vehicle hears only the beacons in the 3 × 3 block of grid cells round
+its own (``BeaconGrid``).  The cell side is the chart's largest acoustic
+range times 1 + 2**-20, a margin that float rounding cannot use up while
+both coordinates lie within side × 2**20 of the origin; a vehicle beyond
+that bound scans the whole chart.
+
 Vehicles navigate by dead reckoning.  The true position integrates the
 commanded velocity plus the ambient current; the estimated position
 integrates the commanded velocity only, so a nonzero current opens a gap
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..errors import SimulationError
 from ..geo import Point2D
@@ -128,6 +134,56 @@ def pulse_fires(tick_number: int, tick: float, period: float) -> bool:
     return math.floor(tick_number * tick / period) > math.floor((tick_number - 1) * tick / period)
 
 
+class BeaconGrid:
+    """The chart's beacons bucketed in square cells of side ``side``, each
+    as ``(beacon, x, y)``; positions and ranges are taken once.
+
+    A beacon sits in cell (floor(x / side), floor(y / side)).  The side is
+    the largest acoustic range, at least 1 m, times 1 + 2**-20.  A heard
+    beacon is within its range, times 1 + 4 × 2**-53 for the rounding of
+    the difference and of hypot, of the vehicle on each axis.  While the
+    vehicle's |x| and |y| are at most side × 2**20, each quotient is off
+    by at most 2**-33, so a heard beacon's quotient differs from the
+    vehicle's by less than 1 - 2**-21, and its cell by at most one.
+    """
+
+    MARGIN = 1.0 + 2.0**-20
+    BOUND_CELLS = 2.0**20  # cells from the origin within which the block rule holds
+
+    def __init__(self, beacons: Iterable[BeaconState]) -> None:
+        self.chart = [(b, b.position.x, b.position.y) for b in beacons]
+        # at least 1 m, so that no quotient overflows; a range near the
+        # float limit makes the side inf, and every cell (0, 0)
+        reach = max([1.0] + [b.acoustic_range for b, _, _ in self.chart if b.acoustic_range > 1.0])
+        side = self.side = reach * self.MARGIN
+        self.bound = side * self.BOUND_CELLS
+        self._cells = [(math.floor(x / side), math.floor(y / side)) for _, x, y in self.chart]
+        self._blocks: dict[tuple[int, int], list[tuple[BeaconState, float, float]]] = {}
+
+    def cell(self, x: float, y: float) -> Optional[tuple[int, int]]:
+        """The cell of (x, y), or None beyond the bound."""
+        bound = self.bound
+        if -bound <= x <= bound and -bound <= y <= bound:
+            side = self.side
+            return math.floor(x / side), math.floor(y / side)
+        return None
+
+    def block(self, cell: Optional[tuple[int, int]]) -> list[tuple[BeaconState, float, float]]:
+        """The beacons in the 3 × 3 block round ``cell``, in chart order,
+        built on first use; the whole chart for None."""
+        if cell is None:
+            return self.chart
+        found = self._blocks.get(cell)
+        if found is None:
+            cx, cy = cell
+            found = self._blocks[cell] = [
+                entry
+                for entry, (bx, by) in zip(self.chart, self._cells)
+                if -1 <= bx - cx <= 1 and -1 <= by - cy <= 1
+            ]
+        return found
+
+
 @dataclass
 class UUVState:
     id: str
@@ -176,7 +232,8 @@ class Event:
 class WorldState:
     """The fleet, the beacon table (keyed by id, in chart order), and the
     log of the tick in progress.  ``periods`` holds the chart's distinct
-    pulse periods, taken once when the world is made."""
+    pulse periods and ``grid`` its beacons by cell, both taken once when
+    the world is made."""
 
     uuvs: list[UUVState]
     beacons: dict[str, BeaconState]
@@ -184,9 +241,11 @@ class WorldState:
     ticks_run: int = 0
     events: list[Event] = field(default_factory=list)
     periods: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    grid: BeaconGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.periods = tuple(dict.fromkeys(b.pulse_period for b in self.beacons.values()))
+        self.grid = BeaconGrid(self.beacons.values())
 
     @property
     def sim_time(self) -> float:
@@ -281,14 +340,18 @@ def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
     world.emit("mission-failed", uuv.id, {"reason": reason})
 
 
-def _move_towards(uuv: UUVState, target: Point2D, label: str, world: WorldState) -> None:
-    """One tick's step towards ``target``, named ``label`` in errors."""
+def _move_towards(
+    uuv: UUVState, target: Point2D, beacon_id: Optional[str], world: WorldState
+) -> None:
+    """One tick's step towards ``target``: the beacon ``beacon_id``, or the
+    broadcast position for None, as errors name it."""
     params = world.params
     est = uuv.estimated_position
     dx = target.x - est.x
     dy = target.y - est.y
     remaining = math.hypot(dx, dy)
     if not math.isfinite(remaining):  # ends near opposite float limits
+        label = "the broadcast position" if beacon_id is None else f"beacon {beacon_id}"
         raise SimulationError(
             f"{uuv.id}: its leg to {label} is longer than the float range"
             f" (from ({est.x!r}, {est.y!r}) to ({target.x!r}, {target.y!r}))"
@@ -308,18 +371,21 @@ def _move_towards(uuv: UUVState, target: Point2D, label: str, world: WorldState)
     if moved > 0:
         uuv.heading = math.atan2(vy, vx)
     cx, cy = params.current
+    cx *= params.tick
+    cy *= params.tick
+    x, y = est.x + vx, est.y + vy
+    # Truth is x + cx: the same bits as x when cx is ±0.0 and x is not
+    # ±0.0 (-0.0 + 0.0 is 0.0), so one point then serves as both.
+    same = uuv.true_position is est and not cx and not cy and x != 0.0 and y != 0.0
+    true = uuv.true_position
     try:
-        uuv.true_position = Point2D(
-            uuv.true_position.x + vx + cx * params.tick,
-            uuv.true_position.y + vy + cy * params.tick,
-        )
+        uuv.true_position = Point2D(x, y) if same else Point2D(true.x + vx + cx, true.y + vy + cy)
     except ValueError as exc:  # a current near the float limit overflows
         raise SimulationError(f"{uuv.id}: the current carried it out of range: {exc}") from None
-    uuv.estimated_position = Point2D(est.x + vx, est.y + vy)
+    uuv.estimated_position = uuv.true_position if same else Point2D(x, y)
     uuv.position_uncertainty += params.drift_rate * moved
-    if uuv.estimated_position.distance_to(target) <= params.arrival_tolerance:
-        pos = uuv.estimated_position
-        world.emit("waypoint-reached", uuv.id, {"position": [pos.x, pos.y]})
+    if math.hypot(x - target.x, y - target.y) <= params.arrival_tolerance:
+        world.emit("waypoint-reached", uuv.id, {"position": [x, y]})
         _complete_action(uuv, world)
 
 
@@ -331,14 +397,14 @@ def _circle_ticks(params: WorldParams) -> int:
 
 def _tick_to_beacon(uuv: UUVState, world: WorldState) -> None:
     beacon = world.beacon(uuv.queue[0].args[1])
-    _move_towards(uuv, beacon.position, f"beacon {beacon.id}", world)
+    _move_towards(uuv, beacon.position, beacon.id, world)
 
 
 def _tick_to_broadcast(uuv: UUVState, world: WorldState) -> None:
     if uuv.broadcast_target is None:
         _fail_mission(uuv, world, "no broadcast position known")
         return
-    _move_towards(uuv, uuv.broadcast_target, "the broadcast position", world)
+    _move_towards(uuv, uuv.broadcast_target, None, world)
 
 
 def _tick_sense(uuv: UUVState, world: WorldState) -> None:
@@ -486,15 +552,17 @@ def action_behaviour(name: str) -> ActionBehaviour:
     return ACTIONS.get(name, _INSTANT)
 
 
-def _tick_uuv(uuv: UUVState, world: WorldState) -> None:
-    if uuv.status != "active":
-        return
+def _tick_uuv(uuv: UUVState, world: WorldState) -> Optional[ActionBehaviour]:
+    """Run an active vehicle's tick, or return its action's behaviour when
+    the action waits for the tick's detection scan."""
     if not uuv.queue:  # an empty plan, from the start or from a replan
         _complete_mission(uuv, world)
-        return
+        return None
     behaviour = action_behaviour(_start_action(uuv, world).name)
-    if not behaviour.after_detection:
-        behaviour.tick(uuv, world)
+    if behaviour.after_detection:
+        return behaviour
+    behaviour.tick(uuv, world)
+    return None
 
 
 def _detection_phase(world: WorldState) -> None:
@@ -502,35 +570,38 @@ def _detection_phase(world: WorldState) -> None:
     active beacons that pulsed during the tick and are in range, in chart
     order.  The pulse rule runs once per distinct period, and a tick on
     which no period fires scans nothing; ``active`` is read on every tick
-    that fires, since a beacon can be silenced mid-run."""
+    that fires, since a beacon can be silenced mid-run.
+
+    Only the beacons of the 3 × 3 block of cells round the vehicle are
+    range-tested (``BeaconGrid``): the cell side is the largest acoustic
+    range times 1 + 2**-20, which rounding cannot cross while both of the
+    vehicle's coordinates are within side × 2**20 of the origin.  Beyond
+    that, the whole chart is tested.  Each block's pulsing beacons are
+    listed once per tick."""
     tick_number, tick = world.ticks_run, world.params.tick
     fired = {p for p in world.periods if pulse_fires(tick_number, tick, p)}
     if not fired:
         return
-    pulsing = [
-        (b, b.position.x, b.position.y)
-        for b in world.beacons.values()
-        if b.active and b.pulse_period in fired
-    ]
+    grid = world.grid
+    pulsing_in: dict[Optional[tuple[int, int]], list[tuple[BeaconState, float, float]]] = {}
     hypot = math.hypot
     for uuv in world.uuvs:
         if uuv.status == "failed":
             continue
         x, y = uuv.true_position.x, uuv.true_position.y
+        cell = grid.cell(x, y)
+        pulsing = pulsing_in.get(cell)
+        if pulsing is None:
+            pulsing = pulsing_in[cell] = [
+                entry
+                for entry in grid.block(cell)
+                if entry[0].active and entry[0].pulse_period in fired
+            ]
         for beacon, bx, by in pulsing:
             distance = hypot(x - bx, y - by)  # Point2D.distance_to, spelled out
             if sense_beacon(distance, beacon):
                 uuv.last_detection[beacon.id] = tick_number
                 world.emit("detection", uuv.id, {"beacon": beacon.id, "range": distance})
-
-
-def _after_detection_phase(world: WorldState) -> None:
-    for uuv in world.uuvs:
-        if uuv.status != "active" or not uuv.action_ticks:  # no action under way
-            continue
-        behaviour = action_behaviour(uuv.queue[0].name)
-        if behaviour.after_detection:
-            behaviour.tick(uuv, world)
 
 
 def step(world: WorldState) -> list[Event]:
@@ -547,9 +618,12 @@ def step(world: WorldState) -> list[Event]:
     """
     world.ticks_run += 1
     world.events = []
+    waiting = []  # (vehicle, behaviour) whose action hears this tick's pulses
     for uuv in world.uuvs:
-        _tick_uuv(uuv, world)
+        if uuv.status == "active" and (behaviour := _tick_uuv(uuv, world)) is not None:
+            waiting.append((uuv, behaviour))
     _detection_phase(world)
-    _after_detection_phase(world)
+    for uuv, behaviour in waiting:
+        behaviour.tick(uuv, world)
     world.events.sort(key=Event.sort_key)
     return world.events

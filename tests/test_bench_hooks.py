@@ -4,6 +4,7 @@ that breaks ``bench/run.py --trace 1`` fail the test suite instead.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -44,24 +45,41 @@ def test_tracer_hooks_see_a_simulate_run(capsys, tmp_path, tracing):
     assert tracer.counts["sim.detections"] == summary["event_counts"]["detection"]
 
 
-def test_tracer_sees_one_sense_call_per_vehicle_and_pulsing_beacon(
+def test_tracer_sees_one_sense_call_per_vehicle_and_pulsing_beacon_in_its_block(
     capsys, monkeypatch, tmp_path, tracing
 ):
     import uuvnav.sim.runner as runner
 
     # counted from the world after each step, with the pulse rule run on
-    # every beacon: vehicles that have not failed times beacons that pulsed
+    # every beacon and the block rule of uuvnav.sim.world written out: a
+    # vehicle that has not failed range-tests each pulsing beacon whose
+    # cell is within one of its own on both axes, or every pulsing beacon
+    # once a coordinate of the vehicle is past side × 2**20
     pairs = 0
     step = runner.step
+
+    def cell(x, y, side):
+        return math.floor(x / side), math.floor(y / side)
 
     def counted_step(world):
         nonlocal pairs
         events = step(world)
-        listening = sum(u.status != "failed" for u in world.uuvs)
-        pulsing = sum(
-            b.pulses_during(world.ticks_run, world.params.tick) for b in world.beacons.values()
-        )
-        pairs += listening * pulsing
+        beacons = world.beacons.values()
+        side = max([1.0] + [b.acoustic_range for b in beacons]) * (1.0 + 2.0**-20)
+        pulsing = [
+            cell(b.position.x, b.position.y, side)
+            for b in beacons
+            if b.pulses_during(world.ticks_run, world.params.tick)
+        ]
+        for u in world.uuvs:
+            if u.status == "failed":
+                continue
+            x, y = u.true_position.x, u.true_position.y
+            if max(abs(x), abs(y)) > side * 2.0**20:
+                pairs += len(pulsing)
+                continue
+            cx, cy = cell(x, y, side)
+            pairs += sum(abs(bx - cx) <= 1 and abs(by - cy) <= 1 for bx, by in pulsing)
         return events
 
     monkeypatch.setattr(runner, "step", counted_step)
@@ -77,6 +95,8 @@ def test_tracer_sees_one_sense_call_per_vehicle_and_pulsing_beacon(
     capsys.readouterr()
     assert code == 0
     assert tracer.counts["sim.sense_calls"] == pairs > 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert tracer.counts["sim.sense_hits"] == summary["event_counts"]["detection"]
 
 
 def test_tracer_hooks_count_the_b6_divergence(capsys, tmp_path, tracing):

@@ -450,6 +450,14 @@ class TestLoadBeacons:
          " special characters are not allowed"),
         ("a: !!foo x\n", "line 1, column 4: could not determine a constructor for the tag"
          " 'tag:yaml.org,2002:foo'"),
+        # libyaml reads the next three without error: a tab after a key, a
+        # tab inside a key, and a "?" that ends a flow-sequence number
+        ("a:\tb\n", "line 1, column 3: found character '\\t' that cannot start any token"
+         " (while scanning for the next token)"),
+        ("seed: 1\nkey\tname: 2\n", "line 2, column 4: found character '\\t' that cannot"
+         " start any token (while scanning for the next token)"),
+        ("start: [2500.0, 2500.0?]\n", "line 1, column 23: expected ',' or ']', but got '?'"
+         " (while parsing a flow sequence at line 1, column 8)"),
     ],
 )
 def test_yaml_error_is_one_line_placed_by_line_and_column(tmp_path, text, message):

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -271,6 +272,91 @@ class TestPulseRule:
             assert self.heard(step(w)) == self.per_beacon_reference(w, chart, tick)
 
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_grid_scan_matches_the_per_beacon_rule(self, data):
+        """The 3 × 3 block scan hears what the scan of every beacon hears."""
+        ranges = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 5.0, 250.0, 600.0, 2000.0]) | st.floats(0.0, 2500.0),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        side = max([1.0, *ranges]) * (1.0 + 2.0**-20)  # BeaconGrid's cell side
+        bound = side * 2.0**20
+        # round the origin, straddling the bound, or past it
+        ox = data.draw(st.sampled_from([0.0, -1234.5, bound - 700.0, -bound - 900.0, 1.5 * bound]))
+        oy = data.draw(st.sampled_from([0.0, 333.25, -bound + 20.0, 3.0 * bound]))
+        offsets = st.integers(-3000, 3000).map(float) | st.floats(-3000.0, 3000.0)
+        chart = [
+            beacon(
+                f"b{i}",
+                ox + data.draw(offsets),
+                oy + data.draw(offsets),
+                acoustic_range=r,
+                pulse_period=data.draw(st.sampled_from([10.0, 25.0])),
+            )
+            for i, r in enumerate(ranges)
+        ]
+
+        def placed(i):
+            """A vehicle's start: anywhere, on a cell edge or a float below
+            it, or exactly at a beacon's range along an axis or on a 3-4-5
+            diagonal."""
+            how = data.draw(st.sampled_from(["free", "edge", "axis", "diagonal"]))
+            if how == "free":
+                return ox + data.draw(offsets), oy + data.draw(offsets)
+            if how == "edge":
+                x = (math.floor(ox / side) + data.draw(st.integers(-2, 2))) * side
+                if data.draw(st.booleans()):
+                    x = math.nextafter(x, -math.inf)
+                return x, oy + data.draw(offsets)
+            b = data.draw(st.sampled_from(chart))
+            r, bx, by = b.acoustic_range, b.position.x, b.position.y
+            if how == "axis":
+                return data.draw(st.sampled_from([(bx + r, by), (bx - r, by), (bx, by + r)]))
+            k = r / 5.0
+            return data.draw(st.sampled_from([(bx + 3 * k, by + 4 * k), (bx - 4 * k, by - 3 * k)]))
+
+        fleet = []
+        for i in range(data.draw(st.integers(1, 4))):
+            x, y = placed(i)
+            target = data.draw(st.sampled_from(chart)).id
+            queue = [nav(f"u{i}", target)] if data.draw(st.booleans()) else []
+            fleet.append(uuv(f"u{i}", x, y, queue=queue))
+        # a tick of 10 s moves 20 m and fires every period-10 beacon
+        w = world(fleet, chart, tick=10.0, arrival_tolerance=1.0)
+        silence_at = data.draw(st.integers(1, 8))
+        silenced = data.draw(st.sampled_from(chart))
+        for k in range(1, 9):
+            if k == silence_at:
+                silenced.active = False
+            assert self.heard(step(w)) == self.per_beacon_reference(w, chart, 10.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_grid_scan_hears_at_range_across_a_cell_edge_and_past_the_bound(self, sign):
+        side = 500.0 * (1.0 + 2.0**-20)
+        bound = side * 2.0**20
+        chart = [
+            beacon("b1", sign * side, 0.0, acoustic_range=500.0),  # on a cell edge
+            beacon("b2", sign * (bound + 300.0), 0.0, acoustic_range=500.0),
+            beacon("b3", sign * (bound - 150.0), 400.0, acoustic_range=100.0),
+        ]
+        fleet = [
+            uuv("u1", sign * side - 500.0, 0.0),  # b1 at exactly its range, one cell over
+            uuv("u2", sign * side + 300.0, sign * -400.0),  # b1 at 500 on a 3-4-5 diagonal
+            uuv("u3", sign * (bound + 800.0), 0.0),  # b2 at 500, past the bound
+            uuv("u4", sign * (bound - 150.0), 500.0),  # b3 at 100, inside the bound
+        ]
+        w = world(fleet, chart, tick=10.0)
+        heard = self.heard(step(w))
+        assert heard == self.per_beacon_reference(w, chart, 10.0)
+        assert [(u, b) for u, b, _ in heard] == [
+            ("u1", "b1"), ("u2", "b1"), ("u3", "b2"), ("u4", "b3")
+        ]
+
+
 class TestTickSizeIndependence:
     HORIZON = 5000.0  # seconds: the nominal scenario's step_cap at tick 1.0
 
@@ -355,6 +441,62 @@ class TestMovement:
         assert ("near", "u1", "b1") in u.belief
         assert u.status == "completed"
         assert u.estimated_position.distance_to(Point2D(100.0, 0.0)) <= 25.0
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        start=st.sampled_from([-7.0, -2.5, -0.0, 0.0, 1.5, 4.0]),
+        end=st.sampled_from([-6.0, -0.0, 0.0, 0.5, 3.0, 9.0]),
+        across=st.sampled_from([-0.0, 0.0, 2.0]),
+        vertical=st.booleans(),
+        one_point=st.booleans(),
+        speed=st.sampled_from([0.5, 1.0, 2.5]),
+        tick=st.sampled_from([0.5, 1.0, 3.0]),
+        current=st.sampled_from(
+            [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.25, 0.0), (0.0, -1.5)]
+        ),
+    )
+    def test_positions_match_the_two_point_formula_bit_for_bit(
+        self, start, end, across, vertical, one_point, speed, tick, current
+    ):
+        """A leg along an axis, across 0 or from and to ±0.0, ends each tick
+        on the bits of the formula that builds truth and estimate apart."""
+
+        def on_axis(a):
+            return (across, a) if vertical else (a, across)
+
+        sx, sy = on_axis(start)
+        tx, ty = on_axis(end)
+        position = Point2D(sx, sy)
+        u = uuv("u1", sx, sy, queue=[nav("u1", "b1")])
+        u.true_position = position
+        u.estimated_position = position if one_point else Point2D(sx, sy)
+        w = world(
+            [u], [beacon("b1", tx, ty)],
+            uuv_speed=speed, tick=tick, current=current, arrival_tolerance=0.1,
+        )
+        true, est = (sx, sy), (sx, sy)
+        bits = struct.Struct("<dd").pack
+        for _ in range(12):
+            moving = u.status == "active"
+            step(w)
+            if moving:
+                dx, dy = tx - est[0], ty - est[1]
+                remaining = math.hypot(dx, dy)
+                step_len = speed * tick
+                if remaining <= 1e-12:
+                    vx, vy = 0.0, 0.0
+                elif remaining <= step_len:
+                    vx, vy = dx, dy
+                else:
+                    vx, vy = dx / remaining * step_len, dy / remaining * step_len
+                true = (
+                    true[0] + vx + current[0] * tick,
+                    true[1] + vy + current[1] * tick,
+                )
+                est = (est[0] + vx, est[1] + vy)
+            assert bits(u.true_position.x, u.true_position.y) == bits(*true)
+            assert bits(u.estimated_position.x, u.estimated_position.y) == bits(*est)
 
 
 class TestCircleLocalize:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from uuvnav.errors import SimulationError
 from uuvnav.sim.runner import write_tracks_geojson
 
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 ROLES = ("true", "estimated")
 
@@ -51,8 +51,41 @@ coordinates = st.sampled_from(
 ) | st.floats(allow_nan=False, allow_infinity=False)
 points = st.lists(coordinates, min_size=2, max_size=2)
 track = st.lists(points, max_size=4)
+
+
+def respelled(c, draw):
+    """``c``, or an equal number that json spells differently: an int for
+    an integral float, -0.0 for 0.0 and 0.0 for -0.0."""
+    if not draw(st.booleans()):
+        return c
+    if c == 0:
+        return -c
+    return int(c) if c.is_integer() else c
+
+
+@st.composite
+def shared_tracks(draw):
+    """Tracks as the simulator logs them: a point list repeated in a row
+    for a vehicle that has not moved, and an estimated track made of the
+    true track's own point lists, or of equal copies spelled differently."""
+    true = [p for p in draw(track) for _ in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from(["the same list", "the same points", "equal copies"]))
+    if kind == "the same list":
+        estimated = true
+    elif kind == "the same points":
+        estimated = list(true)
+    else:
+        estimated = [[respelled(c, draw) for c in p] for p in true]
+    return {"true": true, "estimated": estimated}
+
+
+SHARED = [[2.5, -4.0], [2.5, -4.0]]
+
 fleets = st.dictionaries(
-    ids, st.fixed_dictionaries({role: track for role in ROLES}), min_size=1, max_size=3
+    ids,
+    st.fixed_dictionaries({role: track for role in ROLES}) | shared_tracks(),
+    min_size=1,
+    max_size=3,
 )
 
 
@@ -68,6 +101,17 @@ fleets = st.dictionaries(
             role: [[0.0, 5.0], [-0.0, 5.0], [3, 1.5], [3.0, 1.5], [2.5, -4.0], [2.5, -4.0]]
             for role in ROLES
         }
+    }
+)
+# an estimated track of equal copies that spell differently, and one of
+# the true track's own points
+@example(
+    {
+        "uuv1": {
+            "true": [[3.0, -0.0], [0.0, 2.0], [1e16, 5.5]],
+            "estimated": [[3, 0.0], [-0.0, 2], [10**16, 5.5]],
+        },
+        "uuv2": {"true": SHARED, "estimated": list(SHARED)},
     }
 )
 def test_writer_matches_json_dumps_byte_for_byte(tracks):
