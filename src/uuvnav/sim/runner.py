@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, TextIO
 
 from .. import monitor
 from ..config import ScenarioConfig, load_beacons, parse_input
-from ..errors import InputError, SimulationError
+from ..errors import InputError
+from ..geo import Point2D
 from ..hddl.ground import ground
 from ..hddl.parser import parse_domain, parse_problem
 from ..htn.planner import plan
@@ -32,13 +33,14 @@ EVENT_SCHEMA_VERSION = 1
 @dataclass
 class SimulationReport:
     """A finished run.  ``tracks`` maps each vehicle id to its "true" and
-    "estimated" lists of [x, y] points, one per tick and the start; the
-    two tracks share a point list wherever the two positions were one
-    object, and nothing mutates a point once it is logged."""
+    "estimated" lists of the vehicle's own ``Point2D`` positions, one per
+    tick and the start: a vehicle that has not moved logs the same object
+    again, and the two tracks hold the same object wherever truth and
+    estimate were one."""
 
     world: WorldState
     events: list[Event]
-    tracks: dict[str, dict[str, list[list[float]]]]
+    tracks: dict[str, dict[str, list[Point2D]]]
     summary: dict
 
 
@@ -83,27 +85,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
     for uuv in world.uuvs:
         uuv.expectations = monitor.derive_expectations(uuv.queue, uuv, world)
 
-    tracks: dict[str, dict[str, list[list[float]]]] = {
-        uuv.id: {"true": [], "estimated": []} for uuv in world.uuvs
-    }
-    # each vehicle, its two tracks, and the two positions it last logged
-    logs = [
-        [uuv, tracks[uuv.id]["true"], tracks[uuv.id]["estimated"], None, None]
-        for uuv in world.uuvs
-    ]
+    tracks = {uuv.id: {"true": [], "estimated": []} for uuv in world.uuvs}
+    logs = [(uuv, tracks[uuv.id]["true"], tracks[uuv.id]["estimated"]) for uuv in world.uuvs]
 
     def log_positions() -> None:
-        for log in logs:
-            uuv, true_track, estimated_track, last_true, last_estimated = log
-            true, estimated = uuv.true_position, uuv.estimated_position
-            if true is last_true and estimated is last_estimated:  # it has not moved
-                true_track.append(true_track[-1])
-                estimated_track.append(estimated_track[-1])
-                continue
-            log[3], log[4] = true, estimated
-            point = [true.x, true.y]
-            true_track.append(point)
-            estimated_track.append(point if true is estimated else [estimated.x, estimated.y])
+        for uuv, true_track, estimated_track in logs:
+            true_track.append(uuv.true_position)
+            estimated_track.append(uuv.estimated_position)
 
     log_positions()
 
@@ -237,58 +225,42 @@ _FEATURE = """    {
     }"""
 
 
-def _spell_track(
-    points: list[list[float]], spelled: dict[tuple[float, float], str], uuv_id: str, role: str
-) -> str:
-    """A track's "coordinates" text; ``spelled`` holds the vehicle's points
-    already spelled, and a point list repeated in a row is spelled once."""
+def _spell_track(points: list[Point2D]) -> str:
+    """A track's "coordinates" text; an object repeated in a row is
+    spelled once."""
     texts = []
     previous, text = None, ""
     for point in points:
         if point is not previous:
             previous = point
-            x, y = point
-            if type(x) is float and type(y) is float and x and y:
-                text = spelled.get((x, y))
-                if text is None:
-                    text = spelled[(x, y)] = _POINT % (x, y)
-            else:
-                text = _POINT % (x, y)
+            text = _POINT % (point.x, point.y)
         texts.append(text)
     joined = ",\n".join(texts)
-    if "n" in joined:  # the repr of a number has an "n" only in nan and inf
-        raise SimulationError(f"{uuv_id}: non-finite position in its {role} track")
     return f"[\n{joined}\n        ]" if joined else "[]"
 
 
-def write_tracks_geojson(
-    tracks: Mapping[str, Mapping[str, list[list[float]]]], out: TextIO
-) -> None:
+def write_tracks_geojson(tracks: Mapping[str, Mapping[str, list[Point2D]]], out: TextIO) -> None:
     """Write per-vehicle true and estimated tracks as LineString features
     of a FeatureCollection, one feature at a time.  The text is exactly
-    ``json.dumps(collection, indent=2, sort_keys=True) + "\\n"``.
+    ``json.dumps(collection, indent=2, sort_keys=True) + "\\n"``, each
+    point written as ``[x, y]``.
 
-    A vehicle's point of two non-zero floats is spelled once for both its
-    tracks; a zero or a non-float coordinate is spelled every time, since
-    0.0 and -0.0, or 3 and 3.0, are equal keys that spell differently.
-    An estimated track made of the true track's own point lists, in its
-    order, is the true track's text.
-
-    Raises SimulationError on a non-finite coordinate, which json would
-    write as NaN or Infinity.
+    A ``Point2D`` repeated in a row is spelled once, and an estimated
+    track made of the true track's own objects, in its order, is the true
+    track's text.  Every coordinate is finite, since ``Point2D`` refuses
+    any other, so json never writes NaN or Infinity here.
     """
     out.write('{\n  "features": [')
     separator = "\n"
     for uuv_id in sorted(tracks):
-        spelled: dict[tuple[float, float], str] = {}  # this vehicle's points only
         true_track, estimated = tracks[uuv_id]["true"], tracks[uuv_id]["estimated"]
         uuv_json = json.dumps(uuv_id)
-        coordinates = _spell_track(true_track, spelled, uuv_id, "true")
+        coordinates = _spell_track(true_track)
         out.write(separator + _FEATURE % (coordinates, uuv_json, '"true"'))
         if not (
             len(estimated) == len(true_track) and all(map(operator.is_, estimated, true_track))
         ):
-            coordinates = _spell_track(estimated, spelled, uuv_id, "estimated")
+            coordinates = _spell_track(estimated)
         out.write(",\n" + _FEATURE % (coordinates, uuv_json, '"estimated"'))
         separator = ",\n"
     out.write(("\n  ]" if tracks else "]") + ',\n  "type": "FeatureCollection"\n}\n')

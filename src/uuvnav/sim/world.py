@@ -58,8 +58,9 @@ class WorldParams:
     current: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        # written as "not >" so that NaN fails each check too
         for name in ("tick", "step_cap", "pulse_period", "standoff_radius"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise SimulationError(f"{name} must be positive")
         for name in (
             "acoustic_range",
@@ -70,8 +71,10 @@ class WorldParams:
             "initial_uncertainty",
             "margin_base",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise SimulationError(f"{name} must be non-negative")
+        if not all(map(math.isfinite, self.current)):
+            raise SimulationError("current must be finite")
         # the distance a tick moves a vehicle, which every leg and circle
         # divides by; a speed so small that it underflows is no speed at all
         step = self.uuv_speed * self.tick

@@ -35,6 +35,20 @@ def flat_grid(n_rows, n_cols, depth, cell_size=100.0, origin=(0.0, 0.0), nodata=
 
 
 # ---------------------------------------------------------------------------
+# Points
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_point_refuses_a_non_finite_coordinate(bad, axis):
+    # the only guard on the coordinates tracks.geojson writes
+    coordinates = {"x": 1.0, "y": -2.0, axis: bad}
+    with pytest.raises(ValueError, match=r"^non-finite coordinates \("):
+        Point2D(**coordinates)
+
+
+# ---------------------------------------------------------------------------
 # ASCII grid parsing
 # ---------------------------------------------------------------------------
 

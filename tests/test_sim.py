@@ -1,6 +1,6 @@
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -127,6 +127,15 @@ class TestParams:
         with pytest.raises(SimulationError, match=f"^{name} must be non-negative$"):
             WorldParams(**{name: -1.0})
         WorldParams(**{name: 0.0})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(f.name, math.nan) for f in fields(WorldParams) if f.name != "current"]
+        + [("current", (math.nan, 0.0)), ("current", (0.0, math.nan))],
+    )
+    def test_nan_is_refused_naming_the_field(self, name, value):
+        with pytest.raises(SimulationError, match=f"^{name} "):
+            WorldParams(**{name: value})
 
 
 class TestSenseBeacon:
