@@ -6,6 +6,7 @@ Comments run from ';' to end of line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import HddlError
@@ -27,60 +28,33 @@ class SList:
 
 Node = Symbol | SList
 
-_DELIMS = "()"
-
-
-def tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _DELIMS:
-            yield (ch, ch, line, col)
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < n and text[i] not in " \t\r\n;()":
-                i += 1
-                col += 1
-            yield ("sym", text[start:i].lower(), line, start_col)
+# A parenthesis, a symbol, a line break or a comment; space, tab and CR
+# match nothing and are stepped over.
+_TOKEN = re.compile(r"(?P<open>\()|(?P<close>\))|(?P<sym>[^ \t\r\n;()]+)|(?P<newline>\n)|;[^\n]*")
 
 
 def read_all(text: str) -> list[Node]:
     """Read every top-level form; raises on unbalanced parentheses."""
-    toks = list(tokenize(text))
     forms: list[Node] = []
-    stack: list[tuple[list, int, int]] = []
-    for kind, value, line, col in toks:
-        if kind == "(":
-            stack.append(([], line, col))
-        elif kind == ")":
+    items = forms  # the innermost open list's items
+    stack: list[tuple[list, int, int]] = []  # per open '(': enclosing items, line, col
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "sym":
+            items.append(Symbol(m.group().lower(), line, m.start() - line_start + 1))
+        elif kind == "open":
+            stack.append((items, line, m.start() - line_start + 1))
+            items = []
+        elif kind == "close":
             if not stack:
-                raise HddlError("unmatched ')'", line, col)
-            items, oline, ocol = stack.pop()
-            node = SList(tuple(items), oline, ocol)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
-        else:
-            sym = Symbol(value, line, col)
-            if stack:
-                stack[-1][0].append(sym)
-            else:
-                forms.append(sym)
+                raise HddlError("unmatched ')'", line, m.start() - line_start + 1)
+            outer, oline, ocol = stack.pop()
+            outer.append(SList(tuple(items), oline, ocol))
+            items = outer
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
     if stack:
         _, line, col = stack[-1]
         raise HddlError("unclosed '('", line, col)

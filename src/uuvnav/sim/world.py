@@ -124,10 +124,6 @@ class BeaconState:
     acoustic_range: float = 2000.0
     pulse_period: float = 10.0
 
-    def pulses_during(self, tick_number: int, tick: float) -> bool:
-        """True when the beacon is active and ``pulse_fires`` for its period."""
-        return self.active and pulse_fires(tick_number, tick, self.pulse_period)
-
 
 def pulse_fires(tick_number: int, tick: float, period: float) -> bool:
     """True when a pulse, at a whole multiple of ``period``, falls within

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from uuvnav.cli import main
+from uuvnav.sim.world import pulse_fires
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -69,7 +70,7 @@ def test_tracer_sees_one_sense_call_per_vehicle_and_pulsing_beacon_in_its_block(
         pulsing = [
             cell(b.position.x, b.position.y, side)
             for b in beacons
-            if b.pulses_during(world.ticks_run, world.params.tick)
+            if b.active and pulse_fires(world.ticks_run, world.params.tick, b.pulse_period)
         ]
         for u in world.uuvs:
             if u.status == "failed":

@@ -62,11 +62,12 @@ GOLDEN_TICK_07 = {
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(GOLDEN_TICK_07))
-def test_simulate_outputs_at_tick_0_7_match_golden_digests(scenario, tmp_path, capsys):
+def simulate_with_world(scenario, world, tmp_path, capsys):
+    """Digests of ``simulate`` on a bundled scenario whose world section
+    is updated from ``world``, written with absolute paths to tmp_path."""
     source = SCENARIOS / f"{scenario}.yaml"
     doc = yaml.safe_load(source.read_text())
-    doc["world"]["tick"] = 0.7
+    doc["world"].update(world)
     doc["paths"] = {key: str(SCENARIOS / path) for key, path in doc["paths"].items()}
     for vehicle in doc["uuvs"]:
         vehicle["problem"] = str(SCENARIOS / vehicle["problem"])
@@ -76,11 +77,48 @@ def test_simulate_outputs_at_tick_0_7_match_golden_digests(scenario, tmp_path, c
     code = main(["simulate", "--scenario", str(scenario_path), "--out-dir", str(out_dir)])
     capsys.readouterr()
     assert code == 0
-    digests = {
+    return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in GOLDEN_TICK_07[scenario]
+        for name in ("events.jsonl", "tracks.geojson", "summary.json")
     }
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_TICK_07))
+def test_simulate_outputs_at_tick_0_7_match_golden_digests(scenario, tmp_path, capsys):
+    digests = simulate_with_world(scenario, {"tick": 0.7}, tmp_path, capsys)
     assert digests == GOLDEN_TICK_07[scenario]
+
+
+# The same scenarios under a water current, which carries a moving
+# vehicle's true position off its estimate, so the tracks hold a separate
+# estimated track.  Under the current nominal runs to step_cap with uuv3
+# and uuv5 still awaiting a broadcast; b6-silenced completes at tick 2687
+# after four vehicles replan.
+GOLDEN_CURRENT = {
+    "nominal": (
+        [-1.9, 0.0],
+        {
+            "events.jsonl": "06b0b4119428ebdabaedd5001b8ed4ef7fea34817fc06d23d4dba4d7e83894a1",
+            "tracks.geojson": "cc5eeeb26a93cbe8afd73311ef37a7e9091748f97aea3d281489167be56208ff",
+            "summary.json": "bc9f75dc90224aacf1f67ece67db1b6f019098ea6d57d03995328b690747c080",
+        },
+    ),
+    "b6-silenced": (
+        [0.2, 0.1],
+        {
+            "events.jsonl": "47702b2795308fcd0b030b54f3531e44aec37a5db473fa3a5d9dfbc1f69840c9",
+            "tracks.geojson": "5a99f64638e6fe4818d6868a2274ea45865d22d38662532d6b375e050c9021a3",
+            "summary.json": "ac4c78fa65f758e266abc86b9cf8e3bcf22336d24dbdc02442bdb0e331f6b57e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_CURRENT))
+def test_simulate_outputs_under_a_current_match_golden_digests(scenario, tmp_path, capsys):
+    current, golden = GOLDEN_CURRENT[scenario]
+    digests = simulate_with_world(scenario, {"current": current}, tmp_path, capsys)
+    assert digests == golden
 
 
 # uuvnav deploy --bathymetry scenarios/bathymetry.asc

@@ -6,6 +6,7 @@ from uuvnav.errors import GroundingError, HddlError
 from uuvnav.hddl.ground import ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
 from uuvnav.hddl.printer import print_domain, print_problem
+from uuvnav.hddl.sexpr import SList, Symbol, read_all
 
 REPO = Path(__file__).resolve().parent.parent
 MALFORMED_DOMAINS = REPO / "domains" / "malformed"
@@ -106,7 +107,55 @@ def test_partial_order_syntax_rejected():
 def test_unbalanced_parenthesis_has_position():
     with pytest.raises(HddlError) as exc:
         parse_domain(DOMAIN.rstrip()[:-1])
-    assert exc.value.line is not None
+    assert (exc.value.line, exc.value.col) == (2, 1)
+    assert str(exc.value) == "2:1: unclosed '('"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(define (domain x))\n  )", "2:3: unmatched ')'"),
+        ("(define (domain x)\n\t(:types a\r (b", "2:13: unclosed '('"),
+        ((MALFORMED_DOMAINS / "stray-close-paren.hddl").read_text(), "11:1: unmatched ')'"),
+        ((MALFORMED_DOMAINS / "unbalanced.hddl").read_text(), "3:1: unclosed '('"),
+        ("", "1:1: expected one (define ...) form, found 0"),
+        ("; only a comment", "1:1: expected one (define ...) form, found 0"),
+    ],
+    ids=[
+        "stray-close",
+        "innermost-open",
+        "stray-close-paren.hddl",
+        "unbalanced.hddl",
+        "empty",
+        "comment-only",
+    ],
+)
+def test_reader_errors_name_their_position(text, message):
+    with pytest.raises(HddlError) as exc:
+        parse_domain(text)
+    assert str(exc.value) == message
+    assert f"{exc.value.line}:{exc.value.col}" == message.split(": ")[0]
+
+
+@pytest.mark.parametrize(
+    "text, forms",
+    [
+        ("\t\ra", [Symbol("a", 1, 3)]),
+        ("(a) ; no newline after", [SList((Symbol("a", 1, 2),), 1, 1)]),
+        ("ab;c\n d", [Symbol("ab", 1, 1), Symbol("d", 2, 2)]),
+        ("(Define FOO)", [SList((Symbol("define", 1, 2), Symbol("foo", 1, 9)), 1, 1)]),
+        ("a\fb\vc", [Symbol("a\fb\vc", 1, 1)]),
+    ],
+    ids=[
+        "tab-and-cr-one-column",
+        "comment-at-eof",
+        "semicolon-ends-symbol",
+        "lowercased",
+        "ff-vt-in-symbol",
+    ],
+)
+def test_reader_forms_and_positions(text, forms):
+    assert read_all(text) == forms
 
 
 def test_error_message_carries_line_and_column():

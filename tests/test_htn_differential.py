@@ -4,10 +4,11 @@ and every tree the planner finds matches its task network.
 
 The references are the earlier forms of the same code: a planner that
 logged a trace and rebuilt the tree by replaying it, a recursive text
-walk, a derivation search with list frames and an index per frame, and a
+walk, a derivation search with list frames and an index per frame, a
 grounder that enumerated each parameter's declared-type objects and then
-dropped the ill-typed bindings. They are test-only; the package does not
-import them.
+dropped the ill-typed bindings, and an HDDL reader that tokenized one
+character at a time. They are test-only; the package does not import
+them.
 """
 
 import importlib
@@ -20,10 +21,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uuvnav.errors import PlanNotFound
+from uuvnav.errors import HddlError, PlanNotFound
 from uuvnav.hddl.ast import (
     ActionAst,
     DomainAst,
@@ -35,6 +36,7 @@ from uuvnav.hddl.ast import (
 )
 from uuvnav.hddl.ground import GroundAction, GroundMethod, _split_literals, ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
+from uuvnav.hddl.sexpr import SList, Symbol, read_all
 from uuvnav.htn.planner import (
     DEFAULT_DECOMPOSITION_BUDGET,
     Plan,
@@ -318,6 +320,64 @@ def reference_ground(domain, problem):
     return actions, {task: tuple(ms) for task, ms in methods.items()}, kept
 
 
+def reference_tokenize(text: str):
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield (ch, ch, line, col)
+            col += 1
+            i += 1
+        else:
+            start, start_col = i, col
+            while i < n and text[i] not in " \t\r\n;()":
+                i += 1
+                col += 1
+            yield ("sym", text[start:i].lower(), line, start_col)
+
+
+def reference_read_all(text: str):
+    """Tokenize one character at a time into (kind, value, line, col)
+    tuples, then build the forms from the token list."""
+    toks = list(reference_tokenize(text))
+    forms = []
+    stack = []
+    for kind, value, line, col in toks:
+        if kind == "(":
+            stack.append(([], line, col))
+        elif kind == ")":
+            if not stack:
+                raise HddlError("unmatched ')'", line, col)
+            items, oline, ocol = stack.pop()
+            node = SList(tuple(items), oline, ocol)
+            if stack:
+                stack[-1][0].append(node)
+            else:
+                forms.append(node)
+        else:
+            sym = Symbol(value, line, col)
+            if stack:
+                stack[-1][0].append(sym)
+            else:
+                forms.append(sym)
+    if stack:
+        _, line, col = stack[-1]
+        raise HddlError("unclosed '('", line, col)
+    return forms
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -499,3 +559,32 @@ def test_generated_domains_ground_as_the_reference(domain_and_problem):
 def test_bundled_problems_ground_as_the_reference(problem_path):
     domain = parse_domain((REPO / "domains" / "uuv-nav.hddl").read_text())
     check_ground(domain, parse_problem(problem_path.read_text(), domain))
+
+
+def read_outcome(reader, text):
+    """The forms' repr, positions included, or the error's message and position."""
+    try:
+        return repr(reader(text))
+    except HddlError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+# the characters the reader treats apart, letters of both cases and a
+# non-ASCII letter; form feed and vertical tab are symbol characters
+HDDL_TEXT = st.text(st.sampled_from(list("() ;\t\r\n\f\vaBxY?-\u00e9")), max_size=60)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(HDDL_TEXT)
+def test_reader_matches_the_reference(text):
+    assert read_outcome(read_all, text) == read_outcome(reference_read_all, text)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((REPO / "domains").rglob("*.hddl")) + sorted((REPO / "scenarios").rglob("*.hddl")),
+    ids=lambda p: str(p.relative_to(REPO)),
+)
+def test_bundled_hddl_reads_as_the_reference(path):
+    text = path.read_text()
+    assert read_outcome(read_all, text) == read_outcome(reference_read_all, text)

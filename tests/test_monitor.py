@@ -333,3 +333,28 @@ class TestReplanEpisode:
         for vehicle in (world.uuv("uuv1"), world.uuv("uuv2")):
             assert {("beacon-unreachable", "b6"), ("beacon-unreachable", "b8")} <= vehicle.belief
             assert vehicle.replan_count == 2
+
+    def test_second_divergence_after_an_empty_replan_only_warns(self):
+        # uuv1's windows on b6 and b8 both close on tick 1626.  Its task
+        # network is empty, so the first episode replans it to an empty
+        # plan; the second then finds it active with no plan left.
+        world, _ = self.make_world()
+        u1, u2 = world.uuv("uuv1"), world.uuv("uuv2")
+        u1.setup = monitor.PlanningSetup(tables=u1.setup.tables, network=(), goal=None)
+        u1.expectations = [
+            window("uuv1", "b6", 1000.0, 1625.0),
+            window("uuv1", "b8", 1000.0, 1625.0),
+        ]
+        first, second = monitor.check(world)
+        monitor.replan_episode(first, world)
+        assert u1.status == "active" and u1.queue == [] and u1.replan_count == 1
+        mate = (list(u2.queue), set(u2.belief), list(u2.expectations), u2.replan_count)
+        logged = len(world.events)
+        monitor.replan_episode(second, world)
+        new = world.events[logged:]
+        assert [(e.kind, e.subject, e.payload) for e in new] == [
+            ("warning", "uuv1", {"message": "divergence on b8 with no plan left to revise"})
+        ]
+        assert u1.replan_count == 1
+        assert ("beacon-unreachable", "b8") not in u1.belief
+        assert mate == (list(u2.queue), set(u2.belief), list(u2.expectations), u2.replan_count)

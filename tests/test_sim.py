@@ -23,6 +23,7 @@ from uuvnav.sim.world import (
     WorldState,
     _circle_ticks,
     action_behaviour,
+    pulse_fires,
     sense_beacon,
     step,
 )
@@ -67,6 +68,12 @@ def beacon(beacon_id, x, y, active=True, acoustic_range=2000.0, pulse_period=10.
         acoustic_range=acoustic_range,
         pulse_period=pulse_period,
     )
+
+
+def pulses(b, tick_number, tick):
+    """The per-beacon pulse rule: an active beacon pulses on the ticks
+    where ``pulse_fires`` for its own period."""
+    return b.active and pulse_fires(tick_number, tick, b.pulse_period)
 
 
 def world(uuvs, beacons, **overrides):
@@ -139,16 +146,16 @@ class TestParams:
 
 
 class TestSenseBeacon:
-    """Which beacons pulse is decided once per tick (``pulses_during``);
+    """Which beacons pulse is decided once per tick (the rule is ``pulses``);
     ``sense_beacon`` is only the range test on the true position's distance."""
 
     def test_heard_only_at_pulse_instants(self):
         b = beacon("b1", 0.0, 0.0)
-        assert b.pulses_during(10, 1.0)
-        assert not b.pulses_during(5, 1.0)
-        assert not b.pulses_during(11, 1.0)
+        assert pulses(b, 10, 1.0)
+        assert not pulses(b, 5, 1.0)
+        assert not pulses(b, 11, 1.0)
         # At tick 0.7 the pulse at t = 10 falls in tick 15, (9.8, 10.5].
-        assert [k for k in range(1, 30) if b.pulses_during(k, 0.7)] == [15, 29]
+        assert [k for k in range(1, 30) if pulses(b, k, 0.7)] == [15, 29]
         w = world([uuv("u1", 100.0, 0.0)], [b])
         heard = [detections(step(w)) for _ in range(20)]
         assert [k + 1 for k, batch in enumerate(heard) if batch] == [10, 20]
@@ -160,7 +167,7 @@ class TestSenseBeacon:
 
     def test_inactive_beacon_is_silent(self):
         b = beacon("b1", 0.0, 0.0, active=False)
-        assert not any(b.pulses_during(k, 1.0) for k in range(1, 100))
+        assert not any(pulses(b, k, 1.0) for k in range(1, 100))
         w = world([uuv("u1", 10.0, 0.0)], [b])
         assert not any(detections(step(w)) for _ in range(30))
 
@@ -188,17 +195,17 @@ class TestPulseRule:
     )
     def test_each_pulse_falls_in_exactly_one_tick(self, tick, period, n):
         b = beacon("b1", 0.0, 0.0, pulse_period=period)
-        pulses = sum(b.pulses_during(k, tick) for k in range(1, n + 1))
-        assert pulses == math.floor(n * tick / period)
+        fired = sum(pulses(b, k, tick) for k in range(1, n + 1))
+        assert fired == math.floor(n * tick / period)
 
     def test_silent_beacon_never_pulses(self):
         b = beacon("b1", 0.0, 0.0, active=False, pulse_period=3.3)
-        assert not any(b.pulses_during(k, 0.7) for k in range(1, 5000))
+        assert not any(pulses(b, k, 0.7) for k in range(1, 5000))
 
     @pytest.mark.parametrize("tick", [10.0, 12.5, 25.0])
     def test_tick_longer_than_period_pulses_once_per_tick(self, tick):
         b = beacon("b1", 0.0, 0.0, pulse_period=10.0)
-        assert all(b.pulses_during(k, tick) for k in range(1, 1000))
+        assert all(pulses(b, k, tick) for k in range(1, 1000))
 
     @pytest.mark.parametrize("tick", [1.0, 0.7, 12.5])
     def test_pulses_tested_once_per_period_match_the_per_beacon_rule(self, tick):
@@ -241,7 +248,7 @@ class TestPulseRule:
             for u in w.uuvs
             if u.status != "failed"
             for b in chart
-            if b.pulses_during(w.ticks_run, tick)
+            if pulses(b, w.ticks_run, tick)
             and sense_beacon(d := u.true_position.distance_to(b.position), b)
         ]
 
