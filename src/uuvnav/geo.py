@@ -11,26 +11,56 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import GeoJsonError, GridFormatError
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-@dataclass(frozen=True)
 class Point2D:
-    """A planar point in meters."""
+    """A planar point in meters: an immutable record of two finite
+    coordinates, equal and hashed by value, as a frozen dataclass would be.
+    Written by hand because the simulator makes one or two every tick; its
+    ``__init__`` sets the two slots through their own descriptors, which
+    the frozen ``__setattr__`` does not reach."""
 
+    __slots__ = ("x", "y")
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"Point2D(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return Point2D, (self.x, self.y)
 
     def distance_to(self, other: "Point2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
+
+
+_set_x = Point2D.x.__set__
+_set_y = Point2D.y.__set__
 
 
 @dataclass(frozen=True)

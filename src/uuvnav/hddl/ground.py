@@ -22,7 +22,7 @@ DEFAULT_INSTANCE_CAP = 10**6
 GroundTask = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundAction:
     name: str
     args: tuple[str, ...]

@@ -29,7 +29,7 @@ from .htn.planner import plan
 from .sim.world import Projection, UUVState, WorldState, action_behaviour
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expectation:
     """A detection window for one beacon-approach leg of a plan."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, TextIO
@@ -25,7 +26,7 @@ from ..geo import Point2D
 from ..hddl.ground import ground
 from ..hddl.parser import parse_domain, parse_problem
 from ..htn.planner import plan
-from .world import Event, UUVState, WorldState, step
+from .world import EVENT_ORDER, Detection, Event, UUVState, WorldState, step
 
 EVENT_SCHEMA_VERSION = 1
 
@@ -39,7 +40,7 @@ class SimulationReport:
     estimate were one."""
 
     world: WorldState
-    events: list[Event]
+    events: list[Event | Detection]
     tracks: dict[str, dict[str, list[Point2D]]]
     summary: dict
 
@@ -86,16 +87,19 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
         uuv.expectations = monitor.derive_expectations(uuv.queue, uuv, world)
 
     tracks = {uuv.id: {"true": [], "estimated": []} for uuv in world.uuvs}
-    logs = [(uuv, tracks[uuv.id]["true"], tracks[uuv.id]["estimated"]) for uuv in world.uuvs]
+    logs = [
+        (uuv, tracks[uuv.id]["true"].append, tracks[uuv.id]["estimated"].append)
+        for uuv in world.uuvs
+    ]
 
     def log_positions() -> None:
-        for uuv, true_track, estimated_track in logs:
-            true_track.append(uuv.true_position)
-            estimated_track.append(uuv.estimated_position)
+        for uuv, log_true, log_estimated in logs:
+            log_true(uuv.true_position)
+            log_estimated(uuv.estimated_position)
 
     log_positions()
 
-    events: list[Event] = []
+    events: list[Event | Detection] = []
     while any(u.status == "active" for u in world.uuvs):
         if world.ticks_run >= config.world.step_cap:
             break
@@ -105,13 +109,11 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             monitor.replan_episode(exp, world)
         if divergences:
             # replanning logs to the same tick's events, after step sorted them
-            world.events.sort(key=Event.sort_key)
+            world.events.sort(key=EVENT_ORDER)
         events.extend(world.events)
         log_positions()
 
-    kind_counts: dict[str, int] = {}
-    for event in events:
-        kind_counts[event.kind] = kind_counts.get(event.kind, 0) + 1
+    kind_counts = Counter(map(operator.attrgetter("kind"), events))
     summary = {
         "sim_time": world.sim_time,
         "ticks": world.ticks_run,
@@ -138,7 +140,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def event_to_json_line(event: Event) -> str:
+def event_to_json_line(event: Event | Detection) -> str:
     """One event as a compact JSON line with a schema version tag."""
     record = {
         "v": EVENT_SCHEMA_VERSION,
@@ -150,62 +152,62 @@ def event_to_json_line(event: Event) -> str:
     return _EVENT_ENCODER.encode(record)
 
 
-# A detection event's line as event_to_json_line writes it, keys sorted,
-# in two parts: the head up to the time, with ids quoted by json's own
-# ASCII quoter, and the time onwards.  %r spells a float as json does.
-_DETECTION_HEAD = '{"beacon":%s,"kind":"detection","range":%r,"subject":%s,"t":'
+# A detection's line as event_to_json_line writes it, keys sorted, in
+# three parts: the head up to the range and the middle up to the time,
+# each with an id quoted by json's own ASCII quoter, and the tail from
+# the time on.  repr spells a float as json does.
+_DETECTION_HEAD = '{"beacon":%s,"kind":"detection","range":'
+_DETECTION_MIDDLE = ',"subject":%s,"t":'
 _DETECTION_TAIL = '%r,"v":' + str(EVENT_SCHEMA_VERSION) + "}\n"
 
 
-def write_events_jsonl(events: Iterable[Event], out: TextIO) -> None:
-    """Write one ``event_to_json_line`` line per event, in order.
+def write_events_jsonl(events: Iterable[Event | Detection], out: TextIO) -> None:
+    """Write one ``event_to_json_line`` line per event, in order, with one
+    write of the whole text.
 
-    A detection (a payload of exactly a str beacon and a finite float
-    range, a str subject, a finite float time) is filled into a fixed
-    line; any other event goes through event_to_json_line.  Each id is
-    quoted once; a (subject, beacon) pair that hears the same non-zero
-    range again reuses its line's head, and events of the same non-zero
-    time reuse its tail.  Equal non-zero floats have equal bits, so they
-    spell the same; 0.0 and -0.0 are equal but spell differently.
+    A ``Detection`` record with str ids and a finite float range and time
+    is filled into a fixed line; any other item, an ``Event`` of kind
+    ``detection`` included, goes through event_to_json_line.  Each
+    (subject, beacon) pair quotes its ids once and reuses its line up to
+    the time while it hears the same non-zero range; lines of the same
+    non-zero time reuse the tail.  Equal non-zero floats have equal bits,
+    so they spell the same; 0.0 and -0.0 are equal but spell differently.
     """
-    quoted: dict[str, str] = {}
-    heads: dict[tuple[str, str], tuple[float, str]] = {}  # pair -> last range, head
+    # subject -> beacon -> [head, middle, last range, line up to the time]
+    pairs: dict[str, dict[str, list]] = {}
     last_time: object = None
     tail = ""
     isfinite = math.isfinite
-    write = out.write
+    quote = encode_basestring_ascii
+    parts: list[str] = []
+    add = parts.append
     for event in events:
-        payload = event.payload
-        subject, time = event.subject, event.time
-        if (
-            event.kind == "detection"
-            and type(payload) is dict
-            and len(payload) == 2
-            and type(beacon := payload.get("beacon")) is str
-            and type(distance := payload.get("range")) is float
-            and isfinite(distance)
-            and type(subject) is str
-            and type(time) is float
-            and isfinite(time)
-        ):
-            head = heads.get((subject, beacon))
-            if head is None or head[0] != distance or not distance:
-                # a quoted id is never empty, so a miss is the only false get
-                beacon_json = quoted.get(beacon) or quoted.setdefault(
-                    beacon, encode_basestring_ascii(beacon)
-                )
-                subject_json = quoted.get(subject) or quoted.setdefault(
-                    subject, encode_basestring_ascii(subject)
-                )
-                head = heads[(subject, beacon)] = (
-                    distance,
-                    _DETECTION_HEAD % (beacon_json, distance, subject_json),
-                )
-            if time != last_time or not time:
-                last_time, tail = time, _DETECTION_TAIL % time
-            write(head[1] + tail)
-        else:
-            write(event_to_json_line(event) + "\n")
+        if type(event) is Detection:
+            distance, time = event.range, event.time
+            subject, beacon = event.subject, event.beacon
+            if (
+                type(distance) is float
+                and isfinite(distance)
+                and type(time) is float
+                and isfinite(time)
+                and type(subject) is str
+                and type(beacon) is str
+            ):
+                heard = pairs.get(subject) or pairs.setdefault(subject, {})
+                pair = heard.get(beacon)
+                if pair is None:
+                    head = _DETECTION_HEAD % quote(beacon)
+                    pair = heard[beacon] = [head, _DETECTION_MIDDLE % quote(subject), None, ""]
+                if pair[2] != distance or not distance:
+                    pair[2] = distance
+                    pair[3] = f"{pair[0]}{distance!r}{pair[1]}"
+                if time != last_time or not time:
+                    last_time, tail = time, _DETECTION_TAIL % time
+                add(pair[3])
+                add(tail)
+                continue
+        add(event_to_json_line(event) + "\n")
+    out.write("".join(parts))
 
 
 # One track point and one feature, laid out as json.dumps(indent=2,

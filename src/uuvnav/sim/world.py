@@ -6,6 +6,13 @@ vehicles in range hear the pulses fired during the tick, and emits a
 deterministic event stream.  There is no hidden randomness: identical
 inputs produce identical event logs.
 
+The state is kept in slotted records (``WorldParams``, ``BeaconState``,
+``UUVState``, ``WorldState``), and the log in two: a ``Detection`` for
+each pulse a vehicle hears, which is most of a run's log, and an
+``Event`` with a payload dict for everything else.  Both carry
+``time``, ``kind``, ``subject`` and ``payload``, and a tick's log is
+sorted once by ``EVENT_ORDER``, (time, subject), stably.
+
 A vehicle hears only the beacons in the 3 × 3 block of grid cells round
 its own (``BeaconGrid``).  The cell side is the chart's largest acoustic
 range times 1 + 2**-20, a margin that float rounding cannot use up while
@@ -27,8 +34,9 @@ instant action: it completes on its first tick and is projected as one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Optional
 
 from ..errors import SimulationError
 from ..geo import Point2D
@@ -38,7 +46,7 @@ if TYPE_CHECKING:  # the monitor imports this module
     from ..monitor import Expectation, PlanningSetup
 
 
-@dataclass
+@dataclass(slots=True)
 class WorldParams:
     """Physical and scheduling constants shared by every vehicle.
     ``step_cap`` counts ticks, not seconds."""
@@ -116,7 +124,7 @@ class WorldParams:
         return self.step_cap * self.tick / pulse_period
 
 
-@dataclass
+@dataclass(slots=True)
 class BeaconState:
     id: str
     position: Point2D
@@ -183,7 +191,7 @@ class BeaconGrid:
         return found
 
 
-@dataclass
+@dataclass(slots=True)
 class UUVState:
     id: str
     true_position: Point2D
@@ -214,7 +222,7 @@ class UUVState:
         return self.last_detection.get(beacon_id) == tick_number
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One timestamped occurrence in the simulation log."""
 
@@ -223,11 +231,30 @@ class Event:
     subject: str
     payload: dict
 
-    def sort_key(self) -> tuple[float, str]:
-        return (self.time, self.subject)
+
+@dataclass(slots=True)
+class Detection:
+    """A vehicle heard a beacon's pulse: the event the detection scan
+    logs, one per vehicle and beacon heard, with the fields of an
+    ``Event`` of kind ``detection`` and that event's payload."""
+
+    time: float
+    subject: str
+    beacon: str
+    range: float
+    kind: ClassVar[str] = "detection"
+
+    @property
+    def payload(self) -> dict:
+        return {"beacon": self.beacon, "range": self.range}
 
 
-@dataclass
+# The order of a tick's log: by time, then subject.  The sort is stable,
+# so each vehicle's events keep their causal order.
+EVENT_ORDER = operator.attrgetter("time", "subject")
+
+
+@dataclass(slots=True)
 class WorldState:
     """The fleet, the beacon table (keyed by id, in chart order), and the
     log of the tick in progress.  ``periods`` holds the chart's distinct
@@ -238,7 +265,7 @@ class WorldState:
     beacons: dict[str, BeaconState]
     params: WorldParams
     ticks_run: int = 0
-    events: list[Event] = field(default_factory=list)
+    events: list[Event | Detection] = field(default_factory=list)
     periods: tuple[float, ...] = field(init=False, repr=False, compare=False)
     grid: BeaconGrid = field(init=False, repr=False, compare=False)
 
@@ -299,14 +326,6 @@ def broadcast(sender: UUVState, world: WorldState) -> None:
         )
 
 
-def _start_action(uuv: UUVState, world: WorldState) -> GroundAction:
-    action = uuv.queue[0]
-    if not uuv.action_ticks:
-        world.emit("action-started", uuv.id, {"action": action.name, "args": list(action.args)})
-    uuv.action_ticks += 1
-    return action
-
-
 def _complete_action(uuv: UUVState, world: WorldState) -> None:
     action = uuv.queue.pop(0)
     uuv.action_ticks = 0
@@ -346,16 +365,18 @@ def _move_towards(
     broadcast position for None, as errors name it."""
     params = world.params
     est = uuv.estimated_position
-    dx = target.x - est.x
-    dy = target.y - est.y
+    ex, ey, tx, ty = est.x, est.y, target.x, target.y
+    dx = tx - ex
+    dy = ty - ey
     remaining = math.hypot(dx, dy)
     if not math.isfinite(remaining):  # ends near opposite float limits
         label = "the broadcast position" if beacon_id is None else f"beacon {beacon_id}"
         raise SimulationError(
             f"{uuv.id}: its leg to {label} is longer than the float range"
-            f" (from ({est.x!r}, {est.y!r}) to ({target.x!r}, {target.y!r}))"
+            f" (from ({ex!r}, {ey!r}) to ({tx!r}, {ty!r}))"
         )
-    step_len = params.uuv_speed * params.tick
+    tick = params.tick
+    step_len = params.uuv_speed * tick
     if remaining <= 1e-12:
         vx, vy = 0.0, 0.0
         moved = 0.0
@@ -370,20 +391,22 @@ def _move_towards(
     if moved > 0:
         uuv.heading = math.atan2(vy, vx)
     cx, cy = params.current
-    cx *= params.tick
-    cy *= params.tick
-    x, y = est.x + vx, est.y + vy
-    # Truth is x + cx: the same bits as x when cx is ±0.0 and x is not
-    # ±0.0 (-0.0 + 0.0 is 0.0), so one point then serves as both.
-    same = uuv.true_position is est and not cx and not cy and x != 0.0 and y != 0.0
+    cx *= tick
+    cy *= tick
+    x, y = ex + vx, ey + vy
     true = uuv.true_position
     try:
-        uuv.true_position = Point2D(x, y) if same else Point2D(true.x + vx + cx, true.y + vy + cy)
+        # Truth is x + cx: the same bits as x when cx is ±0.0 and x is not
+        # ±0.0 (-0.0 + 0.0 is 0.0), so one point then serves as both.
+        if true is est and not cx and not cy and x != 0.0 and y != 0.0:
+            uuv.true_position = uuv.estimated_position = Point2D(x, y)
+        else:
+            uuv.true_position = Point2D(true.x + vx + cx, true.y + vy + cy)
+            uuv.estimated_position = Point2D(x, y)
     except ValueError as exc:  # a current near the float limit overflows
         raise SimulationError(f"{uuv.id}: the current carried it out of range: {exc}") from None
-    uuv.estimated_position = uuv.true_position if same else Point2D(x, y)
     uuv.position_uncertainty += params.drift_rate * moved
-    if math.hypot(x - target.x, y - target.y) <= params.arrival_tolerance:
+    if math.hypot(x - tx, y - ty) <= params.arrival_tolerance:
         world.emit("waypoint-reached", uuv.id, {"position": [x, y]})
         _complete_action(uuv, world)
 
@@ -395,8 +418,9 @@ def _circle_ticks(params: WorldParams) -> int:
 
 
 def _tick_to_beacon(uuv: UUVState, world: WorldState) -> None:
-    beacon = world.beacon(uuv.queue[0].args[1])
-    _move_towards(uuv, beacon.position, beacon.id, world)
+    beacon_id = uuv.queue[0].args[1]
+    beacon = world.beacons.get(beacon_id) or world.beacon(beacon_id)
+    _move_towards(uuv, beacon.position, beacon_id, world)
 
 
 def _tick_to_broadcast(uuv: UUVState, world: WorldState) -> None:
@@ -457,7 +481,7 @@ def _tick_await(uuv: UUVState, world: WorldState) -> None:
         _complete_action(uuv, world)
 
 
-@dataclass
+@dataclass(slots=True)
 class Projection:
     """The monitor's running projection of one vehicle through its plan.
 
@@ -518,7 +542,7 @@ class Projection:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionBehaviour:
     """One plan action, as the executor runs it and the monitor projects it.
 
@@ -551,19 +575,6 @@ def action_behaviour(name: str) -> ActionBehaviour:
     return ACTIONS.get(name, _INSTANT)
 
 
-def _tick_uuv(uuv: UUVState, world: WorldState) -> Optional[ActionBehaviour]:
-    """Run an active vehicle's tick, or return its action's behaviour when
-    the action waits for the tick's detection scan."""
-    if not uuv.queue:  # an empty plan, from the start or from a replan
-        _complete_mission(uuv, world)
-        return None
-    behaviour = action_behaviour(_start_action(uuv, world).name)
-    if behaviour.after_detection:
-        return behaviour
-    behaviour.tick(uuv, world)
-    return None
-
-
 def _detection_phase(world: WorldState) -> None:
     """Each vehicle that has not failed hears, from its true position, the
     active beacons that pulsed during the tick and are in range, in chart
@@ -576,34 +587,38 @@ def _detection_phase(world: WorldState) -> None:
     range times 1 + 2**-20, which rounding cannot cross while both of the
     vehicle's coordinates are within side × 2**20 of the origin.  Beyond
     that, the whole chart is tested.  Each block's pulsing beacons are
-    listed once per tick."""
+    listed once per tick.  Each hearing is a ``Detection`` appended to
+    ``world.events``."""
     tick_number, tick = world.ticks_run, world.params.tick
     fired = {p for p in world.periods if pulse_fires(tick_number, tick, p)}
     if not fired:
         return
+    now = world.sim_time
     grid = world.grid
+    cell_of, block = grid.cell, grid.block
     pulsing_in: dict[Optional[tuple[int, int]], list[tuple[BeaconState, float, float]]] = {}
     hypot = math.hypot
+    log = world.events.append
     for uuv in world.uuvs:
         if uuv.status == "failed":
             continue
-        x, y = uuv.true_position.x, uuv.true_position.y
-        cell = grid.cell(x, y)
+        position = uuv.true_position
+        x, y = position.x, position.y
+        cell = cell_of(x, y)
         pulsing = pulsing_in.get(cell)
         if pulsing is None:
             pulsing = pulsing_in[cell] = [
-                entry
-                for entry in grid.block(cell)
-                if entry[0].active and entry[0].pulse_period in fired
+                entry for entry in block(cell) if entry[0].active and entry[0].pulse_period in fired
             ]
+        subject, heard = uuv.id, uuv.last_detection
         for beacon, bx, by in pulsing:
             distance = hypot(x - bx, y - by)  # Point2D.distance_to, spelled out
             if sense_beacon(distance, beacon):
-                uuv.last_detection[beacon.id] = tick_number
-                world.emit("detection", uuv.id, {"beacon": beacon.id, "range": distance})
+                heard[beacon.id] = tick_number
+                log(Detection(now, subject, beacon.id, distance))
 
 
-def step(world: WorldState) -> list[Event]:
+def step(world: WorldState) -> list[Event | Detection]:
     """Advance the world by one tick and return the events it produced:
     ``world.events``, which each tick starts empty.
 
@@ -612,17 +627,32 @@ def step(world: WorldState) -> list[Event]:
     that pulsed during the tick (on most ticks no period fires and the
     scan is skipped), then actions that wait to hear a beacon in this
     tick take their turn.
-    Events are stably ordered by (time, subject) so each vehicle's
+    Events are stably ordered by ``EVENT_ORDER`` so each vehicle's
     events keep their causal order.
     """
     world.ticks_run += 1
-    world.events = []
-    waiting = []  # (vehicle, behaviour) whose action hears this tick's pulses
+    events = world.events = []
+    waiting = None  # (vehicle, behaviour) whose action hears this tick's pulses
     for uuv in world.uuvs:
-        if uuv.status == "active" and (behaviour := _tick_uuv(uuv, world)) is not None:
+        if uuv.status != "active":
+            continue
+        if not uuv.queue:  # an empty plan, from the start or from a replan
+            _complete_mission(uuv, world)
+            continue
+        action = uuv.queue[0]
+        if not uuv.action_ticks:
+            world.emit("action-started", uuv.id, {"action": action.name, "args": list(action.args)})
+        uuv.action_ticks += 1
+        behaviour = action_behaviour(action.name)
+        if behaviour.after_detection:
+            if waiting is None:
+                waiting = []
             waiting.append((uuv, behaviour))
+        else:
+            behaviour.tick(uuv, world)
     _detection_phase(world)
-    for uuv, behaviour in waiting:
-        behaviour.tick(uuv, world)
-    world.events.sort(key=Event.sort_key)
-    return world.events
+    if waiting is not None:
+        for uuv, behaviour in waiting:
+            behaviour.tick(uuv, world)
+    events.sort(key=EVENT_ORDER)
+    return events

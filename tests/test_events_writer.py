@@ -1,8 +1,9 @@
 """``events.jsonl`` is written by a line writer with a fixed detection line.
 
 The writer must give exactly the lines ``event_to_json_line`` gives, one
-per event, whether an event takes the detection template or falls back
-to the reference encoder.
+per item, whether a ``Detection`` record takes the detection template or
+an item falls back to the reference encoder, which reads a ``Detection``
+through its ``payload``.
 """
 
 import io
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uuvnav.sim.runner import event_to_json_line, write_events_jsonl
-from uuvnav.sim.world import Event
+from uuvnav.sim.world import Detection, Event
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -27,8 +28,9 @@ def reference(events):
     return "".join(event_to_json_line(e) + "\n" for e in events)
 
 
-# ids that json must escape: quotes, backslashes, control and non-ASCII
-ids = st.text(alphabet='b1"\\\n\t\x00\x7f/é \U0001f30a', min_size=1, max_size=6) | st.text(
+# ids that json must escape: quotes, backslashes, control and non-ASCII;
+# and % and braces, which a format string would read
+ids = st.text(alphabet='b1"\\\n\t\x00\x7f/é \U0001f30a%{}', min_size=1, max_size=6) | st.text(
     max_size=6
 )
 floats = st.sampled_from(
@@ -98,6 +100,23 @@ events |= st.builds(
 )
 
 
+class Id(str):
+    """A str that is not exactly a str."""
+
+
+odd_ids = st.integers() | st.none() | st.builds(Id, ids)
+# the records the detection scan logs, with any time, ids and range
+events |= st.builds(Detection, times, ids | odd_ids, ids | odd_ids, ranges)
+# and drawn from few pairs, ranges and times, so that they repeat
+events |= st.builds(
+    Detection,
+    st.sampled_from([0.0, -0.0, 3.0, 4.0, 3]),
+    st.sampled_from(["u1", "u2"]),
+    st.sampled_from(["b1", "b2"]),
+    st.sampled_from([0.0, -0.0, 1.5, 2.5, 2]),
+)
+
+
 @PROPERTY
 @given(st.lists(events, max_size=8))
 @example([Event(3.0, "detection", 'u"1\\', {"beacon": "b\x00é", "range": 5e-324})])
@@ -116,6 +135,23 @@ events |= st.builds(
           for t, r in ((4.0, 1.5), (4.0, 1.5), (0.0, 0.0), (-0.0, -0.0), (0.0, 0.0))])
 @example([Event(t, "detection", "uuv1", {"beacon": "b1", "range": 1.5})
           for t in (math.nan, math.inf, -math.inf)])
+# a pair's range repeated, changed, then equal zeros that spell
+# differently; the same pair as an Event of kind detection between
+@example([Detection(t, "uuv1", "b1", r)
+          for t, r in ((4.0, 1.5), (4.0, 1.5), (5.0, 2.5), (5.0, 1.5), (0.0, 0.0), (-0.0, -0.0),
+                       (0.0, 0.0), (1.0, -0.0))]
+         + [Event(1.0, "detection", "uuv1", {"beacon": "b1", "range": 0.0}),
+            Detection(1.0, "uuv1", "b1", 0.0)])
+# non-finite and non-float ranges and times, and ids that are not str
+@example([Detection(t, "uuv1", "b1", r)
+          for t, r in ((math.nan, 1.5), (math.inf, 1.5), (-math.inf, 1.5), (2, 1.5), (True, 1.5),
+                       (1.0, math.nan), (1.0, -math.inf), (1.0, 7), (1.0, True), (1.0, None))]
+         + [Detection(1.0, 7, "b1", 1.5), Detection(1.0, None, "b1", 1.5),
+            Detection(1.0, "uuv1", 3, 1.5), Detection(1.0, Id("uuv1"), "b1", 1.5),
+            Detection(1.0, "uuv1", Id("b1"), 1.5)])
+# ids that json escapes, or that a format string would read
+@example([Detection(3.0, 'u"1\\', "b\x00é", 5e-324), Detection(3.0, "%s%r", "{0}%%", 1.5),
+          Detection(3.0, "%s%r", "{0}%%", 1.5)])
 def test_writer_matches_event_to_json_line_byte_for_byte(event_list):
     assert written(event_list) == reference(event_list)
 
@@ -125,8 +161,8 @@ def test_no_events_is_an_empty_file():
 
 
 def test_a_detection_line_is_the_reference_line():
+    line = '{"beacon":"b4","kind":"detection","range":1234.5678,"subject":"uuv2","t":12.0,"v":1}\n'
+    record = Detection(12.0, "uuv2", "b4", 1234.5678)
     event = Event(12.0, "detection", "uuv2", {"beacon": "b4", "range": 1234.5678})
-    assert written([event]) == (
-        '{"beacon":"b4","kind":"detection","range":1234.5678,"subject":"uuv2","t":12.0,"v":1}\n'
-    )
-    assert written([event]) == reference([event])
+    assert (record.kind, record.payload) == (event.kind, event.payload)
+    assert written([record]) == written([event]) == reference([record]) == line

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -46,6 +49,61 @@ def test_point_refuses_a_non_finite_coordinate(bad, axis):
     coordinates = {"x": 1.0, "y": -2.0, axis: bad}
     with pytest.raises(ValueError, match=r"^non-finite coordinates \("):
         Point2D(**coordinates)
+
+
+# Point2D is a hand-written record: these pin the frozen-dataclass
+# semantics it keeps.
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_point_fields_cannot_be_assigned_or_deleted(axis):
+    point = Point2D(1.5, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(point, axis, 3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(point, axis)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.z = 3.0
+    assert (point.x, point.y) == (1.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((1.5, 2.0), (1.5, 2.0)), ((0.0, -0.0), (-0.0, 0.0)), ((3, -42), (3.0, -42.0))],
+)
+def test_equal_coordinates_give_equal_points_with_equal_hashes(a, b):
+    p, q = Point2D(*a), Point2D(*b)
+    assert p is not q
+    assert p == q and not p != q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
+def test_points_differ_from_other_types_and_other_points():
+    p = Point2D(1.5, 2.0)
+    assert p != Point2D(1.5, 2.5) and p != Point2D(2.0, 1.5)
+    assert p != (1.5, 2.0)
+    assert p.__eq__((1.5, 2.0)) is NotImplemented
+
+
+def test_point_repr_spells_each_coordinate():
+    assert repr(Point2D(1.5, -0.0)) == "Point2D(x=1.5, y=-0.0)"
+    assert repr(Point2D(x=1.5, y=2.0)) == "Point2D(x=1.5, y=2.0)"
+    assert repr(Point2D(3, 5e-324)) == "Point2D(x=3, y=5e-324)"
+
+
+def test_point_copies_and_pickles_as_itself():
+    p = Point2D(1.5, -0.0)
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(q) is Point2D and repr(q) == repr(p)
+
+
+def test_point_distance_is_hypot_of_the_differences():
+    p, q = Point2D(1.0, 2.0), Point2D(4.0, 6.0)
+    assert p.distance_to(q) == q.distance_to(p) == 5.0
+    assert p.distance_to(p) == 0.0
+    a, b = Point2D(0.1, -1e300), Point2D(-0.2, 1e300)
+    assert a.distance_to(b) == math.hypot(0.1 - -0.2, -1e300 - 1e300) == 2e300
 
 
 # ---------------------------------------------------------------------------
