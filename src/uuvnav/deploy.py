@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InputError
@@ -97,7 +97,7 @@ class BeaconGraph:
 
     positions: tuple[Point2D, ...]
     coverage_link_distance: float
-    adjacency: tuple[tuple[tuple[int, float], ...], ...] = None  # type: ignore[assignment]
+    adjacency: tuple[tuple[tuple[int, float], ...], ...] = field(init=False)
 
     def __post_init__(self):
         check_link_distance(self.coverage_link_distance)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..errors import GroundingError
@@ -45,7 +46,6 @@ class GroundAction:
 @dataclass(frozen=True)
 class GroundMethod:
     name: str
-    args: tuple[str, ...]
     task: GroundTask
     pos_pre: frozenset[Atom]
     neg_pre: frozenset[Atom]
@@ -82,31 +82,34 @@ def ground(
     slot_types = {p.name: p.param_types for p in domain.predicates}
     count = 0
 
-    def pools(schema: ActionAst | MethodAst, lits: tuple[Literal, ...]) -> list[list[str]]:
-        """Each parameter's objects: those under its type and the type of
-        every slot it fills in lits. Their product counts against the cap."""
+    def bindings(
+        schema: ActionAst | MethodAst, lits: tuple[Literal, ...]
+    ) -> Iterator[dict[str, str]]:
+        """Each binding of the schema's parameters, in parameter order, to
+        objects under its type and the type of every slot it fills in lits.
+        Their count is added against the cap before the first is yielded."""
         nonlocal count
         wants = {v: {t} for v, t in schema.parameters}
         for lit in lits:
             for var, t in zip(lit.args, slot_types[lit.predicate]):
                 wants[var].add(t)
-        out = [
+        pools = [
             [o for o, o_type in problem.objects if want <= domain.supertypes[o_type]]
             for want in wants.values()
         ]
-        count += math.prod(map(len, out))
+        count += math.prod(map(len, pools))
         if count > instance_cap:
             raise GroundingError(
                 f"grounding aborted at {count} instances"
                 f" (cap {instance_cap}, exceeded while grounding {schema.name})"
             )
-        return out
+        names = list(wants)
+        for combo in itertools.product(*pools):
+            yield dict(zip(names, combo))
 
     actions: dict[GroundTask, GroundAction] = {}
     for schema in domain.actions:
-        names = [v for v, _ in schema.parameters]
-        for combo in itertools.product(*pools(schema, schema.precondition + schema.effect)):
-            binding = dict(zip(names, combo))
+        for binding in bindings(schema, schema.precondition + schema.effect):
             args = tuple(binding[v] for v, _ in schema.parameters)
             pos_pre, neg_pre = _split_literals(schema.precondition, binding)
             adds, dels = _split_literals(schema.effect, binding)
@@ -117,14 +120,11 @@ def ground(
     for schema in domain.methods:
         # split each task reference into (name, variables) once, not per binding
         (head, head_vars), *refs = [(r[0], r[1:]) for r in (schema.task,) + schema.subtasks]
-        names = [v for v, _ in schema.parameters]
-        for combo in itertools.product(*pools(schema, schema.precondition)):
-            binding = dict(zip(names, combo))
-            args = tuple(binding[v] for v, _ in schema.parameters)
+        for binding in bindings(schema, schema.precondition):
             task = (head,) + tuple(binding[a] for a in head_vars)
             pos_pre, neg_pre = _split_literals(schema.precondition, binding)
             subtasks = tuple((name,) + tuple(binding[a] for a in sargs) for name, sargs in refs)
-            gm = GroundMethod(schema.name, args, task, pos_pre, neg_pre, subtasks)
+            gm = GroundMethod(schema.name, task, pos_pre, neg_pre, subtasks)
             methods.setdefault(task, []).append(gm)
 
     return GroundTables(

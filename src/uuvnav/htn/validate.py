@@ -45,15 +45,15 @@ def validate(
         return Verdict(False, "goal not satisfied in the final state")
 
     derived, reached = _derive(tables, s0, w0, list(steps), max_decompositions)
-    if not derived:
-        idx = min(reached, max(len(steps) - 1, 0))
-        return Verdict(
-            False,
-            f"orphan step {idx}: sequence is not derivable from the initial"
-            " task network",
-            idx,
-        )
-    return Verdict(True, "plan is valid")
+    if derived:
+        return Verdict(True, "plan is valid")
+    if reached == len(steps):  # every step matched, and the network wants more
+        return Verdict(False, "plan ends before its task network is done")
+    return Verdict(
+        False,
+        f"orphan step {reached}: sequence is not derivable from the initial task network",
+        reached,
+    )
 
 
 def _derive(

@@ -120,18 +120,15 @@ def replan_episode(exp: Expectation, world: WorldState) -> None:
         )
         return
 
-    affected: list[UUVState] = []
+    # The divergent vehicle is in range of itself (comm_range is never
+    # negative or NaN).  Each vehicle replans from its own belief and setup,
+    # and the runner sorts the tick's log afterwards, so any order will do.
     for uuv in world.uuvs:
-        if uuv.status != "active":
+        if (
+            uuv.status != "active"
+            or uuv.true_position.distance_to(divergent.true_position) > world.params.comm_range
+        ):
             continue
-        if uuv.id == divergent.id:
-            affected.append(uuv)
-            continue
-        if uuv.true_position.distance_to(divergent.true_position) <= world.params.comm_range:
-            affected.append(uuv)
-    affected.sort(key=lambda u: u.id)
-
-    for uuv in affected:
         uuv.belief.add(unreachable)
         setup = uuv.setup
         uuv.queue.clear()

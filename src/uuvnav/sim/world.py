@@ -213,10 +213,6 @@ class UUVState:
     expectations: list[Expectation] = field(default_factory=list)
     setup: Optional[PlanningSetup] = None
 
-    @property
-    def current_action(self) -> Optional[GroundAction]:
-        return self.queue[0] if self.queue else None
-
     def heard(self, beacon_id: str, tick_number: int) -> bool:
         """True when the vehicle heard this beacon on this tick."""
         return self.last_detection.get(beacon_id) == tick_number
@@ -308,8 +304,7 @@ def broadcast(sender: UUVState, world: WorldState) -> None:
     they heard the message, and record the sender's estimated position as
     the rendezvous target.  Range is evaluated on true positions.
     """
-    action = sender.current_action
-    message_atoms: set[tuple[str, ...]] = set(action.add_eff) if action is not None else set()
+    message_atoms = sender.queue[0].add_eff
     pos = sender.estimated_position
     world.emit("broadcast-sent", sender.id, {"position": [pos.x, pos.y]})
     for receiver in world.uuvs:
@@ -329,8 +324,8 @@ def broadcast(sender: UUVState, world: WorldState) -> None:
 def _complete_action(uuv: UUVState, world: WorldState) -> None:
     action = uuv.queue.pop(0)
     uuv.action_ticks = 0
-    uuv.belief -= set(action.del_eff)
-    uuv.belief |= set(action.add_eff)
+    uuv.belief -= action.del_eff
+    uuv.belief |= action.add_eff
     world.emit("action-completed", uuv.id, {"action": action.name, "args": list(action.args)})
     if not uuv.queue:
         _complete_mission(uuv, world)
@@ -342,15 +337,11 @@ def _complete_mission(uuv: UUVState, world: WorldState) -> None:
 
 
 def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
-    action = uuv.current_action
+    action = uuv.queue[0]
     world.emit(
         "action-failed",
         uuv.id,
-        {
-            "action": action.name if action else None,
-            "args": list(action.args) if action else [],
-            "reason": reason,
-        },
+        {"action": action.name, "args": list(action.args), "reason": reason},
     )
     uuv.queue.clear()
     uuv.action_ticks = 0

@@ -194,6 +194,25 @@ class TestValidateCommand:
         assert verdict["valid"] is False
         assert verdict["step_index"] == 0
 
+    @pytest.mark.parametrize("kept", [4, 0])
+    def test_plan_that_stops_early_names_no_step(self, capsys, tmp_path, kept):
+        plan_path = self.make_plan(capsys, tmp_path)
+        doc = json.loads(plan_path.read_text())
+        assert len(doc["steps"]) == 5
+        doc["steps"] = doc["steps"][:kept]
+        plan_path.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys,
+            "validate", "--domain", DOMAIN, "--problem", PROBLEM,
+            "--plan", str(plan_path),
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "reason": "plan ends before its task network is done",
+            "step_index": None,
+            "valid": False,
+        }
+
     def test_unknown_action_reported_invalid(self, capsys, tmp_path):
         plan_path = self.make_plan(capsys, tmp_path)
         doc = json.loads(plan_path.read_text())

@@ -4,7 +4,7 @@ from uuvnav.errors import PlanNotFound
 from uuvnav.hddl.ground import ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
 from uuvnav.htn.planner import format_plan_text, plan, plan_to_dict
-from uuvnav.htn.validate import validate
+from uuvnav.htn.validate import Verdict, validate
 
 
 def setup(domain_text, problem_text):
@@ -282,6 +282,27 @@ def test_empty_plan_against_demanding_network_is_orphan():
     tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (acquire widget))"))
     verdict = validate(tables, s0, w0, [], goal)
     assert not verdict.valid
+
+
+def test_truncated_plan_ends_before_its_network_naming_no_step():
+    tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (acquire widget))"))
+    steps = tasks_of(plan(tables, s0, w0, goal))
+    verdict = validate(tables, s0, w0, steps[:-1], goal)
+    assert verdict == Verdict(False, "plan ends before its task network is done", None)
+
+
+def test_empty_plan_ends_before_its_network_naming_no_step():
+    tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (acquire widget))"))
+    verdict = validate(tables, s0, w0, [], goal)
+    assert verdict == Verdict(False, "plan ends before its task network is done", None)
+
+
+def test_orphan_names_the_first_step_past_the_matched_prefix():
+    tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (pick widget))"))
+    steps = tasks_of(plan(tables, s0, w0, goal))
+    verdict = validate(tables, s0, w0, steps + [("pick", "gadget")], goal)
+    assert verdict.step_index == len(steps)
+    assert verdict.reason.startswith(f"orphan step {len(steps)}:")
 
 
 def test_goal_violation_detected_by_validator():

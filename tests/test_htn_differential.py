@@ -311,11 +311,10 @@ def reference_ground(domain, problem):
             if not well_typed(schema.precondition, binding):
                 continue
             kept += 1
-            args = tuple(binding[v] for v, _ in schema.parameters)
             task = (schema.task[0],) + tuple(binding[a] for a in schema.task[1:])
             pos_pre, neg_pre = _split_literals(schema.precondition, binding)
             subtasks = tuple((r[0],) + tuple(binding[a] for a in r[1:]) for r in schema.subtasks)
-            method = GroundMethod(schema.name, args, task, pos_pre, neg_pre, subtasks)
+            method = GroundMethod(schema.name, task, pos_pre, neg_pre, subtasks)
             methods.setdefault(task, []).append(method)
     return actions, {task: tuple(ms) for task, ms in methods.items()}, kept
 

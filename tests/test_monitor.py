@@ -8,7 +8,7 @@ from uuvnav.errors import SimulationError
 from uuvnav.geo import Point2D
 from uuvnav.hddl.ground import GroundAction, ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
-from uuvnav.sim.world import BeaconState, UUVState, WorldParams, WorldState
+from uuvnav.sim.world import EVENT_ORDER, BeaconState, UUVState, WorldParams, WorldState
 
 REPO = Path(__file__).resolve().parent.parent
 DOMAIN_PATH = REPO / "domains" / "uuv-nav.hddl"
@@ -272,6 +272,32 @@ class TestReplanEpisode:
         assert ("beacon-unreachable", "b6") in u1.belief
         assert ("beacon-unreachable", "b6") in world.uuv("uuv2").belief
         assert u1.replan_count == 1
+
+    def test_fleet_order_does_not_change_the_replans(self):
+        # four active vehicles in comm range of uuv1, in id order and
+        # reversed: each replans from its own belief and setup, and the
+        # tick's log is read sorted by EVENT_ORDER
+        def replanned(reverse):
+            world, exp = self.make_world()
+            world.uuv("uuv3").true_position = Point2D(5000.0, 4000.0)
+            setup4, init4 = load_setup("uuv4-listen.hddl")
+            u4 = uuv("uuv4", 4000.0, 3000.0, belief=init4, queue=[act("await-broadcast", "uuv4")])
+            u4.setup = setup4
+            world.uuvs.append(u4)
+            if reverse:
+                world.uuvs.reverse()
+            monitor.replan_episode(exp, world)
+            vehicles = {
+                u.id: (list(u.queue), set(u.belief), list(u.expectations), u.status, u.replan_count)
+                for u in world.uuvs
+            }
+            return vehicles, sorted(world.events, key=EVENT_ORDER)
+
+        forward, backward = replanned(False), replanned(True)
+        assert [e.subject for e in forward[1] if e.kind == "replan-triggered"] == [
+            "uuv1", "uuv2", "uuv3", "uuv4"
+        ]
+        assert forward == backward
 
     def test_out_of_range_vehicle_untouched(self):
         world, exp = self.make_world()

@@ -2,12 +2,15 @@
 
 ``sim_reference.py`` steps the same world without the simulator's
 shortcuts: the block scan, the shared true-and-estimated point, the
-``Detection`` record and the text writers.  Fleets of one to four
+``Detection`` record and the text writers.  Fleets of one to six
 vehicles run on the bundled chart, moved so that a drawn beacon may sit
-on the origin, which puts signed zeros into the tracks.
+on the origin, which puts signed zeros into the tracks, or moved ``FAR``
+into negative coordinates, past the bound of ``BeaconGrid`` (2**20
+cells from the origin), where the simulator scans the whole chart.
 """
 
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -19,13 +22,16 @@ import sim_reference
 from uuvnav.config import ScenarioConfig, UuvSpec
 from uuvnav.geo import Point2D
 from uuvnav.sim.runner import run_scenario, write_events_jsonl, write_tracks_geojson
-from uuvnav.sim.world import WorldParams
+from uuvnav.sim.world import BeaconGrid, BeaconState, WorldParams
 
 REPO = Path(__file__).resolve().parent.parent
 DOMAIN = REPO / "domains" / "uuv-nav.hddl"
 CHART = json.loads((REPO / "scenarios" / "beacons.geojson").read_text())
 BEACONS = {f["properties"]["id"]: f["geometry"]["coordinates"] for f in CHART["features"]}
 IDS = sorted(BEACONS)
+# the origin of a chart moved far into negative coordinates: about 4.3e9 m
+# from it, against a grid bound of 2**20 cells of at most 2600 m
+FAR = (2.0**32, 2.0**32)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -63,7 +69,7 @@ retuned = st.none() | st.tuples(
 def texts_of_both(tmp, origin, world, silenced, retune, fleet):
     """The runner's and the reference's three output texts for one
     scenario, written under ``tmp``."""
-    ox, oy = BEACONS[origin] if origin else (0.0, 0.0)
+    ox, oy = FAR if origin == "far" else BEACONS[origin] if origin else (0.0, 0.0)
     features = []
     for feature in CHART["features"]:
         feature = json.loads(json.dumps(feature))
@@ -121,11 +127,11 @@ NOMINAL = {
 
 @PROPERTY
 @given(
-    st.none() | beacon_ids,
+    st.none() | beacon_ids | st.just("far"),
     worlds,
     st.none() | beacon_ids,
     retuned,
-    st.lists(vehicles, min_size=1, max_size=4),
+    st.lists(vehicles, min_size=1, max_size=6),
 )
 # b4 on the origin and a vehicle on it at (-0.0, -0.0): its first move
 # keeps the place but spells it (0.0, 0.0)
@@ -154,8 +160,39 @@ NOMINAL = {
         ("b6", -900.0, 0.0, False, [("rendezvous",)]),
     ],
 )
+# six vehicles on the chart moved far into negative coordinates, where
+# every vehicle scans the whole chart: a fix at b6 under a current, two
+# listeners in range of it and one beyond, and two transits
+@example(
+    "far",
+    dict(NOMINAL, current=(0.2, -0.1)),
+    None,
+    ("b7", 2.5, 2600.0),
+    [
+        ("b5", 300.0, 300.0, False, [("mission", "b6", "b8")]),
+        ("b6", -900.0, 0.0, False, [("rendezvous",)]),
+        ("b4", 700.0, 900.0, False, [("rendezvous",)]),
+        ("far", 0.0, 0.0, False, [("rendezvous",)]),
+        ("b8", -1300.0, 40.0, False, [("transit-leg", "b7"), ("navigate-to-beacon", "b4")]),
+        ("b7", 0.0, -150.0, True, [("localize-at", "b5")]),
+    ],
+)
 def test_simulate_matches_the_plain_reference(origin, world, silenced, retune, fleet):
     with tempfile.TemporaryDirectory() as tmp:
         actual, expected = texts_of_both(Path(tmp), origin, world, silenced, retune, fleet)
     for name, got, want in zip(("events", "tracks", "summary"), actual, expected):
         assert got == want, name
+
+
+def test_the_far_chart_lies_beyond_the_grid_bound():
+    """Every beacon of the chart moved ``FAR``, and every start drawn round
+    it, is outside the bound of the widest grid the property draws, so
+    ``cell`` gives None and the whole chart is scanned."""
+    ox, oy = FAR
+    grid = BeaconGrid(
+        BeaconState(b, Point2D(x - ox, y - oy), acoustic_range=2600.0)
+        for b, (x, y) in BEACONS.items()
+    )
+    for x, y in list(BEACONS.values()) + [(9500.0, 4000.0)]:
+        for dx, dy in itertools.product((-2500.0, 2500.0), repeat=2):
+            assert grid.cell(x - ox + dx, y - oy + dy) is None
