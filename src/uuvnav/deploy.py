@@ -259,10 +259,15 @@ def _nearest_candidate(grid: BathymetryGrid, rows, cols, xs, ys):
         if 0 <= u < grid.n_cols and 0 <= v < grid.n_rows:
             r, c = grid.n_rows - 1 - int(v), int(u)
             if index[r, c] >= 0:
-                block = index[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2].ravel()
-                near = block[block >= 0]
-                d2 = (x - xs[near]) ** 2 + (y - ys[near]) ** 2
-                k = int(np.argmin(d2))
+                # the at most 9 candidates in Python floats, ascending k,
+                # so a strict < keeps the first minimum as argmin does
+                best, best_d2 = -1, math.inf
+                for k in index[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2].ravel().tolist():
+                    if k >= 0:
+                        dx, dy = x - xs.item(k), y - ys.item(k)
+                        d2 = dx * dx + dy * dy
+                        if best < 0 or d2 < best_d2:
+                            best, best_d2 = k, d2
                 # gaps to the columns c - 2, c + 2 and rows r - 2, r + 2,
                 # zero on the wrong side of one
                 gaps = (
@@ -271,8 +276,8 @@ def _nearest_candidate(grid: BathymetryGrid, rows, cols, xs, ys):
                     min(y - row_y[r], 0.0),
                     max(y - row_y[r + 4], 0.0),
                 )
-                if d2[k] < min(g * g for g in gaps):
-                    return int(near[k])
+                if best_d2 < min(g * g for g in gaps):
+                    return best
         return int(np.argmin((x - xs) ** 2 + (y - ys) ** 2))
 
     return nearest

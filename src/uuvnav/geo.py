@@ -176,29 +176,38 @@ def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
 
     Even-odd ray casting; boundary points count as inside.  Its scalar
     reference, which it must agree with cell for cell, is the per-point
-    test in ``tests/test_geo.py``.  Cell centers form a lattice, so each
-    edge's tests on x are taken once per column and those on y once per
-    row, then broadcast.
+    test in ``tests/test_geo.py``.  Cell centers form a lattice, so the
+    work goes by row and edge: an edge that straddles a row's center
+    crosses it at x_cross, and the cells left of x_cross, a prefix of the
+    sorted column centers that searchsorted finds, flip parity; the flips
+    are taken as XOR toggles, accumulated along each row.  The boundary test
+    runs only on the rows and columns inside each edge's bounding box.
     """
     import numpy as np
 
     xs, ys = grid.cell_centers()
-    x = xs[:1]  # one row of column centers
-    y = ys[:, :1]  # one column of row centers
-    inside = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
-    boundary = np.zeros_like(inside)
+    x = xs[0]  # column centers, ascending
+    y = ys[:, 0]  # row centers, descending
+    # flipping the prefix [0, k) of a row toggles its columns 0 and k
+    toggles = np.zeros((grid.n_rows, grid.n_cols + 1), dtype=bool)
+    boundary = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
     verts = poly.vertices
     n = len(verts)
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
-        cross = (b.x - a.x) * (y - a.y) - (b.y - a.y) * (x - a.x)
-        within_x = (x >= min(a.x, b.x)) & (x <= max(a.x, b.x))
-        within_y = (y >= min(a.y, b.y)) & (y <= max(a.y, b.y))
-        boundary |= (cross == 0) & within_x & within_y
+        # x and y are monotone, so each test holds on one run of indices
+        rows = np.flatnonzero((y >= min(a.y, b.y)) & (y <= max(a.y, b.y)))
+        cols = np.flatnonzero((x >= min(a.x, b.x)) & (x <= max(a.x, b.x)))
+        if len(rows) and len(cols):
+            r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+            cross = (b.x - a.x) * (y[r, None] - a.y) - (b.y - a.y) * (x[c] - a.x)
+            boundary[r, c] |= cross == 0
         if a.y != b.y:
-            straddles = (a.y > y) != (b.y > y)
-            x_cross = a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y)
-            inside ^= straddles & (x < x_cross)
+            rows = np.flatnonzero((a.y > y) != (b.y > y))
+            x_cross = a.x + (y[rows] - a.y) * (b.x - a.x) / (b.y - a.y)
+            toggles[rows, 0] ^= True
+            toggles[rows, np.searchsorted(x, x_cross, side="left")] ^= True
+    inside = np.logical_xor.accumulate(toggles[:, :-1], axis=1)
     return inside | boundary
 
 
@@ -208,13 +217,20 @@ def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
 
 def load_ascii_grid(text: str) -> BathymetryGrid:
     """Parse an ESRI ASCII grid (ncols/nrows/xllcorner/yllcorner/cellsize/
-    NODATA_value header, then row-major values, top row first)."""
-    from array import array
+    NODATA_value header, then row-major values, top row first).
 
+    Values are separated by any whitespace, rows may wrap across lines at
+    any width, and ``#`` is a value (a bad one), not a comment. The values
+    are read in bulk by numpy's text reader, which converts each token with
+    the routine float() uses. When that read refuses the text or finds a
+    value out of range, they are read again one token at a time: that loop
+    raises at the first bad token in file order, naming it and its line,
+    or accepts what float() takes and numpy does not, such as rows of
+    uneven width, ``1_0`` and non-ASCII digits.
+    """
     header: dict[str, float] = {}
-    values = array("d")  # no float object per cell; BathymetryGrid reads the buffer
     lines = text.splitlines()
-    line_no = cellsize_line = 0
+    body_line = cellsize_line = 0
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
@@ -242,22 +258,18 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
                     raise GridFormatError(f"cellsize must be > 0, got {tokens[1]!r}", line_no)
                 cellsize_line = line_no
             header[key] = value
-        else:
-            for tok in tokens:
-                try:
-                    value = float(tok)
-                except ValueError:
-                    raise GridFormatError(f"non-numeric grid value {tok!r}", line_no) from None
-                # one comparison passes every finite, non-negative depth
-                if not 0.0 <= value < math.inf:
-                    if not math.isfinite(value):
-                        raise GridFormatError(f"non-finite grid value {tok!r}", line_no)
-                    if value != header["nodata_value"]:
-                        raise GridFormatError(f"negative depth {tok!r} in a non-nodata cell", line_no)
-                values.append(value)
+        else:  # the first data line
+            body_line = line_no
+            break
+    body = lines[body_line - 1 :] if body_line else []
+    nodata = header.get("nodata_value")
+    values = _read_values_in_bulk(body, nodata) if body else None
+    if values is None:
+        values = _read_values_token_by_token(body, body_line, nodata)
+    last_line = len(lines) or 1
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
-        raise GridFormatError(f"missing header keys: {', '.join(missing)}", line_no or 1)
+        raise GridFormatError(f"missing header keys: {', '.join(missing)}", last_line)
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
     size = header["cellsize"]
@@ -270,7 +282,7 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
     if len(values) != expected:
         raise GridFormatError(
             f"expected {expected} grid values ({n_rows}x{n_cols}), got {len(values)}",
-            line_no or 1,
+            last_line,
         )
     return BathymetryGrid(
         origin_x=header["xllcorner"],
@@ -281,6 +293,43 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
         depth=values,
         nodata_value=header["nodata_value"],
     )
+
+
+def _read_values_in_bulk(lines: list[str], nodata: float) -> np.ndarray | None:
+    """The values of the grid's data lines as one flat array, or None when
+    numpy's reader refuses them or a value is neither a finite depth >= 0
+    nor nodata."""
+    import numpy as np
+
+    try:
+        values = np.loadtxt(lines, dtype=float, comments=None).ravel()
+    except ValueError:
+        return None
+    if not ((values >= 0) & (values < math.inf) | (values == nodata)).all():
+        return None
+    return values
+
+
+def _read_values_token_by_token(lines: list[str], first_line: int, nodata: float | None):
+    """The values of the grid's data lines, numbered from first_line, in a
+    float array; raises GridFormatError at the first bad token."""
+    from array import array
+
+    values = array("d")  # no float object per cell; BathymetryGrid reads the buffer
+    for line_no, raw in enumerate(lines, start=first_line):
+        for tok in raw.split():
+            try:
+                value = float(tok)
+            except ValueError:
+                raise GridFormatError(f"non-numeric grid value {tok!r}", line_no) from None
+            # one comparison passes every finite, non-negative depth
+            if not 0.0 <= value < math.inf:
+                if not math.isfinite(value):
+                    raise GridFormatError(f"non-finite grid value {tok!r}", line_no)
+                if value != nodata:
+                    raise GridFormatError(f"negative depth {tok!r} in a non-nodata cell", line_no)
+            values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------

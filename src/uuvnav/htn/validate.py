@@ -47,6 +47,11 @@ def validate(
     derived, reached = _derive(tables, s0, w0, list(steps), max_decompositions)
     if derived:
         return Verdict(True, "plan is valid")
+    if derived is None:
+        return Verdict(
+            False,
+            f"derivation search exceeded its budget of {max_decompositions} decompositions",
+        )
     if reached == len(steps):  # every step matched, and the network wants more
         return Verdict(False, "plan ends before its task network is done")
     return Verdict(
@@ -62,10 +67,11 @@ def _derive(
     w0: Sequence[GroundTask],
     steps: list[GroundTask],
     max_decompositions: int,
-) -> tuple[bool, int]:
+) -> tuple[bool | None, int]:
     """Try to derive exactly the step sequence from w0.
 
-    Returns (derived fully, longest matched prefix)."""
+    Returns (derived fully, longest matched prefix); derived fully is None
+    when the search ran out of decompositions before it could tell."""
     state = frozenset(s0)
     agenda: list[GroundTask] = list(reversed(w0))  # front task last
     # (untried methods, state, rest of agenda, matched count) per choice frame
@@ -89,7 +95,7 @@ def _derive(
             if agenda:
                 decompositions += 1
                 if decompositions > max_decompositions:
-                    return False, best
+                    return None, best
                 task = agenda.pop()
                 frames.append((iter(tables.methods.get(task, ())), state, agenda, matched))
             elif matched == len(steps):

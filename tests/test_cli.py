@@ -819,6 +819,13 @@ MALFORMED_INPUTS = {
     "grid-too-few-values.asc": (
         "--bathymetry", "line 10: expected 16 grid values (4x4), got 15", "line 10"
     ),
+    "grid-negative-depth.asc": (
+        "--bathymetry", "line 9: negative depth '-5' in a non-nodata cell", "line 9"
+    ),
+    "grid-non-finite.asc": ("--bathymetry", "line 8: non-finite grid value '1e999'", "line 8"),
+    "grid-header-only.asc": (
+        "--bathymetry", "line 6: expected 16 grid values (4x4), got 0", "line 6"
+    ),
     "plan-name-not-a-string.json": (
         "--plan", "steps[0] 'name' must be a non-empty string", "steps[0]"
     ),
@@ -859,6 +866,16 @@ def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, 
     assert err.startswith(f"error: {path}: {start}")
     assert where in err and err.count(path) == 1 and "Traceback" not in err
     assert not (tmp_path / "x.geojson").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MALFORMED_INPUTS if n.startswith("grid-")))
+def test_malformed_grid_error_is_the_whole_of_stderr(capsys, tmp_path, name):
+    # each grid's entry above holds its whole message; nothing, such as a
+    # warning from the bulk read, may go to stderr with it
+    path = str(MALFORMED / name)
+    code, out, err = run(capsys, "deploy", "--bathymetry", path, "--area", AREA,
+                         "--n-beacons", "3", "--out", str(tmp_path / "x.geojson"))
+    assert (code, out, err) == (1, "", f"error: {path}: {MALFORMED_INPUTS[name][1]}\n")
 
 
 def run_with_closed_stdout(*argv):

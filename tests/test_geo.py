@@ -2,14 +2,17 @@ import copy
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import uuvnav.geo as geo_module
 from uuvnav.errors import GeoJsonError, GridFormatError
 from uuvnav.geo import (
+    _HEADER_KEYS,
     BathymetryGrid,
     MissionPolygon,
     Point2D,
@@ -261,6 +264,176 @@ def test_grid_is_immutable():
     g = flat_grid(2, 2, 10.0)
     with pytest.raises(ValueError):
         g.depth[0, 0] = 99.0
+
+
+# The reader as it was before the bulk read: one float() per token. It is
+# the reference that load_ascii_grid must agree with, value for value and
+# error for error; the package does not import it.
+
+def reference_load_ascii_grid(text: str) -> BathymetryGrid:
+    """Parse an ESRI ASCII grid (ncols/nrows/xllcorner/yllcorner/cellsize/
+    NODATA_value header, then row-major values, top row first)."""
+    from array import array
+
+    header: dict[str, float] = {}
+    values = array("d")  # no float object per cell; BathymetryGrid reads the buffer
+    lines = text.splitlines()
+    line_no = cellsize_line = 0
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(header) < len(_HEADER_KEYS):
+            key = tokens[0].lower()
+            if key not in _HEADER_KEYS:
+                raise GridFormatError(
+                    f"unexpected header key {tokens[0]!r} (expected one of "
+                    f"{', '.join(_HEADER_KEYS)})",
+                    line_no,
+                )
+            if len(tokens) != 2:
+                raise GridFormatError(f"header line needs exactly one value, got {tokens[1:]}", line_no)
+            try:
+                value = float(tokens[1])
+            except ValueError:
+                raise GridFormatError(f"non-numeric header value {tokens[1]!r}", line_no) from None
+            if not math.isfinite(value):
+                raise GridFormatError(f"non-finite header value {tokens[1]!r}", line_no)
+            if key in ("ncols", "nrows") and not (value > 0 and value.is_integer()):
+                raise GridFormatError(f"{key} must be a positive integer, got {tokens[1]!r}", line_no)
+            if key == "cellsize":
+                if value <= 0:
+                    raise GridFormatError(f"cellsize must be > 0, got {tokens[1]!r}", line_no)
+                cellsize_line = line_no
+            header[key] = value
+        else:
+            for tok in tokens:
+                try:
+                    value = float(tok)
+                except ValueError:
+                    raise GridFormatError(f"non-numeric grid value {tok!r}", line_no) from None
+                # one comparison passes every finite, non-negative depth
+                if not 0.0 <= value < math.inf:
+                    if not math.isfinite(value):
+                        raise GridFormatError(f"non-finite grid value {tok!r}", line_no)
+                    if value != header["nodata_value"]:
+                        raise GridFormatError(f"negative depth {tok!r} in a non-nodata cell", line_no)
+                values.append(value)
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise GridFormatError(f"missing header keys: {', '.join(missing)}", line_no or 1)
+    n_cols = int(header["ncols"])
+    n_rows = int(header["nrows"])
+    size = header["cellsize"]
+    far_corner = (header["xllcorner"] + n_cols * size, header["yllcorner"] + n_rows * size)
+    if not all(math.isfinite(v) for v in (size * size, *far_corner)):
+        raise GridFormatError(
+            f"cellsize {size!r} gives a non-finite cell area or grid extent", cellsize_line
+        )
+    expected = n_rows * n_cols
+    if len(values) != expected:
+        raise GridFormatError(
+            f"expected {expected} grid values ({n_rows}x{n_cols}), got {len(values)}",
+            line_no or 1,
+        )
+    return BathymetryGrid(
+        origin_x=header["xllcorner"],
+        origin_y=header["yllcorner"],
+        cell_size=header["cellsize"],
+        n_rows=n_rows,
+        n_cols=n_cols,
+        depth=values,
+        nodata_value=header["nodata_value"],
+    )
+
+
+def grid_outcome(load, text):
+    """The header fields and depth bytes of the grid read from text, or
+    the text and line of the GridFormatError that reading it raises."""
+    try:
+        g = load(text)
+    except GridFormatError as exc:
+        return "error", str(exc), exc.line
+    fields = (g.origin_x, g.origin_y, g.cell_size, g.n_rows, g.n_cols, g.nodata_value)
+    return "grid", fields, g.depth.shape, g.depth.tobytes()
+
+
+# tokens numpy's reader reads as float() does, including zeros and nodata
+PLAIN_VALUES = ["0", "-0", "0.0", "30", "1.5", "1e2", "+7", ".5", "1.", "007", "5e-324"]
+# tokens float() takes and numpy's reader refuses
+ODD_VALUES = ["1_0", "\u0661\u0662"]  # the second is "12" in Arabic-Indic digits
+BAD_VALUES = ["#", "deep", "nan", "inf", "-inf", "1e999", "-3", "-0.5"]
+SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"]
+
+
+@st.composite
+def grid_texts(draw):
+    """An ESRI grid text and whether it is plain: one row per line, values
+    from PLAIN_VALUES, spaces and tabs between them, no fault. Others wrap
+    rows at random widths, separate values by other whitespace, carry odd
+    or bad tokens, one value too many or too few, or no values at all."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    nodata = draw(st.sampled_from(["-9999", "-3", "0", "7.5"]))
+    lines = [f"ncols {n_cols}", f"nrows {n_rows}", "xllcorner 0", "yllcorner 0",
+             "cellsize 10", f"NODATA_value {nodata}"]
+    header_only = draw(st.integers(0, 19)) == 0
+    odd = draw(st.booleans())
+    pool = PLAIN_VALUES + [nodata] + (ODD_VALUES if odd else [])
+    values = [] if header_only else draw(
+        st.lists(st.sampled_from(pool), min_size=n_rows * n_cols, max_size=n_rows * n_cols)
+    )
+    wrap = draw(st.booleans())
+    rows = []
+    while values:
+        width = draw(st.integers(1, len(values))) if wrap else n_cols
+        rows.append(values[:width])
+        values = values[width:]
+    # one value too many or too few
+    miscount = bool(rows) and draw(st.sampled_from([-1, 0, 0, 1]))
+    if miscount == -1:
+        rows[-1].pop()
+    elif miscount == 1:
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(st.sampled_from(PLAIN_VALUES)))
+    # up to two bad tokens, each replacing a value or inserted at any place in
+    # a row, its end included
+    faults = draw(st.integers(0, 2)) if rows else 0
+    for _ in range(faults):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row)))
+        bad = draw(st.sampled_from(BAD_VALUES))
+        if at < len(row) and draw(st.booleans()):
+            row[at] = bad
+        else:
+            row.insert(at, bad)
+    odd_space = draw(st.booleans())
+    spaces = st.sampled_from([" ", " ", "  ", "\t"] + (SEPARATORS if odd_space else []))
+    lines += ["".join(v + draw(spaces) for v in row[:-1]) + row[-1] if row else "" for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", " \t "])))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    plain = not (header_only or odd or wrap or miscount or faults or odd_space)
+    return text, plain
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(grid_texts())
+def test_grid_reader_matches_the_token_by_token_reference(case):
+    text, plain = case
+    token_loop = mock.patch.object(
+        geo_module, "_read_values_token_by_token", wraps=geo_module._read_values_token_by_token
+    )
+    with token_loop as slow:
+        got = grid_outcome(load_ascii_grid, text)
+    assert got == grid_outcome(reference_load_ascii_grid, text)
+    # a plain grid, zeros and nodata included, is read in bulk
+    assert not (plain and slow.called)
+
+
+def test_rows_wrapped_across_lines_give_the_same_grid():
+    header = "ncols 3\nnrows 2\nxllcorner 5\nyllcorner -2\ncellsize 10\nNODATA_value -9999\n"
+    one_row_per_line = grid_outcome(load_ascii_grid, header + "1 2.5 -9999\n0 4 5e-324\n")
+    wrapped = grid_outcome(load_ascii_grid, header + "1\n2.5 -9999 0 4\n\n5e-324\n")
+    assert wrapped[0] == "grid" and wrapped == one_row_per_line
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from uuvnav.errors import PlanNotFound
@@ -301,6 +303,44 @@ def test_orphan_names_the_first_step_past_the_matched_prefix():
     tables, s0, w0, goal = setup(BASE_DOMAIN, problem_text("(and (pick widget))"))
     steps = tasks_of(plan(tables, s0, w0, goal))
     verdict = validate(tables, s0, w0, steps + [("pick", "gadget")], goal)
+    assert verdict.step_index == len(steps)
+    assert verdict.reason.startswith(f"orphan step {len(steps)}:")
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def bundled_mission():
+    domain = parse_domain((REPO / "domains" / "uuv-nav.hddl").read_text())
+    problem_path = REPO / "scenarios" / "problems" / "uuv1-mission.hddl"
+    problem = parse_problem(problem_path.read_text(), domain)
+    tables = ground(domain, problem)
+    return tables, frozenset(problem.init), problem.htn, problem.goal
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_a_valid_plan_past_the_budget_blames_the_budget_not_a_step(budget):
+    tables, s0, w0, goal = bundled_mission()
+    steps = tasks_of(plan(tables, s0, w0, goal))
+    assert len(steps) == 5
+    verdict = validate(tables, s0, w0, steps, goal, max_decompositions=budget)
+    assert verdict == Verdict(
+        False, f"derivation search exceeded its budget of {budget} decompositions", None
+    )
+
+
+def test_the_bundled_plan_is_valid_once_the_budget_covers_its_derivation():
+    tables, s0, w0, goal = bundled_mission()
+    steps = tasks_of(plan(tables, s0, w0, goal))
+    assert validate(tables, s0, w0, steps, goal, max_decompositions=2) == Verdict(
+        True, "plan is valid", None
+    )
+
+
+def test_an_orphan_in_the_bundled_plan_is_an_orphan_under_the_default_budget():
+    tables, s0, w0, goal = bundled_mission()
+    steps = tasks_of(plan(tables, s0, w0, goal))
+    verdict = validate(tables, s0, w0, steps + steps[-1:], goal)
     assert verdict.step_index == len(steps)
     assert verdict.reason.startswith(f"orphan step {len(steps)}:")
 

@@ -243,7 +243,7 @@ def reference_derive(tables, s0, w0, steps, max_decompositions):
         if not failed:
             decompositions += 1
             if decompositions > max_decompositions:
-                return False, best
+                return None, best
             stack.append([tables.methods.get(agenda[0], ()), 0, state, list(agenda), matched])
             failed = not backtrack()
         if failed and not backtrack():
