@@ -18,7 +18,6 @@ built on first use.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -26,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import load_beacons, load_scenario, parse_input
+from .config import ScenarioConfig, load_beacons, load_scenario, parse_input
 from .deploy import (
     BeaconGraph,
     DeploymentProblem,
@@ -171,14 +170,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     problem, tables = _load_planning_inputs(args.domain, args.problem)
     steps = parse_input(args.plan, "plan file", _parse_plan_steps)
     verdict = validate(tables, frozenset(problem.init), problem.htn, steps, problem.goal)
-    print(json.dumps(dataclasses.asdict(verdict), sort_keys=True))
+    doc = {"valid": verdict.valid, "reason": verdict.reason, "step_index": verdict.step_index}
+    print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
     if args.out_dir:
-        config = dataclasses.replace(config, output_dir=Path(args.out_dir).resolve())
+        config = ScenarioConfig(
+            Path(args.out_dir).resolve(),
+            config.beacons,
+            config.domain,
+            config.world,
+            config.uuvs,
+            config.inactive_beacons,
+        )
     out = config.output_dir
     try:
         # an unwritable directory fails before the run, not after it

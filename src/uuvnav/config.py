@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
 from .errors import GeoJsonError, InputError, SimulationError
 from .geo import Point2D
+from .record import Record
 from .sim.world import BeaconState, WorldParams
 
 
@@ -42,21 +42,42 @@ def parse_input(path: str | Path, what: str, parse):
         raise
 
 
-@dataclass(frozen=True)
-class UuvSpec:
+class UuvSpec(Record, frozen=True):
+    __slots__ = _fields = ("id", "start", "problem")
     id: str
     start: Point2D
     problem: Path
 
+    def __init__(self, id: str, start: Point2D, problem: Path) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "problem", problem)
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+
+class ScenarioConfig(Record, frozen=True):
+    __slots__ = _fields = ("output_dir", "beacons", "domain", "world", "uuvs", "inactive_beacons")
     output_dir: Path
     beacons: Path
     domain: Path
     world: WorldParams
     uuvs: tuple[UuvSpec, ...]
-    inactive_beacons: tuple[str, ...] = ()
+    inactive_beacons: tuple[str, ...]
+
+    def __init__(
+        self,
+        output_dir: Path,
+        beacons: Path,
+        domain: Path,
+        world: WorldParams,
+        uuvs: tuple[UuvSpec, ...],
+        inactive_beacons: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "output_dir", output_dir)
+        object.__setattr__(self, "beacons", beacons)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "world", world)
+        object.__setattr__(self, "uuvs", uuvs)
+        object.__setattr__(self, "inactive_beacons", inactive_beacons)
 
 
 def _require(mapping: dict, key: str, where: str = "") -> Any:
@@ -163,7 +184,7 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
     if not isinstance(world_raw, dict):
         raise InputError("world must be a mapping")
     defaults = WorldParams()
-    known = set(defaults.__dataclass_fields__)
+    known = set(WorldParams._fields)
     unknown = set(world_raw) - known
     if unknown:
         # YAML keys need not be strings (10.0:, true:), so each is named by

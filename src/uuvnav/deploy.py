@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InputError
 from .geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon
+from .record import Record
 
 ETA = 0.5  # weight-update step size
 # Cells per block of _power_assign: a block's coordinates, owners and scratch
@@ -25,54 +25,82 @@ ETA = 0.5  # weight-update step size
 BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class DeploymentProblem:
+class DeploymentProblem(Record, frozen=True):
+    __slots__ = _fields = (
+        "grid", "poly", "n_beacons", "max_iterations", "volume_tolerance", "rng_seed"
+    )
     grid: BathymetryGrid
     poly: MissionPolygon
     n_beacons: int
-    max_iterations: int = 100
-    volume_tolerance: float = 0.05  # fraction of V_tot / N
-    rng_seed: int = 0
+    max_iterations: int
+    volume_tolerance: float  # fraction of V_tot / N
+    rng_seed: int
 
-    def __post_init__(self):
-        if self.n_beacons < 1:
-            raise InputError(f"n_beacons must be >= 1, got {self.n_beacons}")
-        if self.max_iterations < 1:
-            raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (0 < self.volume_tolerance < 1):
-            raise InputError(
-                f"volume_tolerance must be in (0, 1), got {self.volume_tolerance}"
-            )
-        if self.rng_seed < 0:
-            raise InputError(f"rng_seed must be >= 0, got {self.rng_seed}")
+    def __init__(
+        self,
+        grid: BathymetryGrid,
+        poly: MissionPolygon,
+        n_beacons: int,
+        max_iterations: int = 100,
+        volume_tolerance: float = 0.05,
+        rng_seed: int = 0,
+    ) -> None:
+        if n_beacons < 1:
+            raise InputError(f"n_beacons must be >= 1, got {n_beacons}")
+        if max_iterations < 1:
+            raise InputError(f"max_iterations must be >= 1, got {max_iterations}")
+        if not (0 < volume_tolerance < 1):
+            raise InputError(f"volume_tolerance must be in (0, 1), got {volume_tolerance}")
+        if rng_seed < 0:
+            raise InputError(f"rng_seed must be >= 0, got {rng_seed}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "n_beacons", n_beacons)
+        object.__setattr__(self, "max_iterations", max_iterations)
+        object.__setattr__(self, "volume_tolerance", volume_tolerance)
+        object.__setattr__(self, "rng_seed", rng_seed)
 
 
-@dataclass(frozen=True)
-class CellAssignment:
+class CellAssignment(Record, frozen=True):
     """Partition of the in-polygon water cells among sites.
 
     cell_rows/cell_cols index into the grid; site_of[i] is the owning site
     of cell i. Arrays are parallel and read-only.
     """
 
+    __slots__ = _fields = ("cell_rows", "cell_cols", "site_of", "n_sites")
     cell_rows: np.ndarray
     cell_cols: np.ndarray
     site_of: np.ndarray
     n_sites: int
 
-    def __post_init__(self):
+    def __init__(
+        self, cell_rows: np.ndarray, cell_cols: np.ndarray, site_of: np.ndarray, n_sites: int
+    ) -> None:
         import numpy as np
 
-        for name in ("cell_rows", "cell_cols", "site_of"):
-            arr = np.asarray(getattr(self, name))
+        cell_rows, cell_cols, site_of = map(np.asarray, (cell_rows, cell_cols, site_of))
+        for arr in (cell_rows, cell_cols, site_of):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (len(self.cell_rows) == len(self.cell_cols) == len(self.site_of)):
+        if not (len(cell_rows) == len(cell_cols) == len(site_of)):
             raise ValueError("assignment arrays must have equal length")
+        object.__setattr__(self, "cell_rows", cell_rows)
+        object.__setattr__(self, "cell_cols", cell_cols)
+        object.__setattr__(self, "site_of", site_of)
+        object.__setattr__(self, "n_sites", n_sites)
 
 
-@dataclass(frozen=True)
-class DeploymentResult:
+class DeploymentResult(Record, frozen=True):
+    __slots__ = _fields = (
+        "beacon_positions",
+        "beacon_depths",
+        "cell_volumes",
+        "v_tot",
+        "objective",
+        "iterations_used",
+        "converged",
+        "site_weights",
+    )
     beacon_positions: tuple[Point2D, ...]
     beacon_depths: tuple[float, ...]  # local water depth at each beacon (m)
     cell_volumes: tuple[float, ...]  # V_n per beacon (m^3)
@@ -81,6 +109,26 @@ class DeploymentResult:
     iterations_used: int
     converged: bool
     site_weights: tuple[float, ...]  # final power weights, for recounting
+
+    def __init__(
+        self,
+        beacon_positions: tuple[Point2D, ...],
+        beacon_depths: tuple[float, ...],
+        cell_volumes: tuple[float, ...],
+        v_tot: float,
+        objective: float,
+        iterations_used: int,
+        converged: bool,
+        site_weights: tuple[float, ...],
+    ) -> None:
+        object.__setattr__(self, "beacon_positions", beacon_positions)
+        object.__setattr__(self, "beacon_depths", beacon_depths)
+        object.__setattr__(self, "cell_volumes", cell_volumes)
+        object.__setattr__(self, "v_tot", v_tot)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "iterations_used", iterations_used)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "site_weights", site_weights)
 
 
 def check_link_distance(coverage_link_distance: float) -> None:
@@ -91,21 +139,24 @@ def check_link_distance(coverage_link_distance: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BeaconGraph:
-    """Undirected beacon graph; an edge joins every pair within link range."""
+class BeaconGraph(Record, frozen=True):
+    """Undirected beacon graph; an edge joins every pair within link range.
+    ``adjacency`` is worked out from the other two fields."""
 
+    __slots__ = _fields = ("positions", "coverage_link_distance", "adjacency")
     positions: tuple[Point2D, ...]
     coverage_link_distance: float
-    adjacency: tuple[tuple[tuple[int, float], ...], ...] = field(init=False)
+    adjacency: tuple[tuple[tuple[int, float], ...], ...]
 
-    def __post_init__(self):
-        check_link_distance(self.coverage_link_distance)
-        adj: list[list[tuple[int, float]]] = [[] for _ in self.positions]
-        for i in range(len(self.positions)):
-            for j in range(i + 1, len(self.positions)):
-                d = self.positions[i].distance_to(self.positions[j])
-                if d <= self.coverage_link_distance:
+    def __init__(self, positions: tuple[Point2D, ...], coverage_link_distance: float) -> None:
+        check_link_distance(coverage_link_distance)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "coverage_link_distance", coverage_link_distance)
+        adj: list[list[tuple[int, float]]] = [[] for _ in positions]
+        for i in range(len(positions)):
+            for j in range(i + 1, len(positions)):
+                d = positions[i].distance_to(positions[j])
+                if d <= coverage_link_distance:
                     adj[i].append((j, d))
                     adj[j].append((i, d))
         object.__setattr__(self, "adjacency", tuple(tuple(n) for n in adj))

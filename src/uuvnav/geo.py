@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from typing import Sequence
 
 from .errors import GeoJsonError, GridFormatError
+from .record import Record
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-class Point2D:
-    """A planar point in meters: an immutable record of two finite
-    coordinates, equal and hashed by value, as a frozen dataclass would be.
-    Written by hand because the simulator makes one or two every tick; its
-    ``__init__`` sets the two slots through their own descriptors, which
-    the frozen ``__setattr__`` does not reach."""
+class Point2D(Record, frozen=True):
+    """A planar point in meters: a frozen record of two finite
+    coordinates, equal and hashed by value.  The simulator makes one or
+    two every tick, so ``__init__`` sets the two slots through their own
+    descriptors, which the frozen ``__setattr__`` does not reach."""
 
-    __slots__ = ("x", "y")
+    __slots__ = _fields = ("x", "y")
     x: float
     y: float
 
@@ -34,23 +34,6 @@ class Point2D:
             raise ValueError(f"non-finite coordinates ({x}, {y})")
         _set_x(self, x)
         _set_y(self, y)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) == (other.x, other.y)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"Point2D(x={self.x!r}, y={self.y!r})"
 
     def __reduce__(self):
         return Point2D, (self.x, self.y)
@@ -63,14 +46,16 @@ _set_x = Point2D.x.__set__
 _set_y = Point2D.y.__set__
 
 
-@dataclass(frozen=True)
-class BathymetryGrid:
+class BathymetryGrid(Record, frozen=True):
     """Raster of water depths; row 0 is the top (northernmost) row.
 
     origin_x / origin_y are the lower-left corner of the raster, matching
     the ESRI ASCII convention.
     """
 
+    __slots__ = _fields = (
+        "origin_x", "origin_y", "cell_size", "n_rows", "n_cols", "depth", "nodata_value"
+    )
     origin_x: float
     origin_y: float
     cell_size: float
@@ -79,23 +64,38 @@ class BathymetryGrid:
     depth: np.ndarray  # shape (n_rows, n_cols), read-only
     nodata_value: float
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        origin_x: float,
+        origin_y: float,
+        cell_size: float,
+        n_rows: int,
+        n_cols: int,
+        depth: np.ndarray,
+        nodata_value: float,
+    ) -> None:
         import numpy as np
 
-        if self.cell_size <= 0:
-            raise ValueError(f"cell_size must be > 0, got {self.cell_size}")
-        arr = np.asarray(self.depth, dtype=float)
-        if arr.size != self.n_rows * self.n_cols:
+        if cell_size <= 0:
+            raise ValueError(f"cell_size must be > 0, got {cell_size}")
+        arr = np.asarray(depth, dtype=float)
+        if arr.size != n_rows * n_cols:
             raise ValueError(
                 f"depth array has {arr.size} values, expected "
-                f"{self.n_rows}x{self.n_cols}={self.n_rows * self.n_cols}"
+                f"{n_rows}x{n_cols}={n_rows * n_cols}"
             )
-        arr = arr.reshape(self.n_rows, self.n_cols).copy()
-        valid = arr != self.nodata_value
+        arr = arr.reshape(n_rows, n_cols).copy()
+        valid = arr != nodata_value
         if np.any(arr[valid] < 0):
             raise ValueError("negative depth in a non-nodata cell")
         arr.flags.writeable = False
+        object.__setattr__(self, "origin_x", origin_x)
+        object.__setattr__(self, "origin_y", origin_y)
+        object.__setattr__(self, "cell_size", cell_size)
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "depth", arr)
+        object.__setattr__(self, "nodata_value", nodata_value)
 
     @property
     def valid_mask(self) -> np.ndarray:
@@ -114,14 +114,14 @@ class BathymetryGrid:
         )
 
 
-@dataclass(frozen=True)
-class MissionPolygon:
+class MissionPolygon(Record, frozen=True):
     """Simple (non-self-intersecting) polygon, implicitly closed."""
 
+    __slots__ = _fields = ("vertices",)
     vertices: tuple[Point2D, ...]
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
+    def __init__(self, vertices: Sequence[Point2D]) -> None:
+        verts = tuple(vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ..record import Record
 
 # a task reference: (task-or-action name, argument, ...)
 TaskRef = tuple[str, ...]
@@ -20,46 +20,93 @@ def type_chain(parents: dict[str, str], t: str) -> list[str]:
     return chain
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record, frozen=True):
+    __slots__ = _fields = ("predicate", "args", "negated")
     predicate: str
     args: tuple[str, ...]
-    negated: bool = False
+    negated: bool
+
+    def __init__(self, predicate: str, args: tuple[str, ...], negated: bool = False) -> None:
+        _set_predicate(self, predicate)
+        _set_args(self, args)
+        _set_negated(self, negated)
 
 
-@dataclass(frozen=True)
-class PredicateDecl:
+# the parser makes a Literal per condition and effect, so __init__ sets
+# each slot through its own descriptor, past the frozen __setattr__
+_set_predicate = Literal.predicate.__set__
+_set_args = Literal.args.__set__
+_set_negated = Literal.negated.__set__
+
+
+class PredicateDecl(Record, frozen=True):
+    __slots__ = _fields = ("name", "param_types")
     name: str
     param_types: tuple[str, ...]
 
+    def __init__(self, name: str, param_types: tuple[str, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "param_types", param_types)
 
-@dataclass(frozen=True)
-class TaskDecl:
+
+class TaskDecl(Record, frozen=True):
     """An abstract (compound) task symbol with its parameter signature."""
 
+    __slots__ = _fields = ("name", "parameters")
     name: str
     parameters: tuple[tuple[str, str], ...]  # (?var, type)
 
+    def __init__(self, name: str, parameters: tuple[tuple[str, str], ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "parameters", parameters)
 
-@dataclass(frozen=True)
-class ActionAst:
+
+class ActionAst(Record, frozen=True):
+    __slots__ = _fields = ("name", "parameters", "precondition", "effect")
     name: str
     parameters: tuple[tuple[str, str], ...]
     precondition: tuple[Literal, ...]  # conjunction
     effect: tuple[Literal, ...]  # negated literals are deletes
 
+    def __init__(
+        self,
+        name: str,
+        parameters: tuple[tuple[str, str], ...],
+        precondition: tuple[Literal, ...],
+        effect: tuple[Literal, ...],
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "precondition", precondition)
+        object.__setattr__(self, "effect", effect)
 
-@dataclass(frozen=True)
-class MethodAst:
+
+class MethodAst(Record, frozen=True):
+    __slots__ = _fields = ("name", "parameters", "task", "precondition", "subtasks")
     name: str
     parameters: tuple[tuple[str, str], ...]
     task: TaskRef  # the abstract task this method decomposes
     precondition: tuple[Literal, ...]
     subtasks: tuple[TaskRef, ...]  # totally ordered
 
+    def __init__(
+        self,
+        name: str,
+        parameters: tuple[tuple[str, str], ...],
+        task: TaskRef,
+        precondition: tuple[Literal, ...],
+        subtasks: tuple[TaskRef, ...],
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "precondition", precondition)
+        object.__setattr__(self, "subtasks", subtasks)
 
-@dataclass(frozen=True)
-class DomainAst:
+
+class DomainAst(Record, frozen=True):
+    _fields = ("name", "requirements", "types", "predicates", "tasks", "actions", "methods")
+    __slots__ = (*_fields, "supertypes")
     name: str
     requirements: tuple[str, ...]
     types: tuple[tuple[str, str], ...]  # (type, parent)
@@ -68,11 +115,28 @@ class DomainAst:
     actions: tuple[ActionAst, ...]
     methods: tuple[MethodAst, ...]
 
-    # each type's supertypes, itself and object included, worked out once
-    supertypes: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    # each type's supertypes, itself and object included, worked out once;
+    # not a field, so neither compared nor shown
+    supertypes: dict[str, frozenset[str]]
 
-    def __post_init__(self) -> None:
-        parents = dict(self.types)
+    def __init__(
+        self,
+        name: str,
+        requirements: tuple[str, ...],
+        types: tuple[tuple[str, str], ...],
+        predicates: tuple[PredicateDecl, ...],
+        tasks: tuple[TaskDecl, ...],
+        actions: tuple[ActionAst, ...],
+        methods: tuple[MethodAst, ...],
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "requirements", requirements)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "predicates", predicates)
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "methods", methods)
+        parents = dict(types)
         supertypes = {
             t: frozenset(type_chain(parents, t)) for t in ("object", *parents, *parents.values())
         }
@@ -85,11 +149,27 @@ class DomainAst:
         return ancestor in self.supertypes.get(t, (t, "object"))
 
 
-@dataclass(frozen=True)
-class ProblemAst:
+class ProblemAst(Record, frozen=True):
+    __slots__ = _fields = ("name", "domain_name", "objects", "init", "htn", "goal")
     name: str
     domain_name: str
     objects: tuple[tuple[str, str], ...]  # (object, type)
     init: tuple[Atom, ...]
     htn: tuple[TaskRef, ...]  # the initial task network, in its total order
     goal: tuple[Literal, ...] | None
+
+    def __init__(
+        self,
+        name: str,
+        domain_name: str,
+        objects: tuple[tuple[str, str], ...],
+        init: tuple[Atom, ...],
+        htn: tuple[TaskRef, ...],
+        goal: tuple[Literal, ...] | None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "domain_name", domain_name)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "htn", htn)
+        object.__setattr__(self, "goal", goal)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from ..errors import GroundingError
+from ..record import Record
 from .ast import ActionAst, Atom, DomainAst, Literal, MethodAst, ProblemAst
 
 DEFAULT_INSTANCE_CAP = 10**6
@@ -23,14 +23,34 @@ DEFAULT_INSTANCE_CAP = 10**6
 GroundTask = tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class GroundAction:
+# Grounding makes an action or method per binding, so their __init__ set
+# each slot through its own descriptor, past the frozen __setattr__.
+
+
+class GroundAction(Record, frozen=True):
+    __slots__ = _fields = ("name", "args", "pos_pre", "neg_pre", "add_eff", "del_eff")
     name: str
     args: tuple[str, ...]
     pos_pre: frozenset[Atom]
     neg_pre: frozenset[Atom]
     add_eff: frozenset[Atom]
     del_eff: frozenset[Atom]
+
+    def __init__(
+        self,
+        name: str,
+        args: tuple[str, ...],
+        pos_pre: frozenset[Atom],
+        neg_pre: frozenset[Atom],
+        add_eff: frozenset[Atom],
+        del_eff: frozenset[Atom],
+    ) -> None:
+        _set_action_name(self, name)
+        _set_action_args(self, args)
+        _set_action_pos_pre(self, pos_pre)
+        _set_action_neg_pre(self, neg_pre)
+        _set_action_add_eff(self, add_eff)
+        _set_action_del_eff(self, del_eff)
 
     @property
     def task(self) -> GroundTask:
@@ -43,24 +63,65 @@ class GroundAction:
         return (state - self.del_eff) | self.add_eff
 
 
-@dataclass(frozen=True)
-class GroundMethod:
+_set_action_name = GroundAction.name.__set__
+_set_action_args = GroundAction.args.__set__
+_set_action_pos_pre = GroundAction.pos_pre.__set__
+_set_action_neg_pre = GroundAction.neg_pre.__set__
+_set_action_add_eff = GroundAction.add_eff.__set__
+_set_action_del_eff = GroundAction.del_eff.__set__
+
+
+class GroundMethod(Record, frozen=True):
+    __slots__ = _fields = ("name", "task", "pos_pre", "neg_pre", "subtasks")
     name: str
     task: GroundTask
     pos_pre: frozenset[Atom]
     neg_pre: frozenset[Atom]
     subtasks: tuple[GroundTask, ...]
 
+    def __init__(
+        self,
+        name: str,
+        task: GroundTask,
+        pos_pre: frozenset[Atom],
+        neg_pre: frozenset[Atom],
+        subtasks: tuple[GroundTask, ...],
+    ) -> None:
+        _set_method_name(self, name)
+        _set_method_task(self, task)
+        _set_method_pos_pre(self, pos_pre)
+        _set_method_neg_pre(self, neg_pre)
+        _set_method_subtasks(self, subtasks)
+
     def applicable(self, state: frozenset[Atom]) -> bool:
         return self.pos_pre <= state and not (self.neg_pre & state)
 
 
-@dataclass(frozen=True)
-class GroundTables:
+_set_method_name = GroundMethod.name.__set__
+_set_method_task = GroundMethod.task.__set__
+_set_method_pos_pre = GroundMethod.pos_pre.__set__
+_set_method_neg_pre = GroundMethod.neg_pre.__set__
+_set_method_subtasks = GroundMethod.subtasks.__set__
+
+
+class GroundTables(Record, frozen=True):
+    __slots__ = _fields = ("actions", "methods", "action_names", "instance_count")
     actions: dict[GroundTask, GroundAction]
     methods: dict[GroundTask, tuple[GroundMethod, ...]]  # source order per task
     action_names: frozenset[str]
     instance_count: int
+
+    def __init__(
+        self,
+        actions: dict[GroundTask, GroundAction],
+        methods: dict[GroundTask, tuple[GroundMethod, ...]],
+        action_names: frozenset[str],
+        instance_count: int,
+    ) -> None:
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "action_names", action_names)
+        object.__setattr__(self, "instance_count", instance_count)
 
     def is_primitive(self, task: GroundTask) -> bool:
         return task[0] in self.action_names

@@ -13,12 +13,12 @@ backtracking cuts the list back to the choice point's length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import PlanNotFound
 from ..hddl.ast import Atom, Literal
 from ..hddl.ground import GroundAction, GroundMethod, GroundTables, GroundTask
+from ..record import Record
 
 DEFAULT_DECOMPOSITION_BUDGET = 10**4
 
@@ -29,21 +29,35 @@ TEXT_INDENT_LEVELS = 8
 State = frozenset
 
 
-@dataclass(frozen=True)
-class PlanStats:
+class PlanStats(Record, frozen=True):
+    __slots__ = _fields = ("nodes_expanded", "decompositions")
     nodes_expanded: int
     decompositions: int
 
+    def __init__(self, nodes_expanded: int, decompositions: int) -> None:
+        object.__setattr__(self, "nodes_expanded", nodes_expanded)
+        object.__setattr__(self, "decompositions", decompositions)
 
-@dataclass(frozen=True)
-class Plan:
+
+class Plan(Record, frozen=True):
     """The primitive steps, and the decomposition tree as the search
     recorded it: in preorder, each node an applied action or method paired
     with its parent's index, None for a root."""
 
+    __slots__ = _fields = ("steps", "nodes", "stats")
     steps: tuple[GroundAction, ...]
     nodes: tuple[tuple[GroundAction | GroundMethod, int | None], ...]
     stats: PlanStats
+
+    def __init__(
+        self,
+        steps: tuple[GroundAction, ...],
+        nodes: tuple[tuple[GroundAction | GroundMethod, int | None], ...],
+        stats: PlanStats,
+    ) -> None:
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "stats", stats)
 
 
 def goal_satisfied(goal: Sequence[Literal] | None, state: State) -> bool:

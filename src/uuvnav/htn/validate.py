@@ -8,19 +8,24 @@ planner bug cannot vouch for itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..hddl.ast import Atom, Literal
 from ..hddl.ground import GroundTables, GroundTask
+from ..record import Record
 from .planner import DEFAULT_DECOMPOSITION_BUDGET, goal_satisfied
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record, frozen=True):
+    __slots__ = _fields = ("valid", "reason", "step_index")
     valid: bool
     reason: str
-    step_index: int | None = None
+    step_index: int | None
+
+    def __init__(self, valid: bool, reason: str, step_index: int | None = None) -> None:
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "step_index", step_index)
 
 
 def validate(

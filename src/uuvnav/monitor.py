@@ -19,34 +19,55 @@ original task network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import PlanNotFound
 from .hddl.ast import Literal
 from .hddl.ground import GroundAction, GroundTables, GroundTask
 from .htn.planner import plan
+from .record import Record
 from .sim.world import Projection, UUVState, WorldState, action_behaviour
 
 
-@dataclass(frozen=True, slots=True)
-class Expectation:
-    """A detection window for one beacon-approach leg of a plan."""
+class Expectation(Record, frozen=True):
+    """A detection window for one beacon-approach leg of a plan.  Each
+    plan and replan makes one per leg, so ``__init__`` sets the slots
+    through their own descriptors, past the frozen ``__setattr__``."""
 
+    __slots__ = _fields = ("uuv_id", "beacon_id", "earliest", "latest")
     uuv_id: str
     beacon_id: str
     earliest: float
     latest: float
 
+    def __init__(self, uuv_id: str, beacon_id: str, earliest: float, latest: float) -> None:
+        _set_uuv_id(self, uuv_id)
+        _set_beacon_id(self, beacon_id)
+        _set_earliest(self, earliest)
+        _set_latest(self, latest)
 
-@dataclass
-class PlanningSetup:
+
+_set_uuv_id = Expectation.uuv_id.__set__
+_set_beacon_id = Expectation.beacon_id.__set__
+_set_earliest = Expectation.earliest.__set__
+_set_latest = Expectation.latest.__set__
+
+
+class PlanningSetup(Record):
     """What a vehicle needs to replan: ground tables, its original
     task network, and the optional goal formula."""
 
-    tables: GroundTables
-    network: tuple[GroundTask, ...]
-    goal: Optional[Sequence[Literal]] = None
+    __slots__ = _fields = ("tables", "network", "goal")
+
+    def __init__(
+        self,
+        tables: GroundTables,
+        network: tuple[GroundTask, ...],
+        goal: Optional[Sequence[Literal]] = None,
+    ) -> None:
+        self.tables = tables
+        self.network = network
+        self.goal = goal
 
 
 def derive_expectations(

@@ -15,7 +15,6 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, TextIO
 
@@ -26,23 +25,32 @@ from ..geo import Point2D
 from ..hddl.ground import ground
 from ..hddl.parser import parse_domain, parse_problem
 from ..htn.planner import plan
+from ..record import Record
 from .world import EVENT_ORDER, Detection, Event, UUVState, WorldState, step
 
 EVENT_SCHEMA_VERSION = 1
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(Record):
     """A finished run.  ``tracks`` maps each vehicle id to its "true" and
     "estimated" lists of the vehicle's own ``Point2D`` positions, one per
     tick and the start: a vehicle that has not moved logs the same object
     again, and the two tracks hold the same object wherever truth and
     estimate were one."""
 
-    world: WorldState
-    events: list[Event | Detection]
-    tracks: dict[str, dict[str, list[Point2D]]]
-    summary: dict
+    __slots__ = _fields = ("world", "events", "tracks", "summary")
+
+    def __init__(
+        self,
+        world: WorldState,
+        events: list[Event | Detection],
+        tracks: dict[str, dict[str, list[Point2D]]],
+        summary: dict,
+    ) -> None:
+        self.world = world
+        self.events = events
+        self.tracks = tracks
+        self.summary = summary
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:

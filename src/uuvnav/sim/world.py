@@ -6,10 +6,11 @@ vehicles in range hear the pulses fired during the tick, and emits a
 deterministic event stream.  There is no hidden randomness: identical
 inputs produce identical event logs.
 
-The state is kept in slotted records (``WorldParams``, ``BeaconState``,
-``UUVState``, ``WorldState``), and the log in two: a ``Detection`` for
-each pulse a vehicle hears, which is most of a run's log, and an
-``Event`` with a payload dict for everything else.  Both carry
+The state is kept in mutable records, plain slotted classes on
+``record.Record`` (``WorldParams``, ``BeaconState``, ``UUVState``,
+``WorldState``), and the log in two: a ``Detection`` for each pulse a
+vehicle hears, which is most of a run's log, and an ``Event`` with a
+payload dict for everything else.  Both carry
 ``time``, ``kind``, ``subject`` and ``payload``, and a tick's log is
 sorted once by ``EVENT_ORDER``, (time, subject), stably.
 
@@ -35,37 +36,66 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..errors import SimulationError
 from ..geo import Point2D
 from ..hddl.ground import GroundAction
+from ..record import Record
 
 if TYPE_CHECKING:  # the monitor imports this module
     from ..monitor import Expectation, PlanningSetup
 
 
-@dataclass(slots=True)
-class WorldParams:
+class WorldParams(Record):
     """Physical and scheduling constants shared by every vehicle.
     ``step_cap`` counts ticks, not seconds."""
 
-    tick: float = 1.0
-    step_cap: int = 5000
-    uuv_speed: float = 2.0
-    acoustic_range: float = 2000.0
-    comm_range: float = 2000.0
-    pulse_period: float = 10.0
-    drift_rate: float = 0.02
-    arrival_tolerance: float = 25.0
-    standoff_radius: float = 50.0
-    localization_floor: float = 5.0
-    initial_uncertainty: float = 100.0
-    margin_base: float = 0.5
-    current: tuple[float, float] = (0.0, 0.0)
+    __slots__ = _fields = (
+        "tick",
+        "step_cap",
+        "uuv_speed",
+        "acoustic_range",
+        "comm_range",
+        "pulse_period",
+        "drift_rate",
+        "arrival_tolerance",
+        "standoff_radius",
+        "localization_floor",
+        "initial_uncertainty",
+        "margin_base",
+        "current",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        tick: float = 1.0,
+        step_cap: int = 5000,
+        uuv_speed: float = 2.0,
+        acoustic_range: float = 2000.0,
+        comm_range: float = 2000.0,
+        pulse_period: float = 10.0,
+        drift_rate: float = 0.02,
+        arrival_tolerance: float = 25.0,
+        standoff_radius: float = 50.0,
+        localization_floor: float = 5.0,
+        initial_uncertainty: float = 100.0,
+        margin_base: float = 0.5,
+        current: tuple[float, float] = (0.0, 0.0),
+    ) -> None:
+        self.tick = tick
+        self.step_cap = step_cap
+        self.uuv_speed = uuv_speed
+        self.acoustic_range = acoustic_range
+        self.comm_range = comm_range
+        self.pulse_period = pulse_period
+        self.drift_rate = drift_rate
+        self.arrival_tolerance = arrival_tolerance
+        self.standoff_radius = standoff_radius
+        self.localization_floor = localization_floor
+        self.initial_uncertainty = initial_uncertainty
+        self.margin_base = margin_base
+        self.current = current
         # written as "not >" so that NaN fails each check too
         for name in ("tick", "step_cap", "pulse_period", "standoff_radius"):
             if not getattr(self, name) > 0:
@@ -124,13 +154,22 @@ class WorldParams:
         return self.step_cap * self.tick / pulse_period
 
 
-@dataclass(slots=True)
-class BeaconState:
-    id: str
-    position: Point2D
-    active: bool = True
-    acoustic_range: float = 2000.0
-    pulse_period: float = 10.0
+class BeaconState(Record):
+    __slots__ = _fields = ("id", "position", "active", "acoustic_range", "pulse_period")
+
+    def __init__(
+        self,
+        id: str,
+        position: Point2D,
+        active: bool = True,
+        acoustic_range: float = 2000.0,
+        pulse_period: float = 10.0,
+    ) -> None:
+        self.id = id
+        self.position = position
+        self.active = active
+        self.acoustic_range = acoustic_range
+        self.pulse_period = pulse_period
 
 
 def pulse_fires(tick_number: int, tick: float, period: float) -> bool:
@@ -191,54 +230,94 @@ class BeaconGrid:
         return found
 
 
-@dataclass(slots=True)
-class UUVState:
-    id: str
-    true_position: Point2D
-    estimated_position: Point2D
-    position_uncertainty: float
-    heading: float
-    queue: list[GroundAction] = field(default_factory=list)
-    belief: set[tuple[str, ...]] = field(default_factory=set)
-    status: str = "active"
-    # Ticks the current action has run, 0 until it starts; a circle fix
-    # starts at the angle set on its first tick.
-    action_ticks: int = 0
-    circle_start: float = 0.0
-    broadcast_target: Optional[Point2D] = None
-    replan_count: int = 0
-    last_detection: dict[str, int] = field(default_factory=dict)  # beacon id -> tick
-    # The monitor's open detection windows, in plan order, and what the
-    # vehicle needs to replan.
-    expectations: list[Expectation] = field(default_factory=list)
-    setup: Optional[PlanningSetup] = None
+class UUVState(Record):
+    __slots__ = _fields = (
+        "id",
+        "true_position",
+        "estimated_position",
+        "position_uncertainty",
+        "heading",
+        "queue",
+        "belief",
+        "status",
+        "action_ticks",
+        "circle_start",
+        "broadcast_target",
+        "replan_count",
+        "last_detection",
+        "expectations",
+        "setup",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        true_position: Point2D,
+        estimated_position: Point2D,
+        position_uncertainty: float,
+        heading: float,
+        queue: Optional[list[GroundAction]] = None,
+        belief: Optional[set[tuple[str, ...]]] = None,
+        status: str = "active",
+        action_ticks: int = 0,
+        circle_start: float = 0.0,
+        broadcast_target: Optional[Point2D] = None,
+        replan_count: int = 0,
+        last_detection: Optional[dict[str, int]] = None,
+        expectations: Optional[list[Expectation]] = None,
+        setup: Optional[PlanningSetup] = None,
+    ) -> None:
+        # each container left out is a new empty one
+        self.id = id
+        self.true_position = true_position
+        self.estimated_position = estimated_position
+        self.position_uncertainty = position_uncertainty
+        self.heading = heading
+        self.queue = [] if queue is None else queue
+        self.belief = set() if belief is None else belief
+        self.status = status
+        # Ticks the current action has run, 0 until it starts; a circle fix
+        # starts at the angle set on its first tick.
+        self.action_ticks = action_ticks
+        self.circle_start = circle_start
+        self.broadcast_target = broadcast_target
+        self.replan_count = replan_count
+        self.last_detection = {} if last_detection is None else last_detection  # id -> tick
+        # The monitor's open detection windows, in plan order, and what the
+        # vehicle needs to replan.
+        self.expectations = [] if expectations is None else expectations
+        self.setup = setup
 
     def heard(self, beacon_id: str, tick_number: int) -> bool:
         """True when the vehicle heard this beacon on this tick."""
         return self.last_detection.get(beacon_id) == tick_number
 
 
-@dataclass(slots=True)
-class Event:
+class Event(Record):
     """One timestamped occurrence in the simulation log."""
 
-    time: float
-    kind: str
-    subject: str
-    payload: dict
+    __slots__ = _fields = ("time", "kind", "subject", "payload")
+
+    def __init__(self, time: float, kind: str, subject: str, payload: dict) -> None:
+        self.time = time
+        self.kind = kind
+        self.subject = subject
+        self.payload = payload
 
 
-@dataclass(slots=True)
-class Detection:
+class Detection(Record):
     """A vehicle heard a beacon's pulse: the event the detection scan
     logs, one per vehicle and beacon heard, with the fields of an
     ``Event`` of kind ``detection`` and that event's payload."""
 
-    time: float
-    subject: str
-    beacon: str
-    range: float
-    kind: ClassVar[str] = "detection"
+    __slots__ = _fields = ("time", "subject", "beacon", "range")
+    kind = "detection"
+
+    def __init__(self, time: float, subject: str, beacon: str, range: float) -> None:
+        self.time = time
+        self.subject = subject
+        self.beacon = beacon
+        self.range = range
 
     @property
     def payload(self) -> dict:
@@ -250,24 +329,30 @@ class Detection:
 EVENT_ORDER = operator.attrgetter("time", "subject")
 
 
-@dataclass(slots=True)
-class WorldState:
+class WorldState(Record):
     """The fleet, the beacon table (keyed by id, in chart order), and the
     log of the tick in progress.  ``periods`` holds the chart's distinct
     pulse periods and ``grid`` its beacons by cell, both taken once when
-    the world is made."""
+    the world is made; they are not fields, so neither compared nor shown."""
 
-    uuvs: list[UUVState]
-    beacons: dict[str, BeaconState]
-    params: WorldParams
-    ticks_run: int = 0
-    events: list[Event | Detection] = field(default_factory=list)
-    periods: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    grid: BeaconGrid = field(init=False, repr=False, compare=False)
+    _fields = ("uuvs", "beacons", "params", "ticks_run", "events")
+    __slots__ = (*_fields, "periods", "grid")
 
-    def __post_init__(self) -> None:
-        self.periods = tuple(dict.fromkeys(b.pulse_period for b in self.beacons.values()))
-        self.grid = BeaconGrid(self.beacons.values())
+    def __init__(
+        self,
+        uuvs: list[UUVState],
+        beacons: dict[str, BeaconState],
+        params: WorldParams,
+        ticks_run: int = 0,
+        events: Optional[list[Event | Detection]] = None,
+    ) -> None:
+        self.uuvs = uuvs
+        self.beacons = beacons
+        self.params = params
+        self.ticks_run = ticks_run
+        self.events = [] if events is None else events
+        self.periods = tuple(dict.fromkeys(b.pulse_period for b in beacons.values()))
+        self.grid = BeaconGrid(beacons.values())
 
     @property
     def sim_time(self) -> float:
@@ -472,8 +557,7 @@ def _tick_await(uuv: UUVState, world: WorldState) -> None:
         _complete_action(uuv, world)
 
 
-@dataclass(slots=True)
-class Projection:
+class Projection(Record):
     """The monitor's running projection of one vehicle through its plan.
 
     ``time``, ``position`` and ``uncertainty`` are where the next step is
@@ -482,10 +566,15 @@ class Projection:
     action expects to hear the beacon named by its second argument, or None.
     """
 
-    world: WorldState
-    time: float
-    position: Point2D
-    uncertainty: float
+    __slots__ = _fields = ("world", "time", "position", "uncertainty")
+
+    def __init__(
+        self, world: WorldState, time: float, position: Point2D, uncertainty: float
+    ) -> None:
+        self.world = world
+        self.time = time
+        self.position = position
+        self.uncertainty = uncertainty
 
     def _move(self, beacon: BeaconState) -> tuple[float, float]:
         """Advance to the beacon at cruise speed; return the leg's distance
@@ -533,8 +622,7 @@ class Projection:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class ActionBehaviour:
+class ActionBehaviour(Record, frozen=True):
     """One plan action, as the executor runs it and the monitor projects it.
 
     ``tick`` runs on every tick the action is current, after that tick's
@@ -544,9 +632,20 @@ class ActionBehaviour:
     cannot be projected.
     """
 
+    __slots__ = _fields = ("tick", "project", "after_detection")
     tick: Callable[[UUVState, WorldState], None]
     project: Optional[Callable[[Projection, GroundAction], Optional[tuple[float, float]]]]
-    after_detection: bool = False
+    after_detection: bool
+
+    def __init__(
+        self,
+        tick: Callable[[UUVState, WorldState], None],
+        project: Optional[Callable[[Projection, GroundAction], Optional[tuple[float, float]]]],
+        after_detection: bool = False,
+    ) -> None:
+        object.__setattr__(self, "tick", tick)
+        object.__setattr__(self, "project", project)
+        object.__setattr__(self, "after_detection", after_detection)
 
 
 ACTIONS: dict[str, ActionBehaviour] = {

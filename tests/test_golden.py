@@ -1,6 +1,6 @@
 """Golden outputs: ``simulate`` on the bundled scenarios, the README's
-``deploy`` command and ``plan`` of every bundled problem are pinned byte
-for byte.
+``deploy`` command, ``plan`` of every bundled problem and ``validate`` of
+the mission problem's plan are pinned byte for byte.
 
 A change that is meant to keep behaviour, such as a refactor, must leave
 these digests alone.  A change that alters the outputs on purpose updates
@@ -8,6 +8,7 @@ them and says why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -199,3 +200,33 @@ def test_plan_outputs_match_golden_digests(problem, fmt, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PLAN_GOLDEN[problem][fmt]
+
+
+# uuvnav validate --domain domains/uuv-nav.hddl --problem scenarios/problems/uuv1-mission.hddl
+#     --plan <plan>, where <plan> is the problem's own plan as plan --format json
+#     writes it, or that plan with its first step dropped; stdout, byte for byte
+VALIDATE_GOLDEN = {
+    "own-plan": b'{"reason": "plan is valid", "step_index": null, "valid": true}\n',
+    "first-step-dropped": (
+        b'{"reason": "precondition of step 0 (sense-beacon uuv1 b6) not satisfied",'
+        b' "step_index": 0, "valid": false}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_GOLDEN))
+def test_validate_stdout_matches_golden_bytes(case, tmp_path, capsys):
+    mission = [
+        "--domain", str(SCENARIOS.parent / "domains" / "uuv-nav.hddl"),
+        "--problem", str(SCENARIOS / "problems" / "uuv1-mission.hddl"),
+    ]
+    plan_path = tmp_path / "plan.json"
+    assert main(["plan", *mission, "--format", "json", "--out", str(plan_path)]) == 0
+    if case == "first-step-dropped":
+        doc = json.loads(plan_path.read_text())
+        doc["steps"] = doc["steps"][1:]
+        plan_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["validate", *mission, "--plan", str(plan_path)])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == VALIDATE_GOLDEN[case]

@@ -1,6 +1,5 @@
 import math
 import struct
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,12 @@ from uuvnav.sim.world import (
 REPO = Path(__file__).resolve().parent.parent
 DOMAIN_PATH = REPO / "domains" / "uuv-nav.hddl"
 SCENARIOS = REPO / "scenarios"
+
+
+def replace(record, **changes):
+    """A copy of a record whose ``__init__`` takes its ``_fields``, with
+    ``changes`` made."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
 
 
 def act(name, *args, pre=(), add=(), delete=()):
@@ -138,7 +143,7 @@ class TestParams:
 
     @pytest.mark.parametrize(
         "name, value",
-        [(f.name, math.nan) for f in fields(WorldParams) if f.name != "current"]
+        [(name, math.nan) for name in WorldParams._fields if name != "current"]
         + [("current", (math.nan, 0.0)), ("current", (0.0, math.nan))],
     )
     def test_nan_is_refused_naming_the_field(self, name, value):

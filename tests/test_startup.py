@@ -1,9 +1,13 @@
 """What each command loads: numpy only for ``deploy`` and PyYAML only
 for ``simulate``, so the other commands start without either, and no
-command loads the HDDL printer.
+command loads the HDDL printer.  Importing ``uuvnav.cli`` loads neither
+``dataclasses`` nor ``inspect``, since every record is a plain slotted
+class.
 
 Each README command runs on the bundled inputs in a fresh interpreter,
-which then lists ``sys.modules``.
+which then lists ``sys.modules``.  The import check diffs ``sys.modules``
+around the import in a fresh interpreter, so a module that a site hook
+loads before it does not count.
 """
 
 import hashlib
@@ -27,6 +31,13 @@ RUN_AND_LIST_MODULES = (
     "code = main(sys.argv[1:])\n"
     "print()\n"
     "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+)
+
+IMPORT_AND_LIST_NEW_MODULES = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "import uuvnav.cli\n"
+    "print(json.dumps(sorted(set(sys.modules) - before)))\n"
 )
 
 HDDL = ["--domain", "domains/uuv-nav.hddl", "--problem", "scenarios/problems/uuv1-mission.hddl"]
@@ -60,12 +71,18 @@ def readme_commands(out: Path) -> dict[str, list[str]]:
     }
 
 
+def package_env() -> dict[str, str]:
+    """The environment, with the package under test first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE_ROOT), env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Each README command's exit code and loaded modules, by command."""
     out = tmp_path_factory.mktemp("readme")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE_ROOT), env.get("PYTHONPATH"))))
+    env = package_env()
     results = {}
     for name, argv in readme_commands(out).items():
         done = subprocess.run(
@@ -108,3 +125,15 @@ def test_deploy_loads_numpy_and_writes_the_golden_bytes(runs):
 def test_no_command_loads_the_hddl_printer(runs):
     for command, result in runs[1].items():
         assert "uuvnav.hddl.printer" not in result["modules"], command
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_AND_LIST_NEW_MODULES],
+        cwd=REPO, env=package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "uuvnav.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
