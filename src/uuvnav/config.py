@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any, Optional
 
 from .errors import GeoJsonError, InputError, SimulationError
-from .geo import Point2D
+from .geo import Point2D, point_beyond_limit
 from .record import Record
-from .sim.world import BeaconState, WorldParams
+from .sim.world import BeaconState, WorldParams, outside_limits
 
 
 def read_input(path: str | Path, what: str) -> str:
@@ -96,13 +97,32 @@ def _is_finite_number(value: Any) -> bool:
     )
 
 
+# PyYAML reads YAML 1.1, whose floats need a point in the mantissa and a
+# sign in the exponent: 2e3 and 1e0 are text there.  Compiled on the first
+# error that needs it, not at start-up.
+_EXPONENT = r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)"
+
+
+def _text_hint(value: Any) -> str:
+    """For a number in exponent form that YAML 1.1 read as text: a
+    spelling of it that YAML reads as a float."""
+    match = isinstance(value, str) and re.fullmatch(_EXPONENT, value)
+    if not match:
+        return ""
+    digits, point, sign, exponent = match.groups()
+    spelled = f"{digits}{point or '.0'}e{sign or '+'}{exponent}"
+    return f"; YAML 1.1 reads {value} as text, so write it as {spelled}"
+
+
 def _as_point(value: Any, context: str) -> Point2D:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(_is_finite_number(c) for c in value)
     ):
-        raise InputError(f"{context}: expected [x, y], got {value!r}")
+        hints = map(_text_hint, value) if isinstance(value, (list, tuple)) else ()
+        hint = next(filter(None, hints), "")
+        raise InputError(f"{context}: expected [x, y], got {value!r}{hint}")
     return Point2D(float(value[0]), float(value[1]))
 
 
@@ -200,7 +220,9 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"world.{name} must be an integer, got {value!r}")
         elif not _is_finite_number(value):
-            raise InputError(f"world.{name} must be a finite number, got {value!r}")
+            raise InputError(
+                f"world.{name} must be a finite number, got {value!r}{_text_hint(value)}"
+            )
         values[name] = type(getattr(defaults, name))(value)
     try:
         world = WorldParams(**values, current=(current_pt.x, current_pt.y))
@@ -223,6 +245,9 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
             raise InputError(f"duplicate vehicle id {uuv_id!r}")
         seen_ids.add(uuv_id)
         start = _as_point(_require(entry, "start", where), f"uuvs[{i}].start")
+        fault = point_beyond_limit(start.x, start.y)
+        if fault:
+            raise InputError(f"uuvs[{i}].start {fault}")
         problem = _resolve(base, _require(entry, "problem", where), f"uuvs[{i}].problem")
         uuvs.append(UuvSpec(id=uuv_id, start=start, problem=problem))
 
@@ -243,9 +268,10 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
 def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list[BeaconState]:
     """Read a beacon chart from a GeoJSON FeatureCollection of points.
 
-    Each feature needs an ``id`` property; ``active``, ``acoustic_range``
-    (>= 0) and ``pulse_period`` (> 0) are optional overrides, defaulting to
-    the world parameters.  The ``beacon-links`` feature that ``deploy``
+    Each feature needs an ``id`` property and a point within the
+    coordinate limit; ``active``, ``acoustic_range`` and ``pulse_period``
+    are optional overrides, defaulting to the world parameters and held to
+    the same limits.  The ``beacon-links`` feature that ``deploy``
     writes is skipped, so a constellation can be read as a chart.
     """
     params = params or WorldParams()
@@ -282,6 +308,10 @@ def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
             or not all(_is_finite_number(c) for c in coords[:2])
         ):
             raise GeoJsonError(f"feature {i} has malformed coordinates")
+        x, y = float(coords[0]), float(coords[1])
+        fault = point_beyond_limit(x, y)
+        if fault:
+            raise GeoJsonError(f"feature {i} {fault}")
         beacon_id = props.get("id")
         if not isinstance(beacon_id, str) or not beacon_id:
             raise GeoJsonError(f"feature {i} is missing an 'id' property")
@@ -296,20 +326,14 @@ def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
             value = props.get(key, getattr(params, key))
             if not _is_finite_number(value):
                 raise GeoJsonError(f"feature {i} {key!r} must be a finite number, got {value!r}")
+            fault = outside_limits(key, value)
+            if fault:
+                raise GeoJsonError(f"feature {i} {fault}")
             overrides[key] = float(value)
-        if overrides["pulse_period"] <= 0:
-            raise GeoJsonError(f"feature {i} 'pulse_period' must be positive")
-        if not math.isfinite(params.run_pulses(overrides["pulse_period"])):
-            raise GeoJsonError(
-                f"feature {i} 'pulse_period' {overrides['pulse_period']!r} gives a pulse count"
-                " over the run (step_cap × tick / pulse_period) that is not finite"
-            )
-        if overrides["acoustic_range"] < 0:
-            raise GeoJsonError(f"feature {i} 'acoustic_range' must be non-negative")
         beacons.append(
             BeaconState(
                 id=beacon_id,
-                position=Point2D(float(coords[0]), float(coords[1])),
+                position=Point2D(x, y),
                 active=active,
                 **overrides,
             )

@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from .errors import InputError
-from .geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon
+from .geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon, equal_with_arrays
 from .record import Record
 
 ETA = 0.5  # weight-update step size
@@ -67,6 +67,8 @@ class CellAssignment(Record, frozen=True):
     cell_rows/cell_cols index into the grid; site_of[i] is the owning site
     of cell i. Arrays are parallel and read-only.
     """
+
+    __eq__ = equal_with_arrays
 
     __slots__ = _fields = ("cell_rows", "cell_cols", "site_of", "n_sites")
     cell_rows: np.ndarray

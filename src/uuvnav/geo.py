@@ -11,12 +11,29 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import GeoJsonError, GridFormatError
 from .record import Record
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+# Every coordinate read (a grid corner, an area vertex, a beacon, a start)
+# lies within this many metres of the origin on each axis: UTM northings
+# load, and no sum or product of coordinates the program forms overflows.
+COORDINATE_LIMIT = 1e7
+CELLSIZE_LIMITS = (1e-3, 1e5)  # m
+
+
+def beyond_coordinate_limit(name: str, value: float) -> Optional[str]:
+    """None for a coordinate within ±COORDINATE_LIMIT, else a message naming it."""
+    if -COORDINATE_LIMIT <= value <= COORDINATE_LIMIT:  # NaN fails
+        return None
+    return f"{name} {value!r} lies beyond the coordinate limit of ±{COORDINATE_LIMIT:g} m"
+
+
+def point_beyond_limit(x: float, y: float) -> Optional[str]:
+    return beyond_coordinate_limit("x", x) or beyond_coordinate_limit("y", y)
 
 
 class Point2D(Record, frozen=True):
@@ -46,12 +63,24 @@ _set_x = Point2D.x.__set__
 _set_y = Point2D.y.__set__
 
 
+def equal_with_arrays(a: Record, b: object) -> bool:
+    """Record equality that compares each field by ``np.array_equal``, so an
+    array is compared whole; a class that takes it as ``__eq__`` is unhashable."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    import numpy as np
+
+    return all(map(np.array_equal, a._values(a), b._values(b)))
+
+
 class BathymetryGrid(Record, frozen=True):
     """Raster of water depths; row 0 is the top (northernmost) row.
 
     origin_x / origin_y are the lower-left corner of the raster, matching
     the ESRI ASCII convention.
     """
+
+    __eq__ = equal_with_arrays
 
     __slots__ = _fields = (
         "origin_x", "origin_y", "cell_size", "n_rows", "n_cols", "depth", "nodata_value"
@@ -130,16 +159,6 @@ class MissionPolygon(Record, frozen=True):
             a, b = verts[i], verts[(i + 1) % n]
             if a.x == b.x and a.y == b.y:
                 raise ValueError(f"consecutive duplicate vertex at index {i}")
-        # The crossing test multiplies coordinate differences, which are
-        # bounded by the extent; past the float range its signs are wrong.
-        extent = max(
-            max(v.x for v in verts) - min(v.x for v in verts),
-            max(v.y for v in verts) - min(v.y for v in verts),
-        )
-        if not math.isfinite(extent * extent):
-            raise ValueError(
-                f"coordinate extent {extent!r} m is too large: its square is not finite"
-            )
         for i in range(n):
             for j in range(i + 1, n):
                 # skip edges sharing a vertex
@@ -229,8 +248,9 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
     uneven width, ``1_0`` and non-ASCII digits.
     """
     header: dict[str, float] = {}
+    line_of: dict[str, int] = {}
     lines = text.splitlines()
-    body_line = cellsize_line = 0
+    body_line = 0
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
@@ -254,10 +274,13 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
             if key in ("ncols", "nrows") and not (value > 0 and value.is_integer()):
                 raise GridFormatError(f"{key} must be a positive integer, got {tokens[1]!r}", line_no)
             if key == "cellsize":
-                if value <= 0:
-                    raise GridFormatError(f"cellsize must be > 0, got {tokens[1]!r}", line_no)
-                cellsize_line = line_no
+                least, most = CELLSIZE_LIMITS
+                if not least <= value <= most:
+                    raise GridFormatError(
+                        f"cellsize must lie in [{least:g}, {most:g}] m, got {tokens[1]!r}", line_no
+                    )
             header[key] = value
+            line_of[key] = line_no
         else:  # the first data line
             body_line = line_no
             break
@@ -273,11 +296,15 @@ def load_ascii_grid(text: str) -> BathymetryGrid:
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
     size = header["cellsize"]
-    far_corner = (header["xllcorner"] + n_cols * size, header["yllcorner"] + n_rows * size)
-    if not all(math.isfinite(v) for v in (size * size, *far_corner)):
-        raise GridFormatError(
-            f"cellsize {size!r} gives a non-finite cell area or grid extent", cellsize_line
-        )
+    # both corners, the far one at the line of the count that puts it there
+    for corner, count, n in (("xllcorner", "ncols", n_cols), ("yllcorner", "nrows", n_rows)):
+        near, far = header[corner], header[corner] + n * size
+        fault = beyond_coordinate_limit(corner, near)
+        if fault:
+            raise GridFormatError(fault, line_of[corner])
+        fault = beyond_coordinate_limit(f"{corner} + {count} × cellsize", far)
+        if fault:
+            raise GridFormatError(fault, line_of[count])
     expected = n_rows * n_cols
     if len(values) != expected:
         raise GridFormatError(
@@ -373,9 +400,13 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
                 f"bad ring coordinates: vertex {i} has {len(position)} numbers, expected 2"
             )
         try:
-            verts.append(Point2D(float(position[0]), float(position[1])))
+            vertex = Point2D(float(position[0]), float(position[1]))
         except (TypeError, ValueError) as exc:
             raise GeoJsonError(f"bad ring coordinates: {exc} (vertex {i})") from None
+        fault = point_beyond_limit(vertex.x, vertex.y)
+        if fault:
+            raise GeoJsonError(f"bad ring coordinates: vertex {i} {fault}")
+        verts.append(vertex)
     try:
         return MissionPolygon(tuple(verts))
     except ValueError as exc:

@@ -14,11 +14,11 @@ payload dict for everything else.  Both carry
 ``time``, ``kind``, ``subject`` and ``payload``, and a tick's log is
 sorted once by ``EVENT_ORDER``, (time, subject), stably.
 
+Every world lies in one envelope, checked where input enters the
+program (``PARAMS`` below, and ``geo.COORDINATE_LIMIT``), so no quantity
+a run computes can overflow and the code here carries no guard for it.
 A vehicle hears only the beacons in the 3 × 3 block of grid cells round
-its own (``BeaconGrid``).  The cell side is the chart's largest acoustic
-range times 1 + 2**-20, a margin that float rounding cannot use up while
-both coordinates lie within side × 2**20 of the origin; a vehicle beyond
-that bound scans the whole chart.
+its own (``BeaconGrid``), a rule that holds anywhere in the envelope.
 
 Vehicles navigate by dead reckoning.  The true position integrates the
 commanded velocity plus the ambient current; the estimated position
@@ -47,111 +47,66 @@ if TYPE_CHECKING:  # the monitor imports this module
     from ..monitor import Expectation, PlanningSetup
 
 
+# Each world value: its default and the [least, most] of its envelope.
+# With every coordinate read within geo.COORDINATE_LIMIT, the speed of the
+# current within CURRENT_LIMIT and a run's reach within REACH_LIMIT, no
+# quantity a run computes can overflow.
+PARAMS = {
+    "tick": (1.0, 1e-3, 3600.0),  # s
+    "step_cap": (5000, 1, 10_000_000),  # ticks, not seconds
+    "uuv_speed": (2.0, 1e-3, 100.0),  # m/s
+    "acoustic_range": (2000.0, 0.0, 1e6),  # m
+    "comm_range": (2000.0, 0.0, 1e6),  # m
+    "pulse_period": (10.0, 1e-3, 1e6),  # s
+    "drift_rate": (0.02, 0.0, 1e3),  # m of uncertainty per m travelled
+    "arrival_tolerance": (25.0, 0.0, 1e6),  # m
+    "standoff_radius": (50.0, 1e-3, 1e6),  # m
+    "localization_floor": (5.0, 0.0, 1e6),  # m
+    "initial_uncertainty": (100.0, 0.0, 1e6),  # m
+    "margin_base": (0.5, 0.0, 1e3),
+}
+CURRENT_LIMIT = 100.0  # m/s
+REACH_LIMIT = 1e7  # m: (uuv_speed + |current|) × tick × step_cap
+
+
+def outside_limits(name: str, value: float) -> Optional[str]:
+    """None for a value within its envelope in PARAMS, else a message naming it."""
+    _, least, most = PARAMS[name]
+    if least <= value <= most:  # NaN fails
+        return None
+    return f"{name} must lie in [{least:g}, {most:g}], got {value!r}"
+
+
 class WorldParams(Record):
-    """Physical and scheduling constants shared by every vehicle.
-    ``step_cap`` counts ticks, not seconds."""
+    """Physical and scheduling constants shared by every vehicle: each
+    value of PARAMS, given by keyword or left at its default, and the
+    ambient ``current`` as (x, y) in m/s."""
 
-    __slots__ = _fields = (
-        "tick",
-        "step_cap",
-        "uuv_speed",
-        "acoustic_range",
-        "comm_range",
-        "pulse_period",
-        "drift_rate",
-        "arrival_tolerance",
-        "standoff_radius",
-        "localization_floor",
-        "initial_uncertainty",
-        "margin_base",
-        "current",
-    )
+    __slots__ = _fields = (*PARAMS, "current")
 
-    def __init__(
-        self,
-        tick: float = 1.0,
-        step_cap: int = 5000,
-        uuv_speed: float = 2.0,
-        acoustic_range: float = 2000.0,
-        comm_range: float = 2000.0,
-        pulse_period: float = 10.0,
-        drift_rate: float = 0.02,
-        arrival_tolerance: float = 25.0,
-        standoff_radius: float = 50.0,
-        localization_floor: float = 5.0,
-        initial_uncertainty: float = 100.0,
-        margin_base: float = 0.5,
-        current: tuple[float, float] = (0.0, 0.0),
-    ) -> None:
-        self.tick = tick
-        self.step_cap = step_cap
-        self.uuv_speed = uuv_speed
-        self.acoustic_range = acoustic_range
-        self.comm_range = comm_range
-        self.pulse_period = pulse_period
-        self.drift_rate = drift_rate
-        self.arrival_tolerance = arrival_tolerance
-        self.standoff_radius = standoff_radius
-        self.localization_floor = localization_floor
-        self.initial_uncertainty = initial_uncertainty
-        self.margin_base = margin_base
+    def __init__(self, current: tuple[float, float] = (0.0, 0.0), **values: float) -> None:
+        unknown = values.keys() - PARAMS.keys()
+        if unknown:
+            raise TypeError(f"unknown world parameter(s): {', '.join(sorted(unknown))}")
+        for name, (default, _, _) in PARAMS.items():
+            value = values.get(name, default)
+            fault = outside_limits(name, value)
+            if fault:
+                raise SimulationError(fault)
+            setattr(self, name, value)
         self.current = current
-        # written as "not >" so that NaN fails each check too
-        for name in ("tick", "step_cap", "pulse_period", "standoff_radius"):
-            if not getattr(self, name) > 0:
-                raise SimulationError(f"{name} must be positive")
-        for name in (
-            "acoustic_range",
-            "comm_range",
-            "drift_rate",
-            "arrival_tolerance",
-            "localization_floor",
-            "initial_uncertainty",
-            "margin_base",
-        ):
-            if not getattr(self, name) >= 0:
-                raise SimulationError(f"{name} must be non-negative")
-        if not all(map(math.isfinite, self.current)):
-            raise SimulationError("current must be finite")
-        # the distance a tick moves a vehicle, which every leg and circle
-        # divides by; a speed so small that it underflows is no speed at all
-        step = self.uuv_speed * self.tick
-        if not step > 0:
+        current_speed = math.hypot(*current)
+        if not current_speed <= CURRENT_LIMIT:
             raise SimulationError(
-                f"uuv_speed {self.uuv_speed!r} and tick {self.tick!r} give a step per tick"
-                " (uuv_speed × tick) that is not positive"
+                f"current must have a norm of at most {CURRENT_LIMIT:g} m/s, got {current!r}"
             )
-        # one lap of the standoff circle: its length, its angle per tick and
-        # its ticks, as _circle_ticks and _tick_circle compute them
-        lap = 2.0 * math.pi * self.standoff_radius
-        if not (
-            math.isfinite(lap)
-            and math.isfinite(self.uuv_speed / self.standoff_radius * self.tick)
-            and math.isfinite(lap / step)
-        ):
+        reach = (self.uuv_speed + current_speed) * self.tick * self.step_cap
+        if reach > REACH_LIMIT:
             raise SimulationError(
-                f"standoff_radius {self.standoff_radius!r} gives a circle time or"
-                " angular rate that is not finite"
+                f"step_cap {self.step_cap!r} and tick {self.tick!r} give a reach (uuv_speed"
+                f" + |current|) × tick × step_cap of {reach!r} m, above its limit of"
+                f" {REACH_LIMIT:g} m"
             )
-        # the most a run of step_cap ticks can reach: the pulse count that
-        # pulse_fires floors, and the uncertainty that _move_towards
-        # accrues at full speed
-        if not math.isfinite(self.run_pulses(self.pulse_period)):
-            raise SimulationError(
-                f"tick {self.tick!r} and pulse_period {self.pulse_period!r} give a pulse"
-                " count over the run (step_cap × tick / pulse_period) that is not finite"
-            )
-        drift = self.drift_rate * self.uuv_speed * self.tick * self.step_cap
-        if not math.isfinite(self.initial_uncertainty + drift):
-            raise SimulationError(
-                f"drift_rate {self.drift_rate!r} and uuv_speed {self.uuv_speed!r} give a"
-                " position uncertainty over the run (initial_uncertainty + drift_rate"
-                " × uuv_speed × tick × step_cap) that is not finite"
-            )
-
-    def run_pulses(self, pulse_period: float) -> float:
-        """The pulses a beacon of this period fires in step_cap ticks."""
-        return self.step_cap * self.tick / pulse_period
 
 
 class BeaconState(Record):
@@ -185,40 +140,33 @@ class BeaconGrid:
     as ``(beacon, x, y)``; positions and ranges are taken once.
 
     A beacon sits in cell (floor(x / side), floor(y / side)).  The side is
-    the largest acoustic range, at least 1 m, times 1 + 2**-20.  A heard
+    the largest acoustic range, at least 32 m, times 1 + 2**-20.  A heard
     beacon is within its range, times 1 + 4 × 2**-53 for the rounding of
-    the difference and of hypot, of the vehicle on each axis.  While the
-    vehicle's |x| and |y| are at most side × 2**20, each quotient is off
-    by at most 2**-33, so a heard beacon's quotient differs from the
-    vehicle's by less than 1 - 2**-21, and its cell by at most one.
+    the difference and of hypot, of the vehicle on each axis.  The envelope
+    keeps every position a run reaches within 1e7 + 1e6 + 1e7 m of the
+    origin on each axis: a start or a beacon lies within 1e7 m, a standoff
+    circle within 1e6 m of its beacon, and a run moves a vehicle by at most
+    its reach, 1e7 m.  That is less than 32 × 2**20 m, so |x| and |y| are
+    at most side × 2**20, each quotient is off by at most 2**-33, a heard
+    beacon's quotient differs from the vehicle's by less than 1 - 2**-21,
+    and its cell by at most one.
     """
 
     MARGIN = 1.0 + 2.0**-20
-    BOUND_CELLS = 2.0**20  # cells from the origin within which the block rule holds
 
     def __init__(self, beacons: Iterable[BeaconState]) -> None:
         self.chart = [(b, b.position.x, b.position.y) for b in beacons]
-        # at least 1 m, so that no quotient overflows; a range near the
-        # float limit makes the side inf, and every cell (0, 0)
-        reach = max([1.0] + [b.acoustic_range for b, _, _ in self.chart if b.acoustic_range > 1.0])
-        side = self.side = reach * self.MARGIN
-        self.bound = side * self.BOUND_CELLS
-        self._cells = [(math.floor(x / side), math.floor(y / side)) for _, x, y in self.chart]
+        self.side = max([32.0] + [b.acoustic_range for b, _, _ in self.chart]) * self.MARGIN
+        self._cells = [self.cell(x, y) for _, x, y in self.chart]
         self._blocks: dict[tuple[int, int], list[tuple[BeaconState, float, float]]] = {}
 
-    def cell(self, x: float, y: float) -> Optional[tuple[int, int]]:
-        """The cell of (x, y), or None beyond the bound."""
-        bound = self.bound
-        if -bound <= x <= bound and -bound <= y <= bound:
-            side = self.side
-            return math.floor(x / side), math.floor(y / side)
-        return None
+    def cell(self, x: float, y: float) -> tuple[int, int]:
+        side = self.side
+        return math.floor(x / side), math.floor(y / side)
 
-    def block(self, cell: Optional[tuple[int, int]]) -> list[tuple[BeaconState, float, float]]:
+    def block(self, cell: tuple[int, int]) -> list[tuple[BeaconState, float, float]]:
         """The beacons in the 3 × 3 block round ``cell``, in chart order,
-        built on first use; the whole chart for None."""
-        if cell is None:
-            return self.chart
+        built on first use."""
         found = self._blocks.get(cell)
         if found is None:
             cx, cy = cell
@@ -434,23 +382,14 @@ def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
     world.emit("mission-failed", uuv.id, {"reason": reason})
 
 
-def _move_towards(
-    uuv: UUVState, target: Point2D, beacon_id: Optional[str], world: WorldState
-) -> None:
-    """One tick's step towards ``target``: the beacon ``beacon_id``, or the
-    broadcast position for None, as errors name it."""
+def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
+    """One tick's step towards ``target``."""
     params = world.params
     est = uuv.estimated_position
     ex, ey, tx, ty = est.x, est.y, target.x, target.y
     dx = tx - ex
     dy = ty - ey
     remaining = math.hypot(dx, dy)
-    if not math.isfinite(remaining):  # ends near opposite float limits
-        label = "the broadcast position" if beacon_id is None else f"beacon {beacon_id}"
-        raise SimulationError(
-            f"{uuv.id}: its leg to {label} is longer than the float range"
-            f" (from ({ex!r}, {ey!r}) to ({tx!r}, {ty!r}))"
-        )
     tick = params.tick
     step_len = params.uuv_speed * tick
     if remaining <= 1e-12:
@@ -471,16 +410,13 @@ def _move_towards(
     cy *= tick
     x, y = ex + vx, ey + vy
     true = uuv.true_position
-    try:
-        # Truth is x + cx: the same bits as x when cx is ±0.0 and x is not
-        # ±0.0 (-0.0 + 0.0 is 0.0), so one point then serves as both.
-        if true is est and not cx and not cy and x != 0.0 and y != 0.0:
-            uuv.true_position = uuv.estimated_position = Point2D(x, y)
-        else:
-            uuv.true_position = Point2D(true.x + vx + cx, true.y + vy + cy)
-            uuv.estimated_position = Point2D(x, y)
-    except ValueError as exc:  # a current near the float limit overflows
-        raise SimulationError(f"{uuv.id}: the current carried it out of range: {exc}") from None
+    # Truth is x + cx: the same bits as x when cx is ±0.0 and x is not
+    # ±0.0 (-0.0 + 0.0 is 0.0), so one point then serves as both.
+    if true is est and not cx and not cy and x != 0.0 and y != 0.0:
+        uuv.true_position = uuv.estimated_position = Point2D(x, y)
+    else:
+        uuv.true_position = Point2D(true.x + vx + cx, true.y + vy + cy)
+        uuv.estimated_position = Point2D(x, y)
     uuv.position_uncertainty += params.drift_rate * moved
     if math.hypot(x - tx, y - ty) <= params.arrival_tolerance:
         world.emit("waypoint-reached", uuv.id, {"position": [x, y]})
@@ -496,14 +432,14 @@ def _circle_ticks(params: WorldParams) -> int:
 def _tick_to_beacon(uuv: UUVState, world: WorldState) -> None:
     beacon_id = uuv.queue[0].args[1]
     beacon = world.beacons.get(beacon_id) or world.beacon(beacon_id)
-    _move_towards(uuv, beacon.position, beacon_id, world)
+    _move_towards(uuv, beacon.position, world)
 
 
 def _tick_to_broadcast(uuv: UUVState, world: WorldState) -> None:
     if uuv.broadcast_target is None:
         _fail_mission(uuv, world, "no broadcast position known")
         return
-    _move_towards(uuv, uuv.broadcast_target, None, world)
+    _move_towards(uuv, uuv.broadcast_target, world)
 
 
 def _tick_sense(uuv: UUVState, world: WorldState) -> None:
@@ -528,13 +464,10 @@ def _tick_circle(uuv: UUVState, world: WorldState) -> None:
     ticks_total = _circle_ticks(params)
     omega = params.uuv_speed / params.standoff_radius
     theta = uuv.circle_start + omega * uuv.action_ticks * params.tick
-    try:
-        on_circle = Point2D(
-            beacon.position.x + params.standoff_radius * math.cos(theta),
-            beacon.position.y + params.standoff_radius * math.sin(theta),
-        )
-    except ValueError as exc:  # a circle round a beacon near the float limit
-        raise SimulationError(f"{uuv.id}: its standoff circle left the float range: {exc}") from None
+    on_circle = Point2D(
+        beacon.position.x + params.standoff_radius * math.cos(theta),
+        beacon.position.y + params.standoff_radius * math.sin(theta),
+    )
     uuv.true_position = on_circle
     uuv.estimated_position = on_circle
     uuv.heading = theta + math.pi / 2.0
@@ -674,10 +607,9 @@ def _detection_phase(world: WorldState) -> None:
 
     Only the beacons of the 3 × 3 block of cells round the vehicle are
     range-tested (``BeaconGrid``): the cell side is the largest acoustic
-    range times 1 + 2**-20, which rounding cannot cross while both of the
-    vehicle's coordinates are within side × 2**20 of the origin.  Beyond
-    that, the whole chart is tested.  Each block's pulsing beacons are
-    listed once per tick.  Each hearing is a ``Detection`` appended to
+    range times 1 + 2**-20, a margin that rounding cannot cross anywhere
+    inside the envelope.  Each block's pulsing beacons are listed once per
+    tick.  Each hearing is a ``Detection`` appended to
     ``world.events``."""
     tick_number, tick = world.ticks_run, world.params.tick
     fired = {p for p in world.periods if pulse_fires(tick_number, tick, p)}
@@ -686,7 +618,7 @@ def _detection_phase(world: WorldState) -> None:
     now = world.sim_time
     grid = world.grid
     cell_of, block = grid.cell, grid.block
-    pulsing_in: dict[Optional[tuple[int, int]], list[tuple[BeaconState, float, float]]] = {}
+    pulsing_in: dict[tuple[int, int], list[tuple[BeaconState, float, float]]] = {}
     hypot = math.hypot
     log = world.events.append
     for uuv in world.uuvs:

@@ -417,13 +417,14 @@ class TestDeployCommand:
         assert err.startswith(f"error: {bad}: {message}")
 
     @pytest.mark.parametrize(
-        "corner, extent",
-        [(1e308, "inf"), (1e200, "2e+200")],
+        "corner, shown",
+        [(1e308, "-1e+308"), (1e200, "-1e+200")],
         ids=["past-float-range", "square-overflows"],
     )
-    def test_area_too_large_to_square_exits_1_naming_it(self, capsys, tmp_path, corner, extent):
-        # A plain square: it used to be rejected as self-intersecting, or
-        # accepted with overflowing arithmetic.
+    def test_area_too_large_to_square_exits_1_naming_it(self, capsys, tmp_path, corner, shown):
+        # A plain square whose first vertex lies beyond the coordinate limit:
+        # it used to be rejected as self-intersecting, or accepted with
+        # overflowing arithmetic.
         area = tmp_path / "area.geojson"
         ring = [[-corner, -corner], [corner, -corner], [corner, corner], [-corner, corner]]
         area.write_text(json.dumps({"type": "Polygon", "coordinates": [ring + ring[:1]]}))
@@ -434,7 +435,10 @@ class TestDeployCommand:
             "--n-beacons", "3", "--out", str(out_path),
         )
         assert code == 1
-        assert err.startswith(f"error: {area}: coordinate extent {extent} m is too large")
+        assert err == (
+            f"error: {area}: bad ring coordinates: vertex 0 x {shown} lies beyond"
+            " the coordinate limit of ±1e+07 m\n"
+        )
         assert not out_path.exists()
 
     def test_area_without_water_volume_exits_1(self, capsys, tmp_path):
@@ -510,8 +514,8 @@ class TestSimulateCommand:
         assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def edge_scenario(tmp_path, chart_x, world):
-        """uuv1 starts at x = -1.7e308 on the line of b6, in a chart of
+    def edge_scenario(tmp_path, chart_x, start_x):
+        """uuv1 starts at x = ``start_x`` on the line of b6, in a chart of
         beacons b4..b8 all charted at ``chart_x``."""
         chart = {
             "type": "FeatureCollection",
@@ -530,27 +534,36 @@ class TestSimulateCommand:
             "seed: 1\n"
             "output_dir: out\n"
             f"paths: {{beacons: chart.geojson, domain: {DOMAIN}}}\n"
-            f"world: {world}\n"
-            f"uuvs: [{{id: uuv1, start: [-1.7e+308, 6000.0], problem: {PROBLEM}}}]\n"
+            f"uuvs: [{{id: uuv1, start: [{start_x!r}, 6000.0], problem: {PROBLEM}}}]\n"
         )
         return scenario
 
-    def test_circle_past_the_float_range_exits_4_naming_the_vehicle(self, capsys, tmp_path):
-        # uuv1 starts on b6 and its standoff circle round it overflows on
-        # the first tick
-        scenario = self.edge_scenario(tmp_path, -1.7e308, "{standoff_radius: 1.0e+307}")
-        code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
-        assert code == 4
-        assert err.startswith("error: uuv1: its standoff circle left the float range")
-        assert "Traceback" not in err
+    def test_start_past_the_float_range_exits_1_naming_the_field(self, capsys, tmp_path):
+        # it used to run to step_cap and exit 0: 2 m is below the ulp of x
+        scenario = self.edge_scenario(tmp_path, 4000.0, -1.7e308)
+        code, out, err = run(capsys, "simulate", "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {scenario}: uuvs[0].start x -1.7e+308 lies beyond the coordinate limit"
+            " of ±1e+07 m\n"
+        )
+        assert not (tmp_path / "out").exists()
 
-    def test_leg_past_the_float_range_exits_4_naming_vehicle_and_beacon(self, capsys, tmp_path):
-        # the first leg, to b6 at the other float limit, has no finite length
-        scenario = self.edge_scenario(tmp_path, 1.7e308, "{}")
+    def test_chart_point_past_the_float_range_exits_1_naming_the_feature(self, capsys, tmp_path):
+        # it used to run to step_cap and exit 0, uuv1 never reaching b6
+        scenario = self.edge_scenario(tmp_path, 1.7e308, 2500.0)
+        chart = tmp_path / "chart.geojson"
+        code, out, err = run(capsys, "simulate", "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {chart}: feature 0 x 1.7e+308 lies beyond the coordinate limit of ±1e+07 m\n"
+        )
+
+    @pytest.mark.parametrize("start_x, chart_x", [(-1e7, 4000.0), (2500.0, 1e7)])
+    def test_start_and_chart_on_the_coordinate_limit_run(self, capsys, tmp_path, start_x, chart_x):
+        scenario = self.edge_scenario(tmp_path, chart_x, start_x)
         code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
-        assert code == 4
-        assert err.startswith("error: uuv1: its leg to beacon b6 is longer than the float range")
-        assert "Traceback" not in err
+        assert (code, err) == (0, "")
 
     def test_unwritable_out_dir_exits_1_before_the_run(self, capsys, tmp_path, monkeypatch):
         def run_scenario(config):
@@ -584,7 +597,7 @@ class TestSimulateCommand:
         scenario.write_text(yaml.safe_dump(doc))
         code, _, err = run(capsys, "simulate", "--scenario", str(scenario))
         assert code == 1
-        assert err == f"error: {scenario}: world.tick must be positive\n"
+        assert err == f"error: {scenario}: world.tick must lie in [0.001, 3600], got 0.0\n"
 
     def test_unknown_inactive_beacon_exits_1(self, capsys, tmp_path):
         import yaml
@@ -791,12 +804,25 @@ MALFORMED = REPO / "scenarios" / "malformed"
 # after the path, and the line, feature index or field the message names
 MALFORMED_INPUTS = {
     "invalid-yaml.yaml": ("--scenario", "not valid YAML: ", "line 10, column 12"),
-    "zero-tick.yaml": ("--scenario", "world.tick must be positive", "world.tick"),
+    "zero-tick.yaml": (
+        "--scenario", "world.tick must lie in [0.001, 3600], got 0.0", "world.tick"
+    ),
     "zero-speed.yaml": (
-        "--scenario", "world.uuv_speed 0.0 and tick 1.0 give a step per tick", "world.uuv_speed"
+        "--scenario", "world.uuv_speed must lie in [0.001, 100], got 0.0", "world.uuv_speed"
     ),
     "overflowing-tick.yaml": (
-        "--scenario", "world.tick 1e+308 and pulse_period 10.0 give a pulse count", "world.tick"
+        "--scenario", "world.tick must lie in [0.001, 3600], got 1e+308", "world.tick"
+    ),
+    "yaml-1-1-exponent.yaml": (
+        "--scenario",
+        "world.tick must be a finite number, got '1e0'; YAML 1.1 reads 1e0 as text,"
+        " so write it as 1.0e+0",
+        "world.tick",
+    ),
+    "start-beyond-the-envelope.yaml": (
+        "--scenario",
+        "uuvs[0].start x -1.7e+308 lies beyond the coordinate limit of ±1e+07 m",
+        "uuvs[0].start",
     ),
     "missing-domain.yaml": (
         "--scenario", "missing required field 'paths.domain'", "paths.domain"
@@ -806,11 +832,21 @@ MALFORMED_INPUTS = {
     "chart-bad-coordinates.geojson": (
         "--beacons", "feature 1 has malformed coordinates", "feature 1"
     ),
+    "chart-beyond-the-envelope.geojson": (
+        "--beacons",
+        "feature 2 x 1.7e+308 lies beyond the coordinate limit of ±1e+07 m",
+        "feature 2",
+    ),
     "area-with-hole.geojson": (
         "--area", "polygon has 1 hole(s); holes are not supported", "polygon"
     ),
     "area-bad-coordinates.geojson": (
         "--area", "bad ring coordinates: could not convert string to float", "ring"
+    ),
+    "area-beyond-the-envelope.geojson": (
+        "--area",
+        "bad ring coordinates: vertex 2 y 1e+200 lies beyond the coordinate limit of ±1e+07 m",
+        "vertex 2",
     ),
     "grid-non-numeric.asc": ("--bathymetry", "line 8: non-numeric grid value 'deep'", "line 8"),
     "grid-bad-ncols.asc": (
@@ -825,6 +861,11 @@ MALFORMED_INPUTS = {
     "grid-non-finite.asc": ("--bathymetry", "line 8: non-finite grid value '1e999'", "line 8"),
     "grid-header-only.asc": (
         "--bathymetry", "line 6: expected 16 grid values (4x4), got 0", "line 6"
+    ),
+    "grid-beyond-the-envelope.asc": (
+        "--bathymetry",
+        "line 4: yllcorner 100000000.0 lies beyond the coordinate limit of ±1e+07 m",
+        "line 4",
     ),
     "plan-name-not-a-string.json": (
         "--plan", "steps[0] 'name' must be a non-empty string", "steps[0]"

@@ -121,59 +121,65 @@ class TestLoadScenario:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("tick", 0, "world.tick must be positive"),
-            ("pulse_period", 0, "world.pulse_period must be positive"),
-            ("standoff_radius", 0, "world.standoff_radius must be positive"),
+            ("tick", 0, "world.tick must lie in [0.001, 3600], got 0.0"),
+            ("pulse_period", 0, "world.pulse_period must lie in [0.001, 1e+06], got 0.0"),
+            ("standoff_radius", 0, "world.standoff_radius must lie in [0.001, 1e+06], got 0.0"),
             (
                 "standoff_radius",
                 1.0e308,
-                "world.standoff_radius 1e+308 gives a circle time or angular rate that is not finite",
+                "world.standoff_radius must lie in [0.001, 1e+06], got 1e+308",
             ),
             (
                 "standoff_radius",
                 1.0e-320,
-                "world.standoff_radius 1e-320 gives a circle time or angular rate that is not finite",
+                "world.standoff_radius must lie in [0.001, 1e+06], got 1e-320",
+            ),
+            ("tick", 1.0e308, "world.tick must lie in [0.001, 3600], got 1e+308"),
+            ("pulse_period", 1.0e-320, "world.pulse_period must lie in [0.001, 1e+06], got 1e-320"),
+            ("drift_rate", 1.0e308, "world.drift_rate must lie in [0, 1000], got 1e+308"),
+            ("uuv_speed", -1, "world.uuv_speed must lie in [0.001, 100], got -1.0"),
+            ("uuv_speed", 0, "world.uuv_speed must lie in [0.001, 100], got 0.0"),
+            ("step_cap", 0, "world.step_cap must lie in [1, 1e+07], got 0"),
+            ("step_cap", -3, "world.step_cap must lie in [1, 1e+07], got -3"),
+            ("acoustic_range", -1, "world.acoustic_range must lie in [0, 1e+06], got -1.0"),
+            ("comm_range", -1, "world.comm_range must lie in [0, 1e+06], got -1.0"),
+            ("drift_rate", -0.01, "world.drift_rate must lie in [0, 1000], got -0.01"),
+            ("arrival_tolerance", -1, "world.arrival_tolerance must lie in [0, 1e+06], got -1.0"),
+            (
+                "localization_floor",
+                -5,
+                "world.localization_floor must lie in [0, 1e+06], got -5.0",
             ),
             (
-                "tick",
-                1.0e308,
-                "world.tick 1e+308 and pulse_period 10.0 give a pulse count over the run"
-                " (step_cap × tick / pulse_period) that is not finite",
+                "initial_uncertainty",
+                -100,
+                "world.initial_uncertainty must lie in [0, 1e+06], got -100.0",
             ),
+            ("margin_base", -0.5, "world.margin_base must lie in [0, 1000], got -0.5"),
+            # above the envelope
+            ("uuv_speed", 100.5, "world.uuv_speed must lie in [0.001, 100], got 100.5"),
+            ("step_cap", 10_000_001, "world.step_cap must lie in [1, 1e+07], got 10000001"),
+            ("comm_range", 2e6, "world.comm_range must lie in [0, 1e+06], got 2000000.0"),
+            ("margin_base", 1e300, "world.margin_base must lie in [0, 1000], got 1e+300"),
+            pytest.param(
+                "current",
+                [60.0, -80.5],
+                "world.current must have a norm of at most 100 m/s, got (60.0, -80.5)",
+                id="current-past-100-m/s",
+            ),
+            pytest.param(
+                "current",
+                [-1.7e308, 0.0],
+                "world.current must have a norm of at most 100 m/s, got (-1.7e+308, 0.0)",
+                id="current-near-the-float-limit",
+            ),
+            # nominal's 2 m/s for 5000001 ticks of 1 s
             (
-                "pulse_period",
-                1.0e-320,
-                "world.tick 1.0 and pulse_period 1e-320 give a pulse count over the run"
-                " (step_cap × tick / pulse_period) that is not finite",
+                "step_cap",
+                5_000_001,
+                "world.step_cap 5000001 and tick 1.0 give a reach (uuv_speed + |current|)"
+                " × tick × step_cap of 10000002.0 m, above its limit of 1e+07 m",
             ),
-            (
-                "drift_rate",
-                1.0e308,
-                "world.drift_rate 1e+308 and uuv_speed 2.0 give a position uncertainty over"
-                " the run (initial_uncertainty + drift_rate × uuv_speed × tick × step_cap)"
-                " that is not finite",
-            ),
-            (
-                "uuv_speed",
-                -1,
-                "world.uuv_speed -1.0 and tick 1.0 give a step per tick (uuv_speed × tick)"
-                " that is not positive",
-            ),
-            (
-                "uuv_speed",
-                0,
-                "world.uuv_speed 0.0 and tick 1.0 give a step per tick (uuv_speed × tick)"
-                " that is not positive",
-            ),
-            ("step_cap", 0, "world.step_cap must be positive"),
-            ("step_cap", -3, "world.step_cap must be positive"),
-            ("acoustic_range", -1, "world.acoustic_range must be non-negative"),
-            ("comm_range", -1, "world.comm_range must be non-negative"),
-            ("drift_rate", -0.01, "world.drift_rate must be non-negative"),
-            ("arrival_tolerance", -1, "world.arrival_tolerance must be non-negative"),
-            ("localization_floor", -5, "world.localization_floor must be non-negative"),
-            ("initial_uncertainty", -100, "world.initial_uncertainty must be non-negative"),
-            ("margin_base", -0.5, "world.margin_base must be non-negative"),
         ],
     )
     def test_world_value_out_of_range_names_file_and_field(self, tmp_path, key, value, message):
@@ -194,9 +200,80 @@ class TestLoadScenario:
         with pytest.raises(InputError) as excinfo:
             load_scenario(path)
         assert str(excinfo.value) == (
-            f"{path}: world.uuv_speed 5e-324 and tick 0.5 give a step per tick"
-            " (uuv_speed × tick) that is not positive"
+            f"{path}: world.uuv_speed must lie in [0.001, 100], got 5e-324"
         )
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([-1.7e308, 6000.0], "uuvs[0].start x -1.7e+308 lies beyond the coordinate limit"),
+            ([2500.0, 10_000_000.5], "uuvs[0].start y 10000000.5 lies beyond the coordinate limit"),
+        ],
+        ids=["x-near-the-float-limit", "y-just-past-the-limit"],
+    )
+    def test_start_beyond_the_coordinate_limit_names_file_and_field(self, tmp_path, start, message):
+        path = write_scenario(tmp_path, mutate=lambda d: d["uuvs"][0].update(start=start))
+        with pytest.raises(InputError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == f"{path}: {message} of ±1e+07 m"
+
+    def test_starts_and_chart_at_the_coordinate_limit_load(self, tmp_path):
+        chart = tmp_path / "chart.geojson"
+        chart.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": "b4"},
+             "geometry": {"type": "Point", "coordinates": [-1e7, 1e7]}},
+        ]}))
+
+        def mutate(doc):
+            doc["paths"]["beacons"] = str(chart)
+            doc["uuvs"][0]["start"] = [1e7, -1e7]
+
+        config = load_scenario(write_scenario(tmp_path, mutate=mutate))
+        assert config.uuvs[0].start == Point2D(1e7, -1e7)
+        assert load_beacons(chart)[0].position == Point2D(-1e7, 1e7)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # PyYAML reads YAML 1.1, where an exponent needs a point and a sign
+            (
+                "world: {tick: 1e0}",
+                "world.tick must be a finite number, got '1e0';"
+                " YAML 1.1 reads 1e0 as text, so write it as 1.0e+0",
+            ),
+            (
+                "world: {acoustic_range: 2E3}",
+                "world.acoustic_range must be a finite number, got '2E3';"
+                " YAML 1.1 reads 2E3 as text, so write it as 2.0e+3",
+            ),
+            (
+                "world: {current: [-15e-2, 0.0]}",
+                "world.current: expected [x, y], got ['-15e-2', 0.0];"
+                " YAML 1.1 reads -15e-2 as text, so write it as -15.0e-2",
+            ),
+            (
+                "uuvs: [{id: u1, start: [0.0, 5e2], problem: p.hddl}]",
+                "uuvs[0].start: expected [x, y], got [0.0, '5e2'];"
+                " YAML 1.1 reads 5e2 as text, so write it as 5.0e+2",
+            ),
+            # other text gets no spelling, a quoted number included
+            ("world: {tick: soon}", "world.tick must be a finite number, got 'soon'"),
+            ("world: {tick: '1.0'}", "world.tick must be a finite number, got '1.0'"),
+        ],
+        ids=["tick", "upper-case-e", "current", "start", "not-a-number", "quoted"],
+    )
+    def test_a_number_yaml_reads_as_text_is_named_with_a_spelling(self, tmp_path, text, message):
+        (tmp_path / "p.hddl").write_text("")
+        path = tmp_path / "scenario.yaml"
+        domain = REPO / "domains" / "uuv-nav.hddl"
+        chart = REPO / "scenarios" / "beacons.geojson"
+        fleet = "" if "uuvs" in text else "uuvs: [{id: u1, start: [0.0, 0.0], problem: p.hddl}]\n"
+        path.write_text(
+            f"output_dir: out\npaths: {{beacons: {chart}, domain: {domain}}}\n{text}\n{fleet}"
+        )
+        with pytest.raises(InputError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_duplicate_vehicle_id_rejected(self, tmp_path):
         def mutate(doc):
@@ -372,7 +449,7 @@ class TestLoadBeacons:
                     "properties": {"id": "bx", "pulse_period": 0},
                     "geometry": POINT,
                 },
-                "feature 1 'pulse_period' must be positive",
+                r"feature 1 pulse_period must lie in \[0.001, 1e\+06\], got 0$",
             ),
             (
                 {
@@ -380,7 +457,7 @@ class TestLoadBeacons:
                     "properties": {"id": "bx", "pulse_period": -10},
                     "geometry": POINT,
                 },
-                "feature 1 'pulse_period' must be positive",
+                r"feature 1 pulse_period must lie in \[0.001, 1e\+06\], got -10$",
             ),
             (
                 {
@@ -388,7 +465,7 @@ class TestLoadBeacons:
                     "properties": {"id": "bx", "pulse_period": 1e-320},
                     "geometry": POINT,
                 },
-                "feature 1 'pulse_period' 1e-320 gives a pulse count over the run",
+                r"feature 1 pulse_period must lie in \[0.001, 1e\+06\], got 1e-320$",
             ),
             (
                 {
@@ -396,7 +473,7 @@ class TestLoadBeacons:
                     "properties": {"id": "bx", "acoustic_range": -1},
                     "geometry": POINT,
                 },
-                "feature 1 'acoustic_range' must be non-negative",
+                r"feature 1 acoustic_range must lie in \[0, 1e\+06\], got -1$",
             ),
             (
                 {
@@ -405,6 +482,30 @@ class TestLoadBeacons:
                     "geometry": {"type": "MultiLineString", "coordinates": []},
                 },
                 "feature 1 is not a Point",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx", "acoustic_range": 2.5e6},
+                    "geometry": POINT,
+                },
+                r"feature 1 acoustic_range must lie in \[0, 1e\+06\], got 2500000.0$",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "b6"},
+                    "geometry": {"type": "Point", "coordinates": [1.7e308, 4000.0]},
+                },
+                r"feature 1 x 1.7e\+308 lies beyond the coordinate limit of ±1e\+07 m$",
+            ),
+            (
+                {
+                    "type": "Feature",
+                    "properties": {"id": "bx"},
+                    "geometry": {"type": "Point", "coordinates": [0.0, -10_000_000.5]},
+                },
+                r"feature 1 y -10000000.5 lies beyond the coordinate limit of ±1e\+07 m$",
             ),
         ],
     )

@@ -1,4 +1,5 @@
 import copy
+import json
 import dataclasses
 import math
 import pickle
@@ -189,13 +190,24 @@ def test_parse_missing_header_key():
         ("NODATA_value -9999", "NODATA_value nan", 6, "non-finite header value 'nan'"),
         ("3 4", "3 nan", 8, "non-finite grid value 'nan'"),
         ("1 2", "inf 2", 7, "non-finite grid value 'inf'"),
-        ("cellsize 10", "cellsize -5", 5, "cellsize must be > 0, got '-5'"),
-        ("cellsize 10", "cellsize 0", 5, "cellsize must be > 0, got '0'"),
+        ("cellsize 10", "cellsize -5", 5, "cellsize must lie in [0.001, 100000] m, got '-5'"),
+        ("cellsize 10", "cellsize 0", 5, "cellsize must lie in [0.001, 100000] m, got '0'"),
         ("cellsize 10", "cellsize 1e200", 5,
-         "cellsize 1e+200 gives a non-finite cell area or grid extent"),
-        ("ncols 2", "ncols 1e308", 5, "cellsize 10.0 gives a non-finite cell area or grid extent"),
+         "cellsize must lie in [0.001, 100000] m, got '1e200'"),
+        ("ncols 2", "ncols 1e308", 1,
+         "xllcorner + ncols × cellsize inf lies beyond the coordinate limit of ±1e+07 m"),
         ("3 4", "3 -4", 8, "negative depth '-4' in a non-nodata cell"),
         ("1 2", "-1 2", 7, "negative depth '-1' in a non-nodata cell"),
+        ("cellsize 10", "cellsize 0.0009", 5,
+         "cellsize must lie in [0.001, 100000] m, got '0.0009'"),
+        ("cellsize 10", "cellsize 100001", 5,
+         "cellsize must lie in [0.001, 100000] m, got '100001'"),
+        ("xllcorner 0", "xllcorner -1.7e308", 3,
+         "xllcorner -1.7e+308 lies beyond the coordinate limit of ±1e+07 m"),
+        ("yllcorner 0", "yllcorner 10000000.5", 4,
+         "yllcorner 10000000.5 lies beyond the coordinate limit of ±1e+07 m"),
+        ("yllcorner 0", "yllcorner 9999990", 2,
+         "yllcorner + nrows × cellsize 10000010.0 lies beyond the coordinate limit of ±1e+07 m"),
     ],
     ids=[
         "inf-ncols",
@@ -213,6 +225,11 @@ def test_parse_missing_header_key():
         "grid-extent-overflows",
         "negative-depth-line-8",
         "negative-depth-line-7",
+        "cellsize-below-its-limit",
+        "cellsize-above-its-limit",
+        "corner-near-the-float-limit",
+        "corner-beyond-the-coordinate-limit",
+        "far-corner-beyond-the-coordinate-limit",
     ],
 )
 def test_parse_rejects_non_finite_and_fractional_values(old, new, line, message):
@@ -220,6 +237,13 @@ def test_parse_rejects_non_finite_and_fractional_values(old, new, line, message)
         load_ascii_grid(GRID_2X2.replace(old, new))
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_grid_with_its_corners_on_the_coordinate_limit_loads():
+    text = GRID_2X2.replace("xllcorner 0", "xllcorner -1e7")
+    text = text.replace("yllcorner 0", "yllcorner 9999980")
+    g = load_ascii_grid(text)
+    assert (g.origin_x, g.origin_y + g.n_rows * g.cell_size) == (-1e7, 1e7)
 
 
 def test_negative_depth_rejected():
@@ -278,7 +302,8 @@ def reference_load_ascii_grid(text: str) -> BathymetryGrid:
     header: dict[str, float] = {}
     values = array("d")  # no float object per cell; BathymetryGrid reads the buffer
     lines = text.splitlines()
-    line_no = cellsize_line = 0
+    line_of: dict[str, int] = {}
+    line_no = 0
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
@@ -301,11 +326,12 @@ def reference_load_ascii_grid(text: str) -> BathymetryGrid:
                 raise GridFormatError(f"non-finite header value {tokens[1]!r}", line_no)
             if key in ("ncols", "nrows") and not (value > 0 and value.is_integer()):
                 raise GridFormatError(f"{key} must be a positive integer, got {tokens[1]!r}", line_no)
-            if key == "cellsize":
-                if value <= 0:
-                    raise GridFormatError(f"cellsize must be > 0, got {tokens[1]!r}", line_no)
-                cellsize_line = line_no
+            if key == "cellsize" and not 1e-3 <= value <= 1e5:
+                raise GridFormatError(
+                    f"cellsize must lie in [0.001, 100000] m, got {tokens[1]!r}", line_no
+                )
             header[key] = value
+            line_of[key] = line_no
         else:
             for tok in tokens:
                 try:
@@ -325,11 +351,15 @@ def reference_load_ascii_grid(text: str) -> BathymetryGrid:
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
     size = header["cellsize"]
-    far_corner = (header["xllcorner"] + n_cols * size, header["yllcorner"] + n_rows * size)
-    if not all(math.isfinite(v) for v in (size * size, *far_corner)):
-        raise GridFormatError(
-            f"cellsize {size!r} gives a non-finite cell area or grid extent", cellsize_line
-        )
+    for corner, count, n in (("xllcorner", "ncols", n_cols), ("yllcorner", "nrows", n_rows)):
+        for name, value, line in (
+            (corner, header[corner], line_of[corner]),
+            (f"{corner} + {count} × cellsize", header[corner] + n * size, line_of[count]),
+        ):
+            if not -1e7 <= value <= 1e7:
+                raise GridFormatError(
+                    f"{name} {value!r} lies beyond the coordinate limit of ±1e+07 m", line
+                )
     expected = n_rows * n_cols
     if len(values) != expected:
         raise GridFormatError(
@@ -699,6 +729,29 @@ def test_geojson_text_coordinate_names_its_vertex():
     assert str(exc.value) == (
         "bad ring coordinates: could not convert string to float: 'east' (vertex 2)"
     )
+
+
+@pytest.mark.parametrize(
+    "position, message",
+    [
+        ([1e200, 6500.0], "vertex 2 x 1e+200 lies beyond the coordinate limit of ±1e+07 m"),
+        (
+            [500.0, -10_000_000.5],
+            "vertex 2 y -10000000.5 lies beyond the coordinate limit of ±1e+07 m",
+        ),
+    ],
+)
+def test_geojson_vertex_beyond_the_coordinate_limit_is_named(position, message):
+    ring = [[500.0, 500.0], [6500.0, 500.0], position, [500.0, 6500.0], [500.0, 500.0]]
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(json.dumps({"type": "Polygon", "coordinates": [ring]}))
+    assert str(exc.value) == f"bad ring coordinates: {message}"
+
+
+def test_geojson_square_on_the_coordinate_limit_loads():
+    ring = [[-1e7, -1e7], [1e7, -1e7], [1e7, 1e7], [-1e7, 1e7]]
+    poly = polygon_from_geojson(json.dumps({"type": "Polygon", "coordinates": [ring]}))
+    assert [(v.x, v.y) for v in poly.vertices] == [tuple(p) for p in ring]
 
 
 def test_geojson_three_number_position_names_its_vertex():

@@ -351,6 +351,31 @@ def test_equal_by_class_and_value(cls):
     assert a != twin
 
 
+# a record of each class that holds arrays, over arrays of more than one
+# element, whose truth numpy refuses to give; and a maker of a copy with
+# one element changed
+MULTI_CELL = {
+    BathymetryGrid: lambda cell=4.0: BathymetryGrid(
+        0.0, 0.0, 10.0, 2, 2, [1.0, 2.0, 3.0, cell], -9999.0
+    ),
+    DeploymentProblem: lambda cell=4.0: DeploymentProblem(
+        MULTI_CELL[BathymetryGrid](cell), triangle(), 2
+    ),
+    CellAssignment: lambda cell=1: CellAssignment(
+        np.array([0, 0, 1]), np.array([0, 1, 0]), np.array([0, 1, cell]), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", by_name(MULTI_CELL), ids=lambda cls: cls.__name__)
+def test_records_of_multi_cell_arrays_compare_by_value(cls):
+    make = MULTI_CELL[cls]
+    assert make() == make() and not make() != make()
+    assert make() != make(0) and not make() == make(0)
+    with pytest.raises(TypeError):
+        hash(make())
+
+
 def test_records_differ_by_a_field_or_by_class():
     assert Literal("at", ("u1", "b1")) != Literal("at", ("u1", "b1"), negated=True)
     assert Symbol("at", 3, 7) != SList("at", 3, 7)

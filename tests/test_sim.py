@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from uuvnav import monitor
 from uuvnav.config import load_scenario
 from uuvnav.errors import SimulationError
-from uuvnav.geo import Point2D
+from uuvnav.geo import COORDINATE_LIMIT, Point2D
 from uuvnav.hddl.ground import GroundAction, ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
 from uuvnav.sim.runner import run_scenario
 from uuvnav.sim.world import (
     ACTIONS,
     EVENT_ORDER,
+    PARAMS,
+    REACH_LIMIT,
     BeaconState,
     Projection,
     UUVState,
@@ -29,6 +31,10 @@ from uuvnav.sim.world import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
+# the farthest a run can take a vehicle from the origin on an axis: a
+# beacon at the coordinate limit, a standoff circle of the largest radius
+# round it, then the largest reach
+EDGE = COORDINATE_LIMIT + PARAMS["standoff_radius"][2] + REACH_LIMIT
 DOMAIN_PATH = REPO / "domains" / "uuv-nav.hddl"
 SCENARIOS = REPO / "scenarios"
 
@@ -119,9 +125,13 @@ class TestParams:
         with pytest.raises(SimulationError):
             WorldParams(uuv_speed=-1.0)
 
+    def test_unknown_parameter_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^unknown world parameter\(s\): warp_factor$"):
+            WorldParams(warp_factor=9)
+
     @pytest.mark.parametrize("step_cap", [0, -3])
     def test_step_cap_must_be_positive(self, step_cap):
-        with pytest.raises(SimulationError, match="^step_cap must be positive$"):
+        with pytest.raises(SimulationError, match=r"^step_cap must lie in \[1, 1e\+07\], got"):
             WorldParams(step_cap=step_cap)
 
     @pytest.mark.parametrize(
@@ -137,9 +147,36 @@ class TestParams:
         ],
     )
     def test_ranges_and_rates_must_be_non_negative(self, name):
-        with pytest.raises(SimulationError, match=f"^{name} must be non-negative$"):
+        with pytest.raises(SimulationError, match=rf"^{name} must lie in \[0, .*\], got -1.0$"):
             WorldParams(**{name: -1.0})
         WorldParams(**{name: 0.0})
+
+    @pytest.mark.parametrize("name", list(PARAMS))
+    def test_every_value_is_held_to_its_limits_and_takes_them(self, name):
+        _, least, most = PARAMS[name]
+        for value in (least, most):
+            # at the top of tick, speed or step_cap, the reach is held down
+            # by the other two
+            others = {"tick": 1e-3, "uuv_speed": 1e-3, "step_cap": 1}
+            others.pop(name, None)
+            WorldParams(**{name: value, **others})
+        for value in (least - 1e-3, most * 1.001):
+            with pytest.raises(SimulationError, match=rf"^{name} must lie in \["):
+                WorldParams(**{name: value})
+
+    def test_current_speed_is_held_to_its_limit(self):
+        WorldParams(current=(-60.0, 80.0), uuv_speed=1e-3, tick=1.0, step_cap=10)
+        with pytest.raises(SimulationError, match=r"^current must have a norm of at most 100 m/s"):
+            WorldParams(current=(-60.0, 80.001))
+
+    def test_reach_is_held_to_its_limit(self):
+        # (2 + 0.5) m/s × 0.5 s × 8e6 ticks is 1e7 m, the most a run may reach
+        WorldParams(tick=0.5, step_cap=8_000_000, current=(0.0, -0.5))
+        with pytest.raises(
+            SimulationError,
+            match=r"^step_cap 8000001 and tick 0.5 give a reach .* of 10000001.25 m, above its",
+        ):
+            WorldParams(tick=0.5, step_cap=8_000_001, current=(0.0, -0.5))
 
     @pytest.mark.parametrize(
         "name, value",
@@ -305,11 +342,10 @@ class TestPulseRule:
                 max_size=6,
             )
         )
-        side = max([1.0, *ranges]) * (1.0 + 2.0**-20)  # BeaconGrid's cell side
-        bound = side * 2.0**20
-        # round the origin, straddling the bound, or past it
-        ox = data.draw(st.sampled_from([0.0, -1234.5, bound - 700.0, -bound - 900.0, 1.5 * bound]))
-        oy = data.draw(st.sampled_from([0.0, 333.25, -bound + 20.0, 3.0 * bound]))
+        side = max([32.0, *ranges]) * (1.0 + 2.0**-20)  # BeaconGrid's cell side
+        # round the origin, or at the edge of where a run can take a vehicle
+        ox = data.draw(st.sampled_from([0.0, -1234.5, EDGE - 3000.0, -EDGE + 3000.0]))
+        oy = data.draw(st.sampled_from([0.0, 333.25, -EDGE + 3000.0, EDGE - 3000.0]))
         offsets = st.integers(-3000, 3000).map(float) | st.floats(-3000.0, 3000.0)
         chart = [
             beacon(
@@ -357,19 +393,18 @@ class TestPulseRule:
             assert self.heard(step(w)) == self.per_beacon_reference(w, chart, 10.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_grid_scan_hears_at_range_across_a_cell_edge_and_past_the_bound(self, sign):
+    def test_grid_scan_hears_at_range_at_cell_and_envelope_edges(self, sign):
         side = 500.0 * (1.0 + 2.0**-20)
-        bound = side * 2.0**20
         chart = [
             beacon("b1", sign * side, 0.0, acoustic_range=500.0),  # on a cell edge
-            beacon("b2", sign * (bound + 300.0), 0.0, acoustic_range=500.0),
-            beacon("b3", sign * (bound - 150.0), 400.0, acoustic_range=100.0),
+            beacon("b2", sign * (EDGE - 500.0), 0.0, acoustic_range=500.0),
+            beacon("b3", sign * (EDGE - 150.0), 400.0, acoustic_range=100.0),
         ]
         fleet = [
             uuv("u1", sign * side - 500.0, 0.0),  # b1 at exactly its range, one cell over
             uuv("u2", sign * side + 300.0, sign * -400.0),  # b1 at 500 on a 3-4-5 diagonal
-            uuv("u3", sign * (bound + 800.0), 0.0),  # b2 at 500, past the bound
-            uuv("u4", sign * (bound - 150.0), 500.0),  # b3 at 100, inside the bound
+            uuv("u3", sign * EDGE, 0.0),  # b2 at 500, as far out as a run can go
+            uuv("u4", sign * (EDGE - 150.0), 500.0),  # b3 at 100
         ]
         w = world(fleet, chart, tick=10.0)
         heard = self.heard(step(w))
@@ -415,34 +450,9 @@ class TestMovement:
         assert u.estimated_position == Point2D(2.0, 0.0)
 
     def test_current_past_the_float_range_is_a_simulation_error(self):
-        w = world(
-            [uuv("u1", 0.0, 0.0, queue=[nav("u1", "b1")])],
-            [beacon("b1", 100.0, 0.0)],
-            current=(1e308, 0.0),
-            tick=2.0,
-        )
-        with pytest.raises(SimulationError, match="u1: the current carried it out of range"):
-            step(w)
-
-    def test_leg_longer_than_the_float_range_is_refused_before_moving(self):
-        # the leg spans both float limits, so its length is infinite even
-        # though no current is set
-        u = uuv("u1", -1.7e308, 0.0, queue=[nav("u1", "b1")])
-        w = world([u], [beacon("b1", 1.7e308, 0.0)])
-        with pytest.raises(
-            SimulationError, match=r"^u1: its leg to beacon b1 is longer than the float range"
-        ):
-            step(w)
-        assert u.true_position == u.estimated_position == Point2D(-1.7e308, 0.0)
-
-    def test_leg_to_a_broadcast_beyond_the_float_range_is_refused(self):
-        u = uuv("u1", -1.7e308, 0.0, queue=[act("navigate-to-broadcast", "u1")])
-        u.broadcast_target = Point2D(1.7e308, 1.7e308)
-        with pytest.raises(
-            SimulationError,
-            match=r"^u1: its leg to the broadcast position is longer than the float range",
-        ):
-            step(world([u], []))
+        # refused with the world, before any vehicle moves
+        with pytest.raises(SimulationError, match=r"^current must have a norm of at most 100 m/s"):
+            WorldParams(current=(1e308, 0.0), tick=2.0)
 
     def test_final_step_clamps_to_target(self):
         w = world(
@@ -574,15 +584,9 @@ class TestCircleLocalize:
         assert not u.queue
 
     def test_circle_past_the_float_range_is_a_simulation_error(self):
-        # on the beacon, the circle starts opposite the heading: at -x
-        circle = act("circle-localize", "u1", "b1")
-        w = world(
-            [uuv("u1", -1.7e308, 0.0, queue=[circle])],
-            [beacon("b1", -1.7e308, 0.0)],
-            standoff_radius=1e307,
-        )
-        with pytest.raises(SimulationError, match="u1: its standoff circle left the float range"):
-            step(w)
+        # refused with the world, before any vehicle circles
+        with pytest.raises(SimulationError, match=r"^standoff_radius must lie in \[0.001, "):
+            WorldParams(standoff_radius=1e307)
 
     def test_replan_mid_circle_then_a_new_circle_flies_a_full_lap(self):
         domain = parse_domain(DOMAIN_PATH.read_text())
