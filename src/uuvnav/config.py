@@ -49,11 +49,6 @@ class UuvSpec(Record, frozen=True):
     start: Point2D
     problem: Path
 
-    def __init__(self, id: str, start: Point2D, problem: Path) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "problem", problem)
-
 
 class ScenarioConfig(Record, frozen=True):
     __slots__ = _fields = ("output_dir", "beacons", "domain", "world", "uuvs", "inactive_beacons")
@@ -63,22 +58,7 @@ class ScenarioConfig(Record, frozen=True):
     world: WorldParams
     uuvs: tuple[UuvSpec, ...]
     inactive_beacons: tuple[str, ...]
-
-    def __init__(
-        self,
-        output_dir: Path,
-        beacons: Path,
-        domain: Path,
-        world: WorldParams,
-        uuvs: tuple[UuvSpec, ...],
-        inactive_beacons: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "output_dir", output_dir)
-        object.__setattr__(self, "beacons", beacons)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "world", world)
-        object.__setattr__(self, "uuvs", uuvs)
-        object.__setattr__(self, "inactive_beacons", inactive_beacons)
+    _defaults = {"inactive_beacons": ()}
 
 
 def _require(mapping: dict, key: str, where: str = "") -> Any:

@@ -112,26 +112,6 @@ class DeploymentResult(Record, frozen=True):
     converged: bool
     site_weights: tuple[float, ...]  # final power weights, for recounting
 
-    def __init__(
-        self,
-        beacon_positions: tuple[Point2D, ...],
-        beacon_depths: tuple[float, ...],
-        cell_volumes: tuple[float, ...],
-        v_tot: float,
-        objective: float,
-        iterations_used: int,
-        converged: bool,
-        site_weights: tuple[float, ...],
-    ) -> None:
-        object.__setattr__(self, "beacon_positions", beacon_positions)
-        object.__setattr__(self, "beacon_depths", beacon_depths)
-        object.__setattr__(self, "cell_volumes", cell_volumes)
-        object.__setattr__(self, "v_tot", v_tot)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "iterations_used", iterations_used)
-        object.__setattr__(self, "converged", converged)
-        object.__setattr__(self, "site_weights", site_weights)
-
 
 def check_link_distance(coverage_link_distance: float) -> None:
     """Reject a link distance that is not finite and > 0."""

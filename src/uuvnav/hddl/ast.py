@@ -44,10 +44,6 @@ class PredicateDecl(Record, frozen=True):
     name: str
     param_types: tuple[str, ...]
 
-    def __init__(self, name: str, param_types: tuple[str, ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "param_types", param_types)
-
 
 class TaskDecl(Record, frozen=True):
     """An abstract (compound) task symbol with its parameter signature."""
@@ -55,10 +51,6 @@ class TaskDecl(Record, frozen=True):
     __slots__ = _fields = ("name", "parameters")
     name: str
     parameters: tuple[tuple[str, str], ...]  # (?var, type)
-
-    def __init__(self, name: str, parameters: tuple[tuple[str, str], ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "parameters", parameters)
 
 
 class ActionAst(Record, frozen=True):
@@ -68,18 +60,6 @@ class ActionAst(Record, frozen=True):
     precondition: tuple[Literal, ...]  # conjunction
     effect: tuple[Literal, ...]  # negated literals are deletes
 
-    def __init__(
-        self,
-        name: str,
-        parameters: tuple[tuple[str, str], ...],
-        precondition: tuple[Literal, ...],
-        effect: tuple[Literal, ...],
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "precondition", precondition)
-        object.__setattr__(self, "effect", effect)
-
 
 class MethodAst(Record, frozen=True):
     __slots__ = _fields = ("name", "parameters", "task", "precondition", "subtasks")
@@ -88,20 +68,6 @@ class MethodAst(Record, frozen=True):
     task: TaskRef  # the abstract task this method decomposes
     precondition: tuple[Literal, ...]
     subtasks: tuple[TaskRef, ...]  # totally ordered
-
-    def __init__(
-        self,
-        name: str,
-        parameters: tuple[tuple[str, str], ...],
-        task: TaskRef,
-        precondition: tuple[Literal, ...],
-        subtasks: tuple[TaskRef, ...],
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "task", task)
-        object.__setattr__(self, "precondition", precondition)
-        object.__setattr__(self, "subtasks", subtasks)
 
 
 class DomainAst(Record, frozen=True):
@@ -157,19 +123,3 @@ class ProblemAst(Record, frozen=True):
     init: tuple[Atom, ...]
     htn: tuple[TaskRef, ...]  # the initial task network, in its total order
     goal: tuple[Literal, ...] | None
-
-    def __init__(
-        self,
-        name: str,
-        domain_name: str,
-        objects: tuple[tuple[str, str], ...],
-        init: tuple[Atom, ...],
-        htn: tuple[TaskRef, ...],
-        goal: tuple[Literal, ...] | None,
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "domain_name", domain_name)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "init", init)
-        object.__setattr__(self, "htn", htn)
-        object.__setattr__(self, "goal", goal)

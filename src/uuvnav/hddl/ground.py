@@ -111,18 +111,6 @@ class GroundTables(Record, frozen=True):
     action_names: frozenset[str]
     instance_count: int
 
-    def __init__(
-        self,
-        actions: dict[GroundTask, GroundAction],
-        methods: dict[GroundTask, tuple[GroundMethod, ...]],
-        action_names: frozenset[str],
-        instance_count: int,
-    ) -> None:
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "action_names", action_names)
-        object.__setattr__(self, "instance_count", instance_count)
-
     def is_primitive(self, task: GroundTask) -> bool:
         return task[0] in self.action_names
 

@@ -34,10 +34,6 @@ class PlanStats(Record, frozen=True):
     nodes_expanded: int
     decompositions: int
 
-    def __init__(self, nodes_expanded: int, decompositions: int) -> None:
-        object.__setattr__(self, "nodes_expanded", nodes_expanded)
-        object.__setattr__(self, "decompositions", decompositions)
-
 
 class Plan(Record, frozen=True):
     """The primitive steps, and the decomposition tree as the search
@@ -48,16 +44,6 @@ class Plan(Record, frozen=True):
     steps: tuple[GroundAction, ...]
     nodes: tuple[tuple[GroundAction | GroundMethod, int | None], ...]
     stats: PlanStats
-
-    def __init__(
-        self,
-        steps: tuple[GroundAction, ...],
-        nodes: tuple[tuple[GroundAction | GroundMethod, int | None], ...],
-        stats: PlanStats,
-    ) -> None:
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "stats", stats)
 
 
 def goal_satisfied(goal: Sequence[Literal] | None, state: State) -> bool:

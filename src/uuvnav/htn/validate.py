@@ -21,11 +21,7 @@ class Verdict(Record, frozen=True):
     valid: bool
     reason: str
     step_index: int | None
-
-    def __init__(self, valid: bool, reason: str, step_index: int | None = None) -> None:
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "step_index", step_index)
+    _defaults = {"step_index": None}
 
 
 def validate(

@@ -58,16 +58,10 @@ class PlanningSetup(Record):
     task network, and the optional goal formula."""
 
     __slots__ = _fields = ("tables", "network", "goal")
-
-    def __init__(
-        self,
-        tables: GroundTables,
-        network: tuple[GroundTask, ...],
-        goal: Optional[Sequence[Literal]] = None,
-    ) -> None:
-        self.tables = tables
-        self.network = network
-        self.goal = goal
+    tables: GroundTables
+    network: tuple[GroundTask, ...]
+    goal: Optional[Sequence[Literal]]
+    _defaults = {"goal": None}
 
 
 def derive_expectations(

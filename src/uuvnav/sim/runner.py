@@ -39,18 +39,10 @@ class SimulationReport(Record):
     estimate were one."""
 
     __slots__ = _fields = ("world", "events", "tracks", "summary")
-
-    def __init__(
-        self,
-        world: WorldState,
-        events: list[Event | Detection],
-        tracks: dict[str, dict[str, list[Point2D]]],
-        summary: dict,
-    ) -> None:
-        self.world = world
-        self.events = events
-        self.tracks = tracks
-        self.summary = summary
+    world: WorldState
+    events: list[Event | Detection]
+    tracks: dict[str, dict[str, list[Point2D]]]
+    summary: dict
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
@@ -218,10 +210,9 @@ def write_events_jsonl(events: Iterable[Event | Detection], out: TextIO) -> None
     out.write("".join(parts))
 
 
-# One track point and one feature, laid out as json.dumps(indent=2,
-# sort_keys=True) lays them out at their depth in the collection.  %r
-# spells a float as json does.
-_POINT = "          [\n            %r,\n            %r\n          ]"
+# One feature, and in _spell_track one track point, laid out as
+# json.dumps(indent=2, sort_keys=True) lays them out at their depth in the
+# collection.  repr spells a float as json does.
 _FEATURE = """    {
       "geometry": {
         "coordinates": %s,
@@ -243,7 +234,7 @@ def _spell_track(points: list[Point2D]) -> str:
     for point in points:
         if point is not previous:
             previous = point
-            text = _POINT % (point.x, point.y)
+            text = f"          [\n            {point.x!r},\n            {point.y!r}\n          ]"
         texts.append(text)
     joined = ",\n".join(texts)
     return f"[\n{joined}\n        ]" if joined else "[]"

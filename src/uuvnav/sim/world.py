@@ -500,14 +500,10 @@ class Projection(Record):
     """
 
     __slots__ = _fields = ("world", "time", "position", "uncertainty")
-
-    def __init__(
-        self, world: WorldState, time: float, position: Point2D, uncertainty: float
-    ) -> None:
-        self.world = world
-        self.time = time
-        self.position = position
-        self.uncertainty = uncertainty
+    world: WorldState
+    time: float
+    position: Point2D
+    uncertainty: float
 
     def _move(self, beacon: BeaconState) -> tuple[float, float]:
         """Advance to the beacon at cruise speed; return the leg's distance
@@ -533,10 +529,14 @@ class Projection(Record):
         if distance == 0:
             # Already on top of the beacon: a pulse is due within one period.
             return start, start + beacon.pulse_period
-        margin = self.world.params.margin_base * (1.0 + uncertainty / distance)
+        # the margin is margin_base * (1 + uncertainty / distance) of the
+        # nominal time, spelled so that a leg of a few ulps neither divides
+        # to inf nor multiplies a zero nominal time by it
+        params = self.world.params
+        slack = params.margin_base * (nominal + uncertainty / params.uuv_speed)
         return (
-            start + nominal * (1.0 - margin),
-            start + nominal * (1.0 + margin) + beacon.pulse_period,
+            start + nominal - slack,
+            start + nominal + slack + beacon.pulse_period,
         )
 
     def sense(self, action: GroundAction) -> Optional[tuple[float, float]]:
@@ -569,16 +569,7 @@ class ActionBehaviour(Record, frozen=True):
     tick: Callable[[UUVState, WorldState], None]
     project: Optional[Callable[[Projection, GroundAction], Optional[tuple[float, float]]]]
     after_detection: bool
-
-    def __init__(
-        self,
-        tick: Callable[[UUVState, WorldState], None],
-        project: Optional[Callable[[Projection, GroundAction], Optional[tuple[float, float]]]],
-        after_detection: bool = False,
-    ) -> None:
-        object.__setattr__(self, "tick", tick)
-        object.__setattr__(self, "project", project)
-        object.__setattr__(self, "after_detection", after_detection)
+    _defaults = {"after_detection": False}
 
 
 ACTIONS: dict[str, ActionBehaviour] = {

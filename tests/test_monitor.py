@@ -148,6 +148,20 @@ class TestDeriveExpectations:
         assert exps[0].earliest == 40.0
         assert exps[0].latest == 50.0
 
+    @pytest.mark.parametrize("distance", [5e-324, 0.5])
+    def test_silenced_beacon_a_few_ulps_away_diverges_as_one_half_a_metre_away(self, distance):
+        # at 5e-324 m the leg's nominal time underflows to 0, and a margin
+        # divided by the distance made the window (nan, nan), which never closed
+        beacons = {"b4": BeaconState(id="b4", position=Point2D(distance, 0.0), active=False)}
+        vehicle = uuv("u1", 0.0, 0.0)
+        (exp,) = derive([act("navigate-to-beacon", "u1", "b4")], vehicle, beacons=beacons)
+        # 0.5 * (nominal + 100 m / 2 m/s) either side of the nominal arrival
+        assert exp.earliest == pytest.approx(-25.0, abs=0.2)
+        assert exp.latest == pytest.approx(35.0, abs=0.4)
+        vehicle.expectations = [exp]
+        world = WorldState([vehicle], beacons, WorldParams())
+        assert [tick for tick in range(100) if settle(world, tick)] == [36]
+
 
 def window(uuv_id="u1", beacon_id="b1", earliest=225.0, latest=785.0):
     return monitor.Expectation(uuv_id, beacon_id, earliest, latest)

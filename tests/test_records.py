@@ -427,3 +427,69 @@ def test_frozen_record_refuses_assignment_and_deletion(cls):
         assert getattr(record, name) is value
     with pytest.raises(FrozenInstanceError):
         record.extra = 1
+
+
+# the records that Record's shared __init__ builds, and the value each
+# of their _defaults gives a field left out
+SHARED_INIT = {
+    UuvSpec: {},
+    ScenarioConfig: {"inactive_beacons": ()},
+    DeploymentResult: {},
+    PredicateDecl: {},
+    TaskDecl: {},
+    ActionAst: {},
+    MethodAst: {},
+    ProblemAst: {},
+    GroundTables: {},
+    PlanStats: {},
+    Plan: {},
+    Verdict: {"step_index": None},
+    PlanningSetup: {"goal": None},
+    SimulationReport: {},
+    Projection: {},
+    ActionBehaviour: {"after_detection": False},
+}
+
+
+@pytest.mark.parametrize("cls", by_name(SHARED_INIT), ids=lambda cls: cls.__name__)
+def test_shared_init_binds_by_position_and_by_keyword(cls):
+    make, fields = RECORDS[cls]
+    record = make()
+    values = [getattr(record, name) for name in fields]
+    assert cls(*values) == record
+    assert cls(**dict(zip(fields, values))) == record
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == record
+    for name, value in zip(fields, values):
+        assert getattr(cls(*values), name) is value
+
+
+@pytest.mark.parametrize("cls", by_name(SHARED_INIT), ids=lambda cls: cls.__name__)
+def test_shared_init_fills_each_default(cls):
+    make, fields = RECORDS[cls]
+    assert cls._defaults == SHARED_INIT[cls]
+    record = make()
+    given = {name: getattr(record, name) for name in fields if name not in cls._defaults}
+    left_out = cls(**given)
+    for name in fields:
+        expected = SHARED_INIT[cls][name] if name in cls._defaults else given[name]
+        assert getattr(left_out, name) is expected
+
+
+def test_shared_init_names_a_missing_an_unexpected_and_a_repeated_argument():
+    with pytest.raises(TypeError, match=r"^PlanStats\(\) missing required argument 'decompositions'$"):
+        PlanStats(5)
+    with pytest.raises(TypeError, match=r"^Verdict\(\) missing required argument 'reason'$"):
+        Verdict(True, step_index=3)
+    with pytest.raises(
+        TypeError, match=r"^PlanStats\(\) got an unexpected keyword argument 'nodes'$"
+    ):
+        PlanStats(5, 2, nodes=1)
+    with pytest.raises(
+        TypeError, match=r"^PlanStats\(\) got multiple values for argument 'nodes_expanded'$"
+    ):
+        PlanStats(5, nodes_expanded=5)
+    with pytest.raises(
+        TypeError, match=r"^PlanStats\(\) takes 2 positional arguments but 3 were given$"
+    ):
+        PlanStats(5, 2, 1)
+
