@@ -179,10 +179,10 @@ def _power_assign(xs, ys, sx, sy, weights) -> np.ndarray:
     Equal to np.argmin over the cells x sites matrix of those distances:
     each element goes through the same ufuncs in the same order, and a site
     replaces a cell's running best only where it is strictly smaller, so
-    ties stay with the lowest site index. As in argmin, the first NaN wins.
-    With a finite site and weight a distance is NaN only at a cell with a
-    NaN coordinate, which site 0 already holds, so the NaN test runs only
-    for a site or weight that is not finite.
+    ties stay with the lowest site index. Every coordinate and weight must
+    be finite: cells and sites come from a grid read inside the input
+    envelope, and lloyd_deploy's weight update divides by a positive
+    target volume and scales by a finite spacing.
 
     Cells are taken in blocks of BLOCK and tested against one site at a
     time, so the scratch is a few vectors of at most BLOCK cells, whatever N.
@@ -193,7 +193,6 @@ def _power_assign(xs, ys, sx, sy, weights) -> np.ndarray:
     site_of = np.zeros(n_cells, dtype=np.intp)
     scratch = np.empty((3, min(n_cells, BLOCK)))
     closer_scratch = np.empty(scratch.shape[1], dtype=bool)
-    finite = (np.isfinite(sx) & np.isfinite(sy) & np.isfinite(weights)).tolist()
     for lo in range(0, n_cells, BLOCK):
         hi = min(lo + BLOCK, n_cells)
         bx, by, owner = xs[lo:hi], ys[lo:hi], site_of[lo:hi]
@@ -209,8 +208,6 @@ def _power_assign(xs, ys, sx, sy, weights) -> np.ndarray:
             np.subtract(out, weights[j], out=out)
             if j:
                 np.less(d2, best, out=closer)
-                if not finite[j]:
-                    closer |= np.isnan(d2) & ~np.isnan(best)
                 np.copyto(best, d2, where=closer)
                 np.copyto(owner, j, where=closer)
     return site_of
@@ -223,7 +220,8 @@ def assign_cells(
     poly: MissionPolygon,
 ) -> CellAssignment:
     """Assign every in-polygon water cell to the site with the smallest
-    power distance (squared distance minus the site's weight)."""
+    power distance (squared distance minus the site's weight).  The weights
+    must be finite, as _power_assign says."""
     import numpy as np
 
     if len(sites) == 0:

@@ -12,7 +12,6 @@ tracks, and a summary suitable for serialization.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -155,7 +154,7 @@ def event_to_json_line(event: Event | Detection) -> str:
 # A detection's line as event_to_json_line writes it, keys sorted, in
 # three parts: the head up to the range and the middle up to the time,
 # each with an id quoted by json's own ASCII quoter, and the tail from
-# the time on.  repr spells a float as json does.
+# the time on.  repr spells a finite float, and an int, as json does.
 _DETECTION_HEAD = '{"beacon":%s,"kind":"detection","range":'
 _DETECTION_MIDDLE = ',"subject":%s,"t":'
 _DETECTION_TAIL = '%r,"v":' + str(EVENT_SCHEMA_VERSION) + "}\n"
@@ -165,9 +164,9 @@ def write_events_jsonl(events: Iterable[Event | Detection], out: TextIO) -> None
     """Write one ``event_to_json_line`` line per event, in order, with one
     write of the whole text.
 
-    A ``Detection`` record with str ids and a finite float range and time
-    is filled into a fixed line; any other item, an ``Event`` of kind
-    ``detection`` included, goes through event_to_json_line.  Each
+    A ``Detection`` record, of the values its docstring states, is filled
+    into a fixed line; an ``Event``, one of kind ``detection`` included,
+    goes through event_to_json_line.  Each
     (subject, beacon) pair quotes its ids once and reuses its line up to
     the time while it hears the same non-zero range; lines of the same
     non-zero time reuse the tail.  Equal non-zero floats have equal bits,
@@ -177,7 +176,6 @@ def write_events_jsonl(events: Iterable[Event | Detection], out: TextIO) -> None
     pairs: dict[str, dict[str, list]] = {}
     last_time: object = None
     tail = ""
-    isfinite = math.isfinite
     quote = encode_basestring_ascii
     parts: list[str] = []
     add = parts.append
@@ -185,28 +183,20 @@ def write_events_jsonl(events: Iterable[Event | Detection], out: TextIO) -> None
         if type(event) is Detection:
             distance, time = event.range, event.time
             subject, beacon = event.subject, event.beacon
-            if (
-                type(distance) is float
-                and isfinite(distance)
-                and type(time) is float
-                and isfinite(time)
-                and type(subject) is str
-                and type(beacon) is str
-            ):
-                heard = pairs.get(subject) or pairs.setdefault(subject, {})
-                pair = heard.get(beacon)
-                if pair is None:
-                    head = _DETECTION_HEAD % quote(beacon)
-                    pair = heard[beacon] = [head, _DETECTION_MIDDLE % quote(subject), None, ""]
-                if pair[2] != distance or not distance:
-                    pair[2] = distance
-                    pair[3] = f"{pair[0]}{distance!r}{pair[1]}"
-                if time != last_time or not time:
-                    last_time, tail = time, _DETECTION_TAIL % time
-                add(pair[3])
-                add(tail)
-                continue
-        add(event_to_json_line(event) + "\n")
+            heard = pairs.get(subject) or pairs.setdefault(subject, {})
+            pair = heard.get(beacon)
+            if pair is None:
+                head = _DETECTION_HEAD % quote(beacon)
+                pair = heard[beacon] = [head, _DETECTION_MIDDLE % quote(subject), None, ""]
+            if pair[2] != distance or not distance:
+                pair[2] = distance
+                pair[3] = f"{pair[0]}{distance!r}{pair[1]}"
+            if time != last_time or not time:
+                last_time, tail = time, _DETECTION_TAIL % time
+            add(pair[3])
+            add(tail)
+        else:
+            add(event_to_json_line(event) + "\n")
     out.write("".join(parts))
 
 

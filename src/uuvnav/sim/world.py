@@ -256,7 +256,13 @@ class Event(Record):
 class Detection(Record):
     """A vehicle heard a beacon's pulse: the event the detection scan
     logs, one per vehicle and beacon heard, with the fields of an
-    ``Event`` of kind ``detection`` and that event's payload."""
+    ``Event`` of kind ``detection`` and that event's payload.
+
+    Only ``_detection_phase`` builds one, so its values are those a run
+    makes inside the input envelope: ``subject`` and ``beacon`` are
+    non-empty str ids, ``range`` is a finite float, and ``time`` is
+    ``ticks_run × tick``, a finite float (or an int, in a world built in
+    Python with an int tick).  No later code tests them again."""
 
     __slots__ = _fields = ("time", "subject", "beacon", "range")
     kind = "detection"
@@ -383,7 +389,8 @@ def _fail_mission(uuv: UUVState, world: WorldState, reason: str) -> None:
 
 
 def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
-    """One tick's step towards ``target``."""
+    """One tick's step towards ``target``.  A step that reaches the target
+    arrives, though ``ex + (tx - ex)`` may round off ``tx``."""
     params = world.params
     est = uuv.estimated_position
     ex, ey, tx, ty = est.x, est.y, target.x, target.y
@@ -392,12 +399,11 @@ def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
     remaining = math.hypot(dx, dy)
     tick = params.tick
     step_len = params.uuv_speed * tick
-    if remaining <= 1e-12:
-        vx, vy = 0.0, 0.0
-        moved = 0.0
-    elif remaining <= step_len:
-        # Final partial step lands exactly on the target.
-        vx, vy = dx, dy
+    arrived = remaining <= step_len
+    if arrived:
+        # On the target already, tx - ex can be -0.0; the step is (0.0,
+        # 0.0), the zeros the signed-zero positions below are pinned with.
+        vx, vy = (dx, dy) if remaining else (0.0, 0.0)
         moved = remaining
     else:
         vx = dx / remaining * step_len
@@ -418,7 +424,7 @@ def _move_towards(uuv: UUVState, target: Point2D, world: WorldState) -> None:
         uuv.true_position = Point2D(true.x + vx + cx, true.y + vy + cy)
         uuv.estimated_position = Point2D(x, y)
     uuv.position_uncertainty += params.drift_rate * moved
-    if math.hypot(x - tx, y - ty) <= params.arrival_tolerance:
+    if arrived or math.hypot(x - tx, y - ty) <= params.arrival_tolerance:
         world.emit("waypoint-reached", uuv.id, {"position": [x, y]})
         _complete_action(uuv, world)
 

@@ -54,9 +54,10 @@ def move_towards(uuv, target, world):
     dx, dy = target.x - est.x, target.y - est.y
     remaining = math.hypot(dx, dy)
     step_len = params.uuv_speed * params.tick
-    if remaining <= 1e-12:
+    arrived = remaining <= step_len
+    if remaining == 0:
         vx, vy, moved = 0.0, 0.0, 0.0
-    elif remaining <= step_len:
+    elif arrived:
         vx, vy, moved = dx, dy, remaining
     else:
         vx, vy, moved = dx / remaining * step_len, dy / remaining * step_len, step_len
@@ -67,7 +68,7 @@ def move_towards(uuv, target, world):
     uuv.estimated_position = Point2D(est.x + vx, est.y + vy)
     uuv.position_uncertainty += params.drift_rate * moved
     x, y = uuv.estimated_position.x, uuv.estimated_position.y
-    if math.hypot(x - target.x, y - target.y) <= params.arrival_tolerance:
+    if arrived or math.hypot(x - target.x, y - target.y) <= params.arrival_tolerance:
         world.emit("waypoint-reached", uuv.id, {"position": [x, y]})
         complete_action(uuv, world)
 

@@ -153,19 +153,15 @@ def power_assignments(draw):
         weights = rng.integers(0, 2, n_sites).astype(float)  # equal weights tie
     else:
         weights = rng.uniform(-1e3, 1e3, n_sites)
-    # non-finite weights make infinite and NaN distances, where the first
-    # NaN in site order must win as it does in argmin
-    k = draw(st.integers(0, 3))
-    weights[rng.integers(n_sites, size=k)] = rng.choice([math.inf, -math.inf, math.nan], k)
+    # finite, as lloyd_deploy's weights are and _power_assign requires
     return xs, ys, sx, sy, weights
 
 
 @PROPERTY
 @given(power_assignments())
 def test_blocked_power_assignment_equals_the_whole_matrix(case):
-    with np.errstate(invalid="ignore"):
-        got = _power_assign(*case)
-        want = whole_matrix_assign(*case)
+    got = _power_assign(*case)
+    want = whole_matrix_assign(*case)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 

@@ -516,7 +516,7 @@ class TestMovement:
                 dx, dy = tx - est[0], ty - est[1]
                 remaining = math.hypot(dx, dy)
                 step_len = speed * tick
-                if remaining <= 1e-12:
+                if remaining == 0:
                     vx, vy = 0.0, 0.0
                 elif remaining <= step_len:
                     vx, vy = dx, dy
@@ -541,6 +541,39 @@ class TestMovement:
         assert math.copysign(1.0, u.estimated_position.x) == -1.0
         assert math.copysign(1.0, u.true_position.x) == 1.0
         assert u.true_position.y == u.estimated_position.y == 2.0
+
+    def test_a_step_on_the_target_is_plus_zero(self):
+        """On the target already, the step is (0.0, 0.0), not tx - ex =
+        -0.0 - 0.0 = -0.0: truth at -0.0 under a current of -0.0 moves to
+        -0.0 + 0.0 + -0.0 = 0.0, as in the plain reference."""
+        u = uuv("u1", 0.0, 0.0, queue=[nav("u1", "b1")])
+        u.true_position = Point2D(-0.0, 0.0)
+        w = world([u], [beacon("b1", -0.0, 0.0)], current=(-0.0, 0.0))
+        step(w)
+        assert u.status == "completed"
+        assert math.copysign(1.0, u.true_position.x) == 1.0
+        assert math.copysign(1.0, u.estimated_position.x) == 1.0
+
+    @pytest.mark.parametrize(
+        "start, target",
+        [
+            # 1.5 + (1e-20 - 1.5) rounds to 0.0, 1e-20 short of the beacon
+            ((1.5, 0.0), (1e-20, 0.0)),
+            # a start a distinct float off the beacon, nearer than any step
+            ((5e-13, 0.0), (0.0, 0.0)),
+        ],
+    )
+    def test_a_step_that_reaches_its_target_arrives_at_zero_tolerance(self, start, target):
+        u = uuv("u1", *start, queue=[nav("u1", "b1")])
+        w = world([u], [beacon("b1", *target)], arrival_tolerance=0.0)
+        assert [e.kind for e in step(w)] == [
+            "action-started",
+            "waypoint-reached",
+            "action-completed",
+            "mission-completed",
+        ]
+        assert u.status == "completed"
+        assert u.estimated_position == Point2D(0.0, 0.0)
 
 
 class TestCircleLocalize:
