@@ -154,9 +154,7 @@ class BeaconGraph(Record, frozen=True):
 
 
 def objective(volumes: Sequence[float], v_tot: float) -> float:
-    """Mean absolute deviation of the per-site volumes from v_tot / N."""
-    if len(volumes) == 0:
-        raise ValueError("volume list is empty")
+    """Mean absolute deviation of the N >= 1 per-site volumes from v_tot / N."""
     target = v_tot / len(volumes)
     return float(sum(abs(v - target) for v in volumes) / len(volumes))
 
@@ -397,12 +395,9 @@ def astar_route(graph: BeaconGraph, start: int, goal: int) -> list[int]:
     """Minimum-total-length beacon sequence from start to goal.
 
     Straight-line distance to the goal is the heuristic. Returns [] when
-    the goal is unreachable.
+    the goal is unreachable.  start and goal are indices into the graph;
+    ``route`` maps the chart's ids to them before it calls.
     """
-    n = len(graph.positions)
-    for node, label in ((start, "start"), (goal, "goal")):
-        if not (0 <= node < n):
-            raise InputError(f"{label} index {node} outside graph of {n} nodes")
     if start == goal:
         return [start]
     gp = graph.positions[goal]

@@ -37,18 +37,18 @@ def point_beyond_limit(x: float, y: float) -> Optional[str]:
 
 
 class Point2D(Record, frozen=True):
-    """A planar point in meters: a frozen record of two finite
-    coordinates, equal and hashed by value.  The simulator makes one or
-    two every tick, so ``__init__`` sets the two slots through their own
-    descriptors, which the frozen ``__setattr__`` does not reach."""
+    """A planar point in meters: a frozen record of two coordinates,
+    equal and hashed by value.  Every coordinate a command reads is
+    checked by its reader, finite and within the envelope, so the point
+    checks nothing.  The simulator makes one or two every tick, so
+    ``__init__`` sets the two slots through their own descriptors, which
+    the frozen ``__setattr__`` does not reach."""
 
     __slots__ = _fields = ("x", "y")
     x: float
     y: float
 
     def __init__(self, x: float, y: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite coordinates ({x}, {y})")
         _set_x(self, x)
         _set_y(self, y)
 
@@ -77,7 +77,9 @@ class BathymetryGrid(Record, frozen=True):
     """Raster of water depths; row 0 is the top (northernmost) row.
 
     origin_x / origin_y are the lower-left corner of the raster, matching
-    the ESRI ASCII convention.
+    the ESRI ASCII convention.  ``load_ascii_grid`` checks the cell size,
+    the value count and every depth before it builds one, so the record
+    checks nothing.
     """
 
     __eq__ = equal_with_arrays
@@ -105,18 +107,7 @@ class BathymetryGrid(Record, frozen=True):
     ) -> None:
         import numpy as np
 
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be > 0, got {cell_size}")
-        arr = np.asarray(depth, dtype=float)
-        if arr.size != n_rows * n_cols:
-            raise ValueError(
-                f"depth array has {arr.size} values, expected "
-                f"{n_rows}x{n_cols}={n_rows * n_cols}"
-            )
-        arr = arr.reshape(n_rows, n_cols).copy()
-        valid = arr != nodata_value
-        if np.any(arr[valid] < 0):
-            raise ValueError("negative depth in a non-nodata cell")
+        arr = np.asarray(depth, dtype=float).reshape(n_rows, n_cols).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "origin_x", origin_x)
         object.__setattr__(self, "origin_y", origin_y)
@@ -400,13 +391,17 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
                 f"bad ring coordinates: vertex {i} has {len(position)} numbers, expected 2"
             )
         try:
-            vertex = Point2D(float(position[0]), float(position[1]))
+            x, y = float(position[0]), float(position[1])
         except (TypeError, ValueError) as exc:
             raise GeoJsonError(f"bad ring coordinates: {exc} (vertex {i})") from None
-        fault = point_beyond_limit(vertex.x, vertex.y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeoJsonError(
+                f"bad ring coordinates: non-finite coordinates ({x}, {y}) (vertex {i})"
+            )
+        fault = point_beyond_limit(x, y)
         if fault:
             raise GeoJsonError(f"bad ring coordinates: vertex {i} {fault}")
-        verts.append(vertex)
+        verts.append(Point2D(x, y))
     try:
         return MissionPolygon(tuple(verts))
     except ValueError as exc:

@@ -238,8 +238,9 @@ def write_tracks_geojson(tracks: Mapping[str, Mapping[str, list[Point2D]]], out:
 
     A ``Point2D`` repeated in a row is spelled once, and an estimated
     track made of the true track's own objects, in its order, is the true
-    track's text.  Every coordinate is finite, since ``Point2D`` refuses
-    any other, so json never writes NaN or Infinity here.
+    track's text.  Every coordinate is finite, since the readers refuse
+    any other start or beacon and the envelope bounds every move, so json
+    never writes NaN or Infinity here.
     """
     out.write('{\n  "features": [')
     separator = "\n"

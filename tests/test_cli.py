@@ -843,6 +843,9 @@ MALFORMED_INPUTS = {
     "area-bad-coordinates.geojson": (
         "--area", "bad ring coordinates: could not convert string to float", "ring"
     ),
+    "area-non-finite.geojson": (
+        "--area", "bad ring coordinates: non-finite coordinates (nan, 500.0) (vertex 1)", "vertex 1"
+    ),
     "area-beyond-the-envelope.geojson": (
         "--area",
         "bad ring coordinates: vertex 2 y 1e+200 lies beyond the coordinate limit of ±1e+07 m",

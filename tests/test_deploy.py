@@ -69,11 +69,6 @@ def test_objective_single_site():
     assert objective([100.0], 100.0) == 0.0
 
 
-def test_objective_empty_rejected():
-    with pytest.raises(ValueError):
-        objective([], 100.0)
-
-
 # ---------------------------------------------------------------------------
 # Cell assignment
 # ---------------------------------------------------------------------------
@@ -408,12 +403,6 @@ def test_astar_follows_only_path():
 def test_astar_unreachable_returns_empty():
     g = graph_of([(0, 0), (10000, 0)], 4000.0)
     assert astar_route(g, 0, 1) == []
-
-
-def test_astar_unknown_node_rejected():
-    g = graph_of([(0, 0), (1000, 0)], 4000.0)
-    with pytest.raises(InputError):
-        astar_route(g, 0, 7)
 
 
 def test_astar_matches_brute_force_on_random_graphs():

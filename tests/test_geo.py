@@ -46,15 +46,6 @@ def flat_grid(n_rows, n_cols, depth, cell_size=100.0, origin=(0.0, 0.0), nodata=
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("axis", ["x", "y"])
-def test_point_refuses_a_non_finite_coordinate(bad, axis):
-    # the only guard on the coordinates tracks.geojson writes
-    coordinates = {"x": 1.0, "y": -2.0, axis: bad}
-    with pytest.raises(ValueError, match=r"^non-finite coordinates \("):
-        Point2D(**coordinates)
-
-
 # Point2D is a hand-written record: these pin the frozen-dataclass
 # semantics it keeps.
 
@@ -729,6 +720,31 @@ def test_geojson_text_coordinate_names_its_vertex():
     assert str(exc.value) == (
         "bad ring coordinates: could not convert string to float: 'east' (vertex 2)"
     )
+
+
+# The reader is the only guard on an area's coordinates: Point2D takes
+# what it is given.  JSON's NaN and Infinity literals and the text float()
+# reads as one are each refused, in either slot, naming the vertex.
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        ("NaN", "nan"),
+        ("Infinity", "inf"),
+        ("-Infinity", "-inf"),
+        ('"nan"', "nan"),
+        ('"-inf"', "-inf"),
+    ],
+    ids=["NaN", "Infinity", "-Infinity", "text-nan", "text--inf"],
+)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_geojson_non_finite_coordinate_names_its_vertex(axis, literal, value):
+    position, shown = (f"[{literal}, 10]", f"({value}, 10.0)") if axis == "x" else (
+        f"[10, {literal}]", f"(10.0, {value})"
+    )
+    text = ring_text("[0, 0]", "[10, 0]", position, "[0, 10]", "[0, 0]")
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(text)
+    assert str(exc.value) == f"bad ring coordinates: non-finite coordinates {shown} (vertex 2)"
 
 
 @pytest.mark.parametrize(

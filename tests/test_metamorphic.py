@@ -1,4 +1,5 @@
-"""``simulate`` on transformed copies of its own inputs.
+"""``simulate``, ``route``, ``plan`` and ``validate`` on transformed
+copies of their own inputs.
 
 The reference in ``test_sim_reference.py`` checks that the simulator's
 fast paths compute what its plain code computes; it cannot see a fault
@@ -26,12 +27,46 @@ and once transformed in a way whose effect on the outputs is known:
 A reflection does not keep the events when a vehicle circles, since the
 standoff circle turns counter-clockwise; it is not pinned here.  Each
 relation held over 500 drawn scenarios; 100 are run here.
+
+``route`` runs between every ordered pair of beacons on the charts that
+``test_route_properties.py`` draws:
+
+- a rotation by 90° keeps each route's beacon ids and its length to a
+  relative 1e-12 (over 500 charts it kept every length exactly);
+- a shift of every beacon by whole metres keeps each route's ids, and its
+  length to 1e-12 of the chart's extent, its largest coordinate: the
+  shifted coordinates round, so a route a few centimetres long moves by
+  a relative 1e-9, not 1e-12;
+- an order-preserving renaming of the beacons gives the renamed reports.
+
+A pair whose route ties another within the tolerance, and a chart with
+a link within it of the link distance, are left out: there rounding may
+pick either.  Each relation held over 500 charts; 50 are run here.
+
+``plan --format json`` and ``validate`` run on the problems that
+``test_htn_properties.py`` draws, over the bundled domain and over its
+copy with alternative methods:
+
+- an order-preserving renaming of the objects gives the renamed plan
+  bytes and the renamed verdicts, for the plan and for each copy of it
+  with one step deleted;
+- reversing the ``:objects`` list keeps the plan bytes and the verdicts.
+  Grounding binds objects in declaration order, but every method of
+  these domains takes each parameter from its task.  A method with a
+  parameter of its own binds it to the first object declared, so there
+  the reversal keeps only the plan's length and its validity.
+
+Each held over 500 drawn problems; 50 are run here.
 """
 
+import io
+import itertools
 import json
 import math
+import re
 import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -46,12 +81,19 @@ from test_sim_reference import (
     vehicles,
     worlds,
 )
+from test_htn_properties import ALTERNATIVES, DOMAIN_TEXT, problems
+from test_route_properties import COORD, dijkstra, links
+from uuvnav.cli import main
 from uuvnav.config import ScenarioConfig, UuvSpec
 from uuvnav.geo import Point2D
+from uuvnav.hddl.ast import ProblemAst
+from uuvnav.hddl.printer import print_domain, print_problem
 from uuvnav.sim.runner import run_scenario
 from uuvnav.sim.world import PARAMS, WorldParams
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# each route or plan example runs the command some dozens of times
+COMMANDS = settings(PROPERTY, max_examples=50)
 RELATIVE = 1e-9
 # the translation, north and not south, since the far chart's corner start
 # lies on the coordinate limit at -1e7; and how near a beacon's acoustic
@@ -224,3 +266,223 @@ def test_a_reordered_chart_keeps_the_multiset_of_events(drawn, random):
     events, reordered = events_of_both(drawn, reorder=shuffled)
     canonical = [json.dumps(e, sort_keys=True) for e in events]
     assert Counter(canonical) == Counter(json.dumps(e, sort_keys=True) for e in reordered)
+
+
+def command(*argv):
+    """The exit code and stdout of one command run in-process."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# route
+# ---------------------------------------------------------------------------
+
+ROUTE_TOLERANCE = 1e-12
+charts = st.tuples(
+    st.lists(st.tuples(COORD, COORD), min_size=1, max_size=10),
+    st.floats(1.0, 2e4, allow_nan=False),
+)
+whole_metres = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+def routes(points, link, ids=None):
+    """The route command's exit code and report, as a dict, from each
+    beacon of the chart of ``points`` to each, keyed by index pair."""
+    ids = ids or [f"b{i}" for i in range(len(points))]
+    features = [
+        {"type": "Feature", "properties": {"id": i}, "geometry": {"type": "Point", "coordinates": p}}
+        for i, p in zip(ids, points)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        chart = Path(tmp) / "chart.geojson"
+        chart.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        found = {}
+        for (s, start), (g, goal) in itertools.product(enumerate(ids), repeat=2):
+            code, out = command("route", "--beacons", str(chart), "--start", start,
+                                "--goal", goal, "--link-distance", repr(link))
+            found[s, g] = code, json.loads(out) if code == 0 else None
+        return found
+
+
+def a_link_near_the_link_distance(points, link, tolerance):
+    return any(
+        abs(math.dist(a, b) - link) <= tolerance for a, b in itertools.combinations(points, 2)
+    )
+
+
+def ties(points, link, pair, report, tolerance):
+    """Whether another route between ``pair`` comes within ``tolerance``
+    of the one reported.  Another route misses at least one of its links,
+    so it is enough to drop each link in turn."""
+    start, goal = pair
+    hops = [int(b[1:]) for b in report["route"]]
+    adjacency = links(points, link)
+    for a, b in zip(hops, hops[1:]):
+        without = [[(j, d) for j, d in nbrs if {i, j} != {a, b}] for i, nbrs in enumerate(adjacency)]
+        if dijkstra(without, start)[goal] <= report["length"] + tolerance:
+            return True
+    return False
+
+
+def assert_the_same_routes(points, link, found, moved, tolerance):
+    """``moved`` has ``found``'s exit codes, and the same route and length
+    to ``tolerance(length)`` wherever no other route ties within it."""
+    for pair, (code, report) in found.items():
+        other_code, other = moved[pair]
+        assert other_code == code, pair
+        if report and not ties(points, link, pair, report, tolerance(report["length"])):
+            assert other["route"] == report["route"], pair
+            assert abs(other["length"] - report["length"]) <= tolerance(report["length"]), pair
+
+
+@COMMANDS
+@given(charts)
+def test_a_turned_chart_keeps_every_route(chart):
+    points, link = chart
+    assume(not a_link_near_the_link_distance(points, link, ROUTE_TOLERANCE * link))
+    turned = routes([turn(*p) for p in points], link)
+    assert_the_same_routes(
+        points, link, routes(points, link), turned, lambda length: ROUTE_TOLERANCE * length
+    )
+
+
+@COMMANDS
+@given(charts, whole_metres)
+def test_a_chart_shifted_by_whole_metres_keeps_every_route(chart, shift):
+    points, link = chart
+    shifted = [(x + shift[0], y + shift[1]) for x, y in points]
+    extent = max(map(abs, itertools.chain(*points, *shifted, [1.0])))
+    assume(not a_link_near_the_link_distance(points, link, ROUTE_TOLERANCE * extent))
+    assert_the_same_routes(
+        points, link, routes(points, link), routes(shifted, link),
+        lambda length: ROUTE_TOLERANCE * extent,
+    )
+
+
+def order_preserving_names(count):
+    """``count`` distinct names, sorted, so that a renaming in declaration
+    order keeps both that order and the names' own."""
+    name = st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=5)
+    return st.lists(name, min_size=count, max_size=count, unique=True).map(
+        lambda names: sorted("x" + n for n in names)
+    )
+
+
+@COMMANDS
+@given(charts, st.data())
+def test_renamed_beacons_give_the_renamed_routes(chart, data):
+    points, link = chart
+    names = data.draw(order_preserving_names(len(points)))
+    renamed = routes(points, link, names)
+    for (s, g), (code, report) in routes(points, link).items():
+        if report:
+            report = dict(
+                report,
+                start=names[s],
+                goal=names[g],
+                route=[names[int(b[1:])] for b in report["route"]],
+            )
+        assert renamed[s, g] == (code, report)
+
+
+# ---------------------------------------------------------------------------
+# plan and validate
+# ---------------------------------------------------------------------------
+
+DOMAIN_TEXTS = {False: DOMAIN_TEXT, True: print_domain(ALTERNATIVES)}
+
+
+def transformed_problem(problem, names=(), reverse=False):
+    """``problem`` with its objects renamed by the dict ``names``, and its
+    ``:objects`` list reversed when ``reverse``."""
+    names = dict(names)
+
+    def rename(atom):
+        return tuple(names.get(a, a) for a in atom)
+
+    objects = tuple((names.get(o, o), t) for o, t in problem.objects)
+    return ProblemAst(
+        name=problem.name,
+        domain_name=problem.domain_name,
+        objects=objects[::-1] if reverse else objects,
+        init=tuple(map(rename, problem.init)),
+        htn=tuple(map(rename, problem.htn)),
+        goal=problem.goal,
+    )
+
+
+def plan_and_verdicts(domain_text, problem):
+    """``plan --format json``'s exit code and stdout for ``problem``, and
+    ``validate``'s exit code and stdout for the plan and for each copy of
+    it with one step deleted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        domain, problem_file = tmp / "domain.hddl", tmp / "problem.hddl"
+        domain.write_text(domain_text)
+        problem_file.write_text(print_problem(problem))
+        files = ("--domain", str(domain), "--problem", str(problem_file))
+        code, text = command("plan", *files, "--format", "json")
+        verdicts = []
+        if code == 0:
+            found = json.loads(text)
+            steps = found["steps"]
+            for i in range(-1, len(steps)):
+                plan_file = tmp / "plan.json"
+                kept = steps if i < 0 else steps[:i] + steps[i + 1 :]
+                plan_file.write_text(json.dumps(dict(found, steps=kept)))
+                verdicts.append(command("validate", *files, "--plan", str(plan_file)))
+        return (code, text), verdicts
+
+
+def renamed_text(text, names):
+    """``text`` with each object name in it renamed."""
+    return re.sub(r'[^\s()",\[\]{}:]+', lambda m: names.get(m[0], m[0]), text)
+
+
+@COMMANDS
+@given(st.booleans(), st.data())
+def test_renamed_objects_give_the_renamed_plan_and_verdicts(alternatives, data):
+    problem = data.draw(problems(alternatives))
+    olds = sorted(o for o, _ in problem.objects)
+    names = dict(zip(olds, data.draw(order_preserving_names(len(olds)))))
+    domain_text = DOMAIN_TEXTS[alternatives]
+    (code, text), verdicts = plan_and_verdicts(domain_text, problem)
+    renamed, renamed_verdicts = plan_and_verdicts(domain_text, transformed_problem(problem, names))
+    assert renamed == (code, renamed_text(text, names))
+    assert renamed_verdicts == [(c, renamed_text(v, names)) for c, v in verdicts]
+
+
+@COMMANDS
+@given(st.booleans(), st.data())
+def test_reversed_objects_keep_the_plan_and_verdicts(alternatives, data):
+    problem = data.draw(problems(alternatives))
+    domain_text = DOMAIN_TEXTS[alternatives]
+    reversed_objects = transformed_problem(problem, reverse=True)
+    assert plan_and_verdicts(domain_text, reversed_objects) == plan_and_verdicts(
+        domain_text, problem
+    )
+
+
+def test_a_method_parameter_of_its_own_binds_the_first_object_declared():
+    # so reversing :objects changes the plan, but not its length or validity
+    domain_text = DOMAIN_TEXT.rstrip()[:-1] + """
+  (:task somewhere :parameters (?u - uuv))
+  (:method m-any-beacon
+    :parameters (?u - uuv ?b - beacon)
+    :task (somewhere ?u)
+    :ordered-subtasks (navigate-to-beacon ?u ?b)))
+"""
+    beacons = (("b1", "beacon"), ("b2", "beacon"), ("b3", "beacon"))
+    found = {}
+    for order in (beacons, beacons[::-1]):
+        problem = ProblemAst(
+            name="p", domain_name="uuv-nav", objects=(("u1", "uuv"),) + order,
+            init=(), htn=(("somewhere", "u1"),), goal=None,
+        )
+        (code, text), verdicts = plan_and_verdicts(domain_text, problem)
+        assert code == 0 and json.loads(verdicts[0][1])["valid"]
+        found[order[0][0]] = [step["args"] for step in json.loads(text)["steps"]]
+    assert found == {"b1": [["u1", "b1"]], "b3": [["u1", "b3"]]}
