@@ -148,7 +148,7 @@ def _parse_plan_steps(text: str) -> list[tuple[str, ...]]:
     writes it."""
     try:
         plan_doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(plan_doc, dict) or not isinstance(plan_doc.get("steps"), list):
         raise InputError("expected an object with a 'steps' list")

@@ -11,13 +11,12 @@ simulator does not read, such as a ``seed``, are ignored.
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 from typing import Any, Optional
 
 from .errors import GeoJsonError, InputError, SimulationError
-from .geo import Point2D, point_beyond_limit
+from .geo import Point2D, finite_number, point_beyond_limit
 from .record import Record
 from .sim.world import BeaconState, WorldParams, outside_limits
 
@@ -69,14 +68,6 @@ def _require(mapping: dict, key: str, where: str = "") -> Any:
     return mapping[key]
 
 
-def _is_finite_number(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
 # PyYAML reads YAML 1.1, whose floats need a point in the mantissa and a
 # sign in the exponent: 2e3 and 1e0 are text there.  Compiled on the first
 # error that needs it, not at start-up.
@@ -95,15 +86,13 @@ def _text_hint(value: Any) -> str:
 
 
 def _as_point(value: Any, context: str) -> Point2D:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_finite_number(c) for c in value)
-    ):
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    x, y = map(finite_number, value) if pair else (None, None)
+    if x is None or y is None:
         hints = map(_text_hint, value) if isinstance(value, (list, tuple)) else ()
         hint = next(filter(None, hints), "")
         raise InputError(f"{context}: expected [x, y], got {value!r}{hint}")
-    return Point2D(float(value[0]), float(value[1]))
+    return Point2D(x, y)
 
 
 def _resolve(base: Path, value: Any, context: str, must_exist: bool = True) -> Path:
@@ -167,7 +156,7 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise InputError(f"not valid YAML: {_yaml_error_message(exc, text)}") from exc
-    except RecursionError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("scenario must be a mapping")
@@ -199,7 +188,7 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
         if isinstance(getattr(defaults, name), int):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"world.{name} must be an integer, got {value!r}")
-        elif not _is_finite_number(value):
+        elif finite_number(value) is None:
             raise InputError(
                 f"world.{name} must be a finite number, got {value!r}{_text_hint(value)}"
             )
@@ -261,7 +250,7 @@ def load_beacons(path: str | Path, params: Optional[WorldParams] = None) -> list
 def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise GeoJsonError(str(exc)) from exc
     if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise GeoJsonError("expected a FeatureCollection")
@@ -282,13 +271,10 @@ def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
         if not isinstance(geom, dict) or geom.get("type") != "Point":
             raise GeoJsonError(f"feature {i} is not a Point")
         coords = geom.get("coordinates")
-        if (
-            not isinstance(coords, list)
-            or len(coords) < 2
-            or not all(_is_finite_number(c) for c in coords[:2])
-        ):
+        point = isinstance(coords, list) and len(coords) >= 2
+        x, y = map(finite_number, coords[:2]) if point else (None, None)
+        if x is None or y is None:
             raise GeoJsonError(f"feature {i} has malformed coordinates")
-        x, y = float(coords[0]), float(coords[1])
         fault = point_beyond_limit(x, y)
         if fault:
             raise GeoJsonError(f"feature {i} {fault}")
@@ -304,12 +290,13 @@ def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
         overrides = {}
         for key in ("acoustic_range", "pulse_period"):
             value = props.get(key, getattr(params, key))
-            if not _is_finite_number(value):
+            number = finite_number(value)
+            if number is None:
                 raise GeoJsonError(f"feature {i} {key!r} must be a finite number, got {value!r}")
             fault = outside_limits(key, value)
             if fault:
                 raise GeoJsonError(f"feature {i} {fault}")
-            overrides[key] = float(value)
+            overrides[key] = number
         beacons.append(
             BeaconState(
                 id=beacon_id,

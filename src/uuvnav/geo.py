@@ -36,6 +36,19 @@ def point_beyond_limit(x: float, y: float) -> Optional[str]:
     return beyond_coordinate_limit("x", x) or beyond_coordinate_limit("y", y)
 
 
+def finite_number(value: object) -> Optional[float]:
+    """The float of a number read from JSON or YAML: an int or a float,
+    not a bool, whose float is finite.  None for anything else, such as
+    text, null, NaN or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 class Point2D(Record, frozen=True):
     """A planar point in meters: a frozen record of two coordinates,
     equal and hashed by value.  Every coordinate a command reads is
@@ -359,7 +372,7 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
     FeatureCollection). Only the exterior ring is accepted; holes are an error."""
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise GeoJsonError(f"not valid JSON: {exc}") from None
     geom = obj if isinstance(obj, dict) else {}
     if geom.get("type") == "FeatureCollection":
@@ -390,13 +403,10 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
             raise GeoJsonError(
                 f"bad ring coordinates: vertex {i} has {len(position)} numbers, expected 2"
             )
-        try:
-            x, y = float(position[0]), float(position[1])
-        except (TypeError, ValueError) as exc:
-            raise GeoJsonError(f"bad ring coordinates: {exc} (vertex {i})") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
+        x, y = map(finite_number, position)
+        if x is None or y is None:
             raise GeoJsonError(
-                f"bad ring coordinates: non-finite coordinates ({x}, {y}) (vertex {i})"
+                f"bad ring coordinates: vertex {i} must be two finite numbers, got {position!r}"
             )
         fault = point_beyond_limit(x, y)
         if fault:

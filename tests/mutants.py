@@ -38,6 +38,9 @@ class Mutant(NamedTuple):
 
 SIM_REFERENCE = "tests/test_sim_reference.py::test_simulate_matches_the_plain_reference"
 GRID_REFERENCE = "tests/test_geo.py::test_grid_reader_matches_the_token_by_token_reference"
+NUMBER_TABLE = (
+    "tests/test_cli.py::test_each_reader_refuses_what_is_not_a_finite_number_naming_its_place"
+)
 MOVE = "if true is est and not cx and not cy and x != 0.0 and y != 0.0:"
 
 MUTANTS = (
@@ -110,6 +113,20 @@ MUTANTS = (
         "if len(values) != expected:",
         "if False:",
         (GRID_REFERENCE,),
+    ),
+    Mutant(
+        "a boolean read as a number",
+        "uuvnav/geo.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+        "if not isinstance(value, (int, float)):",
+        (NUMBER_TABLE,),
+    ),
+    Mutant(
+        "an integer too large for a float escapes as an OverflowError",
+        "uuvnav/geo.py",
+        "    except OverflowError:\n        return None",
+        "    except ZeroDivisionError:\n        return None",
+        (NUMBER_TABLE,),
     ),
 )
 

@@ -824,12 +824,21 @@ MALFORMED_INPUTS = {
         "uuvs[0].start x -1.7e+308 lies beyond the coordinate limit of ±1e+07 m",
         "uuvs[0].start",
     ),
+    "start-overflowing-coordinate.yaml": (
+        "--scenario", "uuvs[0].start: expected [x, y], got [1000", "uuvs[0].start"
+    ),
+    # a date that does not exist carries no place of its own, and Python
+    # versions word the day's fault differently
+    "yaml-impossible-date.yaml": ("--scenario", "not valid YAML: ", "day"),
     "missing-domain.yaml": (
         "--scenario", "missing required field 'paths.domain'", "paths.domain"
     ),
     "world-key-not-text.yaml": ("--scenario", "unknown world parameter(s): 10.0", "10.0"),
     "chart-not-a-point.geojson": ("--beacons", "feature 1 is not a Point", "feature 1"),
     "chart-bad-coordinates.geojson": (
+        "--beacons", "feature 1 has malformed coordinates", "feature 1"
+    ),
+    "chart-overflowing-coordinate.geojson": (
         "--beacons", "feature 1 has malformed coordinates", "feature 1"
     ),
     "chart-beyond-the-envelope.geojson": (
@@ -841,10 +850,17 @@ MALFORMED_INPUTS = {
         "--area", "polygon has 1 hole(s); holes are not supported", "polygon"
     ),
     "area-bad-coordinates.geojson": (
-        "--area", "bad ring coordinates: could not convert string to float", "ring"
+        "--area",
+        "bad ring coordinates: vertex 2 must be two finite numbers, got ['east', 6500.0]",
+        "vertex 2",
     ),
     "area-non-finite.geojson": (
-        "--area", "bad ring coordinates: non-finite coordinates (nan, 500.0) (vertex 1)", "vertex 1"
+        "--area",
+        "bad ring coordinates: vertex 1 must be two finite numbers, got [nan, 500.0]",
+        "vertex 1",
+    ),
+    "area-overflowing-coordinate.geojson": (
+        "--area", "bad ring coordinates: vertex 1 must be two finite numbers, got [1000", "vertex 1"
     ),
     "area-beyond-the-envelope.geojson": (
         "--area",
@@ -891,9 +907,9 @@ def test_invalid_yaml_error_is_one_line_placed_by_line_and_column(capsys, tmp_pa
     )
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in MALFORMED.iterdir()))
-def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, name):
-    flag, start, where = MALFORMED_INPUTS[name]
+def reading(flag, path, tmp_path):
+    """The command line that reads ``path`` as its ``flag`` input, writing
+    under ``tmp_path``."""
     deploy = ["deploy", "--bathymetry", BATHY, "--area", AREA, "--n-beacons", "3",
               "--out", str(tmp_path / "x.geojson")]
     argv = {
@@ -903,9 +919,15 @@ def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, 
         "--bathymetry": deploy,
         "--plan": ["validate", "--domain", DOMAIN, "--problem", PROBLEM, "--plan", ""],
     }[flag]
+    argv[argv.index(flag) + 1] = str(path)
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MALFORMED.iterdir()))
+def test_malformed_input_corpus_exits_1_naming_file_and_place(capsys, tmp_path, name):
+    flag, start, where = MALFORMED_INPUTS[name]
     path = str(MALFORMED / name)
-    argv[argv.index(flag) + 1] = path
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *reading(flag, path, tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: {start}")
     assert where in err and err.count(path) == 1 and "Traceback" not in err
@@ -920,6 +942,83 @@ def test_malformed_grid_error_is_the_whole_of_stderr(capsys, tmp_path, name):
     code, out, err = run(capsys, "deploy", "--bathymetry", path, "--area", AREA,
                          "--n-beacons", "3", "--out", str(tmp_path / "x.geojson"))
     assert (code, out, err) == (1, "", f"error: {path}: {MALFORMED_INPUTS[name][1]}\n")
+
+
+SCENARIO = f"""output_dir: out
+paths:
+  beacons: {BEACONS}
+  domain: {DOMAIN}
+world:
+  tick: 1.0
+  current: [0.0, 0.0]
+uuvs:
+  - id: uuv1
+    start: [2500.0, 2500.0]
+    problem: {PROBLEM}
+"""
+# each place a reader takes a number: the file's flag and text, the text
+# there that a spelled value replaces, and the name the error gives it
+NUMBER_PLACES = {
+    "area vertex": ("--area", Path(AREA).read_text(), "6500.0", "{}", "vertex 1"),
+    "chart point": ("--beacons", Path(BEACONS).read_text(), "2500.0", "{}", "feature 1"),
+    "chart acoustic_range": (
+        "--beacons",
+        Path(BEACONS).read_text(),
+        '"id": "b5"',
+        '"acoustic_range": {}, "id": "b5"',
+        "feature 1 'acoustic_range'",
+    ),
+    "uuvs[0].start": (
+        "--scenario", SCENARIO, "[2500.0, 2500.0]", "[{}, 2500.0]", "uuvs[0].start"
+    ),
+    "world.current": ("--scenario", SCENARIO, "[0.0, 0.0]", "[{}, 0.0]", "world.current"),
+    "world.tick": ("--scenario", SCENARIO, "tick: 1.0", "tick: {}", "world.tick"),
+}
+OVERFLOWING = "1" + "0" * 400  # above the largest float, 1.8e308
+
+
+def spelled_at(tmp_path, place, spelled):
+    """The file of ``place`` written with its number spelled as ``spelled``."""
+    flag, text, old, new, _ = NUMBER_PLACES[place]
+    path = tmp_path / ("scenario.yaml" if flag == "--scenario" else "input.geojson")
+    path.write_text(text.replace(old, new.format(spelled), 1))
+    return path
+
+
+# every reader takes the same numbers: text, booleans, null, integers too
+# large for a float and NaN are each refused at every place
+@pytest.mark.parametrize(
+    "spelled", ['"500"', "true", "null", OVERFLOWING, "-" + OVERFLOWING, "NaN"],
+    ids=["text", "true", "null", "overflowing", "-overflowing", "NaN"],
+)
+@pytest.mark.parametrize("place", NUMBER_PLACES)
+def test_each_reader_refuses_what_is_not_a_finite_number_naming_its_place(
+    capsys, tmp_path, place, spelled
+):
+    flag, *_, name = NUMBER_PLACES[place]
+    if flag == "--scenario" and spelled == "NaN":
+        spelled = ".nan"  # YAML's spelling
+    path = spelled_at(tmp_path, place, spelled)
+    code, out, err = run(capsys, *reading(flag, path, tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert name in err and "Traceback" not in err
+
+
+# Python refuses to convert an integer of more than 4300 digits, so JSON
+# and YAML raise while they parse; without that limit, the reader refuses
+# the number instead.  The plan file's integer stands where text belongs.
+@pytest.mark.parametrize("place", ["area vertex", "chart point", "world.tick", "plan"])
+def test_an_integer_of_5001_digits_exits_1_naming_its_file(capsys, tmp_path, place):
+    digits = "1" + "0" * 5000
+    if place == "plan":
+        flag, path = "--plan", tmp_path / "plan.json"
+        path.write_text(f'{{"steps": [{{"name": {digits}, "args": []}}]}}')
+    else:
+        flag, path = NUMBER_PLACES[place][0], spelled_at(tmp_path, place, digits)
+    code, out, err = run(capsys, *reading(flag, path, tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ") and err.count(str(path)) == 1
 
 
 def run_with_closed_stdout(*argv):

@@ -40,10 +40,13 @@ NUMBER_SWAPS = [
     "inf",
     "1e999",
     "99999999999999999999",
+    "1" + "0" * 400,  # an integer past the largest float
+    "-1" + "0" * 400,
     "true",
     "null",
     "[]",
     '""',
+    '"500"',
 ]
 INSERTS = ["[", "]", "{", "}", "(", ")", ":", "\t", "\x00"]
 
