@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import GeoJsonError, InputError, SimulationError
+from .errors import GeoJsonError, InputError, SimulationError, shown
 from .geo import Point2D, finite_number, point_beyond_limit
 from .record import Record
 from .sim.world import BeaconState, WorldParams, outside_limits
@@ -91,13 +91,13 @@ def _as_point(value: Any, context: str) -> Point2D:
     if x is None or y is None:
         hints = map(_text_hint, value) if isinstance(value, (list, tuple)) else ()
         hint = next(filter(None, hints), "")
-        raise InputError(f"{context}: expected [x, y], got {value!r}{hint}")
+        raise InputError(f"{context}: expected [x, y], got {shown(value)}{hint}")
     return Point2D(x, y)
 
 
 def _resolve(base: Path, value: Any, context: str, must_exist: bool = True) -> Path:
     if not isinstance(value, str) or not value:
-        raise InputError(f"{context}: expected a path string, got {value!r}")
+        raise InputError(f"{context}: expected a path string, got {shown(value)}")
     path = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
     if must_exist and not path.exists():
         raise InputError(f"{context}: path does not exist: {path}")
@@ -152,8 +152,18 @@ def _yaml_error_message(exc: yaml.YAMLError, text: str) -> str:
 def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
     import yaml
 
+    # the pure-Python safe loader (the C one reads text this one refuses),
+    # placing a value it cannot build, such as 2001-02-30, at its node
+    class Loader(yaml.SafeLoader):
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep)
+            except ValueError as exc:
+                mark = node.start_mark
+                raise yaml.constructor.ConstructorError(None, None, str(exc), mark) from exc
+
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader)
     except yaml.YAMLError as exc:
         raise InputError(f"not valid YAML: {_yaml_error_message(exc, text)}") from exc
     except (ValueError, RecursionError) as exc:
@@ -178,7 +188,7 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
     if unknown:
         # YAML keys need not be strings (10.0:, true:), so each is named by
         # its repr, and the names are sorted as text
-        names = ", ".join(sorted(repr(key) for key in unknown))
+        names = ", ".join(sorted(map(shown, unknown)))
         raise InputError(f"unknown world parameter(s): {names}")
     current = world_raw.get("current", list(defaults.current))
     current_pt = _as_point(current, "world.current")
@@ -187,10 +197,10 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
         value = world_raw[name]
         if isinstance(getattr(defaults, name), int):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise InputError(f"world.{name} must be an integer, got {value!r}")
+                raise InputError(f"world.{name} must be an integer, got {shown(value)}")
         elif finite_number(value) is None:
             raise InputError(
-                f"world.{name} must be a finite number, got {value!r}{_text_hint(value)}"
+                f"world.{name} must be a finite number, got {shown(value)}{_text_hint(value)}"
             )
         values[name] = type(getattr(defaults, name))(value)
     try:
@@ -251,7 +261,7 @@ def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise GeoJsonError(str(exc)) from exc
+        raise GeoJsonError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise GeoJsonError("expected a FeatureCollection")
     beacons: list[BeaconState] = []
@@ -292,7 +302,9 @@ def _parse_beacons(text: str, params: WorldParams) -> list[BeaconState]:
             value = props.get(key, getattr(params, key))
             number = finite_number(value)
             if number is None:
-                raise GeoJsonError(f"feature {i} {key!r} must be a finite number, got {value!r}")
+                raise GeoJsonError(
+                    f"feature {i} {key!r} must be a finite number, got {shown(value)}"
+                )
             fault = outside_limits(key, value)
             if fault:
                 raise GeoJsonError(f"feature {i} {fault}")

@@ -1,9 +1,21 @@
-"""Exception hierarchy shared across the package.
+"""The exceptions shared across the package, and ``shown`` for their messages.
 
 The CLI maps these onto its exit-code contract: InputError subclasses exit
 with 1, an unreachable route with 2, PlanNotFound with 3, and any other
 UuvnavError with 4.
 """
+
+
+def shown(value: object) -> str:
+    """``repr(value)`` for a message that echoes a value read from input,
+    with each run of more than 40 digits, such as an integer too large
+    for a float, cut to its first and last ten and its length."""
+    import re
+
+    def cut(run: re.Match) -> str:
+        return f"{run[0][:10]}...{run[0][-10:]} ({len(run[0])} digits)"
+
+    return re.sub(r"[0-9]{41,}", cut, repr(value))
 
 
 class UuvnavError(Exception):

@@ -13,7 +13,7 @@ import json
 import math
 from typing import Optional, Sequence
 
-from .errors import GeoJsonError, GridFormatError
+from .errors import GeoJsonError, GridFormatError, shown
 from .record import Record
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -53,27 +53,18 @@ class Point2D(Record, frozen=True):
     """A planar point in meters: a frozen record of two coordinates,
     equal and hashed by value.  Every coordinate a command reads is
     checked by its reader, finite and within the envelope, so the point
-    checks nothing.  The simulator makes one or two every tick, so
-    ``__init__`` sets the two slots through their own descriptors, which
-    the frozen ``__setattr__`` does not reach."""
+    checks nothing, and ``Record``'s generated ``__init__`` stores the two
+    slots through their own descriptors."""
 
     __slots__ = _fields = ("x", "y")
     x: float
     y: float
-
-    def __init__(self, x: float, y: float) -> None:
-        _set_x(self, x)
-        _set_y(self, y)
 
     def __reduce__(self):
         return Point2D, (self.x, self.y)
 
     def distance_to(self, other: "Point2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-_set_x = Point2D.x.__set__
-_set_y = Point2D.y.__set__
 
 
 def equal_with_arrays(a: Record, b: object) -> bool:
@@ -384,7 +375,7 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
         geom = geom.get("geometry")
         geom = geom if isinstance(geom, dict) else {}
     if geom.get("type") != "Polygon":
-        raise GeoJsonError(f"expected a Polygon geometry, got {geom.get('type')!r}")
+        raise GeoJsonError(f"expected a Polygon geometry, got {shown(geom.get('type'))}")
     rings = geom.get("coordinates")
     if not isinstance(rings, list) or not rings:
         raise GeoJsonError("polygon has no rings")
@@ -406,7 +397,8 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
         x, y = map(finite_number, position)
         if x is None or y is None:
             raise GeoJsonError(
-                f"bad ring coordinates: vertex {i} must be two finite numbers, got {position!r}"
+                f"bad ring coordinates: vertex {i} must be two finite numbers,"
+                f" got {shown(position)}"
             )
         fault = point_beyond_limit(x, y)
         if fault:

@@ -25,18 +25,7 @@ class Literal(Record, frozen=True):
     predicate: str
     args: tuple[str, ...]
     negated: bool
-
-    def __init__(self, predicate: str, args: tuple[str, ...], negated: bool = False) -> None:
-        _set_predicate(self, predicate)
-        _set_args(self, args)
-        _set_negated(self, negated)
-
-
-# the parser makes a Literal per condition and effect, so __init__ sets
-# each slot through its own descriptor, past the frozen __setattr__
-_set_predicate = Literal.predicate.__set__
-_set_args = Literal.args.__set__
-_set_negated = Literal.negated.__set__
+    _defaults = {"negated": False}
 
 
 class PredicateDecl(Record, frozen=True):

@@ -23,10 +23,6 @@ DEFAULT_INSTANCE_CAP = 10**6
 GroundTask = tuple[str, ...]
 
 
-# Grounding makes an action or method per binding, so their __init__ set
-# each slot through its own descriptor, past the frozen __setattr__.
-
-
 class GroundAction(Record, frozen=True):
     __slots__ = _fields = ("name", "args", "pos_pre", "neg_pre", "add_eff", "del_eff")
     name: str
@@ -35,22 +31,6 @@ class GroundAction(Record, frozen=True):
     neg_pre: frozenset[Atom]
     add_eff: frozenset[Atom]
     del_eff: frozenset[Atom]
-
-    def __init__(
-        self,
-        name: str,
-        args: tuple[str, ...],
-        pos_pre: frozenset[Atom],
-        neg_pre: frozenset[Atom],
-        add_eff: frozenset[Atom],
-        del_eff: frozenset[Atom],
-    ) -> None:
-        _set_action_name(self, name)
-        _set_action_args(self, args)
-        _set_action_pos_pre(self, pos_pre)
-        _set_action_neg_pre(self, neg_pre)
-        _set_action_add_eff(self, add_eff)
-        _set_action_del_eff(self, del_eff)
 
     @property
     def task(self) -> GroundTask:
@@ -63,14 +43,6 @@ class GroundAction(Record, frozen=True):
         return (state - self.del_eff) | self.add_eff
 
 
-_set_action_name = GroundAction.name.__set__
-_set_action_args = GroundAction.args.__set__
-_set_action_pos_pre = GroundAction.pos_pre.__set__
-_set_action_neg_pre = GroundAction.neg_pre.__set__
-_set_action_add_eff = GroundAction.add_eff.__set__
-_set_action_del_eff = GroundAction.del_eff.__set__
-
-
 class GroundMethod(Record, frozen=True):
     __slots__ = _fields = ("name", "task", "pos_pre", "neg_pre", "subtasks")
     name: str
@@ -79,29 +51,8 @@ class GroundMethod(Record, frozen=True):
     neg_pre: frozenset[Atom]
     subtasks: tuple[GroundTask, ...]
 
-    def __init__(
-        self,
-        name: str,
-        task: GroundTask,
-        pos_pre: frozenset[Atom],
-        neg_pre: frozenset[Atom],
-        subtasks: tuple[GroundTask, ...],
-    ) -> None:
-        _set_method_name(self, name)
-        _set_method_task(self, task)
-        _set_method_pos_pre(self, pos_pre)
-        _set_method_neg_pre(self, neg_pre)
-        _set_method_subtasks(self, subtasks)
-
     def applicable(self, state: frozenset[Atom]) -> bool:
         return self.pos_pre <= state and not (self.neg_pre & state)
-
-
-_set_method_name = GroundMethod.name.__set__
-_set_method_task = GroundMethod.task.__set__
-_set_method_pos_pre = GroundMethod.pos_pre.__set__
-_set_method_neg_pre = GroundMethod.neg_pre.__set__
-_set_method_subtasks = GroundMethod.subtasks.__set__
 
 
 class GroundTables(Record, frozen=True):

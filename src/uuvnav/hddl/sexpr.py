@@ -12,26 +12,11 @@ from ..errors import HddlError
 from ..record import Record
 
 
-# The reader makes a Symbol per token and an SList per parenthesis, so each
-# __init__ sets its slots through their own descriptors, past the frozen
-# __setattr__.
-
-
 class Symbol(Record, frozen=True):
     __slots__ = _fields = ("text", "line", "col")
     text: str
     line: int
     col: int
-
-    def __init__(self, text: str, line: int, col: int) -> None:
-        _set_symbol_text(self, text)
-        _set_symbol_line(self, line)
-        _set_symbol_col(self, col)
-
-
-_set_symbol_text = Symbol.text.__set__
-_set_symbol_line = Symbol.line.__set__
-_set_symbol_col = Symbol.col.__set__
 
 
 class SList(Record, frozen=True):
@@ -39,16 +24,6 @@ class SList(Record, frozen=True):
     items: tuple
     line: int
     col: int
-
-    def __init__(self, items: tuple, line: int, col: int) -> None:
-        _set_slist_items(self, items)
-        _set_slist_line(self, line)
-        _set_slist_col(self, col)
-
-
-_set_slist_items = SList.items.__set__
-_set_slist_line = SList.line.__set__
-_set_slist_col = SList.col.__set__
 
 
 Node = Symbol | SList

@@ -30,27 +30,13 @@ from .sim.world import Projection, UUVState, WorldState, action_behaviour
 
 
 class Expectation(Record, frozen=True):
-    """A detection window for one beacon-approach leg of a plan.  Each
-    plan and replan makes one per leg, so ``__init__`` sets the slots
-    through their own descriptors, past the frozen ``__setattr__``."""
+    """A detection window for one beacon-approach leg of a plan."""
 
     __slots__ = _fields = ("uuv_id", "beacon_id", "earliest", "latest")
     uuv_id: str
     beacon_id: str
     earliest: float
     latest: float
-
-    def __init__(self, uuv_id: str, beacon_id: str, earliest: float, latest: float) -> None:
-        _set_uuv_id(self, uuv_id)
-        _set_beacon_id(self, beacon_id)
-        _set_earliest(self, earliest)
-        _set_latest(self, latest)
-
-
-_set_uuv_id = Expectation.uuv_id.__set__
-_set_beacon_id = Expectation.beacon_id.__set__
-_set_earliest = Expectation.earliest.__set__
-_set_latest = Expectation.latest.__set__
 
 
 class PlanningSetup(Record):

@@ -4,27 +4,27 @@ A record is a plain class with ``__slots__`` that names the attributes
 it compares and shows in the tuple ``_fields``.  ``Record`` gives it
 value semantics:
 
-- a shared ``__init__``, installed on every record class that defines
-  none of its own, which takes the fields by position or keyword in
-  ``_fields`` order, fills a field left out from the class's optional
-  ``_defaults`` dict of immutable values, and raises ``TypeError`` for a
+- an ``__init__(self, field, ..., field=default)`` over ``_fields``,
+  generated from source for each record class that writes none of its
+  own, as ``collections.namedtuple`` generates its ``__new__``.  The
+  class's optional ``_defaults`` dict gives immutable values to its
+  last fields, and Python's own binding raises ``TypeError`` for a
   missing, unexpected or repeated argument;
 - a ``Name(field=value, ...)`` repr over ``_fields``;
 - equality by class and by the values of ``_fields``;
 - a record declared ``frozen=True`` hashes those values, and assigning
-  or deleting any of its attributes raises ``FrozenInstanceError``; an
-  ``__init__`` sets each field through ``object.__setattr__`` or the
-  field's own slot descriptor;
-- any other record is mutable and unhashable.
+  or deleting any of its attributes raises ``FrozenInstanceError``.  The
+  generated ``__init__`` sets each field through the field's own slot
+  descriptor, which the frozen ``__setattr__`` does not reach, and a
+  record's own ``__init__`` through ``object.__setattr__``;
+- any other record is mutable and unhashable, and its generated
+  ``__init__`` assigns each field.
 
-A record writes its own ``__init__`` for one of two reasons.  Either it
-checks its arguments or works out more than it is given, or a loop that
-runs per tick, token, binding or beacon builds it.  The shared
-``__init__`` binds its arguments by name, which costs four to six times
-what a hand-written one costs that stores through the slots'
-descriptors (about 1.1 µs against 0.2–0.3 µs a record on one 2-vCPU
-host): nothing where a record is built once per file, command or plan,
-but a share of the run where it is built thousands of times.
+One rule decides who writes ``__init__``: a record writes its own only
+when it checks its arguments or works out more than it is given.  The
+generated one is the code a hand-written constructor that only stores
+its arguments would be, so a record that a loop builds per tick, token,
+binding or beacon takes it too.
 
 ``FrozenInstanceError`` is the standard library's own, imported only
 when an assignment is refused: its module pulls in ``inspect`` and
@@ -49,7 +49,7 @@ class Record:
         # value itself
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
         if "__init__" not in cls.__dict__:
-            cls.__init__ = _shared_init(cls, object.__setattr__ if frozen else setattr)
+            cls.__init__ = _generated_init(cls, frozen)
         if frozen:
             cls.__setattr__ = _refuse_assignment
             cls.__delattr__ = _refuse_deletion
@@ -70,33 +70,24 @@ class Record:
         return f"{self.__class__.__qualname__}({shown})"
 
 
-def _shared_init(cls: type[Record], store):
-    """An ``__init__`` that binds ``cls._fields`` as a signature of
-    ``(field, ..., field=default)`` would, and stores each through
-    ``store``."""
-    fields, defaults, name = cls._fields, cls._defaults, cls.__qualname__
-
-    def __init__(self, *args, **kwargs) -> None:
-        if len(args) > len(fields):
-            raise TypeError(
-                f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
-            )
-        values = dict(zip(fields, args))
-        for field, value in kwargs.items():
-            if field not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
-            if field in values:
-                raise TypeError(f"{name}() got multiple values for argument {field!r}")
-            values[field] = value
-        for field in fields:
-            if field in values:
-                store(self, field, values[field])
-            elif field in defaults:
-                store(self, field, defaults[field])
-            else:
-                raise TypeError(f"{name}() missing required argument {field!r}")
-
-    return __init__
+def _generated_init(cls: type[Record], frozen: bool):
+    """The ``__init__`` of ``cls``: its source names each field as a
+    parameter and stores it, through the field's slot descriptor if
+    ``frozen``, and the values of ``_defaults`` close its signature."""
+    fields, defaults = cls._fields, cls._defaults
+    if frozen:
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+        body = [f"_set_{name}(self, {name})" for name in fields]
+    else:
+        namespace = {}
+        body = [f"self.{name} = {name}" for name in fields]
+    exec(f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(body), namespace)
+    init = namespace["__init__"]
+    # a field with a default follows every field without one
+    init.__defaults__ = tuple(defaults[name] for name in fields[len(fields) - len(defaults) :])
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 def _refuse_assignment(self: Record, name: str, value: object) -> None:

@@ -38,7 +38,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from ..errors import SimulationError
+from ..errors import SimulationError, shown
 from ..geo import Point2D
 from ..hddl.ground import GroundAction
 from ..record import Record
@@ -74,7 +74,7 @@ def outside_limits(name: str, value: float) -> Optional[str]:
     _, least, most = PARAMS[name]
     if least <= value <= most:  # NaN fails
         return None
-    return f"{name} must lie in [{least:g}, {most:g}], got {value!r}"
+    return f"{name} must lie in [{least:g}, {most:g}], got {shown(value)}"
 
 
 class WorldParams(Record):
@@ -111,20 +111,16 @@ class WorldParams(Record):
 
 class BeaconState(Record):
     __slots__ = _fields = ("id", "position", "active", "acoustic_range", "pulse_period")
-
-    def __init__(
-        self,
-        id: str,
-        position: Point2D,
-        active: bool = True,
-        acoustic_range: float = 2000.0,
-        pulse_period: float = 10.0,
-    ) -> None:
-        self.id = id
-        self.position = position
-        self.active = active
-        self.acoustic_range = acoustic_range
-        self.pulse_period = pulse_period
+    id: str
+    position: Point2D
+    active: bool
+    acoustic_range: float
+    pulse_period: float
+    _defaults = {
+        "active": True,
+        "acoustic_range": PARAMS["acoustic_range"][0],
+        "pulse_period": PARAMS["pulse_period"][0],
+    }
 
 
 def pulse_fires(tick_number: int, tick: float, period: float) -> bool:
@@ -245,12 +241,10 @@ class Event(Record):
     """One timestamped occurrence in the simulation log."""
 
     __slots__ = _fields = ("time", "kind", "subject", "payload")
-
-    def __init__(self, time: float, kind: str, subject: str, payload: dict) -> None:
-        self.time = time
-        self.kind = kind
-        self.subject = subject
-        self.payload = payload
+    time: float
+    kind: str
+    subject: str
+    payload: dict
 
 
 class Detection(Record):
@@ -265,13 +259,11 @@ class Detection(Record):
     Python with an int tick).  No later code tests them again."""
 
     __slots__ = _fields = ("time", "subject", "beacon", "range")
+    time: float
+    subject: str
+    beacon: str
+    range: float
     kind = "detection"
-
-    def __init__(self, time: float, subject: str, beacon: str, range: float) -> None:
-        self.time = time
-        self.subject = subject
-        self.beacon = beacon
-        self.range = range
 
     @property
     def payload(self) -> dict:

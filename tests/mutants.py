@@ -128,6 +128,20 @@ MUTANTS = (
         "    except ZeroDivisionError:\n        return None",
         (NUMBER_TABLE,),
     ),
+    Mutant(
+        "a record's defaults given to its last fields in reverse order",
+        "uuvnav/record.py",
+        "tuple(defaults[name] for name in fields[len(fields) - len(defaults) :])",
+        "tuple(reversed(defaults.values()))",
+        ("tests/test_records.py::test_shared_init_fills_each_default",),
+    ),
+    Mutant(
+        "a frozen record's first and last fields stored in each other's slot",
+        "uuvnav/record.py",
+        'getattr(cls, name).__set__ for name in fields}',
+        'getattr(cls, other).__set__ for name, other in zip(fields, fields[::-1])}',
+        ("tests/test_records.py::test_shared_init_binds_by_position_and_by_keyword",),
+    ),
 )
 
 

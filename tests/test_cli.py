@@ -513,6 +513,45 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {scenario}: world.uuv_speed ")
         assert not (tmp_path / "out").exists()
 
+    def test_a_listener_sent_to_a_broadcast_it_never_heard_fails_its_mission(
+        self, capsys, tmp_path
+    ):
+        # uuv2's :init claims the broadcast was heard, so its plan heads for
+        # a broadcast position it does not know
+        import yaml
+
+        base = REPO / "scenarios"
+        claimed = tmp_path / "uuv2-claims-a-broadcast.hddl"
+        listen = (base / "problems" / "uuv2-listen.hddl").read_text()
+        claimed.write_text(listen.replace("(:init", "(:init\n    (heard-broadcast uuv2)"))
+        doc = yaml.safe_load((base / "nominal.yaml").read_text())
+        doc["paths"] = {"beacons": BEACONS, "domain": DOMAIN}
+        for u in doc["uuvs"]:
+            u["problem"] = str(claimed if u["id"] == "uuv2" else base / u["problem"])
+        scenario = tmp_path / "claimed.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        summaries = {}
+        for name, path in (("nominal", base / "nominal.yaml"), ("claimed", scenario)):
+            out_dir = tmp_path / name
+            code, _, _ = run(capsys, "simulate", "--scenario", str(path), "--out-dir", str(out_dir))
+            assert code == 0
+            summaries[name] = json.loads((out_dir / "summary.json").read_text())
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "claimed" / "events.jsonl").read_text().splitlines()
+        ]
+        failed = [e for e in events if e["kind"] == "mission-failed"]
+        assert [(e["subject"], e["t"], e["reason"]) for e in failed] == [
+            ("uuv2", 1.0, "no broadcast position known")
+        ]
+        claimed_summary, nominal = summaries["claimed"], summaries["nominal"]
+        assert claimed_summary["all_missions_completed"] is False
+        statuses = {u: v["status"] for u, v in claimed_summary["uuvs"].items()}
+        assert statuses == {
+            **{u: v["status"] for u, v in nominal["uuvs"].items()},
+            "uuv2": "failed",
+        }
+
     @staticmethod
     def edge_scenario(tmp_path, chart_x, start_x):
         """uuv1 starts at x = ``start_x`` on the line of b6, in a chart of
@@ -827,14 +866,14 @@ MALFORMED_INPUTS = {
     "start-overflowing-coordinate.yaml": (
         "--scenario", "uuvs[0].start: expected [x, y], got [1000", "uuvs[0].start"
     ),
-    # a date that does not exist carries no place of its own, and Python
-    # versions word the day's fault differently
-    "yaml-impossible-date.yaml": ("--scenario", "not valid YAML: ", "day"),
+    # Python versions word the day's fault differently
+    "yaml-impossible-date.yaml": ("--scenario", "not valid YAML: line 5, column 7: ", "day"),
     "missing-domain.yaml": (
         "--scenario", "missing required field 'paths.domain'", "paths.domain"
     ),
     "world-key-not-text.yaml": ("--scenario", "unknown world parameter(s): 10.0", "10.0"),
     "chart-not-a-point.geojson": ("--beacons", "feature 1 is not a Point", "feature 1"),
+    "chart-not-json.geojson": ("--beacons", "not valid JSON: Expecting value", "line 5 column 1"),
     "chart-bad-coordinates.geojson": (
         "--beacons", "feature 1 has malformed coordinates", "feature 1"
     ),
@@ -905,6 +944,25 @@ def test_invalid_yaml_error_is_one_line_placed_by_line_and_column(capsys, tmp_pa
         f"error: {path}: not valid YAML: line 12, column 5: expected ',' or ']',"
         " but got ':' (while parsing a flow sequence at line 10, column 12)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, echoed",
+    [
+        ("start-overflowing-coordinate.yaml", "got [1000000000...0000000000 (401 digits), 2500.0]"),
+        (
+            "area-overflowing-coordinate.geojson",
+            "got [1000000000...0000000000 (401 digits), 500.0]",
+        ),
+    ],
+)
+def test_a_refused_integer_is_echoed_as_its_ends_and_its_length(capsys, tmp_path, name, echoed):
+    flag, start, _ = MALFORMED_INPUTS[name]
+    path = str(MALFORMED / name)
+    code, _, err = run(capsys, *reading(flag, path, tmp_path))
+    assert code == 1
+    assert err.endswith(f"{echoed}\n") and err.startswith(f"error: {path}: {start}")
+    assert len(err) - len(path) < 120
 
 
 def reading(flag, path, tmp_path):

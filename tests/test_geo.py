@@ -46,8 +46,8 @@ def flat_grid(n_rows, n_cols, depth, cell_size=100.0, origin=(0.0, 0.0), nodata=
 # ---------------------------------------------------------------------------
 
 
-# Point2D is a hand-written record: these pin the frozen-dataclass
-# semantics it keeps.
+# Point2D takes Record's generated __init__: these pin the
+# frozen-dataclass semantics it keeps.
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
