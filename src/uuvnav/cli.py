@@ -63,15 +63,19 @@ def _write_output(path: str, text: str) -> None:
 def cmd_deploy(args: argparse.Namespace) -> int:
     grid = parse_input(args.bathymetry, "bathymetry grid", load_ascii_grid)
     poly = parse_input(args.area, "mission area", polygon_from_geojson)
-    problem = DeploymentProblem(
-        grid=grid,
-        poly=poly,
-        n_beacons=args.n_beacons,
-        max_iterations=args.max_iterations,
-        volume_tolerance=args.tolerance,
-        rng_seed=args.seed,
-    )
+    # each message names the DeploymentProblem field that the flag sets
+    if args.n_beacons < 1:
+        raise InputError(f"n_beacons must be >= 1, got {args.n_beacons}")
+    if args.max_iterations < 1:
+        raise InputError(f"max_iterations must be >= 1, got {args.max_iterations}")
+    if not 0 < args.tolerance < 1:
+        raise InputError(f"volume_tolerance must be in (0, 1), got {args.tolerance}")
+    if args.seed < 0:
+        raise InputError(f"rng_seed must be >= 0, got {args.seed}")
     check_link_distance(args.link_distance)
+    problem = DeploymentProblem(
+        grid, poly, args.n_beacons, args.max_iterations, args.tolerance, args.seed
+    )
     result = lloyd_deploy(problem)
     graph = build_beacon_graph(result, args.link_distance)
     _write_output(args.out, _dump_json(deployment_to_geojson(result, graph)))
@@ -100,10 +104,8 @@ def cmd_route(args: argparse.Namespace) -> int:
                 f"unknown {name} beacon {value!r}"
                 f" (chart has: {', '.join(b.id for b in beacons)})"
             )
-    graph = BeaconGraph(
-        positions=tuple(b.position for b in beacons),
-        coverage_link_distance=args.link_distance,
-    )
+    check_link_distance(args.link_distance)
+    graph = BeaconGraph(tuple(b.position for b in beacons), args.link_distance)
     route = astar_route(graph, index[args.start], index[args.goal])
     if not route:
         print(

@@ -11,14 +11,15 @@ simulator does not read, such as a ``seed``, are ignored.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import GeoJsonError, InputError, SimulationError, shown
+from .errors import GeoJsonError, InputError, shown
 from .geo import Point2D, finite_number, point_beyond_limit
 from .record import Record
-from .sim.world import BeaconState, WorldParams, outside_limits
+from .sim.world import CURRENT_LIMIT, PARAMS, REACH_LIMIT, BeaconState, WorldParams, outside_limits
 
 
 def read_input(path: str | Path, what: str) -> str:
@@ -163,10 +164,19 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
                 raise yaml.constructor.ConstructorError(None, None, str(exc), mark) from exc
 
     try:
-        raw = yaml.load(text, Loader)
+        loader = Loader(text)
+        try:
+            raw = loader.get_single_data()
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise InputError(f"not valid YAML: {_yaml_error_message(exc, text)}") from exc
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
+        # raised outside construct_object, as by the scanner's int() of a
+        # %YAML version number too long to convert: placed where it stopped
+        marked = yaml.MarkedYAMLError(problem=str(exc), problem_mark=loader.get_mark())
+        raise InputError(f"not valid YAML: {_yaml_error_message(marked, text)}") from exc
+    except RecursionError as exc:
         raise InputError(f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("scenario must be a mapping")
@@ -182,31 +192,42 @@ def _parse_scenario(text: str, base: Path) -> ScenarioConfig:
     world_raw = raw.get("world", {})
     if not isinstance(world_raw, dict):
         raise InputError("world must be a mapping")
-    defaults = WorldParams()
-    known = set(WorldParams._fields)
-    unknown = set(world_raw) - known
+    unknown = set(world_raw).difference(WorldParams._fields)
     if unknown:
         # YAML keys need not be strings (10.0:, true:), so each is named by
         # its repr, and the names are sorted as text
         names = ", ".join(sorted(map(shown, unknown)))
         raise InputError(f"unknown world parameter(s): {names}")
-    current = world_raw.get("current", list(defaults.current))
-    current_pt = _as_point(current, "world.current")
+    current = _as_point(world_raw.get("current", WorldParams._defaults["current"]), "world.current")
     values = {}
     for name in sorted(set(world_raw) - {"current"}):
-        value = world_raw[name]
-        if isinstance(getattr(defaults, name), int):
+        value, default = world_raw[name], PARAMS[name][0]
+        if isinstance(default, int):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"world.{name} must be an integer, got {shown(value)}")
         elif finite_number(value) is None:
             raise InputError(
                 f"world.{name} must be a finite number, got {shown(value)}{_text_hint(value)}"
             )
-        values[name] = type(getattr(defaults, name))(value)
-    try:
-        world = WorldParams(**values, current=(current_pt.x, current_pt.y))
-    except SimulationError as exc:
-        raise InputError(f"world.{exc}") from exc
+        values[name] = type(default)(value)
+    world = WorldParams(**values, current=(current.x, current.y))
+    for name in PARAMS:
+        fault = outside_limits(name, getattr(world, name))
+        if fault:
+            raise InputError(f"world.{fault}")
+    current_speed = math.hypot(current.x, current.y)
+    if current_speed > CURRENT_LIMIT:
+        raise InputError(
+            f"world.current must have a norm of at most {CURRENT_LIMIT:g} m/s,"
+            f" got {world.current!r}"
+        )
+    reach = (world.uuv_speed + current_speed) * world.tick * world.step_cap
+    if reach > REACH_LIMIT:
+        raise InputError(
+            f"world.step_cap {world.step_cap!r} and tick {world.tick!r} give a reach"
+            f" (uuv_speed + |current|) × tick × step_cap of {reach!r} m, above its limit"
+            f" of {REACH_LIMIT:g} m"
+        )
 
     uuvs_raw = _require(raw, "uuvs")
     if not isinstance(uuvs_raw, list) or not uuvs_raw:

@@ -26,6 +26,10 @@ BLOCK = 1 << 15
 
 
 class DeploymentProblem(Record, frozen=True):
+    """A grid and area as their readers checked them, and the settings that
+    ``uuvnav deploy`` checks for its flags: n_beacons and max_iterations at
+    least 1, volume_tolerance in (0, 1), rng_seed at least 0."""
+
     __slots__ = _fields = (
         "grid", "poly", "n_beacons", "max_iterations", "volume_tolerance", "rng_seed"
     )
@@ -35,30 +39,7 @@ class DeploymentProblem(Record, frozen=True):
     max_iterations: int
     volume_tolerance: float  # fraction of V_tot / N
     rng_seed: int
-
-    def __init__(
-        self,
-        grid: BathymetryGrid,
-        poly: MissionPolygon,
-        n_beacons: int,
-        max_iterations: int = 100,
-        volume_tolerance: float = 0.05,
-        rng_seed: int = 0,
-    ) -> None:
-        if n_beacons < 1:
-            raise InputError(f"n_beacons must be >= 1, got {n_beacons}")
-        if max_iterations < 1:
-            raise InputError(f"max_iterations must be >= 1, got {max_iterations}")
-        if not (0 < volume_tolerance < 1):
-            raise InputError(f"volume_tolerance must be in (0, 1), got {volume_tolerance}")
-        if rng_seed < 0:
-            raise InputError(f"rng_seed must be >= 0, got {rng_seed}")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "n_beacons", n_beacons)
-        object.__setattr__(self, "max_iterations", max_iterations)
-        object.__setattr__(self, "volume_tolerance", volume_tolerance)
-        object.__setattr__(self, "rng_seed", rng_seed)
+    _defaults = {"max_iterations": 100, "volume_tolerance": 0.05, "rng_seed": 0}
 
 
 class CellAssignment(Record, frozen=True):
@@ -84,8 +65,6 @@ class CellAssignment(Record, frozen=True):
         cell_rows, cell_cols, site_of = map(np.asarray, (cell_rows, cell_cols, site_of))
         for arr in (cell_rows, cell_cols, site_of):
             arr.flags.writeable = False
-        if not (len(cell_rows) == len(cell_cols) == len(site_of)):
-            raise ValueError("assignment arrays must have equal length")
         object.__setattr__(self, "cell_rows", cell_rows)
         object.__setattr__(self, "cell_cols", cell_cols)
         object.__setattr__(self, "site_of", site_of)
@@ -122,7 +101,8 @@ def check_link_distance(coverage_link_distance: float) -> None:
 
 
 class BeaconGraph(Record, frozen=True):
-    """Undirected beacon graph; an edge joins every pair within link range.
+    """Undirected beacon graph; an edge joins every pair within link range,
+    which the command that reads it holds to ``check_link_distance``.
     ``adjacency`` is worked out from the other two fields."""
 
     __slots__ = _fields = ("positions", "coverage_link_distance", "adjacency")
@@ -131,7 +111,6 @@ class BeaconGraph(Record, frozen=True):
     adjacency: tuple[tuple[tuple[int, float], ...], ...]
 
     def __init__(self, positions: tuple[Point2D, ...], coverage_link_distance: float) -> None:
-        check_link_distance(coverage_link_distance)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "coverage_link_distance", coverage_link_distance)
         adj: list[list[tuple[int, float]]] = [[] for _ in positions]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import GeoJsonError, GridFormatError, shown
 from .record import Record
@@ -139,28 +139,12 @@ class BathymetryGrid(Record, frozen=True):
 
 
 class MissionPolygon(Record, frozen=True):
-    """Simple (non-self-intersecting) polygon, implicitly closed."""
+    """Simple (non-self-intersecting) polygon, implicitly closed: a tuple
+    of at least 3 vertices, no two consecutive ones equal, as
+    ``polygon_from_geojson`` reads and checks it."""
 
     __slots__ = _fields = ("vertices",)
     vertices: tuple[Point2D, ...]
-
-    def __init__(self, vertices: Sequence[Point2D]) -> None:
-        verts = tuple(vertices)
-        object.__setattr__(self, "vertices", verts)
-        if len(verts) < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            if a.x == b.x and a.y == b.y:
-                raise ValueError(f"consecutive duplicate vertex at index {i}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                # skip edges sharing a vertex
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _segments_cross(verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]):
-                    raise ValueError(f"edges {i} and {j} intersect")
 
 
 def _segments_cross(p1: Point2D, p2: Point2D, q1: Point2D, q2: Point2D) -> bool:
@@ -360,7 +344,9 @@ def _read_values_token_by_token(lines: list[str], first_line: int, nodata: float
 
 def polygon_from_geojson(text: str) -> MissionPolygon:
     """Read a GeoJSON Polygon (bare geometry, Feature, or single-feature
-    FeatureCollection). Only the exterior ring is accepted; holes are an error."""
+    FeatureCollection). Only the exterior ring is accepted; holes are an error.
+    The ring must be simple: at least 3 vertices, no two consecutive ones
+    equal, and no two edges that cross or touch other than at a shared vertex."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -404,7 +390,18 @@ def polygon_from_geojson(text: str) -> MissionPolygon:
         if fault:
             raise GeoJsonError(f"bad ring coordinates: vertex {i} {fault}")
         verts.append(Point2D(x, y))
-    try:
-        return MissionPolygon(tuple(verts))
-    except ValueError as exc:
-        raise GeoJsonError(str(exc)) from None
+    n = len(verts)
+    if n < 3:
+        raise GeoJsonError(f"polygon needs at least 3 vertices, got {n}")
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        if a.x == b.x and a.y == b.y:
+            raise GeoJsonError(f"consecutive duplicate vertex at index {i}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            # skip edges sharing a vertex
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if _segments_cross(verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]):
+                raise GeoJsonError(f"edges {i} and {j} intersect")
+    return MissionPolygon(tuple(verts))

@@ -21,10 +21,11 @@ value semantics:
   ``__init__`` assigns each field.
 
 One rule decides who writes ``__init__``: a record writes its own only
-when it checks its arguments or works out more than it is given.  The
-generated one is the code a hand-written constructor that only stores
-its arguments would be, so a record that a loop builds per tick, token,
-binding or beacon takes it too.
+to work out values it is not given.  A record checks nothing: the
+readers check what a command reads, where it enters the program.  The
+generated ``__init__`` is the code a hand-written constructor that only
+stores its arguments would be, so a record that a loop builds per tick,
+token, binding or beacon takes it too.
 
 ``FrozenInstanceError`` is the standard library's own, imported only
 when an assignment is refused: its module pulls in ``inspect`` and

@@ -25,7 +25,7 @@ from ..hddl.ground import ground
 from ..hddl.parser import parse_domain, parse_problem
 from ..htn.planner import plan
 from ..record import Record
-from .world import EVENT_ORDER, Detection, Event, UUVState, WorldState, step
+from .world import EVENT_ORDER, Detection, Event, UUVState, WorldState, action_behaviour, step
 
 EVENT_SCHEMA_VERSION = 1
 
@@ -47,6 +47,15 @@ class SimulationReport(Record):
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
     """Execute a scenario to completion (or to the step cap)."""
     domain = parse_input(config.domain, "domain", parse_domain)
+    for action in domain.actions:
+        params = action.parameters
+        if action_behaviour(action.name).reads_beacon and not (
+            len(params) > 1 and domain.is_subtype(params[1][1], "beacon")
+        ):
+            raise InputError(
+                f"{config.domain}: action {action.name!r} must take a beacon as its second"
+                " parameter: the simulator runs it at that beacon"
+            )
     beacons = {b.id: b for b in load_beacons(config.beacons, config.world)}
     for silenced in config.inactive_beacons:
         if silenced not in beacons:

@@ -80,33 +80,12 @@ def outside_limits(name: str, value: float) -> Optional[str]:
 class WorldParams(Record):
     """Physical and scheduling constants shared by every vehicle: each
     value of PARAMS, given by keyword or left at its default, and the
-    ambient ``current`` as (x, y) in m/s."""
+    ambient ``current`` as (x, y) in m/s.  ``load_scenario`` holds each
+    value it reads to PARAMS, CURRENT_LIMIT and REACH_LIMIT; the record
+    stores what it is given."""
 
     __slots__ = _fields = (*PARAMS, "current")
-
-    def __init__(self, current: tuple[float, float] = (0.0, 0.0), **values: float) -> None:
-        unknown = values.keys() - PARAMS.keys()
-        if unknown:
-            raise TypeError(f"unknown world parameter(s): {', '.join(sorted(unknown))}")
-        for name, (default, _, _) in PARAMS.items():
-            value = values.get(name, default)
-            fault = outside_limits(name, value)
-            if fault:
-                raise SimulationError(fault)
-            setattr(self, name, value)
-        self.current = current
-        current_speed = math.hypot(*current)
-        if not current_speed <= CURRENT_LIMIT:
-            raise SimulationError(
-                f"current must have a norm of at most {CURRENT_LIMIT:g} m/s, got {current!r}"
-            )
-        reach = (self.uuv_speed + current_speed) * self.tick * self.step_cap
-        if reach > REACH_LIMIT:
-            raise SimulationError(
-                f"step_cap {self.step_cap!r} and tick {self.tick!r} give a reach (uuv_speed"
-                f" + |current|) × tick × step_cap of {reach!r} m, above its limit of"
-                f" {REACH_LIMIT:g} m"
-            )
+    _defaults = {name: spec[0] for name, spec in PARAMS.items()} | {"current": (0.0, 0.0)}
 
 
 class BeaconState(Record):
@@ -428,9 +407,7 @@ def _circle_ticks(params: WorldParams) -> int:
 
 
 def _tick_to_beacon(uuv: UUVState, world: WorldState) -> None:
-    beacon_id = uuv.queue[0].args[1]
-    beacon = world.beacons.get(beacon_id) or world.beacon(beacon_id)
-    _move_towards(uuv, beacon.position, world)
+    _move_towards(uuv, world.beacons[uuv.queue[0].args[1]].position, world)
 
 
 def _tick_to_broadcast(uuv: UUVState, world: WorldState) -> None:
@@ -560,22 +537,27 @@ class ActionBehaviour(Record, frozen=True):
     detection scan if ``after_detection`` is set, and completes the
     action when it is done.  ``project`` is the action's Projection step,
     or None when the action waits on another vehicle, so its duration
-    cannot be projected.
+    cannot be projected.  ``reads_beacon`` is set when either reads the
+    beacon that the action's second argument names, so the runner
+    refuses a domain that types that parameter as anything but a beacon.
     """
 
-    __slots__ = _fields = ("tick", "project", "after_detection")
+    __slots__ = _fields = ("tick", "project", "after_detection", "reads_beacon")
     tick: Callable[[UUVState, WorldState], None]
     project: Optional[Callable[[Projection, GroundAction], Optional[tuple[float, float]]]]
     after_detection: bool
-    _defaults = {"after_detection": False}
+    reads_beacon: bool
+    _defaults = {"after_detection": False, "reads_beacon": False}
 
 
 ACTIONS: dict[str, ActionBehaviour] = {
-    "navigate-to-beacon": ActionBehaviour(_tick_to_beacon, Projection.approach),
-    "transit-leg": ActionBehaviour(_tick_to_beacon, Projection.transit),
+    "navigate-to-beacon": ActionBehaviour(_tick_to_beacon, Projection.approach, reads_beacon=True),
+    "transit-leg": ActionBehaviour(_tick_to_beacon, Projection.transit, reads_beacon=True),
     "navigate-to-broadcast": ActionBehaviour(_tick_to_broadcast, None),
-    "sense-beacon": ActionBehaviour(_tick_sense, Projection.sense, after_detection=True),
-    "circle-localize": ActionBehaviour(_tick_circle, Projection.circle),
+    "sense-beacon": ActionBehaviour(
+        _tick_sense, Projection.sense, after_detection=True, reads_beacon=True
+    ),
+    "circle-localize": ActionBehaviour(_tick_circle, Projection.circle, reads_beacon=True),
     "broadcast": ActionBehaviour(_tick_broadcast, Projection.instant),
     "await-broadcast": ActionBehaviour(_tick_await, None),
 }

@@ -142,6 +142,27 @@ MUTANTS = (
         'getattr(cls, other).__set__ for name, other in zip(fields, fields[::-1])}',
         ("tests/test_records.py::test_shared_init_binds_by_position_and_by_keyword",),
     ),
+    Mutant(
+        "a run whose reach is exactly its limit refused",
+        "uuvnav/config.py",
+        "    if reach > REACH_LIMIT:",
+        "    if reach >= REACH_LIMIT:",
+        ("tests/test_sim.py::TestParams::test_reach_is_held_to_its_limit",),
+    ),
+    Mutant(
+        "an area whose edges cross read as a polygon",
+        "uuvnav/geo.py",
+        """    for i in range(n):
+        for j in range(i + 1, n):
+            # skip edges sharing a vertex
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if _segments_cross(verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]):
+                raise GeoJsonError(f"edges {i} and {j} intersect")
+""",
+        "",
+        ("tests/test_geo.py::test_polygon_rejects_self_intersection",),
+    ),
 )
 
 

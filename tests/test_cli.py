@@ -311,7 +311,7 @@ class TestRouteCommand:
         assert code == 2
         assert "no route" in err
 
-    @pytest.mark.parametrize("link", ["nan", "inf"])
+    @pytest.mark.parametrize("link", ["nan", "inf", "0", "-1"])
     def test_non_finite_link_distance_exits_1(self, capsys, link):
         code, _, err = run(
             capsys,
@@ -319,7 +319,7 @@ class TestRouteCommand:
             "--link-distance", link,
         )
         assert code == 1
-        assert "coverage_link_distance" in err
+        assert err == f"error: coverage_link_distance must be finite and > 0, got {float(link)}\n"
 
     def test_unknown_beacon_exits_1(self, capsys):
         code, _, err = run(
@@ -689,6 +689,74 @@ class TestSimulateCommand:
         assert code == 1
         assert named in err and "'b99'" in err and BEACONS in err
 
+    # Two domains the simulator cannot run, each refused when it is read.
+    # Run, the first would exit 4 with "no position known for beacon 'wp1'",
+    # naming no file, and the second end in an IndexError traceback from
+    # Projection.sense.
+    UNRUNNABLE_DOMAINS = {
+        "navigate-to-beacon": (
+            # sent to a place that is not a beacon, which no chart holds
+            [
+                ("(:types uuv beacon)", "(:types uuv place - object beacon - place)"),
+                ("(near ?u - uuv ?b - beacon)", "(near ?u - uuv ?b - place)"),
+                (
+                    "(:action navigate-to-beacon\n    :parameters (?u - uuv ?b - beacon)",
+                    "(:action navigate-to-beacon\n    :parameters (?u - uuv ?b - place)",
+                ),
+                (
+                    "(:task rendezvous :parameters (?u - uuv))",
+                    "(:task rendezvous :parameters (?u - uuv))\n"
+                    "  (:task visit :parameters (?u - uuv ?p - place))\n"
+                    "  (:method m-visit :parameters (?u - uuv ?p - place) :task (visit ?u ?p)\n"
+                    "    :ordered-subtasks (navigate-to-beacon ?u ?p))",
+                ),
+            ],
+            "(define (problem visit) (:domain uuv-nav) (:objects uuv1 - uuv wp1 - place)"
+            " (:init) (:htn :ordered-subtasks (visit uuv1 wp1)))",
+        ),
+        "sense-beacon": (
+            # with no beacon argument at all
+            [
+                (
+                    "(:action sense-beacon\n    :parameters (?u - uuv ?b - beacon)\n"
+                    "    :precondition (and (near ?u ?b) (beacon-active ?b))\n"
+                    "    :effect (sensed ?u ?b))",
+                    "(:action sense-beacon\n    :parameters (?u - uuv)\n"
+                    "    :effect (localized ?u))",
+                ),
+                ("(sense-beacon ?u ?b)", "(sense-beacon ?u)"),
+                ("    :precondition (sensed ?u ?b)\n", ""),
+            ],
+            Path(PROBLEM).read_text(),
+        ),
+    }
+
+    @pytest.mark.parametrize("action", list(UNRUNNABLE_DOMAINS))
+    def test_a_domain_action_run_at_a_beacon_must_take_one_exits_1(self, capsys, tmp_path, action):
+        import yaml
+
+        edits, problem_text = self.UNRUNNABLE_DOMAINS[action]
+        text = Path(DOMAIN).read_text()
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        domain, problem = tmp_path / "domain.hddl", tmp_path / "problem.hddl"
+        domain.write_text(text)
+        problem.write_text(problem_text)
+        doc = {
+            "output_dir": str(tmp_path / "out"),
+            "paths": {"beacons": BEACONS, "domain": str(domain)},
+            "uuvs": [{"id": "uuv1", "start": [2500.0, 2500.0], "problem": str(problem)}],
+        }
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        assert run(capsys, "simulate", "--scenario", str(scenario)) == (
+            1,
+            "",
+            f"error: {domain}: action {action!r} must take a beacon as its second parameter:"
+            " the simulator runs it at that beacon\n",
+        )
+
 
 @pytest.mark.parametrize(
     "command, flag",
@@ -843,6 +911,10 @@ MALFORMED = REPO / "scenarios" / "malformed"
 # after the path, and the line, feature index or field the message names
 MALFORMED_INPUTS = {
     "invalid-yaml.yaml": ("--scenario", "not valid YAML: ", "line 10, column 12"),
+    # PyYAML's scanner converts the version number outside construct_object
+    "yaml-directive-overflow.yaml": (
+        "--scenario", "not valid YAML: line 4, column 9: Exceeds the limit (4300", "digits"
+    ),
     "zero-tick.yaml": (
         "--scenario", "world.tick must lie in [0.001, 3600], got 0.0", "world.tick"
     ),

@@ -1,9 +1,11 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uuvnav.cli import main
 from uuvnav.deploy import (
     ETA,
     BeaconGraph,
@@ -21,6 +23,10 @@ from uuvnav.deploy import (
 )
 from uuvnav.errors import InputError
 from uuvnav.geo import BathymetryGrid, MissionPolygon, Point2D, cells_in_polygon
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BATHY = str(SCENARIOS / "bathymetry.asc")
+AREA = str(SCENARIOS / "mission-area.geojson")
 
 
 def flat_grid(n, depth=30.0, cell=100.0):
@@ -327,16 +333,33 @@ def test_centroid_move_never_increases_squared_distance_energy():
     assert e_centroid <= e_site
 
 
-def test_problem_invariants_validated():
-    g = flat_grid(5)
-    with pytest.raises(InputError):
-        DeploymentProblem(g, cover_all(g), n_beacons=0)
-    with pytest.raises(InputError):
-        DeploymentProblem(g, cover_all(g), n_beacons=1, volume_tolerance=1.5)
-    with pytest.raises(InputError):
-        DeploymentProblem(g, cover_all(g), n_beacons=1, max_iterations=0)
-    with pytest.raises(InputError):
-        DeploymentProblem(g, cover_all(g), n_beacons=1, rng_seed=-1)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-beacons", "0"], "n_beacons must be >= 1, got 0"),
+        (["--tolerance", "1.5"], "volume_tolerance must be in (0, 1), got 1.5"),
+        (["--tolerance", "0"], "volume_tolerance must be in (0, 1), got 0.0"),
+        (["--tolerance", "nan"], "volume_tolerance must be in (0, 1), got nan"),
+        (["--max-iterations", "0"], "max_iterations must be >= 1, got 0"),
+        (["--seed", "-1"], "rng_seed must be >= 0, got -1"),
+        (["--link-distance", "0"], "coverage_link_distance must be finite and > 0, got 0.0"),
+        # the first fault in the order n_beacons, max_iterations,
+        # volume_tolerance, rng_seed, link distance
+        (
+            ["--link-distance", "nan", "--seed", "-4", "--tolerance", "1.5", "--max-iterations", "0"],
+            "max_iterations must be >= 1, got 0",
+        ),
+        (["--seed", "-4", "--link-distance", "-1"], "rng_seed must be >= 0, got -4"),
+    ],
+)
+def test_problem_invariants_validated(capsys, tmp_path, flags, message):
+    # the deploy command checks what its flags set, after reading the grid
+    # and the area; DeploymentProblem stores what it is given
+    out = tmp_path / "constellation.geojson"
+    argv = ["deploy", "--bathymetry", BATHY, "--area", AREA, "--n-beacons", "3", "--out", str(out)]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

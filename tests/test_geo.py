@@ -512,16 +512,40 @@ def test_pip_concave_polygon():
     assert point_in_polygon(Point2D(3, 1), poly)
 
 
-def test_polygon_rejects_self_intersection():
-    with pytest.raises(ValueError):
-        MissionPolygon(
-            (Point2D(0, 0), Point2D(2, 2), Point2D(2, 0), Point2D(0, 2))
-        )
+def polygon_text(*positions):
+    """A GeoJSON Polygon whose ring runs through ``positions``, closed."""
+    return json.dumps({"type": "Polygon", "coordinates": [[*positions, positions[0]]]})
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        # a bow tie, and a ring that doubles back along its own edge
+        ([[0, 0], [2, 2], [2, 0], [0, 2]], "edges 0 and 2 intersect"),
+        ([[0, 0], [4, 0], [2, 0], [2, 3]], "edges 0 and 2 intersect"),
+        ([[0, 0], [4, 0], [4, 4], [0, 4], [4, 2]], "edges 1 and 3 intersect"),
+    ],
+)
+def test_polygon_rejects_self_intersection(positions, message):
+    # the reader of the area checks the ring; MissionPolygon stores it
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(polygon_text(*positions))
+    assert str(exc.value) == message
 
 
 def test_polygon_rejects_too_few_vertices():
-    with pytest.raises(ValueError):
-        MissionPolygon((Point2D(0, 0), Point2D(1, 1)))
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(polygon_text([0, 0], [1, 1]))
+    assert str(exc.value) == "polygon needs at least 3 vertices, got 2"
+
+
+@pytest.mark.parametrize(
+    "positions, index", [([[0, 0], [1, 1], [1, 1]], 1), ([[0, 0], [4, 0], [4, 4], [4, 4.0]], 2)]
+)
+def test_polygon_rejects_consecutive_duplicate_vertices(positions, index):
+    with pytest.raises(GeoJsonError) as exc:
+        polygon_from_geojson(polygon_text(*positions))
+    assert str(exc.value) == f"consecutive duplicate vertex at index {index}"
 
 
 @st.composite
@@ -545,9 +569,10 @@ def grids_and_lattice_polygons(draw):
         for r, c in draw(st.lists(vertex, min_size=3, max_size=7, unique=True))
     ]
     try:
-        poly = MissionPolygon(tuple(corners))
-    except ValueError:
+        poly = polygon_from_geojson(polygon_text(*([p.x, p.y] for p in corners)))
+    except GeoJsonError:
         reject()  # collinear repeats or crossing edges
+    assert poly.vertices == tuple(corners)
     return grid, poly
 
 
