@@ -8,8 +8,9 @@ beacon path, ``plan`` decomposes a mission into primitive actions,
 and summary.
 
 Every command is deterministic: the same inputs produce byte-identical
-outputs.  Exit codes: 0 success, 1 bad input, 2 no route, 3 no plan,
-4 any other package error, or a reader that closed stdout early.
+outputs.  Exit codes: 0 success, 1 bad input (a usage error included),
+2 no route, 3 no plan, 4 any other package error, or a reader that
+closed stdout early.
 
 ``main()`` may be called repeatedly in one process and reuses one parser,
 built on first use.
@@ -25,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import ScenarioConfig, load_beacons, load_scenario, parse_input
+from .config import load_beacons, load_scenario, parse_input
 from .deploy import (
     BeaconGraph,
     DeploymentProblem,
@@ -179,16 +180,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
-    if args.out_dir:
-        config = ScenarioConfig(
-            Path(args.out_dir).resolve(),
-            config.beacons,
-            config.domain,
-            config.world,
-            config.uuvs,
-            config.inactive_beacons,
-        )
-    out = config.output_dir
+    out = Path(args.out_dir).resolve() if args.out_dir else config.output_dir
     try:
         # an unwritable directory fails before the run, not after it
         out.mkdir(parents=True, exist_ok=True)
@@ -204,9 +196,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Print the usage line and the message, as argparse does, but
+        exit 1, the code of bad input: argparse's own 2 is this program's
+        code for no route."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uuvnav",
         description="Beacon deployment, mission planning, and fleet simulation.",
     )

@@ -144,8 +144,8 @@ def _candidate_cells(grid: BathymetryGrid, poly: MissionPolygon):
 
     mask = cells_in_polygon(grid, poly) & grid.valid_mask
     rows, cols = np.nonzero(mask)
-    all_xs, all_ys = grid.cell_centers()
-    xs, ys = all_xs[rows, cols], all_ys[rows, cols]
+    col_xs, row_ys = grid.cell_centers()
+    xs, ys = col_xs[cols], row_ys[rows]
     vols = grid.depth[rows, cols] * grid.cell_size**2
     return rows, cols, xs, ys, vols
 
@@ -197,14 +197,10 @@ def assign_cells(
     poly: MissionPolygon,
 ) -> CellAssignment:
     """Assign every in-polygon water cell to the site with the smallest
-    power distance (squared distance minus the site's weight).  The weights
-    must be finite, as _power_assign says."""
+    power distance (squared distance minus the site's weight): one finite
+    weight for each of at least one site, as _power_assign says."""
     import numpy as np
 
-    if len(sites) == 0:
-        raise ValueError("sites list is empty")
-    if len(weights) != len(sites):
-        raise ValueError(f"{len(weights)} weights for {len(sites)} sites")
     rows, cols, xs, ys, _ = _candidate_cells(grid, poly)
     sx = np.array([s.x for s in sites])
     sy = np.array([s.y for s in sites])
@@ -256,10 +252,10 @@ def _nearest_candidate(grid: BathymetryGrid, rows, cols, xs, ys):
 
     index = np.full((grid.n_rows, grid.n_cols), -1, dtype=np.intp)
     index[rows, cols] = np.arange(len(rows))
-    all_xs, all_ys = grid.cell_centers()
+    col_xs, row_ys = grid.cell_centers()
     # centres two cells past the raster's edge are infinitely far away
-    col_x = np.concatenate(([-math.inf] * 2, all_xs[0], [math.inf] * 2)).tolist()
-    row_y = np.concatenate(([math.inf] * 2, all_ys[:, 0], [-math.inf] * 2)).tolist()
+    col_x = np.concatenate(([-math.inf] * 2, col_xs, [math.inf] * 2)).tolist()
+    row_y = np.concatenate(([math.inf] * 2, row_ys, [-math.inf] * 2)).tolist()
 
     def nearest(x: float, y: float) -> int:
         u = (x - grid.origin_x) / grid.cell_size

@@ -1,8 +1,9 @@
 """The exceptions shared across the package, and ``shown`` for their messages.
 
 The CLI maps these onto its exit-code contract: InputError subclasses exit
-with 1, an unreachable route with 2, PlanNotFound with 3, and any other
-UuvnavError with 4.
+with 1, an unreachable route with 2, PlanNotFound with 3, and the one
+other UuvnavError, GroundingError, with 4.  The simulator raises none of
+its own: the readers refuse at load whatever it could not run.
 """
 
 
@@ -52,12 +53,4 @@ class GroundingError(UuvnavError):
 
 
 class PlanNotFound(UuvnavError):
-    """The HTN search ended without a plan; .reason says why."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class SimulationError(UuvnavError):
-    """Scenario execution could not proceed."""
+    """The HTN search ended without a plan; the message says why."""

@@ -60,9 +60,6 @@ class Point2D(Record, frozen=True):
     x: float
     y: float
 
-    def __reduce__(self):
-        return Point2D, (self.x, self.y)
-
     def distance_to(self, other: "Point2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -126,16 +123,13 @@ class BathymetryGrid(Record, frozen=True):
         return self.depth != self.nodata_value
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Center coordinates of every cell as (xs, ys), shape (n_rows, n_cols)."""
+        """The cell-center axes (xs, ys): xs[c] is column c's center x,
+        ascending, and ys[r] is row r's center y, descending."""
         import numpy as np
 
-        cols = np.arange(self.n_cols)
-        rows = np.arange(self.n_rows)
-        xs = self.origin_x + (cols + 0.5) * self.cell_size
-        ys = self.origin_y + (self.n_rows - rows - 0.5) * self.cell_size
-        return np.broadcast_to(xs, (self.n_rows, self.n_cols)), np.broadcast_to(
-            ys[:, None], (self.n_rows, self.n_cols)
-        )
+        xs = self.origin_x + (np.arange(self.n_cols) + 0.5) * self.cell_size
+        ys = self.origin_y + (self.n_rows - np.arange(self.n_rows) - 0.5) * self.cell_size
+        return xs, ys
 
 
 class MissionPolygon(Record, frozen=True):
@@ -183,9 +177,7 @@ def cells_in_polygon(grid: BathymetryGrid, poly: MissionPolygon) -> np.ndarray:
     """
     import numpy as np
 
-    xs, ys = grid.cell_centers()
-    x = xs[0]  # column centers, ascending
-    y = ys[:, 0]  # row centers, descending
+    x, y = grid.cell_centers()  # column centers ascending, row centers descending
     # flipping the prefix [0, k) of a row toggles its columns 0 and k
     toggles = np.zeros((grid.n_rows, grid.n_cols + 1), dtype=bool)
     boundary = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)

@@ -6,7 +6,8 @@ table in ``sim.world`` defines each action's projection beside its
 executor step; the monitor chains a plan's steps through those
 projections and stops at the first action whose duration cannot be
 projected.  A vehicle's open windows are kept on the vehicle
-(``UUVState.expectations``), in plan order.
+(``UUVState.expectations``), in plan order, so a window need not name
+its vehicle.
 
 After each tick, ``check`` reads the world and settles every open
 window: one whose beacon the vehicle heard on that tick, at or before
@@ -30,10 +31,10 @@ from .sim.world import Projection, UUVState, WorldState, action_behaviour
 
 
 class Expectation(Record, frozen=True):
-    """A detection window for one beacon-approach leg of a plan."""
+    """A detection window for one beacon-approach leg of a plan, kept on
+    the vehicle that flies the leg."""
 
-    __slots__ = _fields = ("uuv_id", "beacon_id", "earliest", "latest")
-    uuv_id: str
+    __slots__ = _fields = ("beacon_id", "earliest", "latest")
     beacon_id: str
     earliest: float
     latest: float
@@ -71,13 +72,14 @@ def derive_expectations(
         window = project(projection, action)
         if window is not None:
             earliest, latest = window
-            expectations.append(Expectation(uuv.id, action.args[1], earliest, latest))
+            expectations.append(Expectation(action.args[1], earliest, latest))
     return expectations
 
 
-def check(world: WorldState) -> list[Expectation]:
+def check(world: WorldState) -> list[tuple[UUVState, Expectation]]:
     """Settle the open windows of every vehicle, in fleet order and each
-    vehicle's windows in plan order, and return the ones that diverged.
+    vehicle's windows in plan order, and return the ones that diverged,
+    each as (vehicle, window).
 
     A window whose beacon the vehicle heard on this tick, at or before
     the window's close, is met.  A window whose close has passed is a
@@ -86,22 +88,23 @@ def check(world: WorldState) -> list[Expectation]:
     windows still close.
     """
     now, tick_number = world.sim_time, world.ticks_run
-    diverged: list[Expectation] = []
+    diverged: list[tuple[UUVState, Expectation]] = []
     for uuv in world.uuvs:
         if not uuv.expectations:
             continue
         still_open: list[Expectation] = []
         for exp in uuv.expectations:
             if now > exp.latest:
-                diverged.append(exp)
+                diverged.append((uuv, exp))
             elif not uuv.heard(exp.beacon_id, tick_number):
                 still_open.append(exp)
         uuv.expectations = still_open
     return diverged
 
 
-def replan_episode(exp: Expectation, world: WorldState) -> None:
-    """Handle one divergence: share the bad news and replan the fleet.
+def replan_episode(divergent: UUVState, exp: Expectation, world: WorldState) -> None:
+    """Handle one divergence, the window ``exp`` of vehicle ``divergent``:
+    share the bad news and replan the fleet.
 
     The unreachable fact is merged into the belief of the divergent
     vehicle and of every active vehicle within comm range of it, and
@@ -110,7 +113,6 @@ def replan_episode(exp: Expectation, world: WorldState) -> None:
     its open ones.  Vehicles that cannot find a plan fail their mission;
     the rest of the fleet is unaffected.  Events go to ``world.events``.
     """
-    divergent = world.uuv(exp.uuv_id)
     unreachable = ("beacon-unreachable", exp.beacon_id)
 
     if divergent.status == "active" and not divergent.queue:

@@ -113,8 +113,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
             break
         step(world)
         divergences = monitor.check(world)
-        for exp in divergences:
-            monitor.replan_episode(exp, world)
+        for uuv, exp in divergences:
+            monitor.replan_episode(uuv, exp, world)
         if divergences:
             # replanning logs to the same tick's events, after step sorted them
             world.events.sort(key=EVENT_ORDER)
@@ -148,7 +148,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationReport:
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def event_to_json_line(event: Event | Detection) -> str:
+def event_to_json_line(event: Event) -> str:
     """One event as a compact JSON line with a schema version tag."""
     record = {
         "v": EVENT_SCHEMA_VERSION,

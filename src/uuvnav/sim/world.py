@@ -10,9 +10,9 @@ The state is kept in mutable records, plain slotted classes on
 ``record.Record`` (``WorldParams``, ``BeaconState``, ``UUVState``,
 ``WorldState``), and the log in two: a ``Detection`` for each pulse a
 vehicle hears, which is most of a run's log, and an ``Event`` with a
-payload dict for everything else.  Both carry
-``time``, ``kind``, ``subject`` and ``payload``, and a tick's log is
-sorted once by ``EVENT_ORDER``, (time, subject), stably.
+payload dict for everything else.  Both carry ``time``, ``kind`` and
+``subject``, and a tick's log is sorted once by ``EVENT_ORDER``, (time,
+subject), stably.
 
 Every world lies in one envelope, checked where input enters the
 program (``PARAMS`` below, and ``geo.COORDINATE_LIMIT``), so no quantity
@@ -38,7 +38,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from ..errors import SimulationError, shown
+from ..errors import shown
 from ..geo import Point2D
 from ..hddl.ground import GroundAction
 from ..record import Record
@@ -228,8 +228,8 @@ class Event(Record):
 
 class Detection(Record):
     """A vehicle heard a beacon's pulse: the event the detection scan
-    logs, one per vehicle and beacon heard, with the fields of an
-    ``Event`` of kind ``detection`` and that event's payload.
+    logs, one per vehicle and beacon heard, with an ``Event``'s time,
+    kind and subject, and the beacon and range as fields of its own.
 
     Only ``_detection_phase`` builds one, so its values are those a run
     makes inside the input envelope: ``subject`` and ``beacon`` are
@@ -244,10 +244,6 @@ class Detection(Record):
     range: float
     kind = "detection"
 
-    @property
-    def payload(self) -> dict:
-        return {"beacon": self.beacon, "range": self.range}
-
 
 # The order of a tick's log: by time, then subject.  The sort is stable,
 # so each vehicle's events keep their causal order.
@@ -256,9 +252,11 @@ EVENT_ORDER = operator.attrgetter("time", "subject")
 
 class WorldState(Record):
     """The fleet, the beacon table (keyed by id, in chart order), and the
-    log of the tick in progress.  ``periods`` holds the chart's distinct
-    pulse periods and ``grid`` its beacons by cell, both taken once when
-    the world is made; they are not fields, so neither compared nor shown."""
+    log of the tick in progress.  The runner loads no problem that names
+    a beacon missing from the table, so actions index it directly.
+    ``periods`` holds the chart's distinct pulse periods and ``grid`` its
+    beacons by cell, both taken once when the world is made; they are not
+    fields, so neither compared nor shown."""
 
     _fields = ("uuvs", "beacons", "params", "ticks_run", "events")
     __slots__ = (*_fields, "periods", "grid")
@@ -286,18 +284,6 @@ class WorldState(Record):
     def emit(self, kind: str, subject: str, payload: dict) -> None:
         """Log an event at the current simulation time."""
         self.events.append(Event(self.sim_time, kind, subject, payload))
-
-    def uuv(self, uuv_id: str) -> UUVState:
-        for u in self.uuvs:
-            if u.id == uuv_id:
-                return u
-        raise SimulationError(f"unknown vehicle id {uuv_id!r}")
-
-    def beacon(self, beacon_id: str) -> BeaconState:
-        try:
-            return self.beacons[beacon_id]
-        except KeyError:
-            raise SimulationError(f"no position known for beacon {beacon_id!r}") from None
 
 
 def sense_beacon(distance: float, beacon: BeaconState) -> bool:
@@ -424,7 +410,7 @@ def _tick_sense(uuv: UUVState, world: WorldState) -> None:
 
 def _tick_circle(uuv: UUVState, world: WorldState) -> None:
     params = world.params
-    beacon = world.beacon(uuv.queue[0].args[1])
+    beacon = world.beacons[uuv.queue[0].args[1]]
     if not beacon.active:
         _fail_mission(uuv, world, f"beacon {beacon.id} went silent during fix")
         return
@@ -491,14 +477,14 @@ class Projection(Record):
         return distance, nominal
 
     def transit(self, action: GroundAction) -> Optional[tuple[float, float]]:
-        self._move(self.world.beacon(action.args[1]))
+        self._move(self.world.beacons[action.args[1]])
         return None
 
     def approach(self, action: GroundAction) -> Optional[tuple[float, float]]:
         """A leg that expects to hear its beacon within the nominal leg time,
         widened by a margin that grows with dead-reckoning uncertainty, plus
         one of the beacon's own pulse periods of slack at the tail."""
-        beacon = self.world.beacon(action.args[1])
+        beacon = self.world.beacons[action.args[1]]
         start, uncertainty = self.time, self.uncertainty
         distance, nominal = self._move(beacon)
         if distance == 0:
@@ -516,7 +502,7 @@ class Projection(Record):
 
     def sense(self, action: GroundAction) -> Optional[tuple[float, float]]:
         # The beacon's next pulse is at most one of its periods away.
-        self.time += self.world.beacon(action.args[1]).pulse_period
+        self.time += self.world.beacons[action.args[1]].pulse_period
         return None
 
     def circle(self, action: GroundAction) -> Optional[tuple[float, float]]:

@@ -74,7 +74,7 @@ def move_towards(uuv, target, world):
 
 
 def to_beacon(uuv, world):
-    move_towards(uuv, world.beacon(uuv.queue[0].args[1]).position, world)
+    move_towards(uuv, world.beacons[uuv.queue[0].args[1]].position, world)
 
 
 def to_broadcast(uuv, world):
@@ -86,7 +86,7 @@ def to_broadcast(uuv, world):
 
 def circle(uuv, world):
     params = world.params
-    beacon = world.beacon(uuv.queue[0].args[1])
+    beacon = world.beacons[uuv.queue[0].args[1]]
     if not beacon.active:
         fail_mission(uuv, world, f"beacon {beacon.id} went silent during fix")
         return
@@ -229,8 +229,8 @@ def run_reference(config: ScenarioConfig) -> tuple[str, str, str]:
     while any(u.status == "active" for u in uuvs) and world.ticks_run < config.world.step_cap:
         step(world)
         divergences = monitor.check(world)
-        for exp in divergences:
-            monitor.replan_episode(exp, world)
+        for uuv, exp in divergences:
+            monitor.replan_episode(uuv, exp, world)
         world.events.sort(key=order)
         events.extend(world.events)
         log_positions()

@@ -201,7 +201,7 @@ def test_c5_nominal_run_localizes_broadcasts_and_rendezvouses():
     t_detect = first_time(
         lambda e: e.kind == "detection"
         and e.subject == "uuv1"
-        and e.payload["beacon"] == "b6"
+        and e.beacon == "b6"
     )
     t_circle = first_time(
         lambda e: e.kind == "action-completed"
@@ -231,7 +231,7 @@ def test_c5_nominal_run_localizes_broadcasts_and_rendezvouses():
             and e.payload["action"] == "navigate-to-broadcast"
         )
         assert t_go > t_rx
-        final = world.uuv(uuv_id).estimated_position
+        final = next(u for u in world.uuvs if u.id == uuv_id).estimated_position
         assert final.distance_to(Point2D(*sender_pos)) <= world.params.arrival_tolerance
     assert report.summary["all_missions_completed"]
 

@@ -1211,6 +1211,34 @@ def test_importing_the_cli_builds_no_parser():
     assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, prog, message",
+    [
+        (
+            ["route", "--beacons", BEACONS, "--start", "b4", "--goal", "b8", "--link-distance", "-inf"],
+            "uuvnav route",
+            "argument --link-distance: expected one argument",
+        ),
+        (
+            ["route", "--start", "b4", "--goal", "b8"],
+            "uuvnav route",
+            "the following arguments are required: --beacons",
+        ),
+        ([], "uuvnav", "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_exits_1_with_the_usage_line(capsys, argv, prog, message):
+    """A usage error is bad input, so it exits 1: argparse's own 2 is the
+    code of "no route".  argparse reads ``-inf`` as a flag, not a number."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} ")
+    assert captured.err.endswith(f"\n{prog}: error: {message}\n")
+
+
 def test_calls_in_one_process_match_the_same_calls_run_alone(capsys, monkeypatch, tmp_path):
     """One process reuses the parser across a usage error, a help request
     and two routes; each call answers as it does in a fresh interpreter,
@@ -1243,6 +1271,6 @@ def test_calls_in_one_process_match_the_same_calls_run_alone(capsys, monkeypatch
     out_path.unlink()
     together.append(in_process(sequence[3]))
     assert not out_path.exists()
-    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    assert [code for code, _, _ in together] == [1, 0, 0, 0]
     assert written == json.loads(together[2][1])
     assert together == [alone(argv) for argv in sequence]

@@ -96,7 +96,7 @@ def test_beacons_sit_on_in_polygon_water_cell_centres(problem):
     result = lloyd_deploy(problem)
     xs, ys = grid.cell_centers()
     rows, cols = np.nonzero(cells_in_polygon(grid, problem.poly) & grid.valid_mask)
-    cell_at = {(xs[r, c], ys[r, c]): (r, c) for r, c in zip(rows, cols)}
+    cell_at = {(xs[c], ys[r]): (r, c) for r, c in zip(rows, cols)}
     for p, depth in zip(result.beacon_positions, result.beacon_depths):
         assert (p.x, p.y) in cell_at
         assert depth == grid.depth[cell_at[p.x, p.y]]
@@ -184,7 +184,7 @@ def snaps(draw):
     depth = np.full((rows, cols), 10.0)
     grid = BathymetryGrid(origin[0], origin[1], cell, rows, cols, depth, NODATA)
     r, c = np.nonzero(mask)
-    all_xs, all_ys = grid.cell_centers()
+    col_xs, row_ys = grid.cell_centers()
     holes = np.argwhere(~mask)
     points = []
     for kind in rng.choice(["lattice", "hole", "random", "non-finite"], size=30):
@@ -195,14 +195,14 @@ def snaps(draw):
         elif kind == "hole" and len(holes):
             hr, hc = holes[rng.integers(len(holes))]
             dx, dy = rng.uniform(-0.5, 0.5, 2) * cell
-            points.append((float(all_xs[hr, hc] + dx), float(all_ys[hr, hc] + dy)))
+            points.append((float(col_xs[hc] + dx), float(row_ys[hr] + dy)))
         elif kind == "non-finite":
             bad = rng.choice([math.inf, -math.inf, math.nan])
             points.append(((bad, origin[1]), (origin[0], bad), (bad, bad))[rng.integers(3)])
         else:
             x, y = rng.uniform(-1.5, [cols + 1.5, rows + 1.5]) * cell
             points.append((origin[0] + x, origin[1] + y))
-    return grid, r, c, all_xs[r, c], all_ys[r, c], points
+    return grid, r, c, col_xs[c], row_ys[r], points
 
 
 @PROPERTY

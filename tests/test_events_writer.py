@@ -1,8 +1,9 @@
 """``events.jsonl`` is written by a line writer with a fixed detection line.
 
 The writer must give exactly the lines ``event_to_json_line`` gives, one
-per item: a ``Detection`` record takes the detection template, and an
-``Event`` of any kind goes to the reference encoder.  ``Detection``s are
+per item: a ``Detection`` record takes the detection template, and must
+spell the ``Event`` of kind ``detection`` it stands for; an ``Event`` of
+any kind goes to the reference encoder.  ``Detection``s are
 drawn as the detection scan makes them: str ids that are not empty, a
 finite float range, and a time of ticks × tick, all floats or, with an
 int tick, all ints.  ``Event``s are drawn with any payload.
@@ -26,8 +27,16 @@ def written(events):
     return out.getvalue()
 
 
+def as_event(event):
+    """A ``Detection`` as the ``Event`` it stands for; an ``Event`` as is."""
+    if type(event) is Detection:
+        payload = {"beacon": event.beacon, "range": event.range}
+        return Event(event.time, event.kind, event.subject, payload)
+    return event
+
+
 def reference(events):
-    return "".join(event_to_json_line(e) + "\n" for e in events)
+    return "".join(event_to_json_line(as_event(e)) + "\n" for e in events)
 
 
 # ids that json must escape: quotes, backslashes, control and non-ASCII;
@@ -179,5 +188,5 @@ def test_a_detection_line_is_the_reference_line():
     line = '{"beacon":"b4","kind":"detection","range":1234.5678,"subject":"uuv2","t":12.0,"v":1}\n'
     record = Detection(12.0, "uuv2", "b4", 1234.5678)
     event = Event(12.0, "detection", "uuv2", {"beacon": "b4", "range": 1234.5678})
-    assert (record.kind, record.payload) == (event.kind, event.payload)
+    assert as_event(record) == event
     assert written([record]) == written([event]) == reference([record]) == line

@@ -386,7 +386,7 @@ def outcome(search, *args, **kwargs):
     try:
         return search(*args, **kwargs)
     except PlanNotFound as exc:
-        return exc.reason
+        return str(exc)
 
 
 def mutants(steps, tables):

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from uuvnav import monitor
-from uuvnav.errors import SimulationError
 from uuvnav.geo import Point2D
 from uuvnav.hddl.ground import GroundAction, ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
@@ -138,10 +137,6 @@ class TestDeriveExpectations:
         ]
         assert derive(steps, uuv("u1", 0.0, 0.0)) == []
 
-    def test_unknown_beacon_is_error(self):
-        with pytest.raises(SimulationError, match="no position known"):
-            derive([act("navigate-to-beacon", "u1", "b9")], uuv("u1", 0.0, 0.0))
-
     def test_zero_distance_leg_expects_a_pulse_soon(self):
         vehicle = uuv("u1", 1000.0, 0.0)
         exps = derive([act("navigate-to-beacon", "u1", "b1")], vehicle, ticks_run=40)
@@ -163,17 +158,22 @@ class TestDeriveExpectations:
         assert [tick for tick in range(100) if settle(world, tick)] == [36]
 
 
-def window(uuv_id="u1", beacon_id="b1", earliest=225.0, latest=785.0):
-    return monitor.Expectation(uuv_id, beacon_id, earliest, latest)
+def window(beacon_id="b1", earliest=225.0, latest=785.0):
+    return monitor.Expectation(beacon_id, earliest, latest)
+
+
+def by_id(world, uuv_id):
+    return next(u for u in world.uuvs if u.id == uuv_id)
 
 
 def settle(world, tick_number, heard=()):
     """Check the world's windows on this tick, after each (vehicle id,
-    beacon id) in ``heard`` heard its beacon on it."""
+    beacon id) in ``heard`` heard its beacon on it, and return the
+    divergences as (vehicle id, window)."""
     world.ticks_run = tick_number
     for uuv_id, beacon_id in heard:
-        world.uuv(uuv_id).last_detection[beacon_id] = tick_number
-    return monitor.check(world)
+        by_id(world, uuv_id).last_detection[beacon_id] = tick_number
+    return [(vehicle.id, exp) for vehicle, exp in monitor.check(world)]
 
 
 class TestCheckAndDetections:
@@ -185,35 +185,35 @@ class TestCheckAndDetections:
     def test_detection_marks_met(self):
         world = self.make_world()
         assert settle(world, 300, heard=[("u1", "b1")]) == []
-        assert world.uuv("u1").expectations == []
+        assert by_id(world, "u1").expectations == []
 
     def test_early_detection_counts(self):
         world = self.make_world()
         assert settle(world, 100, heard=[("u1", "b1")]) == []
-        assert world.uuv("u1").expectations == []
+        assert by_id(world, "u1").expectations == []
 
     def test_late_detection_does_not_count(self):
         world = self.make_world()
-        assert settle(world, 790, heard=[("u1", "b1")]) == [window()]
-        assert world.uuv("u1").expectations == []
+        assert settle(world, 790, heard=[("u1", "b1")]) == [("u1", window())]
+        assert by_id(world, "u1").expectations == []
 
     def test_other_subject_or_beacon_ignored(self):
         world = self.make_world()
         assert settle(world, 300, heard=[("u2", "b1"), ("u1", "b2")]) == []
-        assert world.uuv("u1").expectations == [window()]
+        assert by_id(world, "u1").expectations == [window()]
 
     def test_detection_on_an_earlier_tick_is_ignored(self):
         world = self.make_world()
-        world.uuv("u1").last_detection["b1"] = 299
+        by_id(world, "u1").last_detection["b1"] = 299
         assert settle(world, 300) == []
-        assert world.uuv("u1").expectations == [window()]
+        assert by_id(world, "u1").expectations == [window()]
 
     def test_check_fires_after_window_close(self):
         world = self.make_world()
         assert settle(world, 785) == []
-        assert world.uuv("u1").expectations == [window()]
-        assert settle(world, 786) == [window()]
-        assert world.uuv("u1").expectations == []
+        assert by_id(world, "u1").expectations == [window()]
+        assert settle(world, 786) == [("u1", window())]
+        assert by_id(world, "u1").expectations == []
 
     def test_check_fires_only_once(self):
         world = self.make_world()
@@ -227,15 +227,15 @@ class TestCheckAndDetections:
 
     def test_failed_vehicle_window_still_fires(self):
         world = self.make_world()
-        world.uuv("u1").status = "failed"
-        assert settle(world, 786) == [window()]
+        by_id(world, "u1").status = "failed"
+        assert settle(world, 786) == [("u1", window())]
 
     def test_windows_close_in_fleet_then_plan_order(self):
         world = self.make_world()
         later = window(beacon_id="b2", latest=700.0)
-        world.uuv("u1").expectations.append(later)
-        world.uuv("u2").expectations = [window(uuv_id="u2", latest=10.0)]
-        assert settle(world, 786) == [window(), later, window(uuv_id="u2", latest=10.0)]
+        by_id(world, "u1").expectations.append(later)
+        by_id(world, "u2").expectations = [window(latest=10.0)]
+        assert settle(world, 786) == [("u1", window()), ("u1", later), ("u2", window(latest=10.0))]
 
 
 def load_setup(problem_name):
@@ -264,7 +264,7 @@ class TestReplanEpisode:
         u3 = uuv("uuv3", 9000.0, 4000.0, belief=init3, queue=[act("await-broadcast", "uuv3")])
         for vehicle, setup in ((u1, setup1), (u2, setup2), (u3, setup3)):
             vehicle.setup = setup
-            vehicle.expectations = [window(vehicle.id, "b8", 2000.0, 3000.0)]
+            vehicle.expectations = [window("b8", 2000.0, 3000.0)]
         world = WorldState(
             uuvs=[u1, u2, u3],
             beacons={
@@ -274,17 +274,17 @@ class TestReplanEpisode:
             params=WorldParams(),
             ticks_run=1626,
         )
-        return world, window("uuv1", "b6", 1000.0, 1625.0)
+        return world, (u1, window("b6", 1000.0, 1625.0))
 
     def test_in_range_vehicles_replan(self):
-        world, exp = self.make_world()
-        monitor.replan_episode(exp, world)
+        world, divergence = self.make_world()
+        monitor.replan_episode(*divergence, world)
         replanned = [e.subject for e in world.events if e.kind == "replan-triggered"]
         assert replanned == ["uuv1", "uuv2"]
-        u1 = world.uuv("uuv1")
+        u1 = by_id(world, "uuv1")
         assert [a.name for a in u1.queue] == ["broadcast", "transit-leg"]
         assert ("beacon-unreachable", "b6") in u1.belief
-        assert ("beacon-unreachable", "b6") in world.uuv("uuv2").belief
+        assert ("beacon-unreachable", "b6") in by_id(world, "uuv2").belief
         assert u1.replan_count == 1
 
     def test_fleet_order_does_not_change_the_replans(self):
@@ -292,15 +292,15 @@ class TestReplanEpisode:
         # reversed: each replans from its own belief and setup, and the
         # tick's log is read sorted by EVENT_ORDER
         def replanned(reverse):
-            world, exp = self.make_world()
-            world.uuv("uuv3").true_position = Point2D(5000.0, 4000.0)
+            world, divergence = self.make_world()
+            by_id(world, "uuv3").true_position = Point2D(5000.0, 4000.0)
             setup4, init4 = load_setup("uuv4-listen.hddl")
             u4 = uuv("uuv4", 4000.0, 3000.0, belief=init4, queue=[act("await-broadcast", "uuv4")])
             u4.setup = setup4
             world.uuvs.append(u4)
             if reverse:
                 world.uuvs.reverse()
-            monitor.replan_episode(exp, world)
+            monitor.replan_episode(*divergence, world)
             vehicles = {
                 u.id: (list(u.queue), set(u.belief), list(u.expectations), u.status, u.replan_count)
                 for u in world.uuvs
@@ -314,47 +314,47 @@ class TestReplanEpisode:
         assert forward == backward
 
     def test_out_of_range_vehicle_untouched(self):
-        world, exp = self.make_world()
-        monitor.replan_episode(exp, world)
-        u3 = world.uuv("uuv3")
+        world, divergence = self.make_world()
+        monitor.replan_episode(*divergence, world)
+        u3 = by_id(world, "uuv3")
         assert ("beacon-unreachable", "b6") not in u3.belief
         assert [a.name for a in u3.queue] == ["await-broadcast"]
         assert u3.replan_count == 0
-        assert u3.expectations == [window("uuv3", "b8", 2000.0, 3000.0)]
+        assert u3.expectations == [window("b8", 2000.0, 3000.0)]
 
     def test_new_expectations_replace_old(self):
-        world, exp = self.make_world()
-        monitor.replan_episode(exp, world)
+        world, divergence = self.make_world()
+        monitor.replan_episode(*divergence, world)
         # fallback plan has no beacon-approach legs, so no windows
-        assert world.uuv("uuv1").expectations == []
-        assert world.uuv("uuv2").expectations == []
+        assert by_id(world, "uuv1").expectations == []
+        assert by_id(world, "uuv2").expectations == []
 
     def test_unsolvable_replan_fails_only_that_mission(self):
-        world, exp = self.make_world()
+        world, divergence = self.make_world()
         # strip the fact the fallback method needs nothing, but the
         # preferred method everything: removing beacon-active leaves the
         # localize task with no applicable method at all
-        u1 = world.uuv("uuv1")
+        u1 = by_id(world, "uuv1")
         u1.setup = monitor.PlanningSetup(
             tables=u1.setup.tables, network=(("localize-at", "uuv1", "b6"),), goal=None
         )
         u1.belief.discard(("beacon-active", "b6"))
-        monitor.replan_episode(exp, world)
+        monitor.replan_episode(*divergence, world)
         assert any(e.kind == "mission-failed" and e.subject == "uuv1" for e in world.events)
-        assert world.uuv("uuv1").status == "failed"
-        assert world.uuv("uuv1").expectations == []
-        assert world.uuv("uuv2").status == "active"
-        assert [a.name for a in world.uuv("uuv2").queue] == ["await-broadcast", "navigate-to-broadcast"]
+        assert by_id(world, "uuv1").status == "failed"
+        assert by_id(world, "uuv1").expectations == []
+        assert by_id(world, "uuv2").status == "active"
+        assert [a.name for a in by_id(world, "uuv2").queue] == ["await-broadcast", "navigate-to-broadcast"]
 
     def test_empty_queue_divergence_is_warning_noop(self):
-        world, exp = self.make_world()
-        u1 = world.uuv("uuv1")
+        world, divergence = self.make_world()
+        u1 = by_id(world, "uuv1")
         u1.queue.clear()
-        monitor.replan_episode(exp, world)
+        monitor.replan_episode(*divergence, world)
         assert [e.kind for e in world.events] == ["warning"]
-        assert u1.expectations == [window("uuv1", "b8", 2000.0, 3000.0)]
+        assert u1.expectations == [window("b8", 2000.0, 3000.0)]
         assert u1.replan_count == 0
-        assert ("beacon-unreachable", "b6") not in world.uuv("uuv2").belief
+        assert ("beacon-unreachable", "b6") not in by_id(world, "uuv2").belief
 
     def test_windows_closing_on_one_tick_each_run_an_episode(self):
         # uuv1 and uuv2 are in comm range and both windows close on tick
@@ -362,15 +362,15 @@ class TestReplanEpisode:
         # uuv2's divergence is handled although the first episode has
         # already replaced uuv2's windows.
         world, _ = self.make_world()
-        world.uuv("uuv1").expectations = [window("uuv1", "b6", 1000.0, 1625.0)]
-        world.uuv("uuv2").expectations = [window("uuv2", "b8", 1000.0, 1625.0)]
-        for exp in monitor.check(world):
-            monitor.replan_episode(exp, world)
+        by_id(world, "uuv1").expectations = [window("b6", 1000.0, 1625.0)]
+        by_id(world, "uuv2").expectations = [window("b8", 1000.0, 1625.0)]
+        for vehicle, exp in monitor.check(world):
+            monitor.replan_episode(vehicle, exp, world)
         replans = [
             (e.subject, e.payload["beacon"]) for e in world.events if e.kind == "replan-triggered"
         ]
         assert replans == [("uuv1", "b6"), ("uuv2", "b6"), ("uuv1", "b8"), ("uuv2", "b8")]
-        for vehicle in (world.uuv("uuv1"), world.uuv("uuv2")):
+        for vehicle in (by_id(world, "uuv1"), by_id(world, "uuv2")):
             assert {("beacon-unreachable", "b6"), ("beacon-unreachable", "b8")} <= vehicle.belief
             assert vehicle.replan_count == 2
 
@@ -379,18 +379,18 @@ class TestReplanEpisode:
         # network is empty, so the first episode replans it to an empty
         # plan; the second then finds it active with no plan left.
         world, _ = self.make_world()
-        u1, u2 = world.uuv("uuv1"), world.uuv("uuv2")
+        u1, u2 = by_id(world, "uuv1"), by_id(world, "uuv2")
         u1.setup = monitor.PlanningSetup(tables=u1.setup.tables, network=(), goal=None)
         u1.expectations = [
-            window("uuv1", "b6", 1000.0, 1625.0),
-            window("uuv1", "b8", 1000.0, 1625.0),
+            window("b6", 1000.0, 1625.0),
+            window("b8", 1000.0, 1625.0),
         ]
         first, second = monitor.check(world)
-        monitor.replan_episode(first, world)
+        monitor.replan_episode(*first, world)
         assert u1.status == "active" and u1.queue == [] and u1.replan_count == 1
         mate = (list(u2.queue), set(u2.belief), list(u2.expectations), u2.replan_count)
         logged = len(world.events)
-        monitor.replan_episode(second, world)
+        monitor.replan_episode(*second, world)
         new = world.events[logged:]
         assert [(e.kind, e.subject, e.payload) for e in new] == [
             ("warning", "uuv1", {"message": "divergence on b8 with no plan left to revise"})

@@ -3,9 +3,9 @@ reason to stay.
 
 A fresh interpreter installs a ``sys.setprofile`` hook before ``uuvnav``
 is imported, then runs ``uuvnav.cli.main`` over the README commands,
-``plan`` of every bundled problem, and every file in
+``plan`` of every bundled problem, every file in
 ``scenarios/malformed/`` and ``domains/malformed/`` through the command
-that CI runs it with.  Every function of the package is listed by
+that CI runs it with, and CI's usage error, a bare ``uuvnav``.  Every function of the package is listed by
 compiling its file and walking the code objects, lambdas and
 comprehensions left out.  The functions never entered must be exactly
 those of ``UNREACHED``: a new function that no command enters, or an
@@ -42,7 +42,10 @@ from uuvnav.cli import main
 codes = []
 for argv in json.loads(sys.stdin.read()):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(main(argv))
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:  # a usage error
+            codes.append(exc.code)
 sys.setprofile(None)
 print(json.dumps({
     "codes": codes,
@@ -54,8 +57,6 @@ print(json.dumps({
 UNREACHED = {
     "deploy.py:CellAssignment.__init__": "the bench's assign_pass_s times assign_cells",
     "deploy.py:assign_cells": "the bench's assign_pass_s times it",
-    "errors.py:PlanNotFound.__init__": "no bundled problem is unsolvable",
-    "geo.py:Point2D.__reduce__": "the tests copy and pickle points",
     "geo.py:equal_with_arrays": "the tests compare grids and assignments",
     "record.py:Record.__eq__": "value semantics for the tests",
     "record.py:Record.__hash__": "value semantics for the tests",
@@ -63,7 +64,6 @@ UNREACHED = {
     "record.py:_refuse_assignment": "runs only on a bug",
     "record.py:_refuse_deletion": "runs only on a bug",
     "record.py:_frozen": "runs only on a bug",
-    "sim/world.py:Detection.payload": "the tests read a detection's payload",
     "sim/world.py:_fail_mission": "no bundled input fails a mission",
     **{
         f"hddl/printer.py:{name}": "the tests print HDDL; a domain emitter is planned"
@@ -82,7 +82,8 @@ UNREACHED = {
 
 def ci_commands(out: Path) -> list[list[str]]:
     """``plan`` of each bundled problem, then each malformed input
-    through the command CI runs it with, writing into ``out``."""
+    through the command CI runs it with, writing into ``out``, then a
+    bare ``uuvnav``."""
     domain, mission = "domains/uuv-nav.hddl", "scenarios/problems/uuv1-mission.hddl"
     commands = [
         ["plan", "--domain", domain, "--problem", str(problem.relative_to(REPO))]
@@ -106,6 +107,7 @@ def ci_commands(out: Path) -> list[list[str]]:
             commands.append(["plan", "--domain", domain, "--problem", name])
         else:
             commands.append(["plan", "--domain", name, "--problem", mission])
+    commands.append([])
     return commands
 
 
@@ -142,7 +144,7 @@ def test_every_function_that_no_command_enters_has_a_reason_to_stay(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     # the README commands and the bundled problems succeed, and every
-    # malformed input exits 1
+    # malformed input and the usage error exit 1
     n_ok = len(readme) + len(list((REPO / "scenarios" / "problems").glob("*.hddl")))
     assert result["codes"] == [0] * n_ok + [1] * (len(readme) + len(others) - n_ok)
     entered = {(str(Path(f).resolve()), line, name) for f, line, name in result["entered"]}

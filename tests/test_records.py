@@ -177,8 +177,8 @@ RECORDS = {
     ),
     Verdict: (lambda: Verdict(False, "orphan step 0", 0), ("valid", "reason", "step_index")),
     Expectation: (
-        lambda: Expectation("u1", "b1", 10.0, 20.5),
-        ("uuv_id", "beacon_id", "earliest", "latest"),
+        lambda: Expectation("b1", 10.0, 20.5),
+        ("beacon_id", "earliest", "latest"),
     ),
     PlanningSetup: (
         lambda: PlanningSetup(GroundTables({}, {}, frozenset(), 0), (("localize", "u1"),)),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from uuvnav import monitor
 from uuvnav.config import load_scenario
-from uuvnav.errors import InputError, SimulationError
+from uuvnav.errors import InputError
 from uuvnav.geo import COORDINATE_LIMIT, Point2D
 from uuvnav.hddl.ground import GroundAction, ground
 from uuvnav.hddl.parser import parse_domain, parse_problem
@@ -97,6 +97,10 @@ def world(uuvs, beacons, **overrides):
         beacons={b.id: b for b in beacons},
         params=WorldParams(**overrides),
     )
+
+
+def by_id(world, uuv_id):
+    return next(u for u in world.uuvs if u.id == uuv_id)
 
 
 def detections(events):
@@ -314,11 +318,7 @@ class TestPulseRule:
 
     @staticmethod
     def heard(events):
-        return [
-            (e.subject, e.payload["beacon"], e.payload["range"])
-            for e in events
-            if e.kind == "detection"
-        ]
+        return [(e.subject, e.beacon, e.range) for e in events if e.kind == "detection"]
 
     @staticmethod
     def per_beacon_reference(w, chart, tick):
@@ -470,7 +470,7 @@ class TestMovement:
     def test_moves_at_speed_towards_target(self):
         w = world([uuv("u1", 0.0, 0.0, queue=[nav("u1", "b1")])], [beacon("b1", 100.0, 0.0)])
         step(w)
-        u = w.uuv("u1")
+        u = by_id(w, "u1")
         assert u.true_position == Point2D(2.0, 0.0)
         assert u.estimated_position == Point2D(2.0, 0.0)
         assert u.position_uncertainty == pytest.approx(100.0 + 0.02 * 2.0)
@@ -482,7 +482,7 @@ class TestMovement:
             current=(0.5, 0.0),
         )
         step(w)
-        u = w.uuv("u1")
+        u = by_id(w, "u1")
         assert u.true_position == Point2D(2.5, 0.0)
         assert u.estimated_position == Point2D(2.0, 0.0)
 
@@ -499,7 +499,7 @@ class TestMovement:
             arrival_tolerance=0.5,
         )
         w, events = run_until(w, lambda _, ev: any(e.kind == "action-completed" for e in ev))
-        u = w.uuv("u1")
+        u = by_id(w, "u1")
         assert u.estimated_position == Point2D(3.0, 0.0)
 
     def test_arrival_emits_waypoint_then_completion(self):
@@ -507,7 +507,7 @@ class TestMovement:
         w, events = run_until(w, lambda _, ev: any(e.kind == "mission-completed" for e in ev))
         kinds = [e.kind for e in events if e.subject == "u1" and e.kind != "detection"]
         assert kinds == ["action-started", "waypoint-reached", "action-completed", "mission-completed"]
-        u = w.uuv("u1")
+        u = by_id(w, "u1")
         assert ("near", "u1", "b1") in u.belief
         assert u.status == "completed"
         assert u.estimated_position.distance_to(Point2D(100.0, 0.0)) <= 25.0
@@ -635,8 +635,8 @@ class TestCircleLocalize:
 
     def test_completion_resets_uncertainty_and_pins_estimate(self):
         w = self.make()
-        w, _ = run_until(w, lambda ww, _: ww.uuv("u1").status == "completed")
-        u = w.uuv("u1")
+        w, _ = run_until(w, lambda ww, _: by_id(ww, "u1").status == "completed")
+        u = by_id(w, "u1")
         assert u.position_uncertainty == 5.0
         assert u.true_position == u.estimated_position
         assert u.true_position.distance_to(Point2D(0.0, 0.0)) == pytest.approx(50.0)
@@ -646,11 +646,11 @@ class TestCircleLocalize:
         w = self.make()
         for _ in range(20):
             step(w)
-        w.beacon("b1").active = False
+        w.beacons["b1"].active = False
         batch = step(w)
         kinds = [e.kind for e in batch]
         assert "action-failed" in kinds and "mission-failed" in kinds
-        u = w.uuv("u1")
+        u = by_id(w, "u1")
         assert u.status == "failed"
         assert not u.queue
 
@@ -670,12 +670,12 @@ class TestCircleLocalize:
         )
         w = self.make()
         w.params = replace(w.params, arrival_tolerance=60.0)
-        u = w.uuv("u1")
+        u = by_id(w, "u1")
         u.belief = set(problem.init)
         u.setup = monitor.PlanningSetup(ground(domain, problem), problem.htn)
         for _ in range(20):
             step(w)
-        monitor.replan_episode(monitor.Expectation("u1", "b1", 0.0, 1.0), w)
+        monitor.replan_episode(u, monitor.Expectation("b1", 0.0, 1.0), w)
         started = []
         while "circle-localize" not in started:
             before = u.estimated_position
@@ -721,7 +721,7 @@ class TestActionTable:
             [vehicle], [beacon("b1", 0.0, 0.0)], uuv_speed=speed, tick=tick, standoff_radius=radius
         )
         projected = projected_duration(circle, vehicle, w)
-        w, _ = run_until(w, lambda ww, _: ww.uuv("u1").status == "completed")
+        w, _ = run_until(w, lambda ww, _: by_id(ww, "u1").status == "completed")
         assert w.ticks_run * tick == projected
 
     def test_unlisted_action_is_one_instant_tick_on_both_sides(self):
@@ -730,7 +730,7 @@ class TestActionTable:
         w = world([vehicle], [], tick=0.5)
         assert projected_duration(hold, vehicle, w) == 0.5
         step(w)
-        assert w.uuv("u1").status == "completed"
+        assert by_id(w, "u1").status == "completed"
 
     def test_every_domain_action_has_an_entry(self):
         domain = parse_domain(DOMAIN_PATH.read_text())
@@ -746,7 +746,7 @@ class TestBroadcast:
         events = step(w)
         received = [e.subject for e in events if e.kind == "broadcast-received"]
         assert received == ["u2"]
-        u2, u3 = w.uuv("u2"), w.uuv("u3")
+        u2, u3 = by_id(w, "u2"), by_id(w, "u3")
         assert ("heard-broadcast", "u2") in u2.belief
         assert ("broadcasted", "u1") in u2.belief
         assert u2.broadcast_target == Point2D(0.0, 0.0)
@@ -766,13 +766,13 @@ class TestBroadcast:
         )
         w = world([sender, listener], [])
         first = step(w)
-        assert w.uuv("u2").status == "active"
+        assert by_id(w, "u2").status == "active"
         # broadcast fires on the second tick; the listener (later in id
         # order) sees it the same tick and completes.
         second = step(w)
         u2_kinds = [e.kind for e in second if e.subject == "u2"]
         assert "action-completed" in u2_kinds
-        assert w.uuv("u2").status == "completed"
+        assert by_id(w, "u2").status == "completed"
 
     def test_navigate_to_broadcast_follows_received_position(self):
         sender = uuv("u1", 0.0, 0.0, queue=[act("broadcast", "u1")])
@@ -781,8 +781,8 @@ class TestBroadcast:
             queue=[act("navigate-to-broadcast", "u2", add=[("at-rendezvous", "u2")])],
         )
         w = world([sender, chaser], [], arrival_tolerance=1.0)
-        w, _ = run_until(w, lambda ww, _: ww.uuv("u2").status != "active")
-        u2 = w.uuv("u2")
+        w, _ = run_until(w, lambda ww, _: by_id(ww, "u2").status != "active")
+        u2 = by_id(w, "u2")
         assert u2.status == "completed"
         assert u2.estimated_position == Point2D(0.0, 0.0)
 
@@ -790,7 +790,7 @@ class TestBroadcast:
         chaser = uuv("u2", 300.0, 0.0, queue=[act("navigate-to-broadcast", "u2")])
         w = world([chaser], [])
         events = step(w)
-        assert w.uuv("u2").status == "failed"
+        assert by_id(w, "u2").status == "failed"
         assert any(e.kind == "action-failed" for e in events)
 
 
@@ -811,7 +811,7 @@ class TestEventStream:
             batch = step(w)
         detections = [e for e in batch if e.kind == "detection"]
         assert len(detections) == 1
-        assert detections[0].payload["beacon"] == "b1"
+        assert detections[0].beacon == "b1"
         assert detections[0].time == 10.0
 
     def test_events_grouped_by_subject_within_tick(self):
@@ -839,13 +839,6 @@ class TestEventStream:
             log1.extend(b1)
             log2.extend(b2)
         assert repr(log1) == repr(log2)
-
-    def test_unknown_ids_raise(self):
-        w = world([uuv("u1", 0.0, 0.0)], [])
-        with pytest.raises(SimulationError):
-            w.uuv("nope")
-        with pytest.raises(SimulationError):
-            w.beacon("nope")
 
 
 def test_replan_events_are_sorted_into_their_tick():

@@ -265,8 +265,8 @@ limit_retuned = st.none() | st.tuples(
 def test_every_scenario_at_the_limits_of_the_envelope_runs_to_its_end(
     origin, world, silenced, retune, fleet
 ):
-    """No SimulationError, every output finite, and every position within
-    EDGE of the origin, where BeaconGrid's block rule is proved."""
+    """The run raises nothing, every output is finite, and every position
+    lies within EDGE of the origin, where BeaconGrid's block rule is proved."""
     speed = world["uuv_speed"] + math.hypot(*world["current"])
     world["step_cap"] = min(world["step_cap"], int(REACH_LIMIT / (speed * world["tick"])))
     with tempfile.TemporaryDirectory() as tmp:
